@@ -63,12 +63,10 @@ type ShardRequest struct {
 	RootLo int64
 	RootHi int64
 	// GroupRoots fixes the bootstrap grouping by size: every group covers
-	// exactly GroupRoots consecutive root indices, so group boundaries are
-	// identical no matter how a logical root range was sharded across
-	// workers. When 0, Groups is interpreted as a group count (the legacy
-	// form, default 16).
+	// exactly GroupRoots (>= 1) consecutive root indices, so group
+	// boundaries are identical no matter how a logical root range was
+	// sharded across workers.
 	GroupRoots int
-	Groups     int
 }
 
 // ShardReply carries the shard's counters back to the coordinator.
@@ -126,6 +124,9 @@ func (w *Worker) Run(req ShardRequest, reply *ShardReply) error {
 	if err != nil {
 		return err
 	}
+	if req.GroupRoots < 1 {
+		return fmt.Errorf("cluster: shard request GroupRoots %d must be >= 1", req.GroupRoots)
+	}
 	g := &core.GMLSS{
 		Proc:    proc,
 		Query:   core.Query{Value: core.ThresholdValue(obs, req.Beta), Horizon: req.Horizon},
@@ -137,16 +138,7 @@ func (w *Worker) Run(req ShardRequest, reply *ShardReply) error {
 		Workers: w.workers,
 	}
 	began := telemetry.Now()
-	var res core.ShardResult
-	if req.GroupRoots > 0 {
-		res, err = g.RunRootsBy(context.Background(), req.RootLo, req.RootHi, req.GroupRoots)
-	} else {
-		groups := req.Groups
-		if groups <= 0 {
-			groups = 16
-		}
-		res, err = g.RunRoots(context.Background(), req.RootLo, req.RootHi, groups)
-	}
+	res, err := g.RunRootsBy(context.Background(), req.RootLo, req.RootHi, req.GroupRoots)
 	if err != nil {
 		return err
 	}

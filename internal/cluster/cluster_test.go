@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"net/rpc"
+	"strings"
 	"testing"
 
 	"durability/internal/core"
@@ -168,20 +169,19 @@ func TestWorkerRejectsBadPlan(t *testing.T) {
 	}
 }
 
-// The legacy group-count form (GroupRoots == 0) must keep working: older
-// coordinators size groups by count.
-func TestWorkerLegacyGroupCount(t *testing.T) {
+// A request without a positive GroupRoots is refused with an error that
+// names the field, not silently grouped some other way.
+func TestWorkerRejectsMissingGroupRoots(t *testing.T) {
 	reg, beta, horizon := chainRegistry()
 	w := NewWorker(reg, 1)
-	var reply ShardReply
-	err := w.Run(ShardRequest{Model: "chain", Beta: beta, Horizon: horizon,
-		Boundaries: []float64{3.0 / 7, 5.0 / 7}, Ratio: 3, Seed: 1,
-		RootLo: 0, RootHi: 64, Groups: 4}, &reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Result.Groups) != 4 || reply.Result.Roots != 64 {
-		t.Fatalf("legacy grouping produced %d groups over %d roots", len(reply.Result.Groups), reply.Result.Roots)
+	for _, groupRoots := range []int{0, -4} {
+		var reply ShardReply
+		err := w.Run(ShardRequest{Model: "chain", Beta: beta, Horizon: horizon,
+			Boundaries: []float64{3.0 / 7, 5.0 / 7}, Ratio: 3, Seed: 1,
+			RootLo: 0, RootHi: 64, GroupRoots: groupRoots}, &reply)
+		if err == nil || !strings.Contains(err.Error(), "GroupRoots") {
+			t.Fatalf("GroupRoots=%d: got error %v, want a refusal naming GroupRoots", groupRoots, err)
+		}
 	}
 }
 
@@ -195,7 +195,7 @@ func TestRunRootsEmptyRange(t *testing.T) {
 		Ratio: 2,
 		Stop:  mc.Budget{Steps: 1},
 	}
-	if _, err := g.RunRoots(context.Background(), 5, 5, 4); err == nil {
+	if _, err := g.RunRootsBy(context.Background(), 5, 5, 4); err == nil {
 		t.Fatal("empty root range accepted")
 	}
 }

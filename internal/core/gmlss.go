@@ -122,7 +122,6 @@ type GMLSS struct {
 
 	Workers int             // parallel workers (default 1)
 	Batch   int             // root paths between stop-rule checks (default 128)
-	Lanes   int             // lane-frontier width per worker for bulk models (default 64)
 	Trace   func(mc.Result) // optional per-batch progress callback
 
 	// BootstrapReps is the number of bootstrap replicates used for each
@@ -139,9 +138,7 @@ type GMLSS struct {
 
 	// Observe, when non-nil, receives the run's finalized aggregate
 	// counters (root paths and simulator steps alongside) exactly once,
-	// at a successful return. Both execution paths — the scalar
-	// recursion and the vectorized kernel — feed the same aggregate, so
-	// they book identically. Observability only: the callback sees a
+	// at a successful return. Observability only: the callback sees a
 	// copy-safe view after the estimate is computed and must not be used
 	// to influence the run.
 	Observe func(agg Counters, roots, steps int64)
@@ -184,48 +181,13 @@ func (g *GMLSS) ratioAt(j int) int {
 	return g.Ratio
 }
 
-// segment simulates one path that last landed in level curr at time t0 and
-// reports whether it crossed boundary beta_{curr+1} before the horizon.
-// On the first crossing it books skipped levels, and either records a
-// target hit (the crossing reached f >= 1) or lands in level j, splits
-// into Ratio offspring and records mu = (offspring crossing beta_{j+1})/Ratio.
-func (g *GMLSS) segment(st stochastic.State, t0, curr int, src *rng.Source, out *gmlssRoot) bool {
-	m := g.Plan.M()
-	nextB := g.Plan.Boundary(curr + 1)
-	for t := t0 + 1; t <= g.Query.Horizon; t++ {
-		g.Proc.Step(st, t, src)
-		out.steps++
-		f := g.Query.Value(st, t)
-		if f < nextB {
-			continue
-		}
-		j := g.Plan.LevelOf(f)
-		for i := curr + 1; i < j; i++ {
-			out.counters.skip[i]++
-		}
-		if j == m {
-			out.counters.hits++
-			return true
-		}
-		out.counters.land[j]++
-		ratio := g.ratioAt(j)
-		crossed := 0
-		for c := 0; c < ratio; c++ {
-			if g.segment(st.Clone(), t, j, src, out) {
-				crossed++
-			}
-		}
-		frac := float64(crossed) / float64(ratio)
-		out.counters.mu[j] += frac
-		out.counters.muSq[j] += frac * frac
-		return true
-	}
-	return false
-}
-
 // Run executes the sampler until the stop rule fires or the context is
 // cancelled.
 func (g *GMLSS) Run(ctx context.Context) (mc.Result, error) {
+	return g.run(ctx, kernelGMLSS)
+}
+
+func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, error) {
 	if err := g.validate(); err != nil {
 		return mc.Result{}, err
 	}
@@ -251,7 +213,7 @@ func (g *GMLSS) Run(ctx context.Context) (mc.Result, error) {
 	if initLevel >= m {
 		return mc.Result{}, errors.New("core: initial state already satisfies the query")
 	}
-	sim := g.newSim(workers, proto, initLevel)
+	runRange := simulate(g, workers, proto, initLevel)
 
 	start := telemetry.Now()
 	var res mc.Result
@@ -261,7 +223,7 @@ func (g *GMLSS) Run(ctx context.Context) (mc.Result, error) {
 	var nextVarAt int64
 	for {
 		lo, hi := res.Paths, res.Paths+int64(batch)
-		roots, err := sim.runRange(ctx, lo, hi)
+		roots, err := runRange(ctx, lo, hi)
 		for _, r := range roots {
 			res.Steps += r.steps
 			agg.add(r.counters)

@@ -15,14 +15,15 @@ import (
 // per-step dispatch across the whole frontier and keeping lane state in
 // flat vector storage.
 //
-// The kernel is numerics-preserving by construction. A lane is a whole
-// root: all of a root's randomness comes from its own substream, and
-// the scalar recursion's depth-first order through the splitting tree
-// is replicated exactly by an explicit frame stack, so the draw
-// sequence on each substream — and therefore every floating-point
-// value, in the exact accumulation order — is bit-for-bit identical to
-// the scalar path. Models without a bulk fast path fall back to the
-// scalar recursion unchanged.
+// The kernel is the only sampler implementation: models without a
+// native bulk form run through it behind stochastic.Lanes. It follows
+// the depth-first recursion of §3/§4 (kept as the test oracle in
+// reference_test.go) exactly. A lane is a whole root: all of a root's
+// randomness comes from its own substream, and the recursion's
+// depth-first order through the splitting tree is replicated by an
+// explicit frame stack, so the draw sequence on each substream — and
+// therefore every floating-point value, in the exact accumulation
+// order — is bit-for-bit the recursion's.
 
 // defaultLanes is the lane-frontier width per worker. Wide enough to
 // amortize the per-round bookkeeping, small enough that the frontier's
@@ -30,8 +31,8 @@ import (
 const defaultLanes = 64
 
 // kframe is one pending split of the depth-first tree walk: the
-// spilled entrance state plus the offspring accounting the scalar
-// recursion keeps in its call frame. level is the landing level (the
+// spilled entrance state plus the offspring accounting the recursion
+// keeps in its call frame. level is the landing level (the
 // level the offspring segments watch from for g-MLSS, or the child
 // watch level for s-MLSS).
 type kframe struct {
@@ -96,12 +97,16 @@ func (a *entryArena) carve(n int) [][]int64 {
 	return out
 }
 
-// runLaneChunks mirrors forEachRoot's worker layout and cancellation
-// semantics for the lane kernels: the range [0, n) is cut into one
-// contiguous chunk per worker, each worker advances its chunk with its
-// own kernel, and on cancellation the completed range is the longest
-// contiguous prefix of finished roots — exactly the contract callers
-// already rely on for deterministic resume.
+// runLaneChunks fans the range [0, n) out over the lane kernels: one
+// contiguous chunk per worker, each advanced by its own kernel, and
+// chunk(w, wlo, whi) returns how many roots from wlo on completed. Root
+// paths are independent (§3.1 "Parallel Computations") and every root
+// draws from its own substream, so results are independent of goroutine
+// scheduling. On cancellation the completed range is the longest
+// contiguous prefix of finished roots — the contract callers rely on
+// for deterministic resume: roots a later worker finished beyond the
+// first gap are discarded, since they cannot be reported without
+// leaving a hole in the index space.
 func runLaneChunks(ctx context.Context, workers int, n int64, chunk func(w int, wlo, whi int64) int64) (int64, error) {
 	if workers <= 1 {
 		completed := chunk(0, 0, n)
@@ -151,7 +156,9 @@ func runLaneChunks(ctx context.Context, workers int, n int64, chunk func(w int, 
 }
 
 // laneSet is the per-worker lane plumbing shared by both kernels: the
-// model's state vector with its stable per-lane views, one pooled
+// model's state vector with its per-lane views (the slice is stable;
+// its elements may be replaced by Load/Restore, so the kernels index
+// views at the point of use and never hold an element), one pooled
 // Source per lane (re-seeded per root, so the per-root substream
 // contract holds without a per-root allocation), the per-lane time
 // cursors and frame stacks, and the root currently simulated by each
@@ -175,19 +182,19 @@ type laneSet struct {
 	completed []bool
 }
 
-func (ls *laneSet) init(bulk stochastic.BulkProcess, lanes int) {
-	ls.vec = bulk.NewStateVec(lanes)
+func (ls *laneSet) init(bulk stochastic.BulkProcess) {
+	ls.vec = bulk.NewStateVec(defaultLanes)
 	ls.views = ls.vec.Views()
-	ls.srcs = make([]rng.Source, lanes)
-	ls.srcPtr = make([]*rng.Source, lanes)
+	ls.srcs = make([]rng.Source, defaultLanes)
+	ls.srcPtr = make([]*rng.Source, defaultLanes)
 	for i := range ls.srcs {
 		ls.srcPtr[i] = &ls.srcs[i]
 	}
-	ls.t = make([]int, lanes)
-	ls.frames = make([][]kframe, lanes)
-	ls.root = make([]int, lanes)
-	ls.lsteps = make([]int64, lanes)
-	ls.active = make([]int, 0, lanes)
+	ls.t = make([]int, defaultLanes)
+	ls.frames = make([][]kframe, defaultLanes)
+	ls.root = make([]int, defaultLanes)
+	ls.lsteps = make([]int64, defaultLanes)
+	ls.active = make([]int, 0, defaultLanes)
 }
 
 // beginChunk resets the cursor state for a chunk of n roots starting at
@@ -218,8 +225,8 @@ func (ls *laneSet) completedPrefix() int64 {
 }
 
 // gmlssKernel drives one worker's lane frontier through the g-MLSS
-// tree walk. advance replicates segment's per-step bookkeeping;
-// finishSegment replicates the recursion's unwinding.
+// tree walk. advance replicates the recursion's per-step bookkeeping;
+// finishSegment replicates its unwinding.
 type gmlssKernel struct {
 	laneSet
 	g         *GMLSS
@@ -236,7 +243,7 @@ type gmlssKernel struct {
 	out   []gmlssRoot
 }
 
-func newGMLSSKernel(g *GMLSS, bulk stochastic.BulkProcess, proto stochastic.State, initLevel, lanes int) *gmlssKernel {
+func newGMLSSKernel(g *GMLSS, bulk stochastic.BulkProcess, proto stochastic.State, initLevel int) *gmlssKernel {
 	k := &gmlssKernel{
 		g:         g,
 		bulk:      bulk,
@@ -247,9 +254,9 @@ func newGMLSSKernel(g *GMLSS, bulk stochastic.BulkProcess, proto stochastic.Stat
 		value:     g.Query.Value,
 		horizon:   g.Query.Horizon,
 	}
-	k.laneSet.init(bulk, lanes)
-	k.curr = make([]int, lanes)
-	k.nextB = make([]float64, lanes)
+	k.laneSet.init(bulk)
+	k.curr = make([]int, defaultLanes)
+	k.nextB = make([]float64, defaultLanes)
 	return k
 }
 
@@ -342,7 +349,7 @@ func (k *gmlssKernel) advance(i, t int, f float64) bool {
 // finishSegment unwinds the frame stack after lane i's current segment
 // ended (crossed tells whether it crossed its watched boundary),
 // starting the next offspring or resolving finished splits, exactly as
-// the scalar recursion's returns do. When the stack empties the root is
+// the recursion's returns do. When the stack empties the root is
 // complete and the lane takes the next root, if any.
 func (k *gmlssKernel) finishSegment(i int, crossed bool) bool {
 	out := &k.out[k.root[i]]
@@ -400,7 +407,7 @@ type smlssKernel struct {
 	out   []smlssRoot
 }
 
-func newSMLSSKernel(s *SMLSS, bulk stochastic.BulkProcess, proto stochastic.State, initLevel, lanes int) *smlssKernel {
+func newSMLSSKernel(s *SMLSS, bulk stochastic.BulkProcess, proto stochastic.State, initLevel int) *smlssKernel {
 	k := &smlssKernel{
 		s:         s,
 		bulk:      bulk,
@@ -410,10 +417,10 @@ func newSMLSSKernel(s *SMLSS, bulk stochastic.BulkProcess, proto stochastic.Stat
 		value:     s.Query.Value,
 		horizon:   s.Query.Horizon,
 	}
-	k.laneSet.init(bulk, lanes)
-	k.watch = make([]int, lanes)
-	k.loB = make([]float64, lanes)
-	k.hiB = make([]float64, lanes)
+	k.laneSet.init(bulk)
+	k.watch = make([]int, defaultLanes)
+	k.loB = make([]float64, defaultLanes)
+	k.hiB = make([]float64, defaultLanes)
 	return k
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // Cold-run benchmarks for the simulation kernel: one full GMLSS run per
-// iteration, scalar recursion vs the vectorized bulk path, on the two
-// models the acceptance bar names (GBM and random walk). scripts/profile
-// drives the bulk variants under -cpuprofile/-memprofile; durbench's
+// iteration, each model's native bulk form vs the same model behind the
+// stochastic.Lanes adapter (the path black-box models take).
+// scripts/profile drives these under -cpuprofile/-memprofile; durbench's
 // BENCH_kernel.json covers the cross-model ns/step numbers.
 
 func benchGMLSS(proc stochastic.Process, obs stochastic.Observer, beta float64, plan Plan, horizon int) *GMLSS {
@@ -60,10 +60,10 @@ func runColdBench(b *testing.B, g *GMLSS) {
 
 func BenchmarkGMLSSCold(b *testing.B) {
 	for name, g := range benchModels(b) {
-		b.Run(name+"/scalar", func(b *testing.B) {
-			sg := *g
-			sg.Proc = stochastic.ScalarOnly(g.Proc)
-			runColdBench(b, &sg)
+		b.Run(name+"/adapter", func(b *testing.B) {
+			ag := *g
+			ag.Proc = stochastic.Lanes(g.Proc)
+			runColdBench(b, &ag)
 		})
 		b.Run(name+"/bulk", func(b *testing.B) {
 			runColdBench(b, g)

@@ -9,16 +9,19 @@ import (
 
 	"durability/internal/exact"
 	"durability/internal/mc"
+	"durability/internal/neural"
 	"durability/internal/rng"
 	"durability/internal/stochastic"
 )
 
-// The differential golden suite: every built-in model is run down the
-// vectorized kernel and down the scalar recursion (via
-// stochastic.ScalarOnly) and the results are compared with ==. Bulk and
-// scalar runs must be bit-for-bit identical — same estimates, same
-// variance trajectories, same step counts — at every worker count,
-// under cancellation, and through the sharded driver.
+// The differential golden suite: every built-in model is run three
+// ways — down the lane kernel with its native bulk form, down the lane
+// kernel behind the stochastic.Lanes adapter (the path every black-box
+// model takes), and down the reference recursion (reference_test.go)
+// under the samplers' own estimator loops — and the results are compared
+// with ==. The three must be bit-for-bit identical — same per-root
+// counters, estimates, variance trajectories and step counts — at every
+// worker count, under cancellation, and through the sharded driver.
 
 type kernelFixture struct {
 	name    string
@@ -114,11 +117,61 @@ func (fx kernelFixture) smlss(proc stochastic.Process, workers int) *SMLSS {
 	}
 }
 
+// suiteWorkers are the worker counts every differential test covers.
+// The reference runs once, at one worker: results must not depend on the
+// worker count, so every path at every count is held to that one run.
+var suiteWorkers = []int{1, 4}
+
 // stripTimes zeroes the wall-clock fields, the only ones allowed to
-// differ between a bulk and a scalar run.
+// differ between two runs.
 func stripTimes(r mc.Result) mc.Result {
 	r.Elapsed, r.VarTime = 0, 0
 	return r
+}
+
+// paths are the two production paths the suite holds to the reference.
+func (fx kernelFixture) paths() map[string]stochastic.Process {
+	return map[string]stochastic.Process{"native": fx.proc, "adapter": stochastic.Lanes(fx.proc)}
+}
+
+// TestKernelMatchesReferenceRoots compares per-root results, the unit
+// every driver folds: each root's level counters, hits and steps.
+func TestKernelMatchesReferenceRoots(t *testing.T) {
+	const lo, hi = 137, 402
+	ctx := context.Background()
+	for _, fx := range kernelFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			proto := fx.proc.Initial()
+			g := fx.gmlss(fx.proc, 1)
+			initLevel := g.Plan.LevelOf(g.Query.Value(proto, 0))
+			want, err := referenceGMLSS(g, 1, proto, initLevel)(ctx, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantS, err := referenceSMLSS(fx.smlss(fx.proc, 1), 1, proto, initLevel)(ctx, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range suiteWorkers {
+				for path, proc := range fx.paths() {
+					got, err := kernelGMLSS(fx.gmlss(proc, workers), workers, proto, initLevel)(ctx, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("workers=%d %s: g-MLSS per-root results differ from the reference", workers, path)
+					}
+					gotS, err := kernelSMLSS(fx.smlss(proc, workers), workers, proto, initLevel)(ctx, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotS, wantS) {
+						t.Errorf("workers=%d %s: s-MLSS per-root results differ from the reference", workers, path)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestKernelMatchesScalarGMLSS(t *testing.T) {
@@ -127,20 +180,22 @@ func TestKernelMatchesScalarGMLSS(t *testing.T) {
 			if _, ok := fx.proc.(stochastic.BulkProcess); !ok {
 				t.Fatalf("%s does not implement BulkProcess", fx.name)
 			}
-			scalar, err := fx.gmlss(stochastic.ScalarOnly(fx.proc), 1).Run(context.Background())
+			ref, err := fx.gmlss(fx.proc, 1).run(context.Background(), referenceGMLSS)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if scalar.Hits == 0 {
-				t.Fatalf("fixture too rare: no hits in scalar run")
+			if ref.Hits == 0 {
+				t.Fatalf("fixture too rare: no hits in the reference run")
 			}
-			for _, workers := range []int{1, 2, 3} {
-				bulk, err := fx.gmlss(fx.proc, workers).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := stripTimes(bulk), stripTimes(scalar); got != want {
-					t.Errorf("workers=%d: bulk %+v != scalar %+v", workers, got, want)
+			for _, workers := range suiteWorkers {
+				for path, proc := range fx.paths() {
+					got, err := fx.gmlss(proc, workers).Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := stripTimes(got), stripTimes(ref); got != want {
+						t.Errorf("workers=%d %s: %+v != reference %+v", workers, path, got, want)
+					}
 				}
 			}
 		})
@@ -148,46 +203,52 @@ func TestKernelMatchesScalarGMLSS(t *testing.T) {
 }
 
 func TestKernelMatchesScalarSMLSS(t *testing.T) {
+	budget := mc.Budget{Steps: 30_000}
 	for _, fx := range kernelFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
-			scalarRes, scalarEntries, err := fx.smlss(stochastic.ScalarOnly(fx.proc), 1).Trial(context.Background(), 30_000)
+			refRes, refEntries, err := fx.smlss(fx.proc, 1).run(context.Background(), budget, referenceSMLSS)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 3} {
-				bulkRes, bulkEntries, err := fx.smlss(fx.proc, workers).Trial(context.Background(), 30_000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := stripTimes(bulkRes), stripTimes(scalarRes); got != want {
-					t.Errorf("workers=%d: bulk %+v != scalar %+v", workers, got, want)
-				}
-				if !reflect.DeepEqual(bulkEntries, scalarEntries) {
-					t.Errorf("workers=%d: entries %v != %v", workers, bulkEntries, scalarEntries)
+			for _, workers := range suiteWorkers {
+				for path, proc := range fx.paths() {
+					res, entries, err := fx.smlss(proc, workers).Trial(context.Background(), budget.Steps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := stripTimes(res), stripTimes(refRes); got != want {
+						t.Errorf("workers=%d %s: %+v != reference %+v", workers, path, got, want)
+					}
+					if !reflect.DeepEqual(entries, refEntries) {
+						t.Errorf("workers=%d %s: entries %v != reference %v", workers, path, entries, refEntries)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestKernelMatchesScalarShards runs the sharded driver down both paths
+// TestKernelMatchesScalarShards runs the sharded driver down every path
 // and compares the full ShardResult — counters, groups, and costs — for
 // several shard cuts, including ranges that do not start at zero.
 func TestKernelMatchesScalarShards(t *testing.T) {
+	ctx := context.Background()
 	for _, fx := range kernelFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			for _, r := range []struct{ lo, hi int64 }{{0, 300}, {137, 402}} {
-				scalar, err := fx.gmlss(stochastic.ScalarOnly(fx.proc), 1).RunRootsBy(context.Background(), r.lo, r.hi, 64)
+				ref, err := fx.gmlss(fx.proc, 1).runRootsBy(ctx, r.lo, r.hi, 64, referenceGMLSS)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{1, 3} {
-					bulk, err := fx.gmlss(fx.proc, workers).RunRootsBy(context.Background(), r.lo, r.hi, 64)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(bulk, scalar) {
-						t.Errorf("range [%d,%d) workers=%d: bulk shard result differs from scalar", r.lo, r.hi, workers)
+				for _, workers := range suiteWorkers {
+					for path, proc := range fx.paths() {
+						got, err := fx.gmlss(proc, workers).RunRootsBy(ctx, r.lo, r.hi, 64)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, ref) {
+							t.Errorf("range [%d,%d) workers=%d %s: shard result differs from the reference", r.lo, r.hi, workers, path)
+						}
 					}
 				}
 			}
@@ -196,11 +257,11 @@ func TestKernelMatchesScalarShards(t *testing.T) {
 }
 
 // TestKernelCancelBetweenBatches cancels synchronously from the Trace
-// callback, so both paths observe the cancellation at the same batch
+// callback, so every path observes the cancellation at the same batch
 // boundary: the partial results must still be bit-for-bit equal.
 func TestKernelCancelBetweenBatches(t *testing.T) {
 	fx := kernelFixtures(t)[0]
-	run := func(proc stochastic.Process, workers int) mc.Result {
+	run := func(proc stochastic.Process, workers int, simulate gmlssSimFunc) mc.Result {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		g := fx.gmlss(proc, workers)
@@ -210,17 +271,19 @@ func TestKernelCancelBetweenBatches(t *testing.T) {
 				cancel()
 			}
 		}
-		res, err := g.Run(ctx)
+		res, err := g.run(ctx, simulate)
 		if err != context.Canceled {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
 		return res
 	}
-	scalar := run(stochastic.ScalarOnly(fx.proc), 1)
-	for _, workers := range []int{1, 2, 3} {
-		bulk := run(fx.proc, workers)
-		if got, want := stripTimes(bulk), stripTimes(scalar); got != want {
-			t.Errorf("workers=%d: cancelled bulk %+v != scalar %+v", workers, got, want)
+	ref := run(fx.proc, 1, referenceGMLSS)
+	for _, workers := range suiteWorkers {
+		for path, proc := range fx.paths() {
+			got := run(proc, workers, kernelGMLSS)
+			if got, want := stripTimes(got), stripTimes(ref); got != want {
+				t.Errorf("workers=%d %s: cancelled %+v != reference %+v", workers, path, got, want)
+			}
 		}
 	}
 }
@@ -228,51 +291,91 @@ func TestKernelCancelBetweenBatches(t *testing.T) {
 // TestKernelCancelMidBatch cancels from inside the value function, so
 // the kernel is interrupted with lanes mid-root. Wherever it stops, the
 // returned result must cover a contiguous prefix of root indices whose
-// statistics match an uncancelled scalar run over exactly that prefix.
+// statistics match an uncancelled reference run over exactly that
+// prefix.
 func TestKernelCancelMidBatch(t *testing.T) {
 	fx := kernelFixtures(t)[1]
-	for _, workers := range []int{1, 3} {
-		ctx, cancel := context.WithCancel(context.Background())
-		g := fx.gmlss(fx.proc, workers)
-		g.Stop = mc.Budget{Steps: math.MaxInt64}
-		// Small batches so several have completed before the cancel lands
-		// mid-flight (the kernel keeps a whole lane frontier of roots
-		// in-progress at once, so a cancel early in the first batch can
-		// legitimately complete zero roots).
-		g.Batch = 16
-		var evals int64
-		inner := g.Query.Value
-		g.Query.Value = func(s stochastic.State, t int) float64 {
-			if atomic.AddInt64(&evals, 1) == 100_000 {
-				cancel()
+	for _, workers := range suiteWorkers {
+		for path, proc := range fx.paths() {
+			ctx, cancel := context.WithCancel(context.Background())
+			g := fx.gmlss(proc, workers)
+			g.Stop = mc.Budget{Steps: math.MaxInt64}
+			// Small batches so several have completed before the cancel
+			// lands mid-flight (the kernel keeps a whole lane frontier of
+			// roots in-progress at once, so a cancel early in the first
+			// batch can legitimately complete zero roots).
+			g.Batch = 16
+			var evals int64
+			inner := g.Query.Value
+			g.Query.Value = func(s stochastic.State, t int) float64 {
+				if atomic.AddInt64(&evals, 1) == 100_000 {
+					cancel()
+				}
+				return inner(s, t)
 			}
-			return inner(s, t)
+			res, err := g.Run(ctx)
+			cancel()
+			if err != context.Canceled {
+				t.Fatalf("workers=%d %s: want context.Canceled, got %v", workers, path, err)
+			}
+			if res.Paths == 0 {
+				t.Fatalf("workers=%d %s: no completed prefix before cancellation", workers, path)
+			}
+			// Replay the prefix down the reference, uncancelled: a single
+			// group keeps the fold order identical to Run's batch folds.
+			shard, err := fx.gmlss(fx.proc, 1).runRootsBy(context.Background(), 0, res.Paths, int(res.Paths), referenceGMLSS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := fx.plan.M()
+			initLevel := fx.plan.LevelOf(g.Query.Value(fx.proc.Initial(), 0))
+			if got, want := res.P, EstimateFromCounters(shard.Agg, res.Paths, m, initLevel); got != want {
+				t.Errorf("workers=%d %s: prefix estimate %v != reference replay %v", workers, path, got, want)
+			}
+			if got, want := res.Hits, int64(shard.Agg.Hits); got != want {
+				t.Errorf("workers=%d %s: prefix hits %d != reference replay %d", workers, path, got, want)
+			}
+			if got, want := res.Steps, shard.Steps; got != want {
+				t.Errorf("workers=%d %s: prefix steps %d != reference replay %d", workers, path, got, want)
+			}
 		}
-		res, err := g.Run(ctx)
-		cancel()
-		if err != context.Canceled {
-			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
-		}
-		if res.Paths == 0 {
-			t.Fatalf("workers=%d: no completed prefix before cancellation", workers)
-		}
-		// Replay the prefix scalar and uncancelled: a single group keeps
-		// the fold order identical to Run's batch folds.
-		ref := fx.gmlss(stochastic.ScalarOnly(fx.proc), 1)
-		shard, err := ref.RunRootsBy(context.Background(), 0, res.Paths, int(res.Paths))
+	}
+}
+
+// TestKernelMatchesReferenceBlackBox runs a model with no native bulk
+// form — the LSTM-MDN stock model, whose state is a boxed hidden
+// activation vector — through the production path (the Lanes adapter,
+// by AsBulk) and through the reference recursion. The untrained model
+// swings wildly, so roots split repeatedly: spills and restores of boxed
+// states are exercised on every root.
+func TestKernelMatchesReferenceBlackBox(t *testing.T) {
+	proc := neural.NewStockProcess(neural.NewModel(neural.Config{Hidden: 6, Layers: 1, Mixtures: 2, SeqLen: 20}, 5), 1000, 10)
+	g := &GMLSS{
+		Proc:          proc,
+		Query:         Query{Value: ThresholdValue(neural.Price, 2000), Horizon: 30},
+		Plan:          MustPlan(0.6, 0.75, 0.9),
+		Ratio:         3,
+		Stop:          mc.Budget{Steps: 10_000},
+		Seed:          41,
+		Workers:       1,
+		Batch:         32,
+		BootstrapReps: 25,
+	}
+	ref, err := g.run(context.Background(), referenceGMLSS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Hits == 0 {
+		t.Fatal("fixture too rare: no hits in the reference run")
+	}
+	for _, workers := range suiteWorkers {
+		g.Workers = workers
+		got, err := g.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := fx.plan.M()
-		initLevel := fx.plan.LevelOf(g.Query.Value(fx.proc.Initial(), 0))
-		if got, want := res.P, EstimateFromCounters(shard.Agg, res.Paths, m, initLevel); got != want {
-			t.Errorf("workers=%d: prefix estimate %v != scalar replay %v", workers, got, want)
-		}
-		if got, want := res.Hits, int64(shard.Agg.Hits); got != want {
-			t.Errorf("workers=%d: prefix hits %d != scalar replay %d", workers, got, want)
-		}
-		if got, want := res.Steps, shard.Steps; got != want {
-			t.Errorf("workers=%d: prefix steps %d != scalar replay %d", workers, got, want)
+		if got, want := stripTimes(got), stripTimes(ref); got != want {
+			t.Errorf("workers=%d: adapter %+v != reference %+v", workers, got, want)
 		}
 	}
 }
@@ -299,8 +402,9 @@ func TestKernelStatisticalSanity(t *testing.T) {
 	}
 }
 
-// countingInit counts Initial() calls while preserving (or hiding) the
-// bulk fast path, depending on the wrapper used.
+// countingInit counts Initial() calls. It promotes only Process's
+// methods, so it is a black-box model even around a bulk one;
+// countingBulkInit forwards the bulk form as well.
 type countingInit struct {
 	stochastic.Process
 	n *atomic.Int64
@@ -325,18 +429,19 @@ func (c countingBulkInit) StepVec(v stochastic.StateVec, lanes []int, t []int, s
 
 // TestInitialCalledOncePerRun pins the pooled-prototype contract: a run
 // builds the initial state exactly once, however many roots it
-// simulates, on the scalar path and the bulk path alike. Expensive
-// initializers (neural warmup replay) must not re-run per root.
+// simulates, for a scalar-only model (through the Lanes adapter) and a
+// bulk one alike. Expensive initializers (neural warmup replay) must not
+// re-run per root.
 func TestInitialCalledOncePerRun(t *testing.T) {
 	fx := kernelFixtures(t)[1]
 	t.Run("scalar", func(t *testing.T) {
 		var n atomic.Int64
-		g := fx.gmlss(countingInit{Process: stochastic.ScalarOnly(fx.proc), n: &n}, 2)
+		g := fx.gmlss(countingInit{Process: fx.proc, n: &n}, 2)
 		if _, err := g.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if got := n.Load(); got != 1 {
-			t.Fatalf("scalar path called Initial %d times, want 1", got)
+			t.Fatalf("scalar-only model: Initial called %d times, want 1", got)
 		}
 	})
 	t.Run("bulk", func(t *testing.T) {

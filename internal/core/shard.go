@@ -57,34 +57,22 @@ type ShardResult struct {
 	Steps  int64
 }
 
-// RunRoots simulates root paths [lo, hi) of the sampler's tree process and
-// returns their counters, batched into the requested number of bootstrap
-// groups. It performs no stopping logic — that is the coordinator's job in
-// the distributed setting of §3.1 ("synchronize counters on the machines
-// periodically to produce a running estimate").
-func (g *GMLSS) RunRoots(ctx context.Context, lo, hi int64, groups int) (ShardResult, error) {
-	if hi <= lo {
-		return ShardResult{}, errors.New("core: empty root range")
-	}
-	if groups < 1 {
-		groups = 1
-	}
-	if int64(groups) > hi-lo {
-		groups = int(hi - lo)
-	}
-	per := int((hi - lo + int64(groups) - 1) / int64(groups))
-	return g.RunRootsBy(ctx, lo, hi, per)
-}
-
-// RunRootsBy is RunRoots with the bootstrap grouping fixed by size rather
-// than count: every group covers exactly rootsPerGroup consecutive root
-// indices (the last group of a range may be smaller). Distributed
+// RunRootsBy simulates root paths [lo, hi) of the sampler's tree process
+// and returns their counters, batched into bootstrap groups of
+// rootsPerGroup consecutive root indices (the last group of a range may be
+// smaller). It performs no stopping logic — that is the coordinator's job
+// in the distributed setting of §3.1 ("synchronize counters on the
+// machines periodically to produce a running estimate"). Distributed
 // executors shard one logical root range across machines; size-based
 // grouping makes the group boundaries — and therefore the order of every
 // floating-point merge downstream — identical no matter how the range was
 // cut, which is what keeps a sharded run bit-for-bit equal to a
 // single-machine run.
 func (g *GMLSS) RunRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int) (ShardResult, error) {
+	return g.runRootsBy(ctx, lo, hi, rootsPerGroup, kernelGMLSS)
+}
+
+func (g *GMLSS) runRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int, simulate gmlssSimFunc) (ShardResult, error) {
 	if err := g.validate(); err != nil {
 		return ShardResult{}, err
 	}
@@ -104,7 +92,7 @@ func (g *GMLSS) RunRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int)
 	if workers <= 0 {
 		workers = 1
 	}
-	roots, err := g.newSim(workers, proto, initLevel).runRange(ctx, lo, hi)
+	roots, err := simulate(g, workers, proto, initLevel)(ctx, lo, hi)
 	if err != nil {
 		return ShardResult{}, err
 	}

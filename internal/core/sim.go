@@ -3,18 +3,34 @@ package core
 import (
 	"context"
 
-	"durability/internal/rng"
 	"durability/internal/stochastic"
 )
 
 // The sim types own everything the drivers (Run, RunRootsBy, run,
 // LevelEntryCounts) reuse across batches of one run: the initial-state
-// prototype built by a single Proc.Initial() call and cloned per root
-// (expensive initializers — neural warmup replay — run once per run,
-// not once per root), the counter arenas recycled batch to batch, and,
-// when the model implements stochastic.BulkProcess, one vectorized
-// kernel per worker. Models without a bulk fast path run the scalar
-// recursion through forEachRoot exactly as before.
+// prototype built by a single Proc.Initial() call and loaded into a lane
+// per root (expensive initializers — neural warmup replay — run once per
+// run, not once per root), the counter arenas recycled batch to batch,
+// and one lane kernel per worker. Every model runs through the kernel:
+// stochastic.AsBulk supplies the model's native bulk form, or the Lanes
+// adapter for a black-box model.
+//
+// The drivers receive the simulation as a function that builds a run's
+// rangeFunc (kernelGMLSS / kernelSMLSS), so the differential tests can
+// run the reference recursion (reference_test.go) under the very same
+// estimator loops.
+
+// rangeFunc simulates root paths [lo, hi), one result per index. On
+// cancellation it returns the longest contiguous prefix of completed
+// roots with the context's error. Results may alias per-run arenas:
+// callers fold them before the next call, which every driver does.
+type rangeFunc[T any] func(ctx context.Context, lo, hi int64) ([]T, error)
+
+// gmlssSimFunc builds the root-range simulation of one GMLSS run.
+type gmlssSimFunc func(g *GMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot]
+
+// smlssSimFunc builds the root-range simulation of one SMLSS run.
+type smlssSimFunc func(s *SMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[smlssRoot]
 
 // gmlssSim is the per-run simulation engine for GMLSS.
 type gmlssSim struct {
@@ -22,37 +38,25 @@ type gmlssSim struct {
 	workers   int
 	proto     stochastic.State
 	initLevel int
-	bulk      stochastic.BulkProcess // nil: scalar fallback
-	lanes     int
+	bulk      stochastic.BulkProcess
 	arena     counterArena
 	kernels   []*gmlssKernel // one per worker slot, built lazily
 }
 
-func (g *GMLSS) newSim(workers int, proto stochastic.State, initLevel int) *gmlssSim {
-	sim := &gmlssSim{g: g, workers: workers, proto: proto, initLevel: initLevel}
-	sim.arena.m = g.Plan.M()
-	if bp, ok := g.Proc.(stochastic.BulkProcess); ok {
-		sim.bulk = bp
-		sim.lanes = laneCount(g.Lanes)
-		sim.kernels = make([]*gmlssKernel, workers)
+// kernelGMLSS is the production gmlssSimFunc: the lane kernel.
+func kernelGMLSS(g *GMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot] {
+	sim := &gmlssSim{
+		g: g, workers: workers, proto: proto, initLevel: initLevel,
+		bulk:    stochastic.AsBulk(g.Proc),
+		kernels: make([]*gmlssKernel, workers),
 	}
-	return sim
+	sim.arena.m = g.Plan.M()
+	return sim.runRange
 }
 
-// runRange simulates roots [lo, hi), one gmlssRoot per index. The
-// returned slice's counters alias the sim's arena: callers must fold
-// them before the next runRange call, which every driver does.
 func (sim *gmlssSim) runRange(ctx context.Context, lo, hi int64) ([]gmlssRoot, error) {
 	n := hi - lo
 	counters := sim.arena.carve(int(n))
-	if sim.bulk == nil {
-		return forEachRoot(ctx, sim.workers, lo, hi, func(idx int64) gmlssRoot {
-			r := gmlssRoot{counters: counters[idx-lo]}
-			src := rng.NewStream(sim.g.Seed, uint64(idx))
-			sim.g.segment(sim.proto.Clone(), 0, sim.initLevel, src, &r)
-			return r
-		})
-	}
 	out := make([]gmlssRoot, n)
 	for i := range out {
 		out[i].counters = counters[i]
@@ -60,7 +64,7 @@ func (sim *gmlssSim) runRange(ctx context.Context, lo, hi int64) ([]gmlssRoot, e
 	prefix, err := runLaneChunks(ctx, sim.workers, n, func(w int, wlo, whi int64) int64 {
 		k := sim.kernels[w]
 		if k == nil {
-			k = newGMLSSKernel(sim.g, sim.bulk, sim.proto, sim.initLevel, sim.lanes)
+			k = newGMLSSKernel(sim.g, sim.bulk, sim.proto, sim.initLevel)
 			sim.kernels[w] = k
 		}
 		return k.runChunk(ctx, lo+wlo, out[wlo:whi])
@@ -78,35 +82,24 @@ type smlssSim struct {
 	proto     stochastic.State
 	initLevel int
 	bulk      stochastic.BulkProcess
-	lanes     int
 	arena     entryArena
 	kernels   []*smlssKernel
 }
 
-func (s *SMLSS) newSim(workers int, proto stochastic.State, initLevel int) *smlssSim {
-	sim := &smlssSim{s: s, workers: workers, proto: proto, initLevel: initLevel}
-	sim.arena.m = s.Plan.M()
-	if bp, ok := s.Proc.(stochastic.BulkProcess); ok {
-		sim.bulk = bp
-		sim.lanes = laneCount(s.Lanes)
-		sim.kernels = make([]*smlssKernel, workers)
+// kernelSMLSS is the production smlssSimFunc: the lane kernel.
+func kernelSMLSS(s *SMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[smlssRoot] {
+	sim := &smlssSim{
+		s: s, workers: workers, proto: proto, initLevel: initLevel,
+		bulk:    stochastic.AsBulk(s.Proc),
+		kernels: make([]*smlssKernel, workers),
 	}
-	return sim
+	sim.arena.m = s.Plan.M()
+	return sim.runRange
 }
 
-// runRange simulates roots [lo, hi). The returned roots' entries alias
-// the sim's arena: fold before the next runRange call.
 func (sim *smlssSim) runRange(ctx context.Context, lo, hi int64) ([]smlssRoot, error) {
 	n := hi - lo
 	entries := sim.arena.carve(int(n))
-	if sim.bulk == nil {
-		return forEachRoot(ctx, sim.workers, lo, hi, func(idx int64) smlssRoot {
-			r := smlssRoot{entries: entries[idx-lo]}
-			src := rng.NewStream(sim.s.Seed, uint64(idx))
-			sim.s.segment(sim.proto.Clone(), 0, sim.initLevel+1, src, &r)
-			return r
-		})
-	}
 	out := make([]smlssRoot, n)
 	for i := range out {
 		out[i].entries = entries[i]
@@ -114,7 +107,7 @@ func (sim *smlssSim) runRange(ctx context.Context, lo, hi int64) ([]smlssRoot, e
 	prefix, err := runLaneChunks(ctx, sim.workers, n, func(w int, wlo, whi int64) int64 {
 		k := sim.kernels[w]
 		if k == nil {
-			k = newSMLSSKernel(sim.s, sim.bulk, sim.proto, sim.initLevel, sim.lanes)
+			k = newSMLSSKernel(sim.s, sim.bulk, sim.proto, sim.initLevel)
 			sim.kernels[w] = k
 		}
 		return k.runChunk(ctx, lo+wlo, out[wlo:whi])
@@ -123,11 +116,4 @@ func (sim *smlssSim) runRange(ctx context.Context, lo, hi int64) ([]smlssRoot, e
 		return out[:prefix], err
 	}
 	return out, nil
-}
-
-func laneCount(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	return defaultLanes
 }

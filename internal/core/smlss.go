@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"durability/internal/mc"
-	"durability/internal/rng"
 	"durability/internal/stats"
 	"durability/internal/stochastic"
 	"durability/internal/telemetry"
@@ -37,7 +36,6 @@ type SMLSS struct {
 
 	Workers int             // parallel workers (default 1)
 	Batch   int             // root paths between stop-rule checks (default 128)
-	Lanes   int             // lane-frontier width per worker for bulk models (default 64)
 	Trace   func(mc.Result) // optional per-batch progress callback
 }
 
@@ -58,44 +56,10 @@ func (s *SMLSS) validate() error {
 	return nil
 }
 
-// segment simulates one path from time t0, watching level L_watch: the
-// first landing inside [beta_watch, beta_{watch+1}) triggers a split.
-// When watch == m the watched "interval" is the target [1,1].
-func (s *SMLSS) segment(st stochastic.State, t0, watch int, src *rng.Source, out *smlssRoot) {
-	m := s.Plan.M()
-	var lo, hi float64
-	if watch <= m {
-		lo = s.Plan.Boundary(watch)
-	}
-	if watch < m {
-		hi = s.Plan.Boundary(watch + 1)
-	}
-	for t := t0 + 1; t <= s.Query.Horizon; t++ {
-		s.Proc.Step(st, t, src)
-		out.steps++
-		f := s.Query.Value(st, t)
-		if watch == m {
-			if f >= 1 {
-				out.hits++
-				out.entries[m]++
-				return
-			}
-			continue
-		}
-		if f >= lo && f < hi {
-			out.entries[watch]++
-			for c := 0; c < s.Ratio; c++ {
-				s.segment(st.Clone(), t, watch+1, src, out)
-			}
-			return
-		}
-	}
-}
-
 // Run executes the sampler until the stop rule fires or the context is
 // cancelled.
 func (s *SMLSS) Run(ctx context.Context) (mc.Result, error) {
-	res, _, err := s.run(ctx, s.Stop)
+	res, _, err := s.run(ctx, s.Stop, kernelSMLSS)
 	return res, err
 }
 
@@ -106,10 +70,10 @@ func (s *SMLSS) Run(ctx context.Context) (mc.Result, error) {
 // of a fixed-budget run, and the entry counts yield the level-advancement
 // probabilities the greedy strategy bisects on.
 func (s *SMLSS) Trial(ctx context.Context, budget int64) (mc.Result, []int64, error) {
-	return s.run(ctx, mc.Budget{Steps: budget})
+	return s.run(ctx, mc.Budget{Steps: budget}, kernelSMLSS)
 }
 
-func (s *SMLSS) run(ctx context.Context, stop mc.StopRule) (mc.Result, []int64, error) {
+func (s *SMLSS) run(ctx context.Context, stop mc.StopRule, simulate smlssSimFunc) (mc.Result, []int64, error) {
 	if stop == nil {
 		return mc.Result{}, nil, errors.New("core: SMLSS requires a stop rule")
 	}
@@ -130,7 +94,7 @@ func (s *SMLSS) run(ctx context.Context, stop mc.StopRule) (mc.Result, []int64, 
 	if initLevel >= m {
 		return mc.Result{}, nil, errors.New("core: initial state already satisfies the query")
 	}
-	sim := s.newSim(workers, proto, initLevel)
+	runRange := simulate(s, workers, proto, initLevel)
 	// Scale factor r^(m-1-initLevel): total leaves per root.
 	scale := 1.0
 	for i := initLevel + 1; i < m; i++ {
@@ -145,7 +109,7 @@ func (s *SMLSS) run(ctx context.Context, stop mc.StopRule) (mc.Result, []int64, 
 	for {
 		lo, hi := next, next+int64(batch)
 		next = hi
-		roots, err := sim.runRange(ctx, lo, hi)
+		roots, err := runRange(ctx, lo, hi)
 		for _, r := range roots {
 			res.Steps += r.steps
 			res.Hits += r.hits
@@ -186,7 +150,7 @@ func (s *SMLSS) LevelEntryCounts(ctx context.Context, nRoots int64) ([]int64, in
 	}
 	proto := s.Proc.Initial()
 	initLevel := s.Plan.LevelOf(s.Query.Value(proto, 0))
-	roots, err := s.newSim(workers, proto, initLevel).runRange(ctx, 0, nRoots)
+	roots, err := kernelSMLSS(s, workers, proto, initLevel)(ctx, 0, nRoots)
 	counts := make([]int64, s.Plan.M()+1)
 	var steps int64
 	for _, r := range roots {

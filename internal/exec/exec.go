@@ -11,10 +11,10 @@
 // contract and cannot tell a laptop from a cluster; everything below it
 // is a placement decision.
 //
-// Two backends implement the contract. Local runs in-process over the
-// parallel forEachRoot driver of internal/core. Cluster fans the range
-// out over net/rpc workers (internal/cluster), retiring dead workers and
-// retrying their chunks on the survivors.
+// Two backends implement the contract. Local runs in-process through
+// the lane kernel of internal/core (core.GMLSS.RunRootsBy). Cluster fans
+// the range out over net/rpc workers (internal/cluster), retiring dead
+// workers and retrying their chunks on the survivors.
 //
 // The determinism invariant both backends uphold: root path i draws from
 // PRNG substream i of the task seed regardless of where it is simulated,

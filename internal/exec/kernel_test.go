@@ -8,11 +8,11 @@ import (
 	"durability/internal/stochastic"
 )
 
-// TestClusterKernelMatchesScalarLocal pins the vectorized kernel's
-// equality invariant across the execution seam: cluster workers
-// instantiate the registered model and take the bulk fast path, while
-// the local baseline is forced onto the scalar recursion with
-// stochastic.ScalarOnly. The two must agree bit-for-bit — the same
+// TestClusterKernelMatchesScalarLocal pins the kernel's equality
+// invariant across the execution seam: cluster workers instantiate the
+// registered model and step it through its native bulk form, while the
+// local baseline steps it one scalar Step at a time behind the
+// stochastic.Lanes adapter. The two must agree bit-for-bit — the same
 // invariant the in-core differential suite checks, here proven through
 // RPC sharding, gob transport, and the coordinator's merge order.
 func TestClusterKernelMatchesScalarLocal(t *testing.T) {
@@ -20,29 +20,29 @@ func TestClusterKernelMatchesScalarLocal(t *testing.T) {
 	task := chainTask()
 	opt := SampleOptions{Stop: mc.Budget{Steps: 300_000}}
 
-	scalarTask := task
-	scalarTask.Proc = stochastic.ScalarOnly(task.Proc)
-	scalar, err := Sample(context.Background(), Local{}, scalarTask, opt)
+	adapterTask := task
+	adapterTask.Proc = stochastic.Lanes(task.Proc)
+	adapter, err := Sample(context.Background(), Local{}, adapterTask, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	backend := NewCluster(addrs...)
 	defer backend.Close()
-	bulk, err := Sample(context.Background(), backend, task, opt)
+	native, err := Sample(context.Background(), backend, task, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if bulk.P != scalar.P || bulk.Variance != scalar.Variance {
-		t.Fatalf("cluster bulk (P=%v, Var=%v) differs from scalar local (P=%v, Var=%v)",
-			bulk.P, bulk.Variance, scalar.P, scalar.Variance)
+	if native.P != adapter.P || native.Variance != adapter.Variance {
+		t.Fatalf("cluster native (P=%v, Var=%v) differs from local adapter (P=%v, Var=%v)",
+			native.P, native.Variance, adapter.P, adapter.Variance)
 	}
-	if bulk.Steps != scalar.Steps || bulk.Paths != scalar.Paths || bulk.Hits != scalar.Hits {
-		t.Fatalf("cluster bulk cost (%d steps, %d paths, %d hits) differs from scalar local (%d, %d, %d)",
-			bulk.Steps, bulk.Paths, bulk.Hits, scalar.Steps, scalar.Paths, scalar.Hits)
+	if native.Steps != adapter.Steps || native.Paths != adapter.Paths || native.Hits != adapter.Hits {
+		t.Fatalf("cluster native cost (%d steps, %d paths, %d hits) differs from local adapter (%d, %d, %d)",
+			native.Steps, native.Paths, native.Hits, adapter.Steps, adapter.Paths, adapter.Hits)
 	}
-	if scalar.Hits == 0 {
+	if adapter.Hits == 0 {
 		t.Fatal("degenerate comparison: no hits")
 	}
 }

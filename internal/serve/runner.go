@@ -173,8 +173,8 @@ func StatsKey(key PlanKey) planstats.Key {
 // bookRun returns the ledger booking callback for one run executed under
 // key with the given plan shape, or nil when the runner has no ledger.
 // The signature matches both core.GMLSS.Observe and
-// exec.SampleOptions.Counters, so the scalar recursion, the vectorized
-// kernel, and every execution backend book through one function.
+// exec.SampleOptions.Counters, so the in-process sampler and every
+// execution backend book through one function.
 func (r *Runner) bookRun(key PlanKey, plan core.Plan, ratio int) func(agg core.Counters, roots, steps int64) {
 	if r.Ledger == nil {
 		return nil

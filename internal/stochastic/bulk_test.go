@@ -7,8 +7,10 @@ import (
 )
 
 // bulkModels returns every built-in BulkProcess alongside an observer,
-// for the differential tests below. Parameters are chosen so paths move
-// through interesting dynamics (impulses enabled, multiple regimes).
+// for the differential tests below, plus each model behind the Lanes
+// adapter ("<name>-lanes"), so the adapter meets the same contract.
+// Parameters are chosen so paths move through interesting dynamics
+// (impulses enabled, multiple regimes).
 func bulkModels(t *testing.T) map[string]struct {
 	proc BulkProcess
 	obs  Observer
@@ -20,7 +22,7 @@ func bulkModels(t *testing.T) map[string]struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]struct {
+	models := map[string]struct {
 		proc BulkProcess
 		obs  Observer
 	}{
@@ -32,6 +34,11 @@ func bulkModels(t *testing.T) map[string]struct {
 		"regime": {regime, RegimeValue},
 		"queue":  {&TandemQueue{ArrivalRate: 0.5, ServiceRate1: 0.5, ServiceRate2: 0.5, ImpulseProb: 0.1, ImpulseSize: 3, ImpulseAfter: 2}, Queue2Len},
 	}
+	for name, m := range models {
+		m.proc = Lanes(m.proc)
+		models[name+"-lanes"] = m
+	}
+	return models
 }
 
 // TestStepVecMatchesStep drives several lanes through StepVec and the
@@ -158,45 +165,45 @@ func TestViewsShareConcreteType(t *testing.T) {
 	}
 }
 
-// TestScalarOnlyHidesBulk asserts the escape hatch works: a wrapped
-// model no longer satisfies BulkProcess but still steps.
-func TestScalarOnlyHidesBulk(t *testing.T) {
+// blackBox hides a model's native bulk form: only Process's methods are
+// promoted, as for any out-of-tree model.
+type blackBox struct{ Process }
+
+// TestAsBulk asserts AsBulk keeps a native bulk form and adapts a
+// black-box model with Lanes.
+func TestAsBulk(t *testing.T) {
 	g := &GBM{S0: 1, Mu: 0, Sigma: 0.1}
-	wrapped := ScalarOnly(g)
-	if _, ok := wrapped.(BulkProcess); ok {
-		t.Fatal("ScalarOnly still satisfies BulkProcess")
+	if bp := AsBulk(g); bp != BulkProcess(g) {
+		t.Fatalf("AsBulk replaced a native bulk model with %T", bp)
 	}
-	st := wrapped.Initial()
-	wrapped.Step(st, 1, rng.New(1))
-	if ScalarValue(st) == g.S0 {
-		t.Fatal("wrapped model did not step")
+	if _, ok := AsBulk(blackBox{g}).(lanes); !ok {
+		t.Fatalf("AsBulk of a black-box model is %T, want the Lanes adapter", AsBulk(blackBox{g}))
 	}
 }
 
-// TestPinPreservesBulk asserts pinning keeps the fast path and pins
-// Initial, in both orders of wrapping.
+// TestPinPreservesBulk asserts pinning keeps a native bulk form, pins
+// Initial, and adapts a black-box model.
 func TestPinPreservesBulk(t *testing.T) {
 	g := &GBM{S0: 1, Mu: 0, Sigma: 0.1}
-	pinnedProc := Pin(g, &Scalar{V: 42})
-	bp, ok := pinnedProc.(BulkProcess)
-	if !ok {
-		t.Fatal("Pin dropped the bulk fast path")
+	bp := Pin(g, &Scalar{V: 42})
+	if bp.(pinned).BulkProcess != BulkProcess(g) {
+		t.Fatal("Pin dropped the native bulk form")
 	}
-	if got := ScalarValue(pinnedProc.Initial()); got != 42 {
+	if got := ScalarValue(bp.Initial()); got != 42 {
 		t.Fatalf("pinned Initial = %v, want 42", got)
 	}
 	vec := bp.NewStateVec(1)
-	vec.Load(0, pinnedProc.Initial())
+	vec.Load(0, bp.Initial())
 	src := rng.NewStream(5, 0)
 	bp.StepVec(vec, []int{0}, []int{1}, []*rng.Source{src})
 
-	want := pinnedProc.Initial()
+	want := bp.Initial()
 	g.Step(want, 1, rng.NewStream(5, 0))
 	if got := ScalarValue(vec.Views()[0]); got != ScalarValue(want) {
 		t.Fatalf("pinned StepVec = %v, want %v", got, ScalarValue(want))
 	}
 
-	if _, ok := Pin(ScalarOnly(g), &Scalar{V: 1}).(BulkProcess); ok {
-		t.Fatal("Pin of a scalar-only model must not invent a bulk path")
+	if _, ok := Pin(blackBox{g}, &Scalar{V: 1}).(pinned).BulkProcess.(lanes); !ok {
+		t.Fatal("Pin of a black-box model must run through the Lanes adapter")
 	}
 }

@@ -1,41 +1,23 @@
 package stochastic
 
-import "durability/internal/rng"
-
 // pinned adapts a snapshot into a Process whose Initial is that snapshot,
 // so samplers (which always start from Initial) simulate futures of a
 // live state. Time restarts at 1 for each run: a standing query's horizon
-// is a sliding window measured from "now".
+// is a sliding window measured from "now". Every other method, the bulk
+// ones included, forwards to the model.
 type pinned struct {
-	proc Process
-	st   State
+	BulkProcess
+	st State
 }
 
-func (p pinned) Name() string                         { return p.proc.Name() }
-func (p pinned) Initial() State                       { return p.st.Clone() }
-func (p pinned) Step(s State, t int, src *rng.Source) { p.proc.Step(s, t, src) }
+func (p pinned) Initial() State { return p.st.Clone() }
 
-// bulkPinned additionally forwards the bulk fast path, so standing-query
-// refreshes pinned to a live snapshot keep the vectorized kernel.
-type bulkPinned struct {
-	pinned
-	bulk BulkProcess
-}
-
-func (p bulkPinned) NewStateVec(lanes int) StateVec { return p.bulk.NewStateVec(lanes) }
-func (p bulkPinned) StepVec(v StateVec, lanes []int, t []int, src []*rng.Source) {
-	p.bulk.StepVec(v, lanes, t, src)
-}
-
-// Pin returns a Process with proc's dynamics whose Initial state is the
+// Pin returns a process with proc's dynamics whose Initial state is the
 // given snapshot (cloned on every Initial call). It is how the standing-
 // query engine and the execution backends start simulations from a live
-// state instead of the model's canonical initial state. Pinning
-// preserves the bulk fast path: a pinned BulkProcess is still a
-// BulkProcess (only Initial changes, and the kernel reads Initial once).
-func Pin(proc Process, st State) Process {
-	if bp, ok := proc.(BulkProcess); ok {
-		return bulkPinned{pinned: pinned{proc: proc, st: st}, bulk: bp}
-	}
-	return pinned{proc: proc, st: st}
+// state instead of the model's canonical initial state. The result keeps
+// proc's bulk form (AsBulk): only Initial changes, and the kernel reads
+// Initial once per run.
+func Pin(proc Process, st State) BulkProcess {
+	return pinned{BulkProcess: AsBulk(proc), st: st}
 }
