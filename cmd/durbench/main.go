@@ -343,7 +343,7 @@ func main() {
 	if err := checkPlanObservation(ctx, *re, *seed); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("durbench: plan-ledger observation exact (booked roots/steps == run counters, local and cluster)")
+	fmt.Println("durbench: plan-ledger observation exact (booked roots/steps == run counters, local ledger == cluster ledger)")
 
 	blob, err := json.MarshalIndent(reports, "", "  ")
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"reflect"
 
 	"durability/internal/cluster"
 	"durability/internal/core"
@@ -92,10 +93,10 @@ func runPlanQuality(ctx context.Context, re float64, seed uint64) (benchReport, 
 // equal the responses' own counters exactly — not within a tolerance —
 // because both sides count the same events. The drill runs on the local
 // backend and on an in-process cluster backend; each backend's ledger
-// must match that backend's own responses (the two backends sample in
-// different round sizes, so their absolute counts differ — exactness is
-// a per-run property, and on the cluster side it holds because the
-// coordinator folds shard replies in root-range order before booking).
+// must match that backend's own responses, and the two ledgers must be
+// equal: one-shot queries run the same estimator loop on every backend,
+// and the coordinator folds shard replies in root-range order before
+// booking.
 func checkPlanObservation(ctx context.Context, re float64, seed uint64) error {
 	betas := []float64{120, 126, 130}
 
@@ -120,13 +121,13 @@ func checkPlanObservation(ctx context.Context, re float64, seed uint64) error {
 		return ledger.Snapshots(), roots, steps, nil
 	}
 
-	exact := func(name string, backend exec.Executor) error {
+	exact := func(name string, backend exec.Executor) ([]planstats.Snapshot, error) {
 		snaps, roots, steps, err := run(backend)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if len(snaps) == 0 {
-			return fmt.Errorf("durbench: %s plan ledger booked nothing; observation is not wired", name)
+			return nil, fmt.Errorf("durbench: %s plan ledger booked nothing; observation is not wired", name)
 		}
 		var bookedRoots, bookedSteps int64
 		for _, snap := range snaps {
@@ -134,15 +135,16 @@ func checkPlanObservation(ctx context.Context, re float64, seed uint64) error {
 			bookedSteps += snap.Steps
 		}
 		if bookedRoots != roots {
-			return fmt.Errorf("durbench: %s ledger booked %d roots != responses' %d paths", name, bookedRoots, roots)
+			return nil, fmt.Errorf("durbench: %s ledger booked %d roots != responses' %d paths", name, bookedRoots, roots)
 		}
 		if bookedSteps != steps {
-			return fmt.Errorf("durbench: %s ledger booked %d steps != responses' %d sampling steps", name, bookedSteps, steps)
+			return nil, fmt.Errorf("durbench: %s ledger booked %d steps != responses' %d sampling steps", name, bookedSteps, steps)
 		}
-		return nil
+		return snaps, nil
 	}
 
-	if err := exact("local", nil); err != nil {
+	local, err := exact("local", nil)
+	if err != nil {
 		return err
 	}
 
@@ -160,5 +162,12 @@ func checkPlanObservation(ctx context.Context, re float64, seed uint64) error {
 	backend := exec.NewCluster(addrs...)
 	defer backend.Close()
 
-	return exact("cluster", backend)
+	clustered, err := exact("cluster", backend)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(local, clustered) {
+		return fmt.Errorf("durbench: cluster plan ledger %+v != local %+v", clustered, local)
+	}
+	return nil
 }

@@ -60,18 +60,17 @@ func registry() cluster.Registry {
 
 func main() {
 	var (
-		serve      = flag.String("serve", "", "worker mode: listen on this address")
-		local      = flag.Int("local-workers", 4, "worker mode: local simulation parallelism")
-		model      = flag.String("model", "queue", "coordinator: model name")
-		beta       = flag.Float64("beta", 58, "coordinator: threshold")
-		horizon    = flag.Int("horizon", 500, "coordinator: time horizon")
-		re         = flag.Float64("re", 0.1, "coordinator: relative-error target")
-		budget     = flag.Int64("budget", 2_000_000_000, "coordinator: hard step budget")
-		ratio      = flag.Int("ratio", 3, "coordinator: splitting ratio")
-		seed       = flag.Uint64("seed", 1, "coordinator: random seed")
-		peers      = flag.String("peers", "", "coordinator: comma-separated worker addresses")
-		bounds     = flag.String("levels", "", "coordinator: comma-separated boundaries in (0,1); empty = greedy search")
-		batchRoots = flag.Int("batch-roots", 256, "coordinator: root paths per synchronization round (fixed regardless of fleet size, so results are identical across peer counts)")
+		serve   = flag.String("serve", "", "worker mode: listen on this address")
+		local   = flag.Int("local-workers", 4, "worker mode: local simulation parallelism")
+		model   = flag.String("model", "queue", "coordinator: model name")
+		beta    = flag.Float64("beta", 58, "coordinator: threshold")
+		horizon = flag.Int("horizon", 500, "coordinator: time horizon")
+		re      = flag.Float64("re", 0.1, "coordinator: relative-error target")
+		budget  = flag.Int64("budget", 2_000_000_000, "coordinator: hard step budget")
+		ratio   = flag.Int("ratio", 3, "coordinator: splitting ratio")
+		seed    = flag.Uint64("seed", 1, "coordinator: random seed")
+		peers   = flag.String("peers", "", "coordinator: comma-separated worker addresses")
+		bounds  = flag.String("levels", "", "coordinator: comma-separated boundaries in (0,1); empty = greedy search")
 	)
 	flag.Parse()
 	reg := registry()
@@ -150,10 +149,7 @@ func main() {
 		Boundaries: boundaries,
 		Ratio:      *ratio,
 		Seed:       *seed,
-	}, exec.SampleOptions{
-		Stop:       mc.Any{mc.RETarget{Target: *re}, mc.Budget{Steps: *budget}},
-		BatchRoots: *batchRoots,
-	})
+	}, exec.SampleOptions{Stop: mc.Any{mc.RETarget{Target: *re}, mc.Budget{Steps: *budget}}})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "durcluster:", err)
 		os.Exit(1)

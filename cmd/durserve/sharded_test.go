@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,46 +56,62 @@ func shardedServer(t *testing.T, nWorkers int) (*httptest.Server, *httptest.Serv
 }
 
 // A daemon sharding across workers must answer one-shot queries and
-// maintain standing queries bit-for-bit as the single-machine daemon
-// does, straight through the HTTP surface.
+// maintain standing queries bit-for-bit as the single-machine daemons
+// do — one with an explicit exec.Local backend, and the default one
+// started without any — straight through the HTTP surface.
 func TestShardedDaemonMatchesLocal(t *testing.T) {
 	sharded, local := shardedServer(t, 2)
+	def := testServer(t)
+	daemons := []struct {
+		name string
+		ts   *httptest.Server
+	}{{"local", local}, {"default", def}}
 
 	const query = `{"model":"walk","beta":12,"horizon":100,"re":0.2,"seed":7}`
 	sresp, sout := postQuery(t, sharded, query)
-	lresp, lout := postQuery(t, local, query)
-	if sresp.StatusCode != 200 || lresp.StatusCode != 200 {
-		t.Fatalf("query status sharded %d, local %d", sresp.StatusCode, lresp.StatusCode)
+	if sresp.StatusCode != 200 {
+		t.Fatalf("sharded query status %d", sresp.StatusCode)
 	}
-	if sout.P != lout.P || sout.Steps != lout.Steps || sout.Paths != lout.Paths {
-		t.Fatalf("sharded query (P=%v, steps=%d, paths=%d) differs from local (P=%v, steps=%d, paths=%d)",
-			sout.P, sout.Steps, sout.Paths, lout.P, lout.Steps, lout.Paths)
+	sout.Elapsed = 0
+	for _, d := range daemons {
+		resp, out := postQuery(t, d.ts, query)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s query status %d", d.name, resp.StatusCode)
+		}
+		out.Elapsed = 0
+		if !reflect.DeepEqual(sout, out) {
+			t.Fatalf("sharded query %+v differs from %s %+v", sout, d.name, out)
+		}
 	}
 
 	const subBody = `{"model":"walk","beta":15,"horizon":100,"re":0.2,"seed":7}`
 	ssub := subscribe(t, sharded, subBody)
-	lsub := subscribe(t, local, subBody)
-	if ssub.Answer.P != lsub.Answer.P || ssub.Answer.FreshSteps != lsub.Answer.FreshSteps {
-		t.Fatalf("sharded initial answer (P=%v, freshSteps=%d) differs from local (P=%v, freshSteps=%d)",
-			ssub.Answer.P, ssub.Answer.FreshSteps, lsub.Answer.P, lsub.Answer.FreshSteps)
+	for _, d := range daemons {
+		sub := subscribe(t, d.ts, subBody)
+		if ssub.Answer.P != sub.Answer.P || ssub.Answer.FreshSteps != sub.Answer.FreshSteps {
+			t.Fatalf("sharded initial answer (P=%v, freshSteps=%d) differs from %s (P=%v, freshSteps=%d)",
+				ssub.Answer.P, ssub.Answer.FreshSteps, d.name, sub.Answer.P, sub.Answer.FreshSteps)
+		}
 	}
 
-	// Both hubs drive the feed with the same seed, so the live states —
+	// Every hub drives the feed with the same seed, so the live states —
 	// and therefore the maintained answers — stay in lockstep.
+	tick := func(ts *httptest.Server) answerJSON {
+		_, raw := postJSON(t, ts, "/tick", `{"stream":"walk"}`)
+		var tk tickResponse
+		if err := json.Unmarshal(raw, &tk); err != nil {
+			t.Fatal(err)
+		}
+		return tk.Refreshes[0].Answer
+	}
 	for i := 0; i < 3; i++ {
-		_, sraw := postJSON(t, sharded, "/tick", `{"stream":"walk"}`)
-		_, lraw := postJSON(t, local, "/tick", `{"stream":"walk"}`)
-		var stk, ltk tickResponse
-		if err := json.Unmarshal(sraw, &stk); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(lraw, &ltk); err != nil {
-			t.Fatal(err)
-		}
-		sa, la := stk.Refreshes[0].Answer, ltk.Refreshes[0].Answer
-		if sa.P != la.P || sa.FreshSteps != la.FreshSteps || sa.SurvivedRoots != la.SurvivedRoots {
-			t.Fatalf("tick %d: sharded answer (P=%v, fresh=%d, survived=%d) differs from local (P=%v, fresh=%d, survived=%d)",
-				i+1, sa.P, sa.FreshSteps, sa.SurvivedRoots, la.P, la.FreshSteps, la.SurvivedRoots)
+		sa := tick(sharded)
+		for _, d := range daemons {
+			la := tick(d.ts)
+			if sa.P != la.P || sa.FreshSteps != la.FreshSteps || sa.SurvivedRoots != la.SurvivedRoots {
+				t.Fatalf("tick %d: sharded answer (P=%v, fresh=%d, survived=%d) differs from %s (P=%v, fresh=%d, survived=%d)",
+					i+1, sa.P, sa.FreshSteps, sa.SurvivedRoots, d.name, la.P, la.FreshSteps, la.SurvivedRoots)
+			}
 		}
 	}
 

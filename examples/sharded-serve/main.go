@@ -6,9 +6,10 @@
 // exercises the execution seam that implements the observation: it spins
 // up two in-process shard workers (stand-ins for remote machines — the
 // transport is the same net/rpc the real fleet uses), runs one durability
-// query on the local in-process backend and again sharded across the
-// workers, and checks the two answers bit for bit. It then does the same
-// for a standing query maintained over ten ticks of a live price stream.
+// query with the plain in-process sampler, on the local execution
+// backend and again sharded across the workers, and checks the three
+// answers bit for bit. It then does the same for a standing query
+// maintained over ten ticks of a live price stream.
 //
 // Root path i draws from PRNG substream i of the query seed no matter
 // which machine simulates it, bootstrap groups cover fixed windows of
@@ -26,6 +27,7 @@ import (
 	"log"
 
 	"durability/internal/cluster"
+	"durability/internal/core"
 	"durability/internal/exec"
 	"durability/internal/mc"
 	"durability/internal/rng"
@@ -66,8 +68,22 @@ func main() {
 		Ratio:      3,
 		Seed:       7,
 	}
-	opt := exec.SampleOptions{Stop: mc.Any{mc.RETarget{Target: 0.1}, mc.Budget{Steps: 50_000_000}}}
+	quality := mc.Any{mc.RETarget{Target: 0.1}, mc.Budget{Steps: 50_000_000}}
+	opt := exec.SampleOptions{Stop: quality}
 
+	// The same query on the in-process sampler, with no execution backend.
+	inline := &core.GMLSS{
+		Proc:  newMarket(),
+		Query: core.Query{Value: core.ThresholdValue(task.Obs, task.Beta), Horizon: task.Horizon},
+		Plan:  core.MustPlan(task.Boundaries...),
+		Ratio: task.Ratio,
+		Stop:  quality,
+		Seed:  task.Seed,
+	}
+	plain, err := inline.Run(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
 	local, err := exec.Sample(ctx, exec.Local{}, task, opt)
 	if err != nil {
 		log.Fatal(err)
@@ -76,12 +92,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("one-shot query  inline: P = %.6g  (%d steps, %d roots)\n", plain.P, plain.Steps, plain.Paths)
 	fmt.Printf("one-shot query   local: P = %.6g  (%d steps, %d roots)\n", local.P, local.Steps, local.Paths)
 	fmt.Printf("one-shot query sharded: P = %.6g  (%d steps, %d roots)\n", sharded.P, sharded.Steps, sharded.Paths)
-	if local.P != sharded.P || local.Steps != sharded.Steps {
-		log.Fatal("sharded run diverged from local — the determinism invariant is broken")
+	for _, r := range []struct {
+		name string
+		res  mc.Result
+	}{{"local", local}, {"sharded", sharded}} {
+		if r.res.P != plain.P || r.res.Variance != plain.Variance || r.res.Steps != plain.Steps || r.res.Paths != plain.Paths {
+			log.Fatalf("%s run diverged from the in-process sampler — the determinism invariant is broken", r.name)
+		}
 	}
-	fmt.Println("bit-for-bit equal across 2 workers")
+	fmt.Println("bit-for-bit equal: in-process sampler, local backend, 2 workers")
 
 	// The same seam carries standing-query maintenance: two engines, one
 	// per backend, maintain the same subscription through the same ticks.

@@ -17,32 +17,32 @@ const maxBootstrapGroups = 4096
 // rootPool holds per-root (or per-group) g-MLSS counters for bootstrap
 // variance evaluation (§4.2).
 type rootPool struct {
-	groups    []levelCounters
-	current   levelCounters
+	groups    []Counters
+	current   Counters
 	inCurrent int
 	groupSize int
 	m         int
 }
 
 func newRootPool(m int) *rootPool {
-	return &rootPool{current: newLevelCounters(m), groupSize: 1, m: m}
+	return &rootPool{current: NewCounters(m), groupSize: 1, m: m}
 }
 
 // push adds one root path's counters to the pool.
-func (p *rootPool) push(c levelCounters) {
-	p.current.add(c)
+func (p *rootPool) push(c Counters) {
+	p.current.Add(c)
 	p.inCurrent++
 	if p.inCurrent < p.groupSize {
 		return
 	}
 	p.groups = append(p.groups, p.current)
-	p.current = newLevelCounters(p.m)
+	p.current = NewCounters(p.m)
 	p.inCurrent = 0
 	if len(p.groups) >= maxBootstrapGroups {
-		merged := make([]levelCounters, 0, len(p.groups)/2)
+		merged := make([]Counters, 0, len(p.groups)/2)
 		for i := 0; i+1 < len(p.groups); i += 2 {
 			g := p.groups[i]
-			g.add(p.groups[i+1])
+			g.Add(p.groups[i+1])
 			merged = append(merged, g)
 		}
 		p.groups = merged
@@ -67,16 +67,16 @@ func (p *rootPool) bootstrapVariance(reps, m, initLevel int, src *rng.Source) fl
 	}
 	nRoots := p.roots()
 	var acc stats.Accumulator
-	resampled := newLevelCounters(m)
+	resampled := NewCounters(m)
 	for b := 0; b < reps; b++ {
-		for i := range resampled.land {
-			resampled.land[i] = 0
-			resampled.skip[i] = 0
-			resampled.mu[i] = 0
+		for i := range resampled.Land {
+			resampled.Land[i] = 0
+			resampled.Skip[i] = 0
+			resampled.Mu[i] = 0
 		}
-		resampled.hits = 0
+		resampled.Hits = 0
 		for i := 0; i < n; i++ {
-			resampled.add(p.groups[src.Intn(n)])
+			resampled.Add(p.groups[src.Intn(n)])
 		}
 		acc.Add(resampled.estimate(nRoots, m, initLevel))
 	}

@@ -299,7 +299,7 @@ func TestGMLSSVarTimeTracked(t *testing.T) {
 }
 
 func TestLevelCountersEstimateEdgeCases(t *testing.T) {
-	c := newLevelCounters(3)
+	c := NewCounters(3)
 	if got := c.estimate(0, 3, 0); got != 0 {
 		t.Fatalf("estimate with no roots = %v", got)
 	}
@@ -307,7 +307,7 @@ func TestLevelCountersEstimateEdgeCases(t *testing.T) {
 		t.Fatalf("estimate with no crossers = %v", got)
 	}
 	// One root crossed all the way by skipping everything.
-	c.skip[1], c.skip[2], c.hits = 1, 1, 1
+	c.Skip[1], c.Skip[2], c.Hits = 1, 1, 1
 	got := c.estimate(100, 3, 0)
 	// pi_1 = 1/100, pi_2 = (0+1)/(0+1) = 1, pi_3 = 1/1 = 1.
 	if math.Abs(got-0.01) > 1e-12 {
@@ -316,19 +316,19 @@ func TestLevelCountersEstimateEdgeCases(t *testing.T) {
 }
 
 func TestLevelCountersAdd(t *testing.T) {
-	a, b := newLevelCounters(2), newLevelCounters(2)
-	a.land[1], a.hits = 2, 1
-	b.land[1], b.skip[1], b.mu[1], b.hits = 3, 1, 0.5, 2
-	a.add(b)
-	if a.land[1] != 5 || a.skip[1] != 1 || a.mu[1] != 0.5 || a.hits != 3 {
+	a, b := NewCounters(2), NewCounters(2)
+	a.Land[1], a.Hits = 2, 1
+	b.Land[1], b.Skip[1], b.Mu[1], b.Hits = 3, 1, 0.5, 2
+	a.Add(b)
+	if a.Land[1] != 5 || a.Skip[1] != 1 || a.Mu[1] != 0.5 || a.Hits != 3 {
 		t.Fatalf("add gave %+v", a)
 	}
 }
 
 func TestRootPoolGroupMerging(t *testing.T) {
 	p := newRootPool(2)
-	one := newLevelCounters(2)
-	one.hits = 1
+	one := NewCounters(2)
+	one.Hits = 1
 	for i := 0; i < maxBootstrapGroups+10; i++ {
 		p.push(one)
 	}
@@ -340,7 +340,7 @@ func TestRootPoolGroupMerging(t *testing.T) {
 	}
 	total := 0.0
 	for _, g := range p.groups {
-		total += g.hits
+		total += g.Hits
 	}
 	if int64(total) != p.roots() {
 		t.Fatalf("merged groups cover %v roots, pool reports %d", total, p.roots())

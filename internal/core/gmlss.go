@@ -11,65 +11,14 @@ import (
 	"durability/internal/telemetry"
 )
 
-// levelCounters is the sufficient statistic of a set of root-path trees
-// for the g-MLSS estimator (§4.1). All slices are indexed by level
-// 1..m-1 (index 0 unused):
-//
-//	land[i]  — |H_i|: paths that landed in L_i for the first time (split states)
-//	skip[i]  — n_skip_i: paths that crossed beta_{i+1} without landing in L_i
-//	mu[i]    — sum over h in H_i of mu(h), the fraction of h's offspring
-//	           that crossed beta_{i+1}
-//
-// hits counts paths reaching the target L_m.
-type levelCounters struct {
-	land []float64
-	skip []float64
-	mu   []float64
-	// muSq accumulates, per level, the sum of squared per-split crossing
-	// fractions — the second moment the closed-form two-level variance
-	// (Eq. 11) needs for Var(N_2^<1>).
-	muSq []float64
-	hits float64
-}
-
-// newLevelCounters allocates counters in one flat backing array; the
-// batch drivers go further and carve many roots' counters out of a
-// pooled arena (see counterArena).
-func newLevelCounters(m int) levelCounters {
-	return countersFrom(make([]float64, 4*(m+1)), m)
-}
-
-// countersFrom carves a levelCounters out of a caller-owned backing
-// slice of length 4*(m+1). The subslice capacities are clipped so an
-// append on one section can never bleed into the next.
-func countersFrom(buf []float64, m int) levelCounters {
-	n := m + 1
-	return levelCounters{
-		land: buf[0*n : 1*n : 1*n],
-		skip: buf[1*n : 2*n : 2*n],
-		mu:   buf[2*n : 3*n : 3*n],
-		muSq: buf[3*n : 4*n : 4*n],
-	}
-}
-
-func (c *levelCounters) add(o levelCounters) {
-	for i := range c.land {
-		c.land[i] += o.land[i]
-		c.skip[i] += o.skip[i]
-		c.mu[i] += o.mu[i]
-		c.muSq[i] += o.muSq[i]
-	}
-	c.hits += o.hits
-}
-
 // estimate computes the g-MLSS estimator (Eq. 10) from aggregate counters
 // over n root paths whose initial state sits in level initLevel:
 //
-//	pi_hat_{first} = (land[first] + skip[first]) / n
-//	pi_hat_{i+1}   = (mu[i] + skip[i]) / (land[i] + skip[i])
+//	pi_hat_{first} = (Land[first] + Skip[first]) / n
+//	pi_hat_{i+1}   = (Mu[i] + Skip[i]) / (Land[i] + Skip[i])
 //
 // Any level with zero crossers makes the estimate zero.
-func (c *levelCounters) estimate(n int64, m, initLevel int) float64 {
+func (c *Counters) estimate(n int64, m, initLevel int) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -77,19 +26,19 @@ func (c *levelCounters) estimate(n int64, m, initLevel int) float64 {
 	if first == m {
 		// No boundary below the target: crossing beta_m is a hit, and the
 		// estimator degenerates to the SRS form hits/n.
-		return c.hits / float64(n)
+		return c.Hits / float64(n)
 	}
-	cross := c.land[first] + c.skip[first]
+	cross := c.Land[first] + c.Skip[first]
 	tau := cross / float64(n)
 	if tau == 0 {
 		return 0
 	}
 	for i := first; i < m; i++ {
-		denom := c.land[i] + c.skip[i]
+		denom := c.Land[i] + c.Skip[i]
 		if denom == 0 {
 			return 0
 		}
-		tau *= (c.mu[i] + c.skip[i]) / denom
+		tau *= (c.Mu[i] + c.Skip[i]) / denom
 	}
 	return tau
 }
@@ -146,7 +95,7 @@ type GMLSS struct {
 
 // gmlssRoot is one root tree's counters plus its simulation cost.
 type gmlssRoot struct {
-	counters levelCounters
+	counters Counters
 	steps    int64
 }
 
@@ -181,20 +130,74 @@ func (g *GMLSS) ratioAt(j int) int {
 	return g.Ratio
 }
 
+// start validates the sampler and places its start state in the plan:
+// the one Proc.Initial call of every entry point (expensive initializers
+// — neural warmup replay — run once per call, not once per root).
+func (g *GMLSS) start() (proto stochastic.State, initLevel int, err error) {
+	if err := g.validate(); err != nil {
+		return nil, 0, err
+	}
+	proto = g.Proc.Initial()
+	initLevel = g.Plan.LevelOf(g.Query.Value(proto, 0))
+	if initLevel >= g.Plan.M() {
+		return nil, 0, errors.New("core: initial state already satisfies the query")
+	}
+	return proto, initLevel, nil
+}
+
+func (g *GMLSS) workerCount() int {
+	if g.Workers <= 0 {
+		return 1
+	}
+	return g.Workers
+}
+
+// RootRange simulates root paths [lo, hi) of a GMLSS sampler's tree
+// process and returns them as one Groups entry per root, in root order:
+// the ShardResult of RunRootsBy(ctx, lo, hi, 1), or of any execution
+// backend's RunRoots(…, 1). On an error it may return the completed
+// prefix of the range alongside, which RunOn folds before returning.
+type RootRange func(ctx context.Context, lo, hi int64) (ShardResult, error)
+
 // Run executes the sampler until the stop rule fires or the context is
-// cancelled.
+// cancelled. It is RunOn over RunRootsBy(ctx, lo, hi, 1), with the
+// simulation's kernels kept across rounds.
 func (g *GMLSS) Run(ctx context.Context) (mc.Result, error) {
 	return g.run(ctx, kernelGMLSS)
 }
 
 func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, error) {
-	if err := g.validate(); err != nil {
+	proto, initLevel, err := g.start()
+	if err != nil {
 		return mc.Result{}, err
 	}
-	workers := g.Workers
-	if workers <= 0 {
-		workers = 1
+	sim := simulate(g, g.workerCount(), proto, initLevel)
+	m := g.Plan.M()
+	return g.loop(ctx, initLevel, func(ctx context.Context, lo, hi int64) (ShardResult, error) {
+		return groupRoots(ctx, sim, lo, hi, 1, m)
+	})
+}
+
+// RunOn executes the sampler's estimator loop over root paths simulated
+// by roots — in-process, or on whatever machines an execution backend
+// places them — until the stop rule fires or the context is cancelled.
+// Root path i draws from substream i of the seed wherever it runs, so
+// the result is bit-for-bit Run's whenever roots returns what
+// RunRootsBy(ctx, lo, hi, 1) would.
+func (g *GMLSS) RunOn(ctx context.Context, roots RootRange) (mc.Result, error) {
+	_, initLevel, err := g.start()
+	if err != nil {
+		return mc.Result{}, err
 	}
+	return g.loop(ctx, initLevel, roots)
+}
+
+// loop is the one-shot g-MLSS estimator loop (§3.1's "synchronize
+// counters on the machines periodically to produce a running
+// estimate"): fold each round of per-root units in root order, refresh
+// the estimate (Eq. 10) and its variance, and stop when the quality
+// target holds.
+func (g *GMLSS) loop(ctx context.Context, initLevel int, roots RootRange) (mc.Result, error) {
 	batch := g.Batch
 	if batch <= 0 {
 		batch = 128
@@ -208,29 +211,33 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 		varEvery = 1.3
 	}
 	m := g.Plan.M()
-	proto := g.Proc.Initial()
-	initLevel := g.Plan.LevelOf(g.Query.Value(proto, 0))
-	if initLevel >= m {
-		return mc.Result{}, errors.New("core: initial state already satisfies the query")
-	}
-	runRange := simulate(g, workers, proto, initLevel)
 
 	start := telemetry.Now()
 	var res mc.Result
-	agg := newLevelCounters(m)
+	agg := NewCounters(m)
 	pool := newRootPool(m)
 	bootSrc := rng.NewStream(g.Seed, 1<<63) // dedicated stream for resampling
 	var nextVarAt int64
+	// Eq. 11's Var(N_2^<1>) needs the sum of squared per-split crossing
+	// fractions. With m == 2 a root splits at most once at level 1 (the
+	// offspring watch only beta_2), so each root's Mu[1] is its one
+	// split's fraction and the per-root squares sum to that moment.
+	var fracSq float64
 	for {
-		lo, hi := res.Paths, res.Paths+int64(batch)
-		roots, err := runRange(ctx, lo, hi)
-		for _, r := range roots {
-			res.Steps += r.steps
-			agg.add(r.counters)
-			pool.push(r.counters)
+		shard, err := roots(ctx, res.Paths, res.Paths+int64(batch))
+		if int64(len(shard.Groups)) != shard.Roots {
+			return res, fmt.Errorf("core: root range returned %d units for %d roots, want one per root", len(shard.Groups), shard.Roots)
 		}
-		res.Paths += int64(len(roots))
-		res.Hits = int64(agg.hits)
+		for _, u := range shard.Groups {
+			agg.Add(u)
+			if m == 2 {
+				fracSq += u.Mu[1] * u.Mu[1]
+			}
+			pool.push(u)
+		}
+		res.Steps += shard.Steps
+		res.Paths += shard.Roots
+		res.Hits = int64(agg.Hits)
 		res.P = agg.estimate(res.Paths, m, initLevel)
 		if err != nil {
 			res.Elapsed = telemetry.Since(start)
@@ -242,7 +249,9 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 		// schedule — evaluating on every batch would dominate total cost
 		// (§4.2), so re-evaluate only after the simulation has grown by
 		// varEvery.
-		if v, ok := twoLevelVariance(agg, res.Paths, m, initLevel); ok && !g.ForceBootstrap {
+		v, closed := twoLevelVariance(agg, fracSq, res.Paths, m, initLevel)
+		closed = closed && !g.ForceBootstrap
+		if closed {
 			res.Variance = v
 		} else if res.Steps >= nextVarAt {
 			varStart := telemetry.Now()
@@ -255,7 +264,7 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 			g.Trace(res)
 		}
 		if g.Stop.Done(res) {
-			if _, ok := twoLevelVariance(agg, res.Paths, m, initLevel); !ok || g.ForceBootstrap {
+			if !closed {
 				// Refresh the bootstrap so the returned quality is current.
 				varStart := telemetry.Now()
 				res.Variance = pool.bootstrapVariance(reps, m, initLevel, bootSrc)
@@ -263,7 +272,7 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 			}
 			res.Elapsed = telemetry.Since(start)
 			if g.Observe != nil {
-				g.Observe(fromInternal(agg), res.Paths, res.Steps)
+				g.Observe(agg, res.Paths, res.Steps)
 			}
 			return res, nil
 		}

@@ -44,19 +44,19 @@ type kframe struct {
 	crossed int // offspring that crossed the next boundary (g-MLSS)
 }
 
-// counterArena carves per-root levelCounters out of one flat backing
-// array, recycled batch to batch. Both drivers fold every root's
-// counters into their aggregates (and the bootstrap pool) before the
-// next batch starts, so the backing can be zeroed and reused: one
-// allocation amortized over the run instead of four per root.
+// counterArena carves per-root Counters out of one flat backing array,
+// recycled batch to batch. Every driver folds each root's counters into
+// its groups (groupRoots copies them out) before the next batch starts,
+// so the backing can be zeroed and reused: one allocation amortized over
+// the run instead of one per root.
 type counterArena struct {
 	m   int
 	buf []float64
-	cnt []levelCounters
+	cnt []Counters
 }
 
-func (a *counterArena) carve(n int) []levelCounters {
-	stride := 4 * (a.m + 1)
+func (a *counterArena) carve(n int) []Counters {
+	stride := countersStride(a.m)
 	need := n * stride
 	if cap(a.buf) < need {
 		a.buf = make([]float64, need)
@@ -65,7 +65,7 @@ func (a *counterArena) carve(n int) []levelCounters {
 		clear(a.buf)
 	}
 	if cap(a.cnt) < n {
-		a.cnt = make([]levelCounters, n)
+		a.cnt = make([]Counters, n)
 	}
 	a.cnt = a.cnt[:n]
 	for i := 0; i < n; i++ {
@@ -321,20 +321,19 @@ func (k *gmlssKernel) advance(i, t int, f float64) bool {
 	out := &k.out[k.root[i]]
 	j := k.g.Plan.LevelOf(f)
 	for lvl := k.curr[i] + 1; lvl < j; lvl++ {
-		out.counters.skip[lvl]++
+		out.counters.Skip[lvl]++
 	}
 	if j == k.m {
-		out.counters.hits++
+		out.counters.Hits++
 		return k.finishSegment(i, true)
 	}
-	out.counters.land[j]++
+	out.counters.Land[j]++
 	ratio := k.g.ratioAt(j)
 	if t >= k.horizon {
 		// The split lands exactly at the horizon: every offspring's
 		// time loop is empty, so none crosses and no randomness is
 		// drawn. Book the zero advancement fraction directly.
-		out.counters.mu[j] += 0
-		out.counters.muSq[j] += 0
+		out.counters.Mu[j] += 0
 		return k.finishSegment(i, true)
 	}
 	k.frames[i] = append(k.frames[i], kframe{spill: k.vec.Save(i), t: t, level: j, ratio: ratio})
@@ -379,8 +378,7 @@ func (k *gmlssKernel) finishSegment(i int, crossed bool) bool {
 			return true
 		}
 		frac := float64(fr.crossed) / float64(fr.ratio)
-		out.counters.mu[fr.level] += frac
-		out.counters.muSq[fr.level] += frac * frac
+		out.counters.Mu[fr.level] += frac
 		k.vec.Drop(fr.spill)
 		k.frames[i] = stack[:len(stack)-1]
 		// The finished split's segment itself crossed (it landed): keep

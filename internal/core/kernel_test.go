@@ -462,14 +462,14 @@ func TestInitialCalledOncePerRun(t *testing.T) {
 }
 
 // TestNewLevelCountersSingleAlloc pins the flattened counter layout:
-// one backing array, not four.
+// NewCounters allocates one backing array, not three.
 func TestNewLevelCountersSingleAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
-		c := newLevelCounters(6)
-		c.hits++
+		c := NewCounters(6)
+		c.Hits++
 	})
 	if allocs > 1 {
-		t.Fatalf("newLevelCounters allocates %v times, want 1", allocs)
+		t.Fatalf("NewCounters allocates %v times, want 1", allocs)
 	}
 }
 

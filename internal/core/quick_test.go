@@ -72,8 +72,8 @@ func TestQuickLevelOfMonotone(t *testing.T) {
 // Property: counter addition is commutative and associative (up to float
 // re-association slack), and estimate stays within [0, +inf).
 func TestQuickCountersAlgebra(t *testing.T) {
-	build := func(vals []float64, m int) levelCounters {
-		c := newLevelCounters(m)
+	build := func(vals []float64, m int) Counters {
+		c := NewCounters(m)
 		for i, v := range vals {
 			v = math.Abs(v)
 			if math.IsNaN(v) || math.IsInf(v, 0) || v > 1e6 {
@@ -81,13 +81,13 @@ func TestQuickCountersAlgebra(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0:
-				c.land[1+i%m] += v
+				c.Land[1+i%m] += v
 			case 1:
-				c.skip[1+i%m] += v
+				c.Skip[1+i%m] += v
 			case 2:
-				c.mu[1+i%m] += v / (v + 1) // keep mu <= land-ish scale
+				c.Mu[1+i%m] += v / (v + 1) // keep mu <= land-ish scale
 			default:
-				c.hits += v
+				c.Hits += v
 			}
 		}
 		return c
@@ -95,16 +95,16 @@ func TestQuickCountersAlgebra(t *testing.T) {
 	f := func(a, b []float64) bool {
 		const m = 3
 		ca, cb := build(a, m), build(b, m)
-		ab := newLevelCounters(m)
-		ab.add(ca)
-		ab.add(cb)
-		ba := newLevelCounters(m)
-		ba.add(cb)
-		ba.add(ca)
-		for i := range ab.land {
-			if math.Abs(ab.land[i]-ba.land[i]) > 1e-9 ||
-				math.Abs(ab.skip[i]-ba.skip[i]) > 1e-9 ||
-				math.Abs(ab.mu[i]-ba.mu[i]) > 1e-9 {
+		ab := NewCounters(m)
+		ab.Add(ca)
+		ab.Add(cb)
+		ba := NewCounters(m)
+		ba.Add(cb)
+		ba.Add(ca)
+		for i := range ab.Land {
+			if math.Abs(ab.Land[i]-ba.Land[i]) > 1e-9 ||
+				math.Abs(ab.Skip[i]-ba.Skip[i]) > 1e-9 ||
+				math.Abs(ab.Mu[i]-ba.Mu[i]) > 1e-9 {
 				return false
 			}
 		}
@@ -121,8 +121,8 @@ func TestQuickCountersAlgebra(t *testing.T) {
 func TestQuickRootPoolAccounting(t *testing.T) {
 	f := func(n uint16) bool {
 		p := newRootPool(2)
-		one := newLevelCounters(2)
-		one.hits = 1
+		one := NewCounters(2)
+		one.Hits = 1
 		pushes := int(n)%10000 + 1
 		for i := 0; i < pushes; i++ {
 			p.push(one)
@@ -147,10 +147,10 @@ func TestQuickBootstrapVarianceSane(t *testing.T) {
 		}
 		p := newRootPool(2)
 		for _, h := range hits {
-			c := newLevelCounters(2)
-			c.land[1] = float64(h % 5)
-			c.mu[1] = float64(h%5) * 0.5
-			c.hits = float64(h % 3)
+			c := NewCounters(2)
+			c.Land[1] = float64(h % 5)
+			c.Mu[1] = float64(h%5) * 0.5
+			c.Hits = float64(h % 3)
 			p.push(c)
 		}
 		v := p.bootstrapVariance(50, 2, 0, src)
@@ -166,8 +166,8 @@ func TestQuickBootstrapVarianceSane(t *testing.T) {
 func TestQuickPoolVarianceTransition(t *testing.T) {
 	src := rng.New(7)
 	p := newRootPool(2)
-	one := newLevelCounters(2)
-	one.hits = 1
+	one := NewCounters(2)
+	one.Hits = 1
 	if v := p.bootstrapVariance(10, 2, 0, src); !math.IsInf(v, 1) {
 		t.Fatalf("empty pool variance = %v", v)
 	}

@@ -18,7 +18,7 @@ import (
 func referenceGMLSS(g *GMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot] {
 	return func(ctx context.Context, lo, hi int64) ([]gmlssRoot, error) {
 		return forEachRoot(ctx, workers, lo, hi, func(idx int64) gmlssRoot {
-			r := gmlssRoot{counters: newLevelCounters(g.Plan.M())}
+			r := gmlssRoot{counters: NewCounters(g.Plan.M())}
 			src := rng.NewStream(g.Seed, uint64(idx))
 			gmlssSegment(g, proto.Clone(), 0, initLevel, src, &r)
 			return r
@@ -56,13 +56,13 @@ func gmlssSegment(g *GMLSS, st stochastic.State, t0, curr int, src *rng.Source, 
 		}
 		j := g.Plan.LevelOf(f)
 		for i := curr + 1; i < j; i++ {
-			out.counters.skip[i]++
+			out.counters.Skip[i]++
 		}
 		if j == m {
-			out.counters.hits++
+			out.counters.Hits++
 			return true
 		}
-		out.counters.land[j]++
+		out.counters.Land[j]++
 		ratio := g.ratioAt(j)
 		crossed := 0
 		for c := 0; c < ratio; c++ {
@@ -71,8 +71,7 @@ func gmlssSegment(g *GMLSS, st stochastic.State, t0, curr int, src *rng.Source, 
 			}
 		}
 		frac := float64(crossed) / float64(ratio)
-		out.counters.mu[j] += frac
-		out.counters.muSq[j] += frac * frac
+		out.counters.Mu[j] += frac
 		return true
 	}
 	return false

@@ -9,10 +9,18 @@ import (
 	"durability/internal/stats"
 )
 
-// Counters is the exported form of the g-MLSS sufficient statistic, used
-// by the distributed runner (internal/cluster) to ship per-shard results
-// between machines: slices indexed 1..m-1 as in §4.1, plus target hits.
-// It is plain data, so it serialises with encoding/gob.
+// Counters is the sufficient statistic of a set of root-path trees for
+// the g-MLSS estimator (§4.1). All slices are indexed by level 1..m-1
+// (index 0 unused):
+//
+//	Land[i] — |H_i|: paths that landed in L_i for the first time (split states)
+//	Skip[i] — n_skip_i: paths that crossed beta_{i+1} without landing in L_i
+//	Mu[i]   — sum over h in H_i of mu(h), the fraction of h's offspring
+//	          that crossed beta_{i+1}
+//
+// Hits counts paths reaching the target L_m. Counters is plain data, so
+// the distributed runner (internal/cluster) ships per-shard results
+// between machines with encoding/gob.
 type Counters struct {
 	Land []float64
 	Skip []float64
@@ -30,21 +38,25 @@ func (c *Counters) Add(o Counters) {
 	c.Hits += o.Hits
 }
 
-// NewCounters allocates zeroed counters for a plan with M() == m.
+// NewCounters allocates zeroed counters for a plan with M() == m, in one
+// flat backing array.
 func NewCounters(m int) Counters {
+	return countersFrom(make([]float64, countersStride(m)), m)
+}
+
+// countersStride is the backing length of one Counters for M() == m.
+func countersStride(m int) int { return 3 * (m + 1) }
+
+// countersFrom carves Counters out of a caller-owned backing slice of
+// length countersStride(m). The subslice capacities are clipped so an
+// append on one section can never bleed into the next.
+func countersFrom(buf []float64, m int) Counters {
+	n := m + 1
 	return Counters{
-		Land: make([]float64, m+1),
-		Skip: make([]float64, m+1),
-		Mu:   make([]float64, m+1),
+		Land: buf[0*n : 1*n : 1*n],
+		Skip: buf[1*n : 2*n : 2*n],
+		Mu:   buf[2*n : 3*n : 3*n],
 	}
-}
-
-func (c Counters) toInternal() levelCounters {
-	return levelCounters{land: c.Land, skip: c.Skip, mu: c.Mu, hits: c.Hits}
-}
-
-func fromInternal(lc levelCounters) Counters {
-	return Counters{Land: lc.land, Skip: lc.skip, Mu: lc.mu, Hits: lc.hits}
 }
 
 // ShardResult is the outcome of simulating one contiguous range of root
@@ -67,59 +79,55 @@ type ShardResult struct {
 // grouping makes the group boundaries — and therefore the order of every
 // floating-point merge downstream — identical no matter how the range was
 // cut, which is what keeps a sharded run bit-for-bit equal to a
-// single-machine run.
+// single-machine run. On cancellation it returns the groups of the
+// longest contiguous prefix of completed roots with the context's error.
 func (g *GMLSS) RunRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int) (ShardResult, error) {
 	return g.runRootsBy(ctx, lo, hi, rootsPerGroup, kernelGMLSS)
 }
 
 func (g *GMLSS) runRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int, simulate gmlssSimFunc) (ShardResult, error) {
-	if err := g.validate(); err != nil {
-		return ShardResult{}, err
-	}
-	if hi <= lo {
-		return ShardResult{}, errors.New("core: empty root range")
-	}
-	if rootsPerGroup < 1 {
-		rootsPerGroup = 1
-	}
-	m := g.Plan.M()
-	proto := g.Proc.Initial()
-	initLevel := g.Plan.LevelOf(g.Query.Value(proto, 0))
-	if initLevel >= m {
-		return ShardResult{}, errors.New("core: initial state already satisfies the query")
-	}
-	workers := g.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	roots, err := simulate(g, workers, proto, initLevel)(ctx, lo, hi)
+	proto, initLevel, err := g.start()
 	if err != nil {
 		return ShardResult{}, err
 	}
-	out := ShardResult{Agg: NewCounters(m), Roots: int64(len(roots))}
-	per := rootsPerGroup
-	for gi := 0; gi < len(roots); gi += per {
-		group := NewCounters(m)
-		end := gi + per
-		if end > len(roots) {
-			end = len(roots)
-		}
-		for _, r := range roots[gi:end] {
-			group.Add(fromInternal(r.counters))
+	return groupRoots(ctx, simulate(g, g.workerCount(), proto, initLevel), lo, hi, rootsPerGroup, g.Plan.M())
+}
+
+// groupRoots simulates roots [lo, hi) through sim and folds them, in root
+// order, into groups of rootsPerGroup. Every group and the aggregate are
+// carved from one backing array, so a call allocates O(1) times however
+// many roots it covers.
+func groupRoots(ctx context.Context, sim rangeFunc[gmlssRoot], lo, hi int64, rootsPerGroup, m int) (ShardResult, error) {
+	if hi <= lo {
+		return ShardResult{}, errors.New("core: empty root range")
+	}
+	per := max(rootsPerGroup, 1)
+	roots, err := sim(ctx, lo, hi)
+	stride := countersStride(m)
+	nGroups := (len(roots) + per - 1) / per
+	buf := make([]float64, (nGroups+1)*stride)
+	out := ShardResult{
+		Agg:    countersFrom(buf[:stride], m),
+		Groups: make([]Counters, nGroups),
+		Roots:  int64(len(roots)),
+	}
+	for gi := range out.Groups {
+		group := countersFrom(buf[(gi+1)*stride:(gi+2)*stride], m)
+		for _, r := range roots[gi*per : min((gi+1)*per, len(roots))] {
+			group.Add(r.counters)
 			out.Steps += r.steps
 		}
 		out.Agg.Add(group)
-		out.Groups = append(out.Groups, group)
+		out.Groups[gi] = group
 	}
-	return out, nil
+	return out, err
 }
 
 // EstimateFromCounters computes the g-MLSS estimator (Eq. 10) from
 // aggregated counters over n root paths starting in level initLevel of an
 // m-boundary plan.
 func EstimateFromCounters(agg Counters, n int64, m, initLevel int) float64 {
-	lc := agg.toInternal()
-	return lc.estimate(n, m, initLevel)
+	return agg.estimate(n, m, initLevel)
 }
 
 // EstimatePrefixFromCounters computes the g-MLSS estimator truncated at

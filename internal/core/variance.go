@@ -17,29 +17,30 @@ import "math"
 //
 // where N2^<1> is the number of target hits among one split state's r
 // offspring. All quantities are estimated from the run's own counters:
-// p01 = land[1]/N0, p02 = skip[1]/N0, p12 = mu[1]/land[1], and
-// Var(N2^<1>) from the per-split first and second moments (mu, muSq).
+// p01 = Land[1]/N0, p02 = Skip[1]/N0, p12 = Mu[1]/Land[1], and
+// Var(N2^<1>) from the per-split first and second moments: Mu[1] and
+// fracSq, the sum of squared per-split crossing fractions.
 //
 // It returns (variance, true) only when the plan really has m == 2 and at
 // least two splits happened; otherwise the caller falls back to the
 // bootstrap.
-func twoLevelVariance(agg levelCounters, n int64, m, initLevel int) (float64, bool) {
+func twoLevelVariance(agg Counters, fracSq float64, n int64, m, initLevel int) (float64, bool) {
 	if m != 2 || initLevel != 0 || n == 0 {
 		return 0, false
 	}
 	n0 := float64(n)
-	h1 := agg.land[1]
+	h1 := agg.Land[1]
 	if h1 < 2 {
 		return 0, false
 	}
 	p01 := h1 / n0
-	p02 := agg.skip[1] / n0
-	p12 := agg.mu[1] / h1
+	p02 := agg.Skip[1] / n0
+	p12 := agg.Mu[1] / h1
 	// Var over splits of the offspring hit count N2^<1> = r * frac:
 	// Var(r*frac) = r^2 * (E[frac^2] - E[frac]^2), with the unbiased
 	// (h1-1) divisor.
-	meanFrac := agg.mu[1] / h1
-	varFrac := (agg.muSq[1] - h1*meanFrac*meanFrac) / (h1 - 1)
+	meanFrac := agg.Mu[1] / h1
+	varFrac := (fracSq - h1*meanFrac*meanFrac) / (h1 - 1)
 	if varFrac < 0 {
 		varFrac = 0
 	}

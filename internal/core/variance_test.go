@@ -113,19 +113,19 @@ func TestTwoLevelVarianceCalibrated(t *testing.T) {
 }
 
 func TestTwoLevelVarianceInapplicable(t *testing.T) {
-	agg := newLevelCounters(3)
-	if _, ok := twoLevelVariance(agg, 100, 3, 0); ok {
+	agg := NewCounters(3)
+	if _, ok := twoLevelVariance(agg, 0, 100, 3, 0); ok {
 		t.Fatal("m=3 accepted")
 	}
-	agg2 := newLevelCounters(2)
-	if _, ok := twoLevelVariance(agg2, 100, 2, 1); ok {
+	agg2 := NewCounters(2)
+	if _, ok := twoLevelVariance(agg2, 0, 100, 2, 1); ok {
 		t.Fatal("elevated initial level accepted")
 	}
-	if _, ok := twoLevelVariance(agg2, 0, 2, 0); ok {
+	if _, ok := twoLevelVariance(agg2, 0, 0, 2, 0); ok {
 		t.Fatal("zero roots accepted")
 	}
-	agg2.land[1] = 1 // a single split cannot give a variance
-	if _, ok := twoLevelVariance(agg2, 100, 2, 0); ok {
+	agg2.Land[1] = 1 // a single split cannot give a variance
+	if _, ok := twoLevelVariance(agg2, 0, 100, 2, 0); ok {
 		t.Fatal("single split accepted")
 	}
 }
@@ -133,12 +133,12 @@ func TestTwoLevelVarianceInapplicable(t *testing.T) {
 func TestTwoLevelVarianceHandComputed(t *testing.T) {
 	// Construct counters by hand: N0=100 roots, 40 land in L1 with
 	// per-split fractions alternating 0 and 1 (20 each), 10 skip.
-	agg := newLevelCounters(2)
-	agg.land[1] = 40
-	agg.skip[1] = 10
-	agg.mu[1] = 20   // 20 splits crossed with fraction 1
-	agg.muSq[1] = 20 // squares of the same
-	v, ok := twoLevelVariance(agg, 100, 2, 0)
+	agg := NewCounters(2)
+	agg.Land[1] = 40
+	agg.Skip[1] = 10
+	agg.Mu[1] = 20 // 20 splits crossed with fraction 1
+	fracSq := 20.0 // squares of the same
+	v, ok := twoLevelVariance(agg, fracSq, 100, 2, 0)
 	if !ok {
 		t.Fatal("closed form not applicable")
 	}

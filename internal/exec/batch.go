@@ -35,10 +35,11 @@ type BatchTarget struct {
 // per target. Hits reports the crossing events observed at the target's
 // own boundary.
 //
-// Determinism matches Sample: the per-round batch size is fixed, root i
-// draws substream i wherever it is simulated, groups cover fixed windows
-// and merges fold in root order — so the per-threshold answers are
-// bit-for-bit identical across backends and cluster sizes at equal seed.
+// The per-round batch size is fixed, root i draws substream i wherever it
+// is simulated, groups cover fixed windows of GroupRoots roots and merges
+// fold in root order — so the per-threshold answers are bit-for-bit
+// identical across backends and cluster sizes at equal seed. The loop is
+// not Sample's: its rounds, groups and variance schedule are its own.
 func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget, opt SampleOptions) ([]mc.Result, error) {
 	opt = opt.withDefaults()
 	if ex == nil {
@@ -82,8 +83,9 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget
 	agg := core.NewCounters(m)
 	var groups []core.Counters
 	results := make([]mc.Result, len(targets))
-	// Same dedicated resampling stream as Sample; a one-target batch
-	// replays Sample's variance trajectory draw for draw.
+	// Dedicated resampling stream, disjoint from the root substreams
+	// (which count up from zero) and from the samplers' own reserved
+	// indices.
 	bootSrc := rng.NewStream(t.Seed, 1<<61)
 	next := int64(0)
 	var steps, paths int64
@@ -92,7 +94,7 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget
 			finishBatch(results, steps, paths, began)
 			return results, err
 		}
-		shard, err := ex.RunRoots(ctx, t, next, next+int64(opt.BatchRoots), opt.GroupRoots)
+		shard, err := ex.RunRoots(ctx, t, next, next+int64(opt.BatchRoots), GroupRoots)
 		if err != nil {
 			finishBatch(results, steps, paths, began)
 			return results, err
@@ -105,7 +107,7 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget
 		}
 		steps += shard.Steps
 		paths += shard.Roots
-		variances := core.BootstrapPrefixVariancesFromGroups(groups, int64(opt.GroupRoots), m, initLevel, levels, opt.BootstrapReps, bootSrc)
+		variances := core.BootstrapPrefixVariancesFromGroups(groups, GroupRoots, m, initLevel, levels, BootstrapReps, bootSrc)
 		done := true
 		for i := range targets {
 			r := &results[i]

@@ -105,14 +105,22 @@ func (Local) Name() string { return "local" }
 
 // RunRoots implements Executor.
 func (Local) RunRoots(ctx context.Context, t Task, lo, hi int64, rootsPerGroup int) (core.ShardResult, error) {
-	if err := t.validate(); err != nil {
+	g, err := t.sampler(mc.Budget{Steps: 1}) // RunRootsBy never consults the stop rule
+	if err != nil {
 		return core.ShardResult{}, err
 	}
-	if t.Proc == nil {
-		return core.ShardResult{}, errors.New("exec: local backend needs the task's process")
+	return g.RunRootsBy(ctx, lo, hi, rootsPerGroup)
+}
+
+// sampler builds the in-process g-MLSS sampler of the task under the
+// given stop rule: the simulation Local runs, and the estimator loop
+// Sample runs over any backend.
+func (t *Task) sampler(stop mc.StopRule) (*core.GMLSS, error) {
+	if err := t.validate(); err != nil {
+		return nil, err
 	}
-	if t.Obs == nil {
-		return core.ShardResult{}, errors.New("exec: local backend needs the task's observer")
+	if t.Proc == nil || t.Obs == nil {
+		return nil, errors.New("exec: in-process sampling needs the task's process and observer")
 	}
 	proc := t.Proc
 	if t.Start != nil {
@@ -120,17 +128,16 @@ func (Local) RunRoots(ctx context.Context, t Task, lo, hi int64, rootsPerGroup i
 	}
 	plan, err := core.NewPlan(t.Boundaries...)
 	if err != nil {
-		return core.ShardResult{}, err
+		return nil, err
 	}
-	g := &core.GMLSS{
+	return &core.GMLSS{
 		Proc:    proc,
 		Query:   core.Query{Value: core.ThresholdValue(t.Obs, t.Beta), Horizon: t.Horizon},
 		Plan:    plan,
 		Ratio:   t.Ratio,
 		Ratios:  t.Ratios,
-		Stop:    mc.Budget{Steps: 1}, // unused by RunRootsBy; validate() wants a rule
+		Stop:    stop,
 		Seed:    t.Seed,
 		Workers: t.SimWorkers,
-	}
-	return g.RunRootsBy(ctx, lo, hi, rootsPerGroup)
+	}, nil
 }

@@ -6,28 +6,34 @@ import (
 
 	"durability/internal/core"
 	"durability/internal/mc"
-	"durability/internal/rng"
 	"durability/internal/telemetry"
 )
 
-// SampleOptions tunes the estimator loop of Sample.
-type SampleOptions struct {
-	// Stop is the quality target; required.
-	Stop mc.StopRule
-	// BatchRoots is the number of root paths simulated per
-	// synchronization round (default 256). It is rounded up to a multiple
-	// of GroupRoots so every bootstrap group is full.
-	BatchRoots int
+// Bootstrap settings of the batch coordination loop (SampleBatch) and of
+// standing-query maintenance (internal/stream). They are part of the
+// deterministic numerics, so they are constants, not knobs.
+const (
 	// GroupRoots is the number of consecutive root paths per bootstrap
-	// group (default 16).
-	GroupRoots int
-	// BootstrapReps is the number of replicates per variance evaluation
-	// (default 200).
-	BootstrapReps int
+	// group.
+	GroupRoots = 16
+	// BootstrapReps is the number of replicates per variance evaluation.
+	BootstrapReps = 200
+)
+
+// SampleOptions tunes Sample and SampleBatch.
+type SampleOptions struct {
+	// Stop is the quality target; required by Sample (SampleBatch takes
+	// one per target).
+	Stop mc.StopRule
+	// BatchRoots is the number of root paths SampleBatch simulates per
+	// synchronization round (default 256). It is rounded up to a multiple
+	// of GroupRoots so every bootstrap group is full. Sample runs core's
+	// own rounds and ignores it.
+	BatchRoots int
 	// Trace, when set, observes the running estimate after every round.
 	Trace func(mc.Result)
-	// Tracer, when set, books one merge span per synchronization round
-	// (counter merge + estimate + bootstrap variance). Telemetry only.
+	// Tracer, when set, books one merge span per SampleBatch round
+	// (counter merge + estimates + bootstrap variances). Telemetry only.
 	Tracer *telemetry.Tracer
 	// Counters, when set, receives the run's finalized aggregate
 	// counters (root paths and simulator steps alongside) exactly once,
@@ -39,102 +45,39 @@ type SampleOptions struct {
 }
 
 func (o SampleOptions) withDefaults() SampleOptions {
-	if o.GroupRoots <= 0 {
-		o.GroupRoots = 16
-	}
 	if o.BatchRoots <= 0 {
 		o.BatchRoots = 256
 	}
-	if rem := o.BatchRoots % o.GroupRoots; rem != 0 {
-		o.BatchRoots += o.GroupRoots - rem
-	}
-	if o.BootstrapReps <= 0 {
-		o.BootstrapReps = 200
+	if rem := o.BatchRoots % GroupRoots; rem != 0 {
+		o.BatchRoots += GroupRoots - rem
 	}
 	return o
 }
 
-// Sample runs the §3.1 coordination loop over any execution backend:
-// simulate a batch of root paths through the executor, merge the
-// counters, refresh the running estimate and its bootstrap variance, and
-// stop when the quality target holds. Because the per-round batch size is
-// fixed (rather than scaled by worker count), the sequence of estimates —
-// and therefore the stopping point and the returned result — is bit-for-
-// bit identical across backends and cluster sizes at the same seed.
+// Sample answers one query over any execution backend. It is the task's
+// core.GMLSS sampler running its own estimator loop (RunOn) over the
+// backend's per-root shards, so the answer — estimate, variance, cost
+// and stopping point — is bit-for-bit core.GMLSS.Run's at the same seed,
+// on every backend and cluster size.
 //
 // The task's Proc and Obs are required even over a remote backend: the
 // estimator runs coordinator-side and needs the start level of the plan,
 // which it reads from the start state (Start when pinned, the process's
 // Initial otherwise).
 func Sample(ctx context.Context, ex Executor, t Task, opt SampleOptions) (mc.Result, error) {
-	opt = opt.withDefaults()
 	if ex == nil {
 		ex = Local{}
 	}
 	if opt.Stop == nil {
 		return mc.Result{}, errors.New("exec: Sample requires a stop rule")
 	}
-	if err := t.validate(); err != nil {
-		return mc.Result{}, err
-	}
-	if t.Proc == nil || t.Obs == nil {
-		return mc.Result{}, errors.New("exec: Sample needs the task's process and observer for coordinator-side estimation")
-	}
-	plan, err := core.NewPlan(t.Boundaries...)
+	g, err := t.sampler(opt.Stop)
 	if err != nil {
 		return mc.Result{}, err
 	}
-	m := plan.M()
-	value := core.ThresholdValue(t.Obs, t.Beta)
-	start := t.Start
-	if start == nil {
-		start = t.Proc.Initial()
-	}
-	initLevel := plan.LevelOf(value(start, 0))
-	if initLevel >= m {
-		return mc.Result{}, errors.New("exec: initial state already satisfies the query")
-	}
-
-	began := telemetry.Now()
-	agg := core.NewCounters(m)
-	var groups []core.Counters
-	var res mc.Result
-	// Dedicated resampling stream, disjoint from the root substreams
-	// (which count up from zero) and from the samplers' own reserved
-	// indices.
-	bootSrc := rng.NewStream(t.Seed, 1<<61)
-	next := int64(0)
-	for {
-		if err := ctx.Err(); err != nil {
-			res.Elapsed = telemetry.Since(began)
-			return res, err
-		}
-		shard, err := ex.RunRoots(ctx, t, next, next+int64(opt.BatchRoots), opt.GroupRoots)
-		if err != nil {
-			res.Elapsed = telemetry.Since(began)
-			return res, err
-		}
-		next += int64(opt.BatchRoots)
-		mergeBegan := telemetry.Now()
-		for _, g := range shard.Groups {
-			agg.Add(g)
-			groups = append(groups, g)
-		}
-		res.Steps += shard.Steps
-		res.Paths += shard.Roots
-		res.Hits = int64(agg.Hits)
-		res.P = core.EstimateFromCounters(agg, res.Paths, m, initLevel)
-		res.Variance = core.BootstrapVarianceFromGroups(groups, int64(opt.GroupRoots), m, initLevel, opt.BootstrapReps, bootSrc)
-		opt.Tracer.Observe(telemetry.StageMerge, telemetry.Since(mergeBegan), 0)
-		res.Elapsed = telemetry.Since(began)
-		if opt.Trace != nil {
-			opt.Trace(res)
-		}
-		if opt.Stop.Done(res) {
-			if opt.Counters != nil {
-				opt.Counters(agg, res.Paths, res.Steps)
-			}
-			return res, nil
-		}
-	}
+	g.Trace = opt.Trace
+	g.Observe = opt.Counters
+	return g.RunOn(ctx, func(ctx context.Context, lo, hi int64) (core.ShardResult, error) {
+		return ex.RunRoots(ctx, t, lo, hi, 1)
+	})
 }

@@ -120,24 +120,22 @@ type Meta struct {
 type Runner struct {
 	Cache *PlanCache
 
-	// Exec, when set, is the execution backend g-MLSS sampling runs on:
-	// queries are driven through the §3.1 coordination loop of
-	// internal/exec, so root-path simulation lands wherever the backend
-	// places it (in-process for exec.Local, a worker fleet for
-	// exec.Cluster) with bit-for-bit identical results. Plan searches
-	// always run locally, and s-MLSS and SRS queries — whose estimators
-	// are not expressed as mergeable root counters — stay on the
-	// in-process samplers regardless. A nil Exec keeps every query on the
-	// in-process samplers, the exact durability.Run path.
+	// Exec is the execution backend g-MLSS root paths are simulated on:
+	// in-process for exec.Local (what a nil Exec means), a worker fleet
+	// for exec.Cluster. One-shot queries run core's estimator loop over
+	// it (exec.Sample), so a query's answer is bit-for-bit the same on
+	// every backend. Plan searches always run locally, and s-MLSS and
+	// SRS queries — whose estimators are not expressed as mergeable root
+	// counters — stay on the in-process samplers regardless.
 	Exec exec.Executor
 
-	// ExecBatchRoots is the per-round root batch handed to the backend
+	// ExecBatchRoots is the per-round root batch of batch answering
 	// (0 = exec's default, 256). A cluster backend cuts each round into
-	// at most BatchRoots/16 group-aligned chunks, so this is also the
-	// fleet-size ceiling one query can exploit — raise it when queries
-	// should spread over more workers. Changing it changes the stopping
-	// schedule (the batch size is part of the deterministic numerics),
-	// so compare runs only at equal settings.
+	// at most ExecBatchRoots/16 group-aligned chunks, so this is also the
+	// fleet-size ceiling one batch can exploit. Changing it changes the
+	// stopping schedule (the batch size is part of the deterministic
+	// numerics), so compare runs only at equal settings. One-shot
+	// queries run core's own rounds and ignore it.
 	ExecBatchRoots int
 
 	// Trace, when non-nil, receives lifecycle spans: plan-cache /
@@ -173,8 +171,8 @@ func StatsKey(key PlanKey) planstats.Key {
 // bookRun returns the ledger booking callback for one run executed under
 // key with the given plan shape, or nil when the runner has no ledger.
 // The signature matches both core.GMLSS.Observe and
-// exec.SampleOptions.Counters, so the in-process sampler and every
-// execution backend book through one function.
+// exec.SampleOptions.Counters, so one-shot and batch runs book through
+// one function.
 func (r *Runner) bookRun(key PlanKey, plan core.Plan, ratio int) func(agg core.Counters, roots, steps int64) {
 	if r.Ledger == nil {
 		return nil
@@ -341,19 +339,9 @@ func (r *Runner) Run(ctx context.Context, s Spec) (mc.Result, Meta, error) {
 		return res, Meta{}, err
 	}
 
-	cq := core.Query{Value: core.ThresholdValue(s.Obs, s.Beta), Horizon: s.Horizon}
 	plan, meta, err := r.ResolvePlan(ctx, &s)
 	if err != nil {
 		return mc.Result{Steps: meta.SearchSteps}, meta, err
-	}
-
-	// The ledger hook (nil without a ledger) fires once at a successful
-	// return on either g-MLSS path; s-MLSS keeps different sufficient
-	// statistics and is not booked. Fixed plans have no cache key, so
-	// their runs are not attributable to a cached plan and book nothing.
-	var book func(agg core.Counters, roots, steps int64)
-	if s.Method == GMLSS && r.Cache != nil && s.PlanMode != PlanFixed {
-		book = r.bookRun(s.planKey(r.Cache), plan, s.Ratio)
 	}
 
 	// The exec span carries the sampler's own steps — res.Steps before the
@@ -362,12 +350,21 @@ func (r *Runner) Run(ctx context.Context, s Spec) (mc.Result, Meta, error) {
 	sp := r.Trace.Start(telemetry.StageExec)
 	var res mc.Result
 	if s.Method == SMLSS {
+		cq := core.Query{Value: core.ThresholdValue(s.Obs, s.Beta), Horizon: s.Horizon}
 		sampler := &core.SMLSS{
 			Proc: s.Proc, Query: cq, Plan: plan, Ratio: s.Ratio,
 			Stop: s.Stop, Seed: s.Seed, Workers: s.SimWorkers, Trace: s.Trace,
 		}
 		res, err = sampler.Run(ctx)
-	} else if r.Exec != nil {
+	} else {
+		// The ledger hook (nil without a ledger) fires once at a successful
+		// return; s-MLSS keeps different sufficient statistics and is not
+		// booked. Fixed plans have no cache key, so their runs are not
+		// attributable to a cached plan and book nothing.
+		var book func(agg core.Counters, roots, steps int64)
+		if r.Cache != nil && s.PlanMode != PlanFixed {
+			book = r.bookRun(s.planKey(r.Cache), plan, s.Ratio)
+		}
 		res, err = exec.Sample(ctx, r.Exec, exec.Task{
 			Proc:       s.Proc,
 			Obs:        s.Obs,
@@ -379,14 +376,7 @@ func (r *Runner) Run(ctx context.Context, s Spec) (mc.Result, Meta, error) {
 			Ratio:      s.Ratio,
 			Seed:       s.Seed,
 			SimWorkers: s.SimWorkers,
-		}, exec.SampleOptions{Stop: s.Stop, Trace: s.Trace, BatchRoots: r.ExecBatchRoots, Tracer: r.Trace, Counters: book})
-	} else {
-		sampler := &core.GMLSS{
-			Proc: s.Proc, Query: cq, Plan: plan, Ratio: s.Ratio,
-			Stop: s.Stop, Seed: s.Seed, Workers: s.SimWorkers, Trace: s.Trace,
-			Observe: book,
-		}
-		res, err = sampler.Run(ctx)
+		}, exec.SampleOptions{Stop: s.Stop, Trace: s.Trace, Counters: book})
 	}
 	sp.AddSteps(res.Steps)
 	sp.End()

@@ -8,7 +8,9 @@ import (
 
 // bulkModels returns every built-in BulkProcess alongside an observer,
 // for the differential tests below, plus each model behind the Lanes
-// adapter ("<name>-lanes"), so the adapter meets the same contract.
+// adapter ("<name>-lanes") and behind it twice ("<name>-lanes-lanes"),
+// so the adapter, and the adapter over an adapted model, meet the same
+// contract.
 // Parameters are chosen so paths move through interesting dynamics
 // (impulses enabled, multiple regimes).
 func bulkModels(t *testing.T) map[string]struct {
@@ -34,9 +36,21 @@ func bulkModels(t *testing.T) map[string]struct {
 		"regime": {regime, RegimeValue},
 		"queue":  {&TandemQueue{ArrivalRate: 0.5, ServiceRate1: 0.5, ServiceRate2: 0.5, ImpulseProb: 0.1, ImpulseSize: 3, ImpulseAfter: 2}, Queue2Len},
 	}
+	// Collect the wrapped models apart: keys added to a map while ranging
+	// over it may or may not be visited, which would make the set of
+	// cases differ from run to run.
+	wrapped := make(map[string]struct {
+		proc BulkProcess
+		obs  Observer
+	}, 2*len(models))
 	for name, m := range models {
 		m.proc = Lanes(m.proc)
-		models[name+"-lanes"] = m
+		wrapped[name+"-lanes"] = m
+		m.proc = Lanes(m.proc)
+		wrapped[name+"-lanes-lanes"] = m
+	}
+	for name, m := range wrapped {
+		models[name] = m
 	}
 	return models
 }

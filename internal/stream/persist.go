@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"durability/internal/core"
+	"durability/internal/exec"
 	"durability/internal/mc"
 	"durability/internal/rng"
 	"durability/internal/stochastic"
@@ -126,7 +127,10 @@ type StreamState struct {
 // ConfigState echoes the engine settings that are part of the maintained
 // numerics. A snapshot restored under different settings would replay and
 // refresh along a different trajectory, so Restore refuses the mismatch
-// instead of silently breaking the determinism guarantee.
+// instead of silently breaking the determinism guarantee. GroupRoots and
+// BootstrapReps echo the exec constants the engine resamples with; they
+// stay in the snapshot so checkpoints written when they were settings
+// remain readable.
 type ConfigState struct {
 	DriftTol         float64
 	StartBucketWidth float64
@@ -145,10 +149,10 @@ func configState(c Config) ConfigState {
 		DriftTol:         c.DriftTol,
 		StartBucketWidth: c.StartBucketWidth,
 		TopUpRoots:       c.TopUpRoots,
-		GroupRoots:       c.GroupRoots,
+		GroupRoots:       exec.GroupRoots,
 		MaxAgeTicks:      c.MaxAgeTicks,
 		MaxRefreshSteps:  c.MaxRefreshSteps,
-		BootstrapReps:    c.BootstrapReps,
+		BootstrapReps:    exec.BootstrapReps,
 	}
 }
 

@@ -77,9 +77,6 @@ const (
 	// DefaultTopUpRoots is the number of fresh root trees simulated per
 	// top-up round.
 	DefaultTopUpRoots = 64
-	// DefaultGroupRoots is the number of root trees per bootstrap group —
-	// the resampling unit for variance estimation over a mixed pool.
-	DefaultGroupRoots = 16
 	// DefaultMaxAgeTicks expires batches by age even when the state has
 	// not drifted, bounding answer staleness on a becalmed stream.
 	DefaultMaxAgeTicks = 128
@@ -92,9 +89,6 @@ const (
 	// subscriptions (answer pinned near zero, nothing ever surviving)
 	// from monopolizing a high-rate ticker.
 	DefaultMaxRefreshSteps = 5_000_000
-	// DefaultBootstrapReps is the number of bootstrap replicates per
-	// variance evaluation.
-	DefaultBootstrapReps = 200
 )
 
 // Config tunes an Engine. The zero value selects every default.
@@ -119,10 +113,8 @@ type Config struct {
 	DriftTol         float64 // batch survival tolerance on |Δf0| (default DefaultDriftTol)
 	StartBucketWidth float64 // plan-key bucket width on f0 (default DefaultStartBucketWidth)
 	TopUpRoots       int     // fresh roots per top-up round (default DefaultTopUpRoots)
-	GroupRoots       int     // roots per bootstrap group (default DefaultGroupRoots)
 	MaxAgeTicks      int64   // batch age cap in ticks (default DefaultMaxAgeTicks)
 	MaxRefreshSteps  int64   // per-refresh fresh-simulation cap (default DefaultMaxRefreshSteps)
-	BootstrapReps    int     // bootstrap replicates per evaluation (default DefaultBootstrapReps)
 
 	// RefreshWorkers bounds how many subscriptions of one stream are
 	// refreshed concurrently per update (default GOMAXPROCS).
@@ -148,25 +140,20 @@ func (c Config) withDefaults() Config {
 	if c.StartBucketWidth <= 0 {
 		c.StartBucketWidth = DefaultStartBucketWidth
 	}
-	if c.GroupRoots <= 0 {
-		c.GroupRoots = DefaultGroupRoots
-	}
 	if c.TopUpRoots <= 0 {
 		c.TopUpRoots = DefaultTopUpRoots
 	}
-	// Top-up batches are split into equal bootstrap groups; round the
-	// batch size up to a multiple of the group size so groups stay equal.
-	if rem := c.TopUpRoots % c.GroupRoots; rem != 0 {
-		c.TopUpRoots += c.GroupRoots - rem
+	// Top-up batches are split into equal bootstrap groups of
+	// exec.GroupRoots roots; round the batch size up to a multiple of the
+	// group size so groups stay equal.
+	if rem := c.TopUpRoots % exec.GroupRoots; rem != 0 {
+		c.TopUpRoots += exec.GroupRoots - rem
 	}
 	if c.MaxAgeTicks <= 0 {
 		c.MaxAgeTicks = DefaultMaxAgeTicks
 	}
 	if c.MaxRefreshSteps <= 0 {
 		c.MaxRefreshSteps = DefaultMaxRefreshSteps
-	}
-	if c.BootstrapReps <= 0 {
-		c.BootstrapReps = DefaultBootstrapReps
 	}
 	if c.RefreshWorkers <= 0 {
 		c.RefreshWorkers = runtime.GOMAXPROCS(0)

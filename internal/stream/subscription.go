@@ -517,7 +517,7 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 			break
 		}
 		lo, hi := s.nextRoot, s.nextRoot+int64(cfg.TopUpRoots)
-		shard, serr := cfg.Exec.RunRoots(ctx, task, lo, hi, cfg.GroupRoots)
+		shard, serr := cfg.Exec.RunRoots(ctx, task, lo, hi, exec.GroupRoots)
 		if serr != nil {
 			err = serr
 			ans.Capped = true
@@ -590,6 +590,6 @@ func (s *Subscription) evaluate(active []*batch, m, initLevel int) mc.Result {
 		return res
 	}
 	res.P = core.EstimateFromCounters(agg, roots, m, initLevel)
-	res.Variance = core.BootstrapVarianceFromGroups(groups, int64(s.engine.cfg.GroupRoots), m, initLevel, s.engine.cfg.BootstrapReps, s.bootSrc)
+	res.Variance = core.BootstrapVarianceFromGroups(groups, exec.GroupRoots, m, initLevel, exec.BootstrapReps, s.bootSrc)
 	return res
 }
