@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"durability/internal/mc"
+	"durability/internal/rng"
 	"durability/internal/stochastic"
 )
 
@@ -13,6 +15,7 @@ import (
 // stochastic.Lanes adapter (the path black-box models take).
 // scripts/profile drives these under -cpuprofile/-memprofile; durbench's
 // BENCH_kernel.json covers the cross-model ns/step numbers.
+// BenchmarkBootstrapVariance times §4.2's bootstrap kernel on its own.
 
 func benchGMLSS(proc stochastic.Process, obs stochastic.Observer, beta float64, plan Plan, horizon int) *GMLSS {
 	return &GMLSS{
@@ -67,6 +70,22 @@ func BenchmarkGMLSSCold(b *testing.B) {
 		})
 		b.Run(name+"/bulk", func(b *testing.B) {
 			runColdBench(b, g)
+		})
+	}
+}
+
+// One estimator round's variance: 200 bootstrap replicates over every
+// group a refresh or a sampling round has accumulated, on a four-boundary
+// plan with 16 roots per group.
+func BenchmarkBootstrapVariance(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("groups=%d", n), func(b *testing.B) {
+			groups := oracleGroups(rng.New(1), n, 4)
+			src := rng.New(2)
+			b.ReportAllocs()
+			for b.Loop() {
+				BootstrapVarianceFromGroups(groups, 16, 4, 0, 200, src)
+			}
 		})
 	}
 }

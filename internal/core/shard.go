@@ -3,10 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
-
-	"durability/internal/rng"
-	"durability/internal/stats"
 )
 
 // Counters is the sufficient statistic of a set of root-path trees for
@@ -175,60 +171,4 @@ func PrefixCrossings(agg Counters, m, target int) float64 {
 		return 0
 	}
 	return agg.Land[target] + agg.Skip[target]
-}
-
-// BootstrapPrefixVariancesFromGroups estimates the variance of every
-// prefix estimator in targets at once by resampling equal-size root groups
-// with replacement. Each replicate draws one resampled counter set and
-// evaluates all prefixes from it, so the cost is one resampling pass (and
-// one PRNG trajectory) regardless of how many thresholds share the run; a
-// single-element targets slice consumes exactly the draws
-// BootstrapVarianceFromGroups would, keeping batch and single-query
-// variance trajectories comparable. rootsPerGroup * len(groups) must equal
-// the total number of roots the groups cover.
-func BootstrapPrefixVariancesFromGroups(groups []Counters, rootsPerGroup int64, m, initLevel int, targets []int, reps int, src *rng.Source) []float64 {
-	out := make([]float64, len(targets))
-	n := len(groups)
-	if n < 2 {
-		for i := range out {
-			out[i] = math.Inf(1)
-		}
-		return out
-	}
-	total := rootsPerGroup * int64(n)
-	accs := make([]stats.Accumulator, len(targets))
-	for b := 0; b < reps; b++ {
-		resampled := NewCounters(m)
-		for i := 0; i < n; i++ {
-			resampled.Add(groups[src.Intn(n)])
-		}
-		for ti, target := range targets {
-			accs[ti].Add(EstimatePrefixFromCounters(resampled, total, m, target, initLevel))
-		}
-	}
-	for i := range accs {
-		out[i] = accs[i].PopulationVariance()
-	}
-	return out
-}
-
-// BootstrapVarianceFromGroups estimates the estimator's variance by
-// resampling equal-size root groups with replacement, as the coordinator
-// does after merging shard results. rootsPerGroup * len(groups) must equal
-// the total number of roots the groups cover.
-func BootstrapVarianceFromGroups(groups []Counters, rootsPerGroup int64, m, initLevel, reps int, src *rng.Source) float64 {
-	n := len(groups)
-	if n < 2 {
-		return math.Inf(1)
-	}
-	total := rootsPerGroup * int64(n)
-	var acc stats.Accumulator
-	for b := 0; b < reps; b++ {
-		resampled := NewCounters(m)
-		for i := 0; i < n; i++ {
-			resampled.Add(groups[src.Intn(n)])
-		}
-		acc.Add(EstimateFromCounters(resampled, total, m, initLevel))
-	}
-	return acc.PopulationVariance()
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Source is a deterministic xoshiro256** generator. It is not safe for
@@ -170,25 +171,11 @@ func (s *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		x := s.Uint64()
-		hi, lo := mul64(x, bound)
+		hi, lo := bits.Mul64(x, bound)
 		if lo >= bound || lo >= -bound%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // Uniform returns a uniform value in [lo, hi).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -372,5 +373,45 @@ func TestSourceUnmarshalRejectsBadLength(t *testing.T) {
 	var r Source
 	if err := r.UnmarshalBinary(make([]byte, 7)); err == nil {
 		t.Fatal("UnmarshalBinary accepted a truncated blob")
+	}
+}
+
+// mul64Portable is the hand-rolled 128-bit multiply Intn used before it
+// switched to the math/bits.Mul64 intrinsic, kept as an oracle: equal
+// products mean equal Intn outputs.
+func mul64Portable(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aLo*bHi + (aLo*bLo)>>32
+	w1 := t & mask
+	w2 := t >> 32
+	w1 += aHi * bLo
+	hi = aHi*bHi + w2 + (w1 >> 32)
+	lo = a * b
+	return hi, lo
+}
+
+func TestMul64MatchesPortable(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, math.MaxUint32, math.MaxUint32 + 1, math.MaxUint64 - 1, math.MaxUint64}
+	for k := uint(0); k < 64; k++ {
+		edges = append(edges, 1<<k, 1<<k-1)
+	}
+	check := func(a, b uint64) {
+		t.Helper()
+		gotHi, gotLo := bits.Mul64(a, b)
+		wantHi, wantLo := mul64Portable(a, b)
+		if gotHi != wantHi || gotLo != wantLo {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), portable (%#x, %#x)", a, b, gotHi, gotLo, wantHi, wantLo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	src := New(7)
+	for i := 0; i < 100_000; i++ {
+		check(src.Uint64(), src.Uint64())
 	}
 }
