@@ -1,8 +1,9 @@
 // Ablation benchmarks for the design choices DESIGN.md §7 calls out:
-// bootstrap replicate counts, the conservative variance-evaluation
-// schedule, worker parallelism, value-function granularity, and the
-// three-way SRS / importance-sampling / MLSS comparison on the one model
-// where importance sampling is applicable.
+// worker parallelism, value-function granularity, and the three-way
+// SRS / importance-sampling / MLSS comparison on the one model where
+// importance sampling is applicable. (The bootstrap's replicate count and
+// evaluation schedule are gone: every estimator path reports the
+// delta-method variance of core.Moments, evaluated every round.)
 package durability_test
 
 import (
@@ -24,63 +25,6 @@ func ablationQuery() (*stochastic.TandemQueue, core.Query, core.Plan) {
 		Horizon: 500,
 	}
 	return q, query, core.MustPlan(0.25, 0.45, 0.62, 0.78, 0.9)
-}
-
-// BenchmarkAblationBootstrapReps varies the number of bootstrap
-// replicates per variance evaluation. More replicates stabilise the
-// stopping decision but cost evaluation time; the default 200 sits where
-// extra replicates stop changing the total.
-func BenchmarkAblationBootstrapReps(b *testing.B) {
-	proc, query, plan := ablationQuery()
-	for _, reps := range []int{25, 100, 200, 800} {
-		reps := reps
-		b.Run(itoa(reps), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := &core.GMLSS{
-					Proc: proc, Query: query, Plan: plan, Ratio: 3,
-					Stop:          mc.Any{mc.RETarget{Target: 0.3}, mc.Budget{Steps: 5_000_000}},
-					Seed:          uint64(i) + 1,
-					Workers:       8,
-					BootstrapReps: reps,
-				}
-				res, err := g.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("reps=%d: %d steps, var time %v of %v", reps, res.Steps, res.VarTime, res.Elapsed)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationVarSchedule varies the conservative bootstrap
-// re-evaluation factor (§4.2's "run bootstrap evaluation conservatively"):
-// frequent evaluation wastes time, rare evaluation overshoots the target.
-func BenchmarkAblationVarSchedule(b *testing.B) {
-	proc, query, plan := ablationQuery()
-	for _, factor := range []float64{1.05, 1.3, 2.0} {
-		factor := factor
-		b.Run(ftoa(factor), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := &core.GMLSS{
-					Proc: proc, Query: query, Plan: plan, Ratio: 3,
-					Stop:     mc.Any{mc.RETarget{Target: 0.3}, mc.Budget{Steps: 5_000_000}},
-					Seed:     uint64(i) + 1,
-					Workers:  8,
-					VarEvery: factor,
-				}
-				res, err := g.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("factor=%.2f: %d steps, var time %v of %v", factor, res.Steps, res.VarTime, res.Elapsed)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationParallelWorkers measures wall-clock scaling of the
@@ -324,10 +268,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-func ftoa(v float64) string {
-	whole := int(v)
-	frac := int(v*100) % 100
-	return itoa(whole) + "p" + itoa(frac)
 }

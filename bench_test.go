@@ -166,8 +166,8 @@ func BenchmarkFigure8Convergence(b *testing.B) {
 }
 
 // BenchmarkFigure9GMLSSBreakdown regenerates Figure 9: g-MLSS total time
-// split into simulation and bootstrap evaluation, vs SRS, on the volatile
-// models.
+// split into simulation and §4.2's bootstrap evaluation, vs SRS, on the
+// volatile models, with the served moment variance's cost beside it.
 func BenchmarkFigure9GMLSSBreakdown(b *testing.B) {
 	ctx := context.Background()
 	specs := []*experiments.Spec{experiments.VolatileCPPSpec(), experiments.VolatileQueueSpec()}

@@ -7,8 +7,8 @@
 // registration, the subscription, each published tick — is written ahead
 // to a WAL, and checkpoints capture the full serving state: the
 // subscription's surviving root-path batches (the g-MLSS sufficient
-// statistics), its level plan and drift bucket, the root substream
-// cursor, the bootstrap generator mid-sequence, and the warm plan cache.
+// statistics and per-root moments), its level plan and drift bucket,
+// the root substream cursor, and the warm plan cache.
 //
 // Mid-run the process "dies": the session is abandoned with no shutdown,
 // no final checkpoint — exactly what kill -9 leaves behind. Reopening

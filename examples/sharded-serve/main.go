@@ -12,8 +12,8 @@
 // maintained over ten ticks of a live price stream.
 //
 // Root path i draws from PRNG substream i of the query seed no matter
-// which machine simulates it, bootstrap groups cover fixed windows of
-// consecutive root indices, and results merge in root-index order — so
+// which machine simulates it, every root comes back as its own unit, and
+// units fold in root-index order — so
 // equality is exact, not approximate, and a worker fleet can be grown,
 // shrunk or half-lost (dead workers are retried on survivors) without
 // the answer moving.

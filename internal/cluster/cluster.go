@@ -62,7 +62,7 @@ type ShardRequest struct {
 	Seed   uint64
 	RootLo int64
 	RootHi int64
-	// GroupRoots fixes the bootstrap grouping by size: every group covers
+	// GroupRoots fixes the counter grouping by size: every group covers
 	// exactly GroupRoots (>= 1) consecutive root indices, so group
 	// boundaries are identical no matter how a logical root range was
 	// sharded across workers.

@@ -7,109 +7,35 @@ import (
 	"durability/internal/stats"
 )
 
-// maxBootstrapGroups bounds the number of resampling units kept in memory.
-// When more root paths arrive than this, adjacent groups are merged and
-// each unit comes to represent several roots ("batch means"); bootstrap
-// over iid groups of equal size remains a consistent variance estimator
-// while memory and per-replicate cost stay bounded.
-const maxBootstrapGroups = 4096
-
-// rootPool holds per-root (or per-group) g-MLSS counters for bootstrap
-// variance evaluation (§4.2).
-type rootPool struct {
-	groups    []Counters
-	current   Counters
-	inCurrent int
-	groupSize int
-	m         int
-}
-
-func newRootPool(m int) *rootPool {
-	return &rootPool{current: NewCounters(m), groupSize: 1, m: m}
-}
-
-// push adds one root path's counters to the pool.
-func (p *rootPool) push(c Counters) {
-	p.current.Add(c)
-	p.inCurrent++
-	if p.inCurrent < p.groupSize {
-		return
-	}
-	p.groups = append(p.groups, p.current)
-	p.current = NewCounters(p.m)
-	p.inCurrent = 0
-	if len(p.groups) >= maxBootstrapGroups {
-		merged := make([]Counters, 0, len(p.groups)/2)
-		for i := 0; i+1 < len(p.groups); i += 2 {
-			g := p.groups[i]
-			g.Add(p.groups[i+1])
-			merged = append(merged, g)
-		}
-		p.groups = merged
-		p.groupSize *= 2
-	}
-}
-
-// roots returns the number of root paths fully represented in groups.
-func (p *rootPool) roots() int64 {
-	return int64(len(p.groups)) * int64(p.groupSize)
-}
-
-// bootstrapVariance is the pool's bootstrap variance (the paper's
-// d-Var(tau_hat_0), §4.2): BootstrapVarianceFromGroups over the pool's
-// groups, each standing for groupSize roots.
-func (p *rootPool) bootstrapVariance(reps, m, initLevel int, src *rng.Source) float64 {
-	return BootstrapVarianceFromGroups(p.groups, int64(p.groupSize), m, initLevel, reps, src)
-}
-
 // BootstrapVarianceFromGroups estimates the estimator's variance by
-// resampling equal-size root groups with replacement, as the coordinator
-// does after merging shard results. rootsPerGroup * len(groups) must equal
-// the total number of roots the groups cover. With fewer than two groups
-// the variance is unknown; it returns +Inf so quality-based stop rules
-// keep sampling rather than stopping blind.
+// resampling equal-size root groups with replacement: the paper's
+// d-Var(tau_hat_0) of §4.2. rootsPerGroup * len(groups) must equal the
+// total number of roots the groups cover. With fewer than two groups the
+// variance is unknown; it returns +Inf so quality-based stop rules keep
+// sampling rather than stopping blind.
+//
+// No serving path calls it: they report the delta-method variance of
+// Moments. It stays as the oracle Moments is tested against and as the
+// cost Figure 9 (experiments.BreakdownFigure) reproduces.
 func BootstrapVarianceFromGroups(groups []Counters, rootsPerGroup int64, m, initLevel, reps int, src *rng.Source) float64 {
-	return BootstrapPrefixVariancesFromGroups(groups, rootsPerGroup, m, initLevel, []int{m}, reps, src)[0]
-}
-
-// BootstrapPrefixVariancesFromGroups estimates the variance of every
-// prefix estimator in targets at once by resampling equal-size root groups
-// with replacement. Each replicate draws one resampled counter set and
-// evaluates all prefixes from it, so the cost is one resampling pass (and
-// one PRNG trajectory) regardless of how many thresholds share the run; a
-// single-element targets slice consumes exactly the draws
-// BootstrapVarianceFromGroups would, keeping batch and single-query
-// variance trajectories comparable. rootsPerGroup * len(groups) must equal
-// the total number of roots the groups cover.
-func BootstrapPrefixVariancesFromGroups(groups []Counters, rootsPerGroup int64, m, initLevel int, targets []int, reps int, src *rng.Source) []float64 {
-	out := make([]float64, len(targets))
 	n := len(groups)
 	if n < 2 {
-		for i := range out {
-			out[i] = math.Inf(1)
-		}
-		return out
+		return math.Inf(1)
 	}
 	total := rootsPerGroup * int64(n)
-	accs := make([]stats.Accumulator, len(targets))
-	k := newResampler(groups, m, initLevel, targets)
+	var acc stats.Accumulator
+	k := newResampler(groups, m, initLevel)
 	for b := 0; b < reps; b++ {
-		resampled := k.draw(src)
-		for ti, target := range targets {
-			accs[ti].Add(EstimatePrefixFromCounters(resampled, total, m, target, initLevel))
-		}
+		acc.Add(EstimateFromCounters(k.draw(src), total, m, initLevel))
 	}
-	for i := range accs {
-		out[i] = accs[i].PopulationVariance()
-	}
-	return out
+	return acc.PopulationVariance()
 }
 
-// resampler is the bootstrap kernel (§4.2) behind every variance path. It
-// copies only the counters the prefix estimators over targets read —
-// Land, Skip and Mu at levels [lo, hi), then Hits — into one contiguous
-// slab of fixed-width rows, so a replicate is a run of row sums into one
-// reused accumulator, with no per-replicate allocation.
+// resampler is the bootstrap kernel (§4.2). It copies only the counters
+// Eq. 10 reads — Land, Skip and Mu at levels [initLevel+1, m), then
+// Hits — into one contiguous slab of fixed-width rows, so a replicate is
+// a run of row sums into one reused accumulator, with no per-replicate
+// allocation.
 //
 // A draw must stay bit-for-bit equal to merging the drawn groups with
 // Counters.Add (the oracle in bootstrap_reference_test.go): Intn is
@@ -123,20 +49,9 @@ type resampler struct {
 }
 
 // newResampler builds the slab for groups of an m-boundary plan whose
-// roots start in level initLevel. The estimators read levels from
-// first = initLevel+1 up to the target (exclusive) and always level
-// first itself; a top-level target reads every level below m, or only
-// Hits when first == m.
-func newResampler(groups []Counters, m, initLevel int, targets []int) resampler {
-	lo, hi := initLevel+1, initLevel+1
-	for _, t := range targets {
-		switch {
-		case t == m:
-			hi = max(hi, m)
-		case t > initLevel && t < m:
-			hi = max(hi, t, lo+1)
-		}
-	}
+// roots start in level initLevel.
+func newResampler(groups []Counters, m, initLevel int) resampler {
+	lo, hi := initLevel+1, m
 	width := 3*(hi-lo) + 1
 	n := len(groups)
 	buf := make([]float64, (n+1)*width+countersStride(m))

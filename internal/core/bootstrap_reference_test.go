@@ -9,37 +9,15 @@ import (
 	"durability/internal/stats"
 )
 
-// The reference bootstrap loops: the three Counters.Add resampling loops
-// the slab kernel (resampler) replaced, kept verbatim as an oracle. Each
-// allocates or re-zeroes a full Counters per replicate and merges whole
-// groups into it. The kernel must return the same bits and leave the
-// resampling Source in the same state.
+// The reference bootstrap loops: the Counters.Add resampling loops the
+// slab kernel (resampler) replaced, kept as oracles. Each allocates a
+// full Counters per replicate and merges whole groups into it. The kernel
+// must return the same bits and leave the resampling Source in the same
+// state; the prefix loop is also the bootstrap oracle of Moments'
+// prefix variances (moments_test.go).
 
-// referenceBootstrapVariance is rootPool.bootstrapVariance's old loop.
-func (p *rootPool) referenceBootstrapVariance(reps, m, initLevel int, src *rng.Source) float64 {
-	n := len(p.groups)
-	if n < 2 {
-		return math.Inf(1)
-	}
-	nRoots := p.roots()
-	var acc stats.Accumulator
-	resampled := NewCounters(m)
-	for b := 0; b < reps; b++ {
-		for i := range resampled.Land {
-			resampled.Land[i] = 0
-			resampled.Skip[i] = 0
-			resampled.Mu[i] = 0
-		}
-		resampled.Hits = 0
-		for i := 0; i < n; i++ {
-			resampled.Add(p.groups[src.Intn(n)])
-		}
-		acc.Add(resampled.estimate(nRoots, m, initLevel))
-	}
-	return acc.PopulationVariance()
-}
-
-// referencePrefixVariances is BootstrapPrefixVariancesFromGroups' old loop.
+// referencePrefixVariances bootstraps every prefix estimator in targets
+// from one resampling pass.
 func referencePrefixVariances(groups []Counters, rootsPerGroup int64, m, initLevel int, targets []int, reps int, src *rng.Source) []float64 {
 	out := make([]float64, len(targets))
 	n := len(groups)
@@ -128,24 +106,6 @@ func sameState(t *testing.T, what string, got, want *rng.Source) {
 	}
 }
 
-// oracleTargets lists prefix target sets for an m-boundary plan starting
-// in level initLevel: the first watched boundary alone (it still reads
-// that level's Land and Skip), the top level alone, targets at or below
-// the start level, and unsorted sets with duplicates.
-func oracleTargets(m, initLevel int) [][]int {
-	first := initLevel + 1
-	sets := [][]int{{first}, {m}, {initLevel}, {0, m}}
-	mixed := []int{m, m + 1}
-	for tgt := m - 1; tgt >= 0; tgt-- {
-		mixed = append(mixed, tgt, first)
-	}
-	sets = append(sets, mixed)
-	if first < m {
-		sets = append(sets, []int{first + (m-first)/2, first, first + (m-first)/2})
-	}
-	return sets
-}
-
 func TestBootstrapKernelMatchesReference(t *testing.T) {
 	for m := 1; m <= 6; m++ {
 		for initLevel := 0; initLevel < m; initLevel++ {
@@ -154,54 +114,14 @@ func TestBootstrapKernelMatchesReference(t *testing.T) {
 				for _, reps := range []int{1, 2, 200} {
 					name := fmt.Sprintf("m=%d/init=%d/n=%d/reps=%d", m, initLevel, n, reps)
 					seed := rng.NewStream(uint64(m*n+reps), uint64(initLevel))
-
 					got, want := *seed, *seed
-					sameBits(t, name+"/single",
+					sameBits(t, name,
 						[]float64{BootstrapVarianceFromGroups(groups, 16, m, initLevel, reps, &got)},
 						[]float64{referenceVariance(groups, 16, m, initLevel, reps, &want)})
-					sameState(t, name+"/single", &got, &want)
-
-					for _, targets := range oracleTargets(m, initLevel) {
-						what := fmt.Sprintf("%s/prefix%v", name, targets)
-						got, want := *seed, *seed
-						sameBits(t, what,
-							BootstrapPrefixVariancesFromGroups(groups, 16, m, initLevel, targets, reps, &got),
-							referencePrefixVariances(groups, 16, m, initLevel, targets, reps, &want))
-						sameState(t, what, &got, &want)
-					}
-
-					pool := &rootPool{groups: groups, groupSize: 1, m: m}
-					got, want = *seed, *seed
-					sameBits(t, name+"/pool",
-						[]float64{pool.bootstrapVariance(reps, m, initLevel, &got)},
-						[]float64{pool.referenceBootstrapVariance(reps, m, initLevel, &want)})
-					sameState(t, name+"/pool", &got, &want)
+					sameState(t, name, &got, &want)
 				}
 			}
 		}
-	}
-}
-
-// A pool past the maxBootstrapGroups merge resamples groups of several
-// roots each; the kernel must scale the root count the same way.
-func TestBootstrapKernelMatchesReferenceMergedPool(t *testing.T) {
-	const m = 4
-	src := rng.New(9)
-	for _, initLevel := range []int{0, 2} {
-		pool := newRootPool(m)
-		for _, u := range oracleGroups(src, 3*maxBootstrapGroups+5, m) {
-			pool.push(u)
-		}
-		if pool.groupSize < 2 {
-			t.Fatalf("pool never merged: groupSize %d", pool.groupSize)
-		}
-		seed := rng.New(uint64(initLevel + 1))
-		got, want := *seed, *seed
-		what := fmt.Sprintf("merged pool (groupSize %d)/init=%d", pool.groupSize, initLevel)
-		sameBits(t, what,
-			[]float64{pool.bootstrapVariance(200, m, initLevel, &got)},
-			[]float64{pool.referenceBootstrapVariance(200, m, initLevel, &want)})
-		sameState(t, what, &got, &want)
 	}
 }
 
@@ -210,23 +130,10 @@ func TestBootstrapKernelMatchesReferenceMergedPool(t *testing.T) {
 func TestBootstrapAllocsIndependentOfReps(t *testing.T) {
 	const m = 4
 	groups := oracleGroups(rng.New(3), 500, m)
-	targets := []int{2, 3, m}
 	src := rng.New(4)
-	for _, tc := range []struct {
-		name string
-		run  func(reps int)
-	}{
-		{"BootstrapVarianceFromGroups", func(reps int) {
-			BootstrapVarianceFromGroups(groups, 16, m, 0, reps, src)
-		}},
-		{"BootstrapPrefixVariancesFromGroups", func(reps int) {
-			BootstrapPrefixVariancesFromGroups(groups, 16, m, 0, targets, reps, src)
-		}},
-	} {
-		one := testing.AllocsPerRun(20, func() { tc.run(1) })
-		many := testing.AllocsPerRun(20, func() { tc.run(200) })
-		if one != many || many > 3 {
-			t.Errorf("%s: %v allocs at 1 replicate, %v at 200; want equal and at most 3", tc.name, one, many)
-		}
+	one := testing.AllocsPerRun(20, func() { BootstrapVarianceFromGroups(groups, 16, m, 0, 1, src) })
+	many := testing.AllocsPerRun(20, func() { BootstrapVarianceFromGroups(groups, 16, m, 0, 200, src) })
+	if one != many || many > 3 {
+		t.Errorf("%v allocs at 1 replicate, %v at 200; want equal and at most 3", one, many)
 	}
 }

@@ -6,41 +6,15 @@ import (
 	"fmt"
 
 	"durability/internal/mc"
-	"durability/internal/rng"
 	"durability/internal/stochastic"
 	"durability/internal/telemetry"
 )
 
 // estimate computes the g-MLSS estimator (Eq. 10) from aggregate counters
-// over n root paths whose initial state sits in level initLevel:
-//
-//	pi_hat_{first} = (Land[first] + Skip[first]) / n
-//	pi_hat_{i+1}   = (Mu[i] + Skip[i]) / (Land[i] + Skip[i])
-//
-// Any level with zero crossers makes the estimate zero.
+// over n root paths whose initial state sits in level initLevel: the
+// prefix estimator at the top boundary.
 func (c *Counters) estimate(n int64, m, initLevel int) float64 {
-	if n == 0 {
-		return 0
-	}
-	first := initLevel + 1
-	if first == m {
-		// No boundary below the target: crossing beta_m is a hit, and the
-		// estimator degenerates to the SRS form hits/n.
-		return c.Hits / float64(n)
-	}
-	cross := c.Land[first] + c.Skip[first]
-	tau := cross / float64(n)
-	if tau == 0 {
-		return 0
-	}
-	for i := first; i < m; i++ {
-		denom := c.Land[i] + c.Skip[i]
-		if denom == 0 {
-			return 0
-		}
-		tau *= (c.Mu[i] + c.Skip[i]) / denom
-	}
-	return tau
+	return EstimatePrefixFromCounters(*c, n, m, m, initLevel)
 }
 
 // GMLSS is the general Multi-Level Splitting sampler of §4. Unlike SMLSS
@@ -49,10 +23,12 @@ func (c *Counters) estimate(n int64, m, initLevel int) float64 {
 // and the per-split advancement ratios mu(h) replace the uniform-ratio
 // bookkeeping. The estimator (Eq. 10) is unbiased for arbitrary processes.
 //
-// No closed-form variance exists in general (§4.2); Run estimates the
-// variance by bootstrap resampling of root-path statistics, and the
-// Result's VarTime field reports how much time that evaluation consumed —
-// the quantity Figure 9 of the paper breaks out.
+// No closed-form variance exists in general (§4.2), where the paper
+// bootstraps on a conservative schedule. Run instead reports the
+// delta-method variance of mergeable per-root moments (Moments), cheap
+// enough to evaluate every round, and Eq. 11's closed form on two-level
+// plans. The Result's VarTime field reports how much time variance
+// evaluation consumed — the quantity Figure 9 of the paper breaks out.
 type GMLSS struct {
 	Proc  stochastic.Process
 	Query Query
@@ -72,18 +48,6 @@ type GMLSS struct {
 	Workers int             // parallel workers (default 1)
 	Batch   int             // root paths between stop-rule checks (default 128)
 	Trace   func(mc.Result) // optional per-batch progress callback
-
-	// BootstrapReps is the number of bootstrap replicates used for each
-	// variance evaluation (default 200).
-	BootstrapReps int
-	// VarEvery controls the conservative evaluation schedule (§4.2): a
-	// bootstrap evaluation runs only when total steps have grown by this
-	// factor since the last one (default 1.3).
-	VarEvery float64
-	// ForceBootstrap disables the closed-form two-level variance (Eq. 11)
-	// even when the plan has exactly two levels, so the bootstrap path can
-	// be exercised and compared (ablation).
-	ForceBootstrap bool
 
 	// Observe, when non-nil, receives the run's finalized aggregate
 	// counters (root paths and simulator steps alongside) exactly once,
@@ -196,28 +160,18 @@ func (g *GMLSS) RunOn(ctx context.Context, roots RootRange) (mc.Result, error) {
 // counters on the machines periodically to produce a running
 // estimate"): fold each round of per-root units in root order, refresh
 // the estimate (Eq. 10) and its variance, and stop when the quality
-// target holds.
+// target holds on the variance the result reports.
 func (g *GMLSS) loop(ctx context.Context, initLevel int, roots RootRange) (mc.Result, error) {
 	batch := g.Batch
 	if batch <= 0 {
 		batch = 128
-	}
-	reps := g.BootstrapReps
-	if reps <= 0 {
-		reps = 200
-	}
-	varEvery := g.VarEvery
-	if varEvery <= 1 {
-		varEvery = 1.3
 	}
 	m := g.Plan.M()
 
 	start := telemetry.Now()
 	var res mc.Result
 	agg := NewCounters(m)
-	pool := newRootPool(m)
-	bootSrc := rng.NewStream(g.Seed, 1<<63) // dedicated stream for resampling
-	var nextVarAt int64
+	mom := NewMoments(m, initLevel)
 	// Eq. 11's Var(N_2^<1>) needs the sum of squared per-split crossing
 	// fractions. With m == 2 a root splits at most once at level 1 (the
 	// offspring watch only beta_2), so each root's Mu[1] is its one
@@ -233,7 +187,6 @@ func (g *GMLSS) loop(ctx context.Context, initLevel int, roots RootRange) (mc.Re
 			if m == 2 {
 				fracSq += u.Mu[1] * u.Mu[1]
 			}
-			pool.push(u)
 		}
 		res.Steps += shard.Steps
 		res.Paths += shard.Roots
@@ -243,34 +196,26 @@ func (g *GMLSS) loop(ctx context.Context, initLevel int, roots RootRange) (mc.Re
 			res.Elapsed = telemetry.Since(start)
 			return res, err
 		}
-
-		// Variance evaluation. The two-level case has the closed form of
-		// Eq. 11 and costs nothing; otherwise bootstrap on a conservative
-		// schedule — evaluating on every batch would dominate total cost
-		// (§4.2), so re-evaluate only after the simulation has grown by
-		// varEvery.
-		v, closed := twoLevelVariance(agg, fracSq, res.Paths, m, initLevel)
-		closed = closed && !g.ForceBootstrap
-		if closed {
+		// The two-level case has the closed form of Eq. 11, which costs
+		// nothing; every other plan takes the delta-method variance of the
+		// moments, and VarTime books its fold and evaluation. The moments
+		// fold on every plan: a two-level run falls back to them until
+		// two splits have happened.
+		varStart := telemetry.Now()
+		for _, u := range shard.Groups {
+			mom.Add(u)
+		}
+		if v, closed := twoLevelVariance(agg, fracSq, res.Paths, m, initLevel); closed {
 			res.Variance = v
-		} else if res.Steps >= nextVarAt {
-			varStart := telemetry.Now()
-			res.Variance = pool.bootstrapVariance(reps, m, initLevel, bootSrc)
+		} else {
+			res.Variance = mom.Variance(m)
 			res.VarTime += telemetry.Since(varStart)
-			nextVarAt = int64(float64(res.Steps) * varEvery)
 		}
 		res.Elapsed = telemetry.Since(start)
 		if g.Trace != nil {
 			g.Trace(res)
 		}
 		if g.Stop.Done(res) {
-			if !closed {
-				// Refresh the bootstrap so the returned quality is current.
-				varStart := telemetry.Now()
-				res.Variance = pool.bootstrapVariance(reps, m, initLevel, bootSrc)
-				res.VarTime += telemetry.Since(varStart)
-			}
-			res.Elapsed = telemetry.Since(start)
 			if g.Observe != nil {
 				g.Observe(agg, res.Paths, res.Steps)
 			}

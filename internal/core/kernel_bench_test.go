@@ -15,19 +15,20 @@ import (
 // stochastic.Lanes adapter (the path black-box models take).
 // scripts/profile drives these under -cpuprofile/-memprofile; durbench's
 // BENCH_kernel.json covers the cross-model ns/step numbers.
-// BenchmarkBootstrapVariance times §4.2's bootstrap kernel on its own.
+// BenchmarkBootstrapVariance times §4.2's bootstrap kernel on its own;
+// BenchmarkMomentVariance times the delta-method variance every serving
+// path reports instead, over the same sizes.
 
 func benchGMLSS(proc stochastic.Process, obs stochastic.Observer, beta float64, plan Plan, horizon int) *GMLSS {
 	return &GMLSS{
-		Proc:          proc,
-		Query:         Query{Value: ThresholdValue(obs, beta), Horizon: horizon},
-		Plan:          plan,
-		Ratio:         3,
-		Stop:          mc.Budget{Steps: 300_000},
-		Seed:          41,
-		Workers:       1,
-		Batch:         512,
-		BootstrapReps: 1,
+		Proc:    proc,
+		Query:   Query{Value: ThresholdValue(obs, beta), Horizon: horizon},
+		Plan:    plan,
+		Ratio:   3,
+		Stop:    mc.Budget{Steps: 300_000},
+		Seed:    41,
+		Workers: 1,
+		Batch:   512,
 	}
 }
 
@@ -85,6 +86,46 @@ func BenchmarkBootstrapVariance(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				BootstrapVarianceFromGroups(groups, 16, 4, 0, 200, src)
+			}
+		})
+	}
+}
+
+// The moment variance over as many roots as BenchmarkBootstrapVariance
+// has groups, on the same plan: fold builds the moments from per-root
+// units and evaluates once (what a pool costs from scratch); merge
+// combines 64-root batch moments and evaluates (a stream refresh's
+// evaluate). The evaluation itself is O(m²), independent of the pool.
+func BenchmarkMomentVariance(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		units := oracleGroups(rng.New(1), n, 4)
+		b.Run(fmt.Sprintf("fold/roots=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				mom := NewMoments(4, 0)
+				for _, u := range units {
+					mom.Add(u)
+				}
+				mom.Variance(4)
+			}
+		})
+		var batches []Moments
+		for lo := 0; lo < n; lo += 64 {
+			mom := NewMoments(4, 0)
+			for _, u := range units[lo:min(lo+64, n)] {
+				mom.Add(u)
+			}
+			batches = append(batches, mom)
+		}
+		b.Run(fmt.Sprintf("merge/roots=%d", n), func(b *testing.B) {
+			pool := NewMoments(4, 0)
+			b.ReportAllocs()
+			for b.Loop() {
+				pool.Reset(4, 0)
+				for i := range batches {
+					pool.Merge(&batches[i])
+				}
+				pool.Variance(4)
 			}
 		})
 	}

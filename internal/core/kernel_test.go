@@ -91,16 +91,15 @@ func kernelFixtures(t *testing.T) []kernelFixture {
 
 func (fx kernelFixture) gmlss(proc stochastic.Process, workers int) *GMLSS {
 	return &GMLSS{
-		Proc:          proc,
-		Query:         Query{Value: ThresholdValue(fx.obs, fx.beta), Horizon: fx.horizon},
-		Plan:          fx.plan,
-		Ratio:         3,
-		Ratios:        fx.ratios,
-		Stop:          mc.Budget{Steps: 30_000},
-		Seed:          41,
-		Workers:       workers,
-		Batch:         64,
-		BootstrapReps: 25,
+		Proc:    proc,
+		Query:   Query{Value: ThresholdValue(fx.obs, fx.beta), Horizon: fx.horizon},
+		Plan:    fx.plan,
+		Ratio:   3,
+		Ratios:  fx.ratios,
+		Stop:    mc.Budget{Steps: 30_000},
+		Seed:    41,
+		Workers: workers,
+		Batch:   64,
 	}
 }
 
@@ -351,15 +350,14 @@ func TestKernelCancelMidBatch(t *testing.T) {
 func TestKernelMatchesReferenceBlackBox(t *testing.T) {
 	proc := neural.NewStockProcess(neural.NewModel(neural.Config{Hidden: 6, Layers: 1, Mixtures: 2, SeqLen: 20}, 5), 1000, 10)
 	g := &GMLSS{
-		Proc:          proc,
-		Query:         Query{Value: ThresholdValue(neural.Price, 2000), Horizon: 30},
-		Plan:          MustPlan(0.6, 0.75, 0.9),
-		Ratio:         3,
-		Stop:          mc.Budget{Steps: 10_000},
-		Seed:          41,
-		Workers:       1,
-		Batch:         32,
-		BootstrapReps: 25,
+		Proc:    proc,
+		Query:   Query{Value: ThresholdValue(neural.Price, 2000), Horizon: 30},
+		Plan:    MustPlan(0.6, 0.75, 0.9),
+		Ratio:   3,
+		Stop:    mc.Budget{Steps: 10_000},
+		Seed:    41,
+		Workers: 1,
+		Batch:   32,
 	}
 	ref, err := g.run(context.Background(), referenceGMLSS)
 	if err != nil {

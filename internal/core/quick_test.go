@@ -116,27 +116,6 @@ func TestQuickCountersAlgebra(t *testing.T) {
 	}
 }
 
-// Property: the root pool's group bookkeeping always covers exactly
-// groupSize*len(groups) roots, no matter the push sequence length.
-func TestQuickRootPoolAccounting(t *testing.T) {
-	f := func(n uint16) bool {
-		p := newRootPool(2)
-		one := NewCounters(2)
-		one.Hits = 1
-		pushes := int(n)%10000 + 1
-		for i := 0; i < pushes; i++ {
-			p.push(one)
-		}
-		covered := p.roots()
-		// Roots in full groups plus the partial current group equal pushes.
-		return covered+int64(p.inCurrent) == int64(pushes) &&
-			len(p.groups) <= maxBootstrapGroups
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: bootstrap variance is non-negative and finite once at least
 // two groups exist, for arbitrary counter contents.
 func TestQuickBootstrapVarianceSane(t *testing.T) {
@@ -145,15 +124,15 @@ func TestQuickBootstrapVarianceSane(t *testing.T) {
 		if len(hits) < 2 {
 			return true
 		}
-		p := newRootPool(2)
-		for _, h := range hits {
+		units := make([]Counters, len(hits))
+		for i, h := range hits {
 			c := NewCounters(2)
 			c.Land[1] = float64(h % 5)
 			c.Mu[1] = float64(h%5) * 0.5
 			c.Hits = float64(h % 3)
-			p.push(c)
+			units[i] = c
 		}
-		v := p.bootstrapVariance(50, 2, 0, src)
+		v := BootstrapVarianceFromGroups(units, 1, 2, 0, 50, src)
 		return v >= 0 && !math.IsNaN(v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -161,22 +140,21 @@ func TestQuickBootstrapVarianceSane(t *testing.T) {
 	}
 }
 
-// Property: with a fresh pool the variance is infinite (cannot stop), and
-// it becomes finite exactly when two groups exist.
+// Property: with an empty root pool the moment variance is infinite
+// (cannot stop), and it becomes finite exactly when two roots exist.
 func TestQuickPoolVarianceTransition(t *testing.T) {
-	src := rng.New(7)
-	p := newRootPool(2)
+	mom := NewMoments(2, 0)
 	one := NewCounters(2)
-	one.Hits = 1
-	if v := p.bootstrapVariance(10, 2, 0, src); !math.IsInf(v, 1) {
+	one.Land[1], one.Mu[1], one.Hits = 1, 1, 1
+	if v := mom.Variance(2); !math.IsInf(v, 1) {
 		t.Fatalf("empty pool variance = %v", v)
 	}
-	p.push(one)
-	if v := p.bootstrapVariance(10, 2, 0, src); !math.IsInf(v, 1) {
-		t.Fatalf("one-group pool variance = %v", v)
+	mom.Add(one)
+	if v := mom.Variance(2); !math.IsInf(v, 1) {
+		t.Fatalf("one-root pool variance = %v", v)
 	}
-	p.push(one)
-	if v := p.bootstrapVariance(10, 2, 0, src); math.IsInf(v, 1) || math.IsNaN(v) {
-		t.Fatalf("two-group pool variance = %v", v)
+	mom.Add(one)
+	if v := mom.Variance(2); math.IsInf(v, 1) || math.IsNaN(v) {
+		t.Fatalf("two-root pool variance = %v", v)
 	}
 }

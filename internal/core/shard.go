@@ -56,18 +56,19 @@ func countersFrom(buf []float64, m int) Counters {
 }
 
 // ShardResult is the outcome of simulating one contiguous range of root
-// paths: the aggregate counters, the cost, and the per-group counters the
-// coordinator needs for bootstrap variance estimation.
+// paths: the aggregate counters, the cost, and the per-group counters.
+// The estimator paths ask for groups of one root, the per-root units
+// their moments (Moments) fold.
 type ShardResult struct {
 	Agg    Counters
-	Groups []Counters // equal-size batches of roots, for resampling
+	Groups []Counters // equal-size batches of consecutive roots
 	Roots  int64
 	Steps  int64
 }
 
 // RunRootsBy simulates root paths [lo, hi) of the sampler's tree process
-// and returns their counters, batched into bootstrap groups of
-// rootsPerGroup consecutive root indices (the last group of a range may be
+// and returns their counters, batched into groups of rootsPerGroup
+// consecutive root indices (the last group of a range may be
 // smaller). It performs no stopping logic — that is the coordinator's job
 // in the distributed setting of §3.1 ("synchronize counters on the
 // machines periodically to produce a running estimate"). Distributed
@@ -135,16 +136,21 @@ func EstimateFromCounters(agg Counters, n int64, m, initLevel int) float64 {
 // one splitting run answer a whole threshold lattice: each intermediate
 // threshold is read off as a prefix of the shared counters.
 func EstimatePrefixFromCounters(agg Counters, n int64, m, target, initLevel int) float64 {
-	if target == m {
-		return EstimateFromCounters(agg, n, m, initLevel)
-	}
 	if n == 0 || target <= initLevel || target > m {
 		return 0
 	}
 	first := initLevel + 1
+	if first == m {
+		// No boundary below the target: crossing beta_m is a hit, and the
+		// estimator degenerates to the SRS form hits/n.
+		return agg.Hits / float64(n)
+	}
 	// Crossings of the first watched boundary: paths that landed in
 	// L_first plus paths that jumped past it (the segment loop books a
 	// skip at every level below the landing level, the target included).
+	// Each further level multiplies in its advancement ratio
+	// (Mu[i] + Skip[i]) / (Land[i] + Skip[i]); any level with zero
+	// crossers makes the estimate zero.
 	tau := (agg.Land[first] + agg.Skip[first]) / float64(n)
 	if tau == 0 {
 		return 0

@@ -2,8 +2,8 @@
 // paper's primary contribution: the simple sampler s-MLSS of §3 (unbiased
 // only under the "no level-skipping" assumption) and the general sampler
 // g-MLSS of §4 (unbiased for arbitrary processes), together with their
-// variance estimators (direct for s-MLSS, bootstrap for g-MLSS) and the
-// level-partition machinery both share.
+// variance estimators (direct for s-MLSS, delta-method moments for g-MLSS)
+// and the level-partition machinery both share.
 package core
 
 import (

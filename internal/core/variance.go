@@ -23,7 +23,9 @@ import "math"
 //
 // It returns (variance, true) only when the plan really has m == 2 and at
 // least two splits happened; otherwise the caller falls back to the
-// bootstrap.
+// moment variance (Moments), which it equals up to divisors when no root
+// skips level 1: Eq. 11 is the moment form plus 2·p01·p12·p02/N0, the
+// landing/skip covariance the closed form leaves out.
 func twoLevelVariance(agg Counters, fracSq float64, n int64, m, initLevel int) (float64, bool) {
 	if m != 2 || initLevel != 0 || n == 0 {
 		return 0, false

@@ -8,7 +8,6 @@ import (
 
 	"durability/internal/core"
 	"durability/internal/mc"
-	"durability/internal/rng"
 	"durability/internal/telemetry"
 )
 
@@ -25,7 +24,8 @@ type BatchTarget struct {
 // lattice: one shared stream of root paths is simulated through the
 // executor, and every target's estimate is read off the merged counters
 // as a cumulative level-crossing prefix (core.EstimatePrefixFromCounters)
-// with a bootstrap variance per prefix. The loop stops when every
+// with a delta-method variance per prefix from the run's moments
+// (core.Moments), evaluated every round. The loop stops when every
 // target's stop rule is satisfied, so the shared run is sized by the
 // hardest threshold and every easier one rides along for free.
 //
@@ -36,10 +36,9 @@ type BatchTarget struct {
 // own boundary.
 //
 // The per-round batch size is fixed, root i draws substream i wherever it
-// is simulated, groups cover fixed windows of GroupRoots roots and merges
-// fold in root order — so the per-threshold answers are bit-for-bit
-// identical across backends and cluster sizes at equal seed. The loop is
-// not Sample's: its rounds, groups and variance schedule are its own.
+// is simulated, and every round's per-root units fold in root order — so
+// the per-threshold answers are bit-for-bit identical across backends and
+// cluster sizes at equal seed.
 func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget, opt SampleOptions) ([]mc.Result, error) {
 	opt = opt.withDefaults()
 	if ex == nil {
@@ -68,7 +67,6 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget
 	if initLevel >= m {
 		return nil, errors.New("exec: initial state already satisfies the query")
 	}
-	levels := make([]int, len(targets))
 	for i, tg := range targets {
 		if tg.Stop == nil {
 			return nil, fmt.Errorf("exec: batch target %d has no stop rule", i)
@@ -76,17 +74,12 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget
 		if tg.Level <= initLevel || tg.Level > m {
 			return nil, fmt.Errorf("exec: batch target level %d outside (%d, %d]", tg.Level, initLevel, m)
 		}
-		levels[i] = tg.Level
 	}
 
 	began := telemetry.Now()
 	agg := core.NewCounters(m)
-	var groups []core.Counters
+	mom := core.NewMoments(m, initLevel)
 	results := make([]mc.Result, len(targets))
-	// Dedicated resampling stream, disjoint from the root substreams
-	// (which count up from zero) and from the samplers' own reserved
-	// indices.
-	bootSrc := rng.NewStream(t.Seed, 1<<61)
 	next := int64(0)
 	var steps, paths int64
 	for {
@@ -94,30 +87,29 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []BatchTarget
 			finishBatch(results, steps, paths, began)
 			return results, err
 		}
-		shard, err := ex.RunRoots(ctx, t, next, next+int64(opt.BatchRoots), GroupRoots)
+		shard, err := ex.RunRoots(ctx, t, next, next+int64(opt.BatchRoots), 1)
 		if err != nil {
 			finishBatch(results, steps, paths, began)
 			return results, err
 		}
 		next += int64(opt.BatchRoots)
 		mergeBegan := telemetry.Now()
-		for _, g := range shard.Groups {
-			agg.Add(g)
-			groups = append(groups, g)
+		for _, u := range shard.Groups {
+			agg.Add(u)
+			mom.Add(u)
 		}
 		steps += shard.Steps
 		paths += shard.Roots
-		variances := core.BootstrapPrefixVariancesFromGroups(groups, GroupRoots, m, initLevel, levels, BootstrapReps, bootSrc)
 		done := true
-		for i := range targets {
+		for i, tg := range targets {
 			r := &results[i]
 			r.Steps = steps
 			r.Paths = paths
-			r.Hits = int64(core.PrefixCrossings(agg, m, levels[i]))
-			r.P = core.EstimatePrefixFromCounters(agg, paths, m, levels[i], initLevel)
-			r.Variance = variances[i]
+			r.Hits = int64(core.PrefixCrossings(agg, m, tg.Level))
+			r.P = core.EstimatePrefixFromCounters(agg, paths, m, tg.Level, initLevel)
+			r.Variance = mom.Variance(tg.Level)
 			r.Elapsed = telemetry.Since(began)
-			if !targets[i].Stop.Done(*r) {
+			if !tg.Stop.Done(*r) {
 				done = false
 			}
 		}

@@ -247,8 +247,8 @@ func (c *Cluster) retry(ctx context.Context, req cluster.ShardRequest, lastErr e
 
 // RunRoots implements Executor: the range is cut into chunks whose
 // boundaries fall on multiples of rootsPerGroup, one chunk per live
-// worker, so every worker's bootstrap groups are exactly the windows the
-// local backend would have produced, and concatenating chunk results in
+// worker, so every worker's groups are exactly the windows the local
+// backend would have produced, and concatenating chunk results in
 // range order reproduces the single-machine result bit for bit.
 func (c *Cluster) RunRoots(ctx context.Context, t Task, lo, hi int64, rootsPerGroup int) (core.ShardResult, error) {
 	if err := t.validate(); err != nil {

@@ -18,8 +18,8 @@
 //
 // The determinism invariant both backends uphold: root path i draws from
 // PRNG substream i of the task seed regardless of where it is simulated,
-// bootstrap groups cover fixed windows of rootsPerGroup consecutive root
-// indices, and results merge in root-index order. Floating-point addition
+// groups cover fixed windows of rootsPerGroup consecutive root indices,
+// and results merge in root-index order. Floating-point addition
 // is not associative, so the fixed grouping and merge order are load-
 // bearing — they are what makes a sharded run bit-for-bit equal to a
 // single-machine run at the same seed, which in turn is what makes the
@@ -89,7 +89,8 @@ func (t *Task) validate() error {
 // count, placement and scheduling.
 type Executor interface {
 	// RunRoots simulates root paths [lo, hi) with g-MLSS bookkeeping and
-	// returns their mergeable counters, grouped for bootstrap resampling.
+	// returns their mergeable counters, grouped by rootsPerGroup
+	// consecutive roots (1 on every estimator path: one unit per root).
 	RunRoots(ctx context.Context, t Task, lo, hi int64, rootsPerGroup int) (core.ShardResult, error)
 	// Name identifies the backend in stats and logs.
 	Name() string

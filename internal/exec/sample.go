@@ -9,36 +9,25 @@ import (
 	"durability/internal/telemetry"
 )
 
-// Bootstrap settings of the batch coordination loop (SampleBatch) and of
-// standing-query maintenance (internal/stream). They are part of the
-// deterministic numerics, so they are constants, not knobs.
-const (
-	// GroupRoots is the number of consecutive root paths per bootstrap
-	// group.
-	GroupRoots = 16
-	// BootstrapReps is the number of replicates per variance evaluation.
-	BootstrapReps = 200
-)
-
 // SampleOptions tunes Sample and SampleBatch.
 type SampleOptions struct {
 	// Stop is the quality target; required by Sample (SampleBatch takes
 	// one per target).
 	Stop mc.StopRule
 	// BatchRoots is the number of root paths SampleBatch simulates per
-	// synchronization round (default 256). It is rounded up to a multiple
-	// of GroupRoots so every bootstrap group is full. Sample runs core's
-	// own rounds and ignores it.
+	// synchronization round (default 128, the one-shot loop's round).
+	// Sample runs core's own rounds and ignores it.
 	BatchRoots int
 	// Trace, when set, observes the running estimate after every round.
 	Trace func(mc.Result)
 	// Tracer, when set, books one merge span per SampleBatch round
-	// (counter merge + estimates + bootstrap variances). Telemetry only.
+	// (counter and moment folds, estimates and variances). Telemetry
+	// only.
 	Tracer *telemetry.Tracer
 	// Counters, when set, receives the run's finalized aggregate
 	// counters (root paths and simulator steps alongside) exactly once,
 	// at a successful return. The aggregate is the in-root-order fold of
-	// every shard's groups, so it is identical across backends and
+	// every shard's per-root units, so it is identical across backends and
 	// cluster sizes — the crossing-statistics ledger hangs off this
 	// hook. Observability only.
 	Counters func(agg core.Counters, roots, steps int64)
@@ -46,10 +35,7 @@ type SampleOptions struct {
 
 func (o SampleOptions) withDefaults() SampleOptions {
 	if o.BatchRoots <= 0 {
-		o.BatchRoots = 256
-	}
-	if rem := o.BatchRoots % GroupRoots; rem != 0 {
-		o.BatchRoots += GroupRoots - rem
+		o.BatchRoots = 128
 	}
 	return o
 }

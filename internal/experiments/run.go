@@ -89,11 +89,15 @@ func RunSMLSSBudget(ctx context.Context, spec *Spec, class Class, plan core.Plan
 	return s.Run(ctx)
 }
 
-// RunGMLSS answers with general MLSS (bootstrap variance) on the given
+// RunGMLSS answers with general MLSS (delta-method variance) on the given
 // plan at the class's quality target.
 func RunGMLSS(ctx context.Context, spec *Spec, class Class, plan core.Plan, ratio int, o RunOpts) (mc.Result, error) {
+	return gmlssFor(spec, class, plan, ratio, o).Run(ctx)
+}
+
+func gmlssFor(spec *Spec, class Class, plan core.Plan, ratio int, o RunOpts) *core.GMLSS {
 	st := spec.Setting(class)
-	g := &core.GMLSS{
+	return &core.GMLSS{
 		Proc:    spec.Proc,
 		Query:   coreQuery(spec, st),
 		Plan:    plan,
@@ -103,7 +107,6 @@ func RunGMLSS(ctx context.Context, spec *Spec, class Class, plan core.Plan, rati
 		Workers: o.Workers,
 		Trace:   o.Trace,
 	}
-	return g.Run(ctx)
 }
 
 // RunGMLSSBudget answers with g-MLSS under a fixed step budget.

@@ -54,7 +54,7 @@ type Result struct {
 	Hits  int64 // sample paths that reached the target
 
 	Elapsed time.Duration // total wall-clock time
-	VarTime time.Duration // portion spent estimating the variance (bootstrap)
+	VarTime time.Duration // portion spent estimating the variance
 }
 
 // CI returns the normal-approximation confidence interval at the given

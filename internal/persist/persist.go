@@ -9,7 +9,7 @@
 // one property of this repository: every serving mutation is
 // deterministic given the prior state (root path i draws substream i,
 // plan searches are pure functions of their cache key and the searching
-// state, bootstrap generators advance reproducibly). The WAL therefore
+// state, moment folds run in root order). The WAL therefore
 // records *logical* events — subscribe, close, publish ticks — not
 // physical state diffs: replaying the tail re-runs the same refresh code
 // live traffic ran, and determinism guarantees the recovered in-memory

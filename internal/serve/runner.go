@@ -130,12 +130,11 @@ type Runner struct {
 	Exec exec.Executor
 
 	// ExecBatchRoots is the per-round root batch of batch answering
-	// (0 = exec's default, 256). A cluster backend cuts each round into
-	// at most ExecBatchRoots/16 group-aligned chunks, so this is also the
-	// fleet-size ceiling one batch can exploit. Changing it changes the
-	// stopping schedule (the batch size is part of the deterministic
-	// numerics), so compare runs only at equal settings. One-shot
-	// queries run core's own rounds and ignore it.
+	// (0 = exec's default, 128). A cluster backend cuts each round into
+	// one chunk per live worker. Changing it changes the stopping
+	// schedule (the batch size is part of the deterministic numerics),
+	// so compare runs only at equal settings. One-shot queries run
+	// core's own rounds and ignore it.
 	ExecBatchRoots int
 
 	// Trace, when non-nil, receives lifecycle spans: plan-cache /

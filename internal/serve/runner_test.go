@@ -18,7 +18,7 @@ import (
 // two-worker cluster returns == results and books == ledger snapshots.
 // The two plans cover both variance paths of the estimator loop: a
 // two-level plan takes Eq. 11's closed form, a three-boundary plan the
-// bootstrap on §4.2's schedule.
+// delta-method moment variance.
 func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 	newWalk := func() (stochastic.Process, map[string]stochastic.Observer, error) {
 		return &stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
@@ -36,9 +36,9 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 		ex   exec.Executor
 	}{{"none", nil}, {"local", exec.Local{}}, {"cluster", clus}}
 	plans := []struct {
-		name      string
-		plan      core.Plan
-		bootstrap bool
+		name    string
+		plan    core.Plan
+		moments bool
 	}{
 		{"two-level", core.MustPlan(0.6), false},
 		{"three-boundary", core.MustPlan(0.4, 0.6, 0.8), true},
@@ -67,8 +67,8 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 				if !meta.CacheHit || !meta.Plan.Equal(pc.plan) {
 					t.Fatalf("%s: ran plan %v (cache hit %v), want the warmed %v", b.name, meta.Plan, meta.CacheHit, pc.plan)
 				}
-				if ranBootstrap := res.VarTime > 0; ranBootstrap != pc.bootstrap {
-					t.Fatalf("%s: bootstrap ran = %v, want %v", b.name, ranBootstrap, pc.bootstrap)
+				if ranMoments := res.VarTime > 0; ranMoments != pc.moments {
+					t.Fatalf("%s: moment variance ran = %v, want %v", b.name, ranMoments, pc.moments)
 				}
 				res.Elapsed, res.VarTime = 0, 0
 				snaps := r.Ledger.Snapshots()

@@ -123,38 +123,3 @@ func TestClusterBackedRefreshSurvivesDeadWorker(t *testing.T) {
 	clustered := maintain(t, backend, trajectory)
 	compareAnswers(t, "cluster with dead worker", clustered, local)
 }
-
-// The bootstrap resampling stream must differ between subscriptions even
-// when (seed ^ id) collides — the old derivation collapsed such pairs
-// onto one sequence, correlating their CI estimates.
-func TestBootstrapSourcesDistinctOnSeedIDCollision(t *testing.T) {
-	// seedA^idA == 6^1 == 7 == 5^2 == seedB^idB: collided under the old
-	// scheme.
-	a := bootstrapSource(6, 1)
-	b := bootstrapSource(5, 2)
-	same := true
-	for i := 0; i < 16; i++ {
-		if a.Uint64() != b.Uint64() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("colliding (seed, id) pairs draw the same bootstrap sequence")
-	}
-
-	// And the fix must not depend on the id alone: distinct seeds with
-	// the same id stay distinct too.
-	c := bootstrapSource(6, 3)
-	d := bootstrapSource(5, 3)
-	same = true
-	for i := 0; i < 16; i++ {
-		if c.Uint64() != d.Uint64() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("distinct seeds with one id draw the same bootstrap sequence")
-	}
-}

@@ -8,9 +8,7 @@ import (
 	"sort"
 
 	"durability/internal/core"
-	"durability/internal/exec"
 	"durability/internal/mc"
-	"durability/internal/rng"
 	"durability/internal/stochastic"
 )
 
@@ -22,8 +20,8 @@ import (
 //
 // The contract the types uphold is the repository's signature determinism
 // guarantee extended across process death: Restore hands back an engine
-// whose g-MLSS counters, root substream indices (nextRoot) and bootstrap
-// generator positions are exactly the captured ones, and Apply re-runs
+// whose g-MLSS counters, per-root moments and root substream indices
+// (nextRoot) are exactly the captured ones, and Apply re-runs
 // journaled mutations through the same deterministic refresh path live
 // traffic used — so a recovered engine's subsequent answers are
 // bit-for-bit the answers the uninterrupted engine would have produced.
@@ -91,13 +89,13 @@ type BatchState struct {
 	Roots     int64
 	Steps     int64
 	Agg       core.Counters
-	Groups    []core.Counters
+	Moments   core.Moments
 }
 
 // SubState is the full maintenance state of one subscription: the spec,
 // the resolved plan and its drift bucket, the root pool, the next root
-// substream index, the bootstrap generator mid-sequence, and the published
-// answer. Restoring it resumes maintenance as if the process never died.
+// substream index, and the published answer. Restoring it resumes
+// maintenance as if the process never died.
 type SubState struct {
 	ID       uint64
 	Spec     SpecState
@@ -105,7 +103,6 @@ type SubState struct {
 	Plan     core.Plan
 	Bucket   int
 	NextRoot int64
-	Boot     *rng.Source // nil when no refresh ever ran
 	Batches  []BatchState
 	Answer   Answer
 	Stats    SubStats
@@ -127,18 +124,20 @@ type StreamState struct {
 // ConfigState echoes the engine settings that are part of the maintained
 // numerics. A snapshot restored under different settings would replay and
 // refresh along a different trajectory, so Restore refuses the mismatch
-// instead of silently breaking the determinism guarantee. GroupRoots and
-// BootstrapReps echo the exec constants the engine resamples with; they
-// stay in the snapshot so checkpoints written when they were settings
-// remain readable.
+// instead of silently breaking the determinism guarantee.
 type ConfigState struct {
 	DriftTol         float64
 	StartBucketWidth float64
 	TopUpRoots       int
-	GroupRoots       int
 	MaxAgeTicks      int64
 	MaxRefreshSteps  int64
-	BootstrapReps    int
+	// GroupRoots and BootstrapReps are non-zero only in snapshots written
+	// while refreshes bootstrapped their variance: those batches carry
+	// bootstrap groups of GroupRoots roots, not the per-root moments the
+	// engine now merges. The fields stay so such snapshots still decode,
+	// and Restore refuses them by name.
+	GroupRoots    int
+	BootstrapReps int
 }
 
 // configState extracts the numerics-relevant settings of a (defaulted)
@@ -149,10 +148,8 @@ func configState(c Config) ConfigState {
 		DriftTol:         c.DriftTol,
 		StartBucketWidth: c.StartBucketWidth,
 		TopUpRoots:       c.TopUpRoots,
-		GroupRoots:       exec.GroupRoots,
 		MaxAgeTicks:      c.MaxAgeTicks,
 		MaxRefreshSteps:  c.MaxRefreshSteps,
-		BootstrapReps:    exec.BootstrapReps,
 	}
 }
 
@@ -218,8 +215,8 @@ type EvClosed struct {
 
 // EvUpdated records one published state of a live stream. Replay re-runs
 // every affected subscription's refresh; determinism makes the replayed
-// refreshes consume exactly the root substreams and bootstrap draws the
-// live refreshes consumed.
+// refreshes consume exactly the root substreams the live refreshes
+// consumed.
 type EvUpdated struct {
 	Name  string
 	State stochastic.State
@@ -332,14 +329,10 @@ func (s *Subscription) extract() SubState {
 		Answer:   s.Answer(),
 		Stats:    s.Stats(),
 	}
-	if s.bootSrc != nil {
-		boot := *s.bootSrc
-		st.Boot = &boot
-	}
 	for _, b := range s.batches {
 		st.Batches = append(st.Batches, BatchState{
 			Tick: b.tick, F0: b.f0, InitLevel: b.initLevel, Plan: b.plan,
-			Roots: b.roots, Steps: b.steps, Agg: b.agg, Groups: b.groups,
+			Roots: b.roots, Steps: b.steps, Agg: b.agg, Moments: b.moments,
 		})
 	}
 	return st
@@ -353,6 +346,9 @@ func (s *Subscription) extract() SubState {
 func (e *Engine) Restore(snap EngineSnapshot, resolve Resolver) error {
 	if resolve == nil {
 		return errors.New("stream: Restore needs a resolver")
+	}
+	if old := snap.Config; old.GroupRoots != 0 || old.BootstrapReps != 0 {
+		return fmt.Errorf("stream: snapshot predates moment-based variance — its batches carry bootstrap groups (%d roots each, %d replicates), not the per-root moments this engine merges; move the data directory aside and re-subscribe", old.GroupRoots, old.BootstrapReps)
 	}
 	if have := configState(e.cfg); have != snap.Config {
 		return fmt.Errorf("stream: snapshot was maintained under engine settings %+v, this engine runs %+v — restart with the original settings", snap.Config, have)
@@ -399,14 +395,10 @@ func (e *Engine) Restore(snap EngineSnapshot, resolve Resolver) error {
 				stats:    sst.Stats,
 				notify:   make(chan struct{}),
 			}
-			if sst.Boot != nil {
-				boot := *sst.Boot
-				sub.bootSrc = &boot
-			}
 			for _, bs := range sst.Batches {
 				sub.batches = append(sub.batches, &batch{
 					tick: bs.Tick, f0: bs.F0, initLevel: bs.InitLevel, plan: bs.Plan,
-					roots: bs.Roots, steps: bs.Steps, agg: bs.Agg, groups: bs.Groups,
+					roots: bs.Roots, steps: bs.Steps, agg: bs.Agg, moments: bs.Moments,
 				})
 			}
 			ls.subs[sub.id] = sub

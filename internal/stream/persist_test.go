@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
+	"durability/internal/core"
 	"durability/internal/exec"
 	"durability/internal/stochastic"
 )
@@ -256,5 +261,107 @@ func TestRestoreRequiresEmptyEngine(t *testing.T) {
 	snap := eng.Snapshot()
 	if err := eng.Restore(snap, chainResolver); err == nil {
 		t.Fatal("Restore accepted a non-empty engine")
+	}
+}
+
+// A data directory written while refreshes bootstrapped their variance
+// holds batches of bootstrap groups and no moments. Its snapshot must
+// still decode, and Restore must refuse it by naming that cause rather
+// than as a settings mismatch. The fixture is a real snapshot from that
+// engine: a chain subscription after two ticks, gob-encoded.
+func TestRestoreRefusesBootstrapSnapshot(t *testing.T) {
+	raw, err := os.ReadFile("testdata/pre-moments-snapshot.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap EngineSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
+		t.Fatalf("pre-moments snapshot no longer decodes: %v", err)
+	}
+	if snap.Config.GroupRoots != 16 || snap.Config.BootstrapReps != 200 || len(snap.Streams) != 1 || len(snap.Streams[0].Subs[0].Batches) == 0 {
+		t.Fatalf("fixture is not the expected pre-moments snapshot: %+v", snap.Config)
+	}
+	err = NewEngine(Config{}).Restore(snap, chainResolver)
+	if err == nil {
+		t.Fatal("Restore accepted a snapshot whose batches carry bootstrap groups")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "bootstrap groups") || strings.Contains(msg, "original settings") {
+		t.Fatalf("refusal does not name the cause: %v", err)
+	}
+}
+
+// shardRecorder is an executor that keeps every shard it returns.
+type shardRecorder struct {
+	exec.Local
+	shards []core.ShardResult
+}
+
+func (r *shardRecorder) RunRoots(ctx context.Context, task exec.Task, lo, hi int64, rootsPerGroup int) (core.ShardResult, error) {
+	res, err := r.Local.RunRoots(ctx, task, lo, hi, rootsPerGroup)
+	r.shards = append(r.shards, res)
+	return res, err
+}
+
+// A shard's aggregate and per-root units are carved from one backing
+// array. A batch that kept a slice of it would pin every unit for the
+// batch's lifetime, so stored batches must share no backing with the
+// shards they came from: overwriting every shard after the refresh
+// leaves every batch, and the answer they evaluate to, unchanged.
+func TestStoredBatchSharesNoBackingWithShard(t *testing.T) {
+	ctx := context.Background()
+	env := newChainEnv()
+	rec := &shardRecorder{}
+	eng := NewEngine(Config{Exec: rec})
+	if err := eng.Register("chain", env.proc, &stochastic.ChainState{I: 0}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := eng.Subscribe(ctx, env.spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Update(ctx, "chain", &stochastic.ChainState{I: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sub.ls.mu.Lock()
+	defer sub.ls.mu.Unlock()
+	if len(rec.shards) == 0 || len(sub.batches) == 0 {
+		t.Fatalf("no top-ups recorded (%d shards, %d batches)", len(rec.shards), len(sub.batches))
+	}
+	type kept struct {
+		agg core.Counters
+		mom core.Moments
+	}
+	before := make([]kept, len(sub.batches))
+	for i, b := range sub.batches {
+		agg := core.NewCounters(b.plan.M())
+		agg.Add(b.agg)
+		mom := core.NewMoments(b.plan.M(), b.initLevel)
+		mom.Merge(&b.moments) // into empty: a copy
+		before[i] = kept{agg, mom}
+	}
+	m := sub.plan.M()
+	initLevel := sub.batches[len(sub.batches)-1].initLevel
+	want := sub.evaluate(sub.batches, m, initLevel)
+
+	poison := func(c core.Counters) {
+		for _, s := range [][]float64{c.Land, c.Skip, c.Mu} {
+			for i := range s {
+				s[i] = math.NaN()
+			}
+		}
+	}
+	for _, sh := range rec.shards {
+		poison(sh.Agg)
+		for _, u := range sh.Groups {
+			poison(u)
+		}
+	}
+	for i, b := range sub.batches {
+		if !reflect.DeepEqual(b.agg, before[i].agg) || !reflect.DeepEqual(b.moments, before[i].mom) {
+			t.Fatalf("batch %d changed when its shard was overwritten: it shares the shard's backing array", i)
+		}
+	}
+	if got := sub.evaluate(sub.batches, m, initLevel); got != want {
+		t.Fatalf("answer moved after the shards were overwritten: %+v, was %+v", got, want)
 	}
 }

@@ -20,9 +20,9 @@ import (
 //
 // Bit-for-bit parity with a single engine is a consequence of the
 // engine's determinism invariant, restated one level up: a subscription's
-// answer depends only on (spec, ID, the state sequence it observed) —
-// its bootstrap generator is seeded from its ID, its fresh roots draw
-// substreams indexed from its own root counter, and plan searches are
+// answer depends only on (spec, the state sequence it observed) — its
+// fresh roots draw substreams indexed from its own root counter, its
+// moments fold in root order, and plan searches are
 // pure functions of their cache key. Placement therefore cannot leak into
 // answers, so 4 shards and 1 shard produce identical bytes; the test
 // suite enforces this.

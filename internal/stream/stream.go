@@ -143,12 +143,6 @@ func (c Config) withDefaults() Config {
 	if c.TopUpRoots <= 0 {
 		c.TopUpRoots = DefaultTopUpRoots
 	}
-	// Top-up batches are split into equal bootstrap groups of
-	// exec.GroupRoots roots; round the batch size up to a multiple of the
-	// group size so groups stay equal.
-	if rem := c.TopUpRoots % exec.GroupRoots; rem != 0 {
-		c.TopUpRoots += exec.GroupRoots - rem
-	}
 	if c.MaxAgeTicks <= 0 {
 		c.MaxAgeTicks = DefaultMaxAgeTicks
 	}
@@ -434,7 +428,7 @@ func (e *Engine) Subscribe(ctx context.Context, spec SubSpec) (*Subscription, er
 // SubscribeAssigned is Subscribe with a caller-assigned ID — the sharded
 // path, where a wrapper owns one ID sequence across several engines so
 // that consistent-hash placement and bit-for-bit parity with a single
-// engine both hold (the ID seeds the subscription's bootstrap substream).
+// engine both hold.
 // The registration is journaled like any live subscribe; the id must be
 // unique across every engine sharing the sequence.
 func (e *Engine) SubscribeAssigned(ctx context.Context, spec SubSpec, id uint64) (*Subscription, error) {

@@ -9,7 +9,6 @@ import (
 	"durability/internal/core"
 	"durability/internal/exec"
 	"durability/internal/mc"
-	"durability/internal/rng"
 	"durability/internal/serve"
 	"durability/internal/stochastic"
 	"durability/internal/telemetry"
@@ -142,23 +141,10 @@ type Refresh struct {
 	Err    error
 }
 
-// bootstrapSource derives a subscription's dedicated resampling stream:
-// the base seed stays fixed and the subscription id selects a substream
-// in the reserved range [1<<62, 1<<62 + 2^61), disjoint from the root
-// substreams (which count up from zero), the live-feed sources parked in
-// [1<<60, 1<<61), the coordination-loop resampler at 1<<61 and the
-// single-machine sampler's resampler at 1<<63. Folding the id into the
-// seed instead (the old scheme, seed^id) let distinct subscriptions
-// collide — seedA^idA == seedB^idB shares one bootstrap sequence and
-// correlates their CI estimates.
-func bootstrapSource(seed, id uint64) *rng.Source {
-	return rng.NewStream(seed, 1<<62|id)
-}
-
 // batch is the unit of root survival: the g-MLSS sufficient statistics
 // of a small set of root trees simulated from one snapshot of the live
-// state, with equal-size bootstrap groups for variance estimation. A
-// batch contributes to the answer while it is "active" — simulated under
+// state, with their per-root moments for variance estimation. A batch
+// contributes to the answer while it is "active" — simulated under
 // the current plan, from the current start level, with a start value
 // within the drift tolerance of the live state. An inactive batch stays
 // in the pool dormant and revives when the state drifts back into its
@@ -171,7 +157,7 @@ type batch struct {
 	roots     int64
 	steps     int64
 	agg       core.Counters
-	groups    []core.Counters
+	moments   core.Moments
 
 	// active marks the batch as contributing to the latest answer. It is
 	// in-memory telemetry bookkeeping only (revival detection) and is
@@ -204,9 +190,9 @@ type Subscription struct {
 	plan      core.Plan
 	bucket    int // drift bucket the plan was resolved for
 	batches   []*batch
-	nextRoot  int64 // next root index; strictly increasing so substreams never repeat
-	bootSrc   *rng.Source
-	destroyed bool // removed from ls.subs
+	nextRoot  int64        // next root index; strictly increasing so substreams never repeat
+	destroyed bool         // removed from ls.subs
+	evalMom   core.Moments // evaluate's scratch, reused across calls
 
 	// Published state, guarded by mu so readers never contend with a
 	// running refresh.
@@ -400,10 +386,6 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	ans := Answer{Tick: tick}
 	defer e.refreshes.Add(1)
 
-	if s.bootSrc == nil {
-		s.bootSrc = bootstrapSource(s.spec.Seed, s.id)
-	}
-
 	value := core.ThresholdValue(s.spec.Obs, s.spec.Beta)
 	f0 := s.spec.Obs(state) / s.spec.Beta
 	if f0 >= 1 {
@@ -517,7 +499,7 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 			break
 		}
 		lo, hi := s.nextRoot, s.nextRoot+int64(cfg.TopUpRoots)
-		shard, serr := cfg.Exec.RunRoots(ctx, task, lo, hi, exec.GroupRoots)
+		shard, serr := cfg.Exec.RunRoots(ctx, task, lo, hi, 1)
 		if serr != nil {
 			err = serr
 			ans.Capped = true
@@ -529,11 +511,17 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		ans.PoolRoots += shard.Roots
 		e.freshRoots.Add(shard.Roots)
 		e.freshSteps.Add(shard.Steps)
+		// The shard's aggregate and units are carved from one backing
+		// array; the batch copies what it keeps, so the array is freed.
 		b := &batch{
 			tick: tick, f0: f0, initLevel: initLevel, plan: s.plan,
 			roots: shard.Roots, steps: shard.Steps,
-			agg: shard.Agg, groups: shard.Groups,
+			agg: core.NewCounters(m), moments: core.NewMoments(m, initLevel),
 			active: true,
+		}
+		b.agg.Add(shard.Agg)
+		for _, u := range shard.Groups {
+			b.moments.Add(u)
 		}
 		s.batches = append(s.batches, b)
 		active = append(active, b)
@@ -572,17 +560,18 @@ func (s *Subscription) expire(tick int64, ans *Answer) {
 	s.batches = kept
 }
 
-// evaluate computes the merged estimate and bootstrap variance over the
-// active batches. The caller holds ls.mu.
+// evaluate computes the merged estimate and delta-method variance over
+// the active batches, merging their moments in pool order. The caller
+// holds ls.mu.
 func (s *Subscription) evaluate(active []*batch, m, initLevel int) mc.Result {
 	agg := core.NewCounters(m)
+	s.evalMom.Reset(m, initLevel)
 	var roots, steps int64
-	groups := make([]core.Counters, 0, len(active)*2)
 	for _, b := range active {
 		agg.Add(b.agg)
+		s.evalMom.Merge(&b.moments)
 		roots += b.roots
 		steps += b.steps
-		groups = append(groups, b.groups...)
 	}
 	res := mc.Result{Paths: roots, Steps: steps, Hits: int64(agg.Hits)}
 	if roots == 0 {
@@ -590,6 +579,6 @@ func (s *Subscription) evaluate(active []*batch, m, initLevel int) mc.Result {
 		return res
 	}
 	res.P = core.EstimateFromCounters(agg, roots, m, initLevel)
-	res.Variance = core.BootstrapVarianceFromGroups(groups, exec.GroupRoots, m, initLevel, exec.BootstrapReps, s.bootSrc)
+	res.Variance = s.evalMom.Variance(m)
 	return res
 }

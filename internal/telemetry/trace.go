@@ -19,7 +19,7 @@ const (
 	StagePlanCache  = "plan-cache"  // plan resolved from the shared cache
 	StagePlanSearch = "plan-search" // plan resolved by running a level search
 	StageExec       = "exec"        // root-path simulation through the backend
-	StageMerge      = "merge"       // one batch round's counter merge + estimates + bootstrap
+	StageMerge      = "merge"       // one batch round's counter and moment folds + estimates + variances
 	StageAnswer     = "answer"      // response assembly from the result
 	StageQuery      = "query"       // one-shot query end to end
 	StageBatch      = "batch"       // shared batch run end to end
