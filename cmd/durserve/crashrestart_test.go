@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -85,6 +86,76 @@ func TestCrashRestartProcess(t *testing.T) {
 	}
 }
 
+// TestRecoveryBootsPastPlanBucket is the crash drill for a subscribe
+// whose plan came from the cache. Subscription A (β 15) searches the plan
+// of its threshold bucket — representative β 15.12 — from a walk at 12,
+// and a clean shutdown checkpoints it. The feed then climbs past 15.12,
+// and subscription B (β 15.5, same bucket) is answered from A's cached
+// plan; the process is killed before any checkpoint covers B. A restart
+// that re-ran B's plan resolution would search at 15.12 from a state
+// already above it, fail with "initial state already satisfies the
+// query", and never boot. Journaling the resolved plan lets it boot, and
+// every answer afterwards must equal an uninterrupted run's.
+func TestRecoveryBootsPastPlanBucket(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and kills real processes; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "durserve")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building durserve: %v", err)
+	}
+	// A near-deterministic climb of 0.3 per tick from 12: the feed passes
+	// the representative 15.12 at tick 11 (about 15.3) and stays below
+	// B's threshold there.
+	walk := []string{"-start", "12", "-drift", "0.3", "-sigma", "0.02"}
+	const subA = `{"model":"walk","beta":15,"horizon":10,"re":0.2}`
+	const subB = `{"model":"walk","beta":15.5,"horizon":10,"re":0.2}`
+	const bAt, crashAt, total = 11, 13, 16
+
+	// Golden: one process, never interrupted, the same requests.
+	var golden []string
+	func() {
+		srv := startDurserve(t, bin, "", walk...)
+		defer srv.stop()
+		srv.post(t, "/subscribe", subA)
+		for k := 1; k <= total; k++ {
+			golden = append(golden, srv.post(t, "/tick", `{"stream":"walk"}`))
+			if k == bAt {
+				b := srv.post(t, "/subscribe", subB)
+				if !strings.Contains(b, `"planCached":true`) || !strings.Contains(b, `"searchSteps":0`) {
+					t.Fatalf("subscription B did not take A's cached plan, so the drill tests nothing: %s", b)
+				}
+			}
+		}
+	}()
+
+	dir := t.TempDir()
+	srv := startDurserve(t, bin, dir, walk...)
+	srv.post(t, "/subscribe", subA)
+	srv.term(t) // final checkpoint: A and its plan are in the snapshots
+
+	srv = startDurserve(t, bin, dir, walk...)
+	for k := 1; k <= crashAt; k++ {
+		if got := srv.post(t, "/tick", `{"stream":"walk"}`); got != golden[k-1] {
+			t.Fatalf("pre-crash tick %d:\n got %s\nwant %s", k, got, golden[k-1])
+		}
+		if k == bAt {
+			srv.post(t, "/subscribe", subB)
+		}
+	}
+	srv.kill9(t)
+
+	restarted := startDurserve(t, bin, dir, walk...)
+	defer restarted.stop()
+	for k := crashAt + 1; k <= total; k++ {
+		if got := restarted.post(t, "/tick", `{"stream":"walk"}`); got != golden[k-1] {
+			t.Fatalf("post-restart tick %d:\n got %s\nwant %s", k, got, golden[k-1])
+		}
+	}
+}
+
 // durserveProc is one running durserve child process.
 type durserveProc struct {
 	cmd  *exec.Cmd
@@ -95,13 +166,14 @@ type durserveProc struct {
 // for /readyz — the listener comes up before recovery, so liveness alone
 // (/healthz) would let a test query race the WAL replay and bounce off
 // the 503 readiness gate. dataDir == "" runs it in-memory.
-func startDurserve(t *testing.T, bin, dataDir string) *durserveProc {
+func startDurserve(t *testing.T, bin, dataDir string, extra ...string) *durserveProc {
 	t.Helper()
 	addr := freeAddr(t)
 	args := []string{"-addr", addr, "-pool", "2", "-seed", "1"}
 	if dataDir != "" {
 		args = append(args, "-data-dir", dataDir)
 	}
+	args = append(args, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
@@ -151,6 +223,36 @@ func (p *durserveProc) kill9(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.cmd.Wait()
+}
+
+// term delivers SIGTERM and waits for the graceful exit, which writes a
+// final checkpoint.
+func (p *durserveProc) term(t *testing.T) {
+	t.Helper()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("durserve exited uncleanly on SIGTERM: %v", err)
+	}
+}
+
+// post sends one JSON request and returns the 200 response body.
+func (p *durserveProc) post(t *testing.T, path, body string) string {
+	t.Helper()
+	resp, err := http.Post(p.base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s %s: status %d: %s", path, body, resp.StatusCode, blob)
+	}
+	return string(blob)
 }
 
 func (p *durserveProc) subscribe(t *testing.T) {

@@ -246,7 +246,7 @@ func main() {
 	}
 	if *follow != "" {
 		tel.setState(stateFollowing)
-		fr = startFollower(hub, followSource, *dataDir, opts, *followPoll, *leaseTTL, func() {
+		fr = startFollower(hub, followSource, *dataDir, opts, *followPoll, *leaseTTL, tel.followerApply, func() {
 			tel.replica.IncLeaseExpiry()
 			requestPromotion("primary lease expired")
 		})

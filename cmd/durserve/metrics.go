@@ -42,6 +42,7 @@ type telemetrySet struct {
 	recoveries      *telemetry.Counter
 	walReplayed     *telemetry.Counter
 	recoverySeconds *telemetry.Histogram
+	followerApply   *telemetry.Histogram // per applied WAL record, on a follower
 
 	// Plan-quality introspection sources (see plans.go): the ledger and
 	// threshold installed by bindPlanLedger, the cache installed by bind.
@@ -144,6 +145,9 @@ func newTelemetry() *telemetrySet {
 	t.recoverySeconds = reg.Histogram("durserve_recovery_duration_seconds",
 		"Wall time per recovery (checkpoint restore + WAL replay).",
 		telemetry.DurationBuckets)
+	t.followerApply = reg.Histogram("durserve_follower_apply_seconds",
+		"Wall time per replicated WAL record a follower applied into its warm engines.",
+		telemetry.DurationBuckets)
 	reg.GaugeFunc("durserve_ready",
 		"1 once recovery has finished and the serving endpoints accept requests.",
 		func() float64 {
@@ -221,6 +225,12 @@ func (t *telemetrySet) bind(srv *serve.Server, hub *streamHub) {
 		engineStats(func(s streamStats) int64 { return s.Engine.Replans }))
 	reg.CounterFunc("durserve_stream_dropped_roots_total", "Root trees discarded by drift, age or replanning.",
 		engineStats(func(s streamStats) int64 { return s.Engine.DroppedRoots }))
+	for _, name := range storeNames(hub.engine.Shards()) {
+		name := name
+		reg.CounterFunc("durserve_wal_bytes_total",
+			"Write-ahead log record bytes appended, per store (0 without -data-dir, and on a follower until promotion).",
+			func() int64 { return hub.walBytes(name) }, telemetry.Label{Name: "store", Value: name})
+	}
 }
 
 func (t *telemetrySet) readyState() string {

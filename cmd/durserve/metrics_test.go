@@ -261,3 +261,45 @@ func TestRecoveryMetricsExposed(t *testing.T) {
 		t.Errorf("durserve_wal_records_replayed_total %d, want > 0", got)
 	}
 }
+
+// TestJournalMetrics covers the two series that price journaling refresh
+// outcomes. durserve_wal_bytes_total counts record frame bytes, which are
+// deterministic: two identically driven durable servers still expose
+// identical values on every series but the durations. And a follower
+// times every record it applies into durserve_follower_apply_seconds.
+func TestJournalMetrics(t *testing.T) {
+	const shards = 2
+	a := durableSharded(t, t.TempDir(), shards)
+	b := durableSharded(t, t.TempDir(), shards)
+	for _, ts := range []*httptest.Server{a.ts, b.ts} {
+		driveFixedSequence(t, ts)
+	}
+	bodyA := string(getBytes(t, a.ts, "/metrics"))
+	bodyB := string(getBytes(t, b.ts, "/metrics"))
+	_, exactA := splitExposition(bodyA)
+	_, exactB := splitExposition(bodyB)
+	if x, y := strings.Join(exactA, "\n"), strings.Join(exactB, "\n"); x != y {
+		t.Errorf("non-duration metric values diverged across identically-driven durable servers:\n%s\n----\n%s", x, y)
+	}
+	for _, name := range storeNames(shards) {
+		series := fmt.Sprintf("durserve_wal_bytes_total{store=%q}", name)
+		if got := metricValue(t, bodyA, series); got <= 0 {
+			t.Errorf("%s = %d after journaled traffic, want > 0", series, got)
+		}
+	}
+	if got := metricValue(t, bodyA, "durserve_follower_apply_seconds_count"); got != 0 {
+		t.Errorf("a primary applied %d replicated records", got)
+	}
+
+	f := startTestFollower(t, a.ts.URL, t.TempDir(), shards)
+	waitCaughtUp(t, f, storeNames(shards))
+	fsrv := httptest.NewServer(f.tel.opsMux())
+	defer fsrv.Close()
+	body := string(getBytes(t, fsrv, "/metrics"))
+	if got := metricValue(t, body, "durserve_follower_apply_seconds_count"); got <= 0 {
+		t.Errorf("durserve_follower_apply_seconds_count = %d on a caught-up follower, want > 0", got)
+	}
+	if got := metricValue(t, body, `durserve_wal_bytes_total{store="shard-0000"}`); got != 0 {
+		t.Errorf("a follower appended %d WAL bytes before promotion", got)
+	}
+}

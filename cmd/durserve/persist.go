@@ -19,17 +19,17 @@ import (
 
 // Durable serving state for the HTTP daemon, partitioned by lineage.
 // Each engine shard journals its own mutations (registrations,
-// subscriptions, closes, publish ticks — see internal/stream) to its own
-// store under shard-NNNN/, so shards checkpoint, replay and replicate
-// independently. The hub's own store under hub/ carries the few things
-// only the hub knows: the handle table binding HTTP subscription IDs to
-// engine IDs, the live feeds whose dedicated random sources drive /tick,
-// and the warm plan cache. A crash can land between any two of these
+// subscriptions and publish ticks with their refresh outcomes, closes —
+// see internal/stream) to its own store under shard-NNNN/, so shards
+// checkpoint, replay and replicate independently. The hub's own store
+// under hub/ carries the few things only the hub knows: the handle table
+// binding HTTP subscription IDs to engine IDs, the live feeds whose
+// dedicated random sources drive /tick, and the warm plan cache. A crash can land between any two of these
 // logs; recovery reconciles by replaying every lineage and then
 // catching lagging ones forward — feeds are deterministic functions of
 // (seed, stream, step), so any missing tick's state can be recomputed
-// and republished, and the engine's determinism makes the re-run
-// refresh bit-for-bit the one the dead process would have served.
+// and republished live, and the engine's determinism makes that refresh
+// bit-for-bit the one the dead process would have served.
 
 // hubFeedCreate records a feed's birth (its initial state and random
 // source are derived deterministically from the stream name and server
@@ -190,6 +190,21 @@ func (hs *hubStores) byName() map[string]*persist.Store {
 		m[shardStoreName(i)] = st
 	}
 	return m
+}
+
+// walBytes reports the record bytes appended to the named store since
+// it was opened; 0 while no stores are attached.
+func (h *streamHub) walBytes(name string) int64 {
+	h.mu.Lock()
+	hs := h.stores
+	h.mu.Unlock()
+	if hs == nil {
+		return 0
+	}
+	if st := hs.byName()[name]; st != nil {
+		return st.AppendedBytes()
+	}
+	return 0
 }
 
 // lastLSNs reports each store's last appended LSN, keyed by store name —
@@ -419,7 +434,7 @@ func (h *streamHub) resolveBinds() {
 }
 
 // reapOrphans closes engine subscriptions no handle can ever address —
-// a crash between a shard's EvSubscribed record and the hub's bind
+// a crash between a shard's EvAdded record and the hub's bind
 // record recovers a live subscription that would otherwise pay refresh
 // cost on every tick forever. The client never saw its handle (the
 // crash beat the response), so closing it is the consistent outcome:
@@ -442,15 +457,16 @@ func (h *streamHub) reapOrphans() {
 
 // alignStreams reconciles per-lineage tick divergence after recovery or
 // promotion. A tick writes the hub's feed-step record first, then each
-// shard's EvUpdated; a crash can tear any suffix of that sequence, so
-// the recovered lineages agree on a prefix and diverge by at most the
-// ticks in flight. The furthest lineage defines the target; the feed's
-// state trajectory is recomputed from genesis (it is a pure function of
-// (seed, stream, step)), lagging shards republish exactly the missing
-// states through the same refresh code the dead server would have run,
-// and the feed itself fast-forwards to the target. Determinism makes
-// the result bit-for-bit the state of an uninterrupted server at that
-// tick.
+// shard's tick record (EvTicked, the state plus its refresh outcomes); a
+// crash can tear any suffix of that sequence, so the recovered lineages
+// agree on a prefix and diverge by at most the ticks in flight. The
+// furthest lineage defines the target; the feed's state trajectory is
+// recomputed from genesis (it is a pure function of (seed, stream,
+// step)), and lagging shards — whose logs never got those ticks'
+// outcomes — republish exactly the missing states live, through the
+// refresh the dead server ran; the feed itself fast-forwards to the
+// target. Determinism makes the result bit-for-bit the state of an
+// uninterrupted server at that tick.
 func (h *streamHub) alignStreams(ctx context.Context) error {
 	h.mu.Lock()
 	names := make([]string, 0, len(h.feeds))

@@ -167,8 +167,27 @@ func (r *replicaSet) handlePromote(w http.ResponseWriter, req *http.Request) {
 // followerHooks wires mirrored stores into the hub: the hub lineage
 // restores and applies hub events (handle binds deferred until
 // promotion), each shard lineage restores and applies engine events on
-// its own warm shard engine.
-func followerHooks(h *streamHub) func(store string) (replicate.StoreHooks, bool) {
+// its own warm shard engine. Every applied record's wall time is
+// observed into applied.
+func followerHooks(h *streamHub, applied *telemetry.Histogram) func(store string) (replicate.StoreHooks, bool) {
+	lineage := lineageHooks(h)
+	return func(store string) (replicate.StoreHooks, bool) {
+		hooks, ok := lineage(store)
+		if ok {
+			apply := hooks.Apply
+			hooks.Apply = func(lsn int64, ev any) error {
+				began := telemetry.Now()
+				err := apply(lsn, ev)
+				applied.ObserveDuration(telemetry.Since(began))
+				return err
+			}
+		}
+		return hooks, ok
+	}
+}
+
+// lineageHooks restores and applies one mirrored store's lineage.
+func lineageHooks(h *streamHub) func(store string) (replicate.StoreHooks, bool) {
 	ctx := context.Background()
 	return func(store string) (replicate.StoreHooks, bool) {
 		if store == hubStoreName {
@@ -286,12 +305,12 @@ func discoverShardCount(source replicate.Source, wait time.Duration) (int, error
 // startFollower builds and launches the replication loop. onExpire
 // fires (once) when the primary's lease lapses; the caller decides
 // whether that triggers promotion.
-func startFollower(h *streamHub, source replicate.Source, dataDir string, opts persist.Options, poll, lease time.Duration, onExpire func()) *followerRun {
+func startFollower(h *streamHub, source replicate.Source, dataDir string, opts persist.Options, poll, lease time.Duration, applied *telemetry.Histogram, onExpire func()) *followerRun {
 	fr := &followerRun{hub: h, dataDir: dataDir, opts: opts, done: make(chan struct{})}
 	fr.follower = replicate.NewFollower(replicate.Config{
 		Source:         source,
 		Dir:            dataDir,
-		Hooks:          followerHooks(h),
+		Hooks:          followerHooks(h, applied),
 		Interval:       poll,
 		Lease:          lease,
 		OnLeaseExpired: onExpire,

@@ -81,7 +81,7 @@ func startTestFollower(t *testing.T, primaryURL, dir string, shards int) *follow
 	tel.bind(srv, hub)
 	tel.setState(stateFollowing)
 	fr := startFollower(hub, replicate.HTTPSource{Base: primaryURL}, dir, persist.Options{},
-		10*time.Millisecond, 0, func() {})
+		10*time.Millisecond, 0, tel.followerApply, func() {})
 	t.Cleanup(func() { fr.follower.Close() })
 	return &followerStack{hub: hub, srv: srv, tel: tel, fr: fr}
 }

@@ -5,15 +5,14 @@
 // batches (the g-MLSS sufficient statistics), live-state clocks and warm
 // level plans.
 //
-// The design is the classical checkpoint/redo-log pair, specialised by
-// one property of this repository: every serving mutation is
-// deterministic given the prior state (root path i draws substream i,
-// plan searches are pure functions of their cache key and the searching
-// state, moment folds run in root order). The WAL therefore
-// records *logical* events — subscribe, close, publish ticks — not
-// physical state diffs: replaying the tail re-runs the same refresh code
-// live traffic ran, and determinism guarantees the recovered in-memory
-// state is bit-for-bit the pre-crash one. Recovery is
+// The design is the classical checkpoint/redo-log pair. The WAL records
+// *logical* events, not physical state diffs: registrations, closes, and
+// for every subscribe and publish tick what each refresh decided — the
+// plan it resolved, the fresh root batches it simulated (their g-MLSS
+// counters and moments), how it ended. Replaying the tail installs those
+// outcomes through the engine's own refresh code without searching or
+// simulating again, so the recovered in-memory state is bit-for-bit the
+// pre-crash one even where a live refresh failed. Recovery is
 //
 //	state = decode(latest valid snapshot) + replay(WAL tail)
 //
@@ -118,6 +117,7 @@ type Store struct {
 	walBytes  int64
 	walSince  time.Time // when the live segment took its first record
 	walDirty  bool      // live segment holds at least one record
+	appended  int64     // record frame bytes appended since Open
 	sticky    error     // first append/IO failure; surfaced by Append and Checkpoint
 }
 
@@ -399,8 +399,18 @@ func (s *Store) Append(ev any) (int64, error) {
 	}
 	s.walDirty = true
 	s.walBytes += int64(len(frame))
+	s.appended += int64(len(frame))
 	s.nextLSN++
 	return lsn, nil
+}
+
+// AppendedBytes reports the record frame bytes Append has written since
+// Open — segment headers excluded, so the count is a function of the
+// records alone.
+func (s *Store) AppendedBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appended
 }
 
 // NeedCheckpoint reports whether the live segment has outgrown the size

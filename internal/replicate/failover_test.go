@@ -2,12 +2,15 @@ package replicate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"durability/internal/cluster"
+	"durability/internal/core"
 	"durability/internal/exec"
 	"durability/internal/mc"
 	"durability/internal/persist"
@@ -19,10 +22,11 @@ import (
 // These are the failover drills the tentpole rests on: a 4-shard
 // partitioned engine journaling to per-shard stores is killed at a
 // scripted crash point — mid-tick fan-out, mid-checkpoint, mid-WAL-
-// rotation — a follower drains what the dead primary left on disk into
-// warm engines, reconciles shard tick divergence, promotes, and must
-// then answer bit-for-bit like an engine that never died, for every
-// standing query, on both execution backends.
+// rotation, or mid-tick after a worker error failed one refresh — a
+// follower drains what the dead primary left on disk into warm engines,
+// reconciles shard tick divergence, promotes, and must then answer
+// bit-for-bit like an engine that never died, for every standing query,
+// on both execution backends.
 
 const drillShards = 4
 
@@ -78,11 +82,41 @@ func startChainWorkers(t *testing.T, n int) []string {
 	return addrs
 }
 
+// errWorker is the worker-error drill's injected RunRoots failure.
+var errWorker = errors.New("injected worker error")
+
+// faultyBackend fails the one RunRoots call of task seed `seed` whose
+// root range starts at `lo`, once, keyed on (seed, lo) rather than on
+// call order, which the concurrent refresh fan-out makes
+// non-deterministic. Until armed it is transparent.
+type faultyBackend struct {
+	exec.Executor
+	seed  uint64
+	lo    atomic.Int64 // -1 until armed
+	fired atomic.Bool
+}
+
+func newFaultyBackend(inner exec.Executor, seed uint64) *faultyBackend {
+	f := &faultyBackend{Executor: inner, seed: seed}
+	f.lo.Store(-1)
+	return f
+}
+
+func (f *faultyBackend) RunRoots(ctx context.Context, task exec.Task, lo, hi int64, rootsPerGroup int) (core.ShardResult, error) {
+	if task.Seed == f.seed && lo == f.lo.Load() && f.fired.CompareAndSwap(false, true) {
+		return core.ShardResult{}, errWorker
+	}
+	return f.Executor.RunRoots(ctx, task, lo, hi, rootsPerGroup)
+}
+
+// answersOf maps one tick's refreshes by subscription; a refresh error
+// fails the drill unless it is the injected worker error, whose refresh
+// keeps serving its capped answer.
 func answersOf(t *testing.T, label string, refreshes []stream.Refresh) map[uint64]stream.Answer {
 	t.Helper()
 	m := make(map[uint64]stream.Answer, len(refreshes))
 	for _, r := range refreshes {
-		if r.Err != nil {
+		if r.Err != nil && !errors.Is(r.Err, errWorker) {
 			t.Fatalf("%s: sub %d refresh: %v", label, r.SubID, r.Err)
 		}
 		m[r.SubID] = r.Answer
@@ -96,16 +130,29 @@ func runFailoverDrill(t *testing.T, backend exec.Executor, point string) {
 	const subsUpfront = 8
 	const subTick = 3 // one subscribe lands mid-stream, before tick 3
 	checkpointTick := 8
-	if point == "mid-tick" {
+	if point == "mid-tick" || point == "worker-error" {
 		checkpointTick = 5
 	}
 	cfg := stream.Config{Exec: backend}
+	// The worker-error drill fails one top-up of the seed-101
+	// subscription on the control's and the primary's backends, in the
+	// first tick after the checkpoint, so the follower meets the failed
+	// refresh in the WAL tail. The follower's backend stays healthy, as
+	// it would after a transient fault: the promoted answers must still
+	// equal the control's, failure included.
+	const faultySeed = 101
+	var controlExec, primaryExec *faultyBackend
+	ccfg, pcfg := cfg, cfg
+	if point == "worker-error" {
+		controlExec, primaryExec = newFaultyBackend(backend, faultySeed), newFaultyBackend(backend, faultySeed)
+		ccfg.Exec, pcfg.Exec = controlExec, primaryExec
+	}
 
 	// The scripted crash. Nth for the mid-tick kill counts every write
 	// shard 2's WAL files will take before the doomed tick-12 append:
-	// segment header, EvRegistered, its EvSubscribed records, eleven
-	// EvUpdated ticks, and the rotation header of the checkpoint at
-	// tick 5. The ring is a pure function, so the count is exact.
+	// segment header, EvRegistered, its subscribe records, eleven tick
+	// records, and the rotation header of the checkpoint at tick 5. The
+	// ring is a pure function, so the count is exact.
 	ring := stream.NewRing(drillShards, 0)
 	n2 := 0
 	for id := uint64(1); id <= subsUpfront+1; id++ {
@@ -115,7 +162,7 @@ func runFailoverDrill(t *testing.T, backend exec.Executor, point string) {
 	}
 	var crashRule *faultfs.Rule
 	switch point {
-	case "mid-tick":
+	case "mid-tick", "worker-error":
 		crashRule = &faultfs.Rule{Op: faultfs.OpWrite, Path: "shard-0002/wal-", Nth: 15 + n2, KeepBytes: 9, Kill: true}
 	case "mid-checkpoint":
 		crashRule = &faultfs.Rule{Op: faultfs.OpWrite, Path: "shard-0001/snap-", Nth: 1, KeepBytes: 11, Kill: true}
@@ -127,7 +174,7 @@ func runFailoverDrill(t *testing.T, backend exec.Executor, point string) {
 	ffs := faultfs.Wrap(nil, crashRule)
 
 	// Control: the engine that never dies.
-	control := stream.NewSharded(cfg, drillShards, 0)
+	control := stream.NewSharded(ccfg, drillShards, 0)
 	if err := control.Register("chain", stochastic.BirthDeathChain(10, 0.45, 0), &stochastic.ChainState{I: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +182,7 @@ func runFailoverDrill(t *testing.T, backend exec.Executor, point string) {
 	// Primary: same engine, journaling every shard to its own store
 	// through the fault-injecting filesystem.
 	pdir := t.TempDir()
-	primary := stream.NewSharded(cfg, drillShards, 0)
+	primary := stream.NewSharded(pcfg, drillShards, 0)
 	stores := make([]*persist.Store, drillShards)
 	for i := 0; i < drillShards; i++ {
 		st, err := persist.Open(filepath.Join(pdir, drillStoreName(i)), persist.Options{FS: ffs, Keep: 2})
@@ -153,12 +200,14 @@ func runFailoverDrill(t *testing.T, backend exec.Executor, point string) {
 		t.Fatal(err)
 	}
 
+	subscribed := map[uint64]*stream.Subscription{}
 	subscribe := func(seed uint64) {
 		t.Helper()
 		cs, err := control.Subscribe(ctx, drillSpec(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
+		subscribed[seed] = cs
 		ps, err := primary.Subscribe(ctx, drillSpec(seed))
 		if err != nil {
 			t.Fatal(err)
@@ -178,6 +227,13 @@ drive:
 	for k := 1; k <= len(trajectory); k++ {
 		if k == subTick {
 			subscribe(150)
+		}
+		if controlExec != nil && k == checkpointTick+1 {
+			// The subscription's next root range: one RunRoots call per
+			// TopUpRoots roots so far, none of them failed.
+			lo := subscribed[faultySeed].Stats().FreshRoots
+			controlExec.lo.Store(lo)
+			primaryExec.lo.Store(lo)
 		}
 		st := &stochastic.ChainState{I: trajectory[k-1]}
 		cref, err := control.Update(ctx, "chain", st)
@@ -209,6 +265,9 @@ drive:
 	}
 	if !ffs.Dead() {
 		t.Fatal("filesystem survived its own kill")
+	}
+	if controlExec != nil && !(controlExec.fired.Load() && primaryExec.fired.Load()) {
+		t.Fatal("the worker error never fired; the drill tested nothing")
 	}
 
 	// Failover: a follower drains the dead primary's directory into
@@ -324,9 +383,9 @@ drive:
 
 	// Serve on: every subsequent tick, and a brand-new subscription,
 	// must stay bit-for-bit with the control.
-	subscribed := false
+	resubscribed := false
 	for k := maxTick + 1; k <= int64(len(trajectory)); k++ {
-		if k > int64(crashTick) && !subscribed {
+		if k > int64(crashTick) && !resubscribed {
 			cs, err := control.Subscribe(ctx, drillSpec(200))
 			if err != nil {
 				t.Fatal(err)
@@ -338,7 +397,7 @@ drive:
 			if cs.ID() != ps.ID() {
 				t.Fatalf("post-promotion subscription ids diverged: control %d, promoted %d", cs.ID(), ps.ID())
 			}
-			subscribed = true
+			resubscribed = true
 		}
 		st := &stochastic.ChainState{I: trajectory[k-1]}
 		got, err := foll.Update(ctx, "chain", st)
@@ -367,15 +426,15 @@ drive:
 			}
 		}
 	}
-	if !subscribed {
+	if !resubscribed {
 		t.Fatal("drill never exercised a post-promotion subscribe")
 	}
 }
 
-var drillCrashPoints = []string{"mid-tick", "mid-checkpoint", "mid-rotation"}
+var drillCrashPoints = []string{"mid-tick", "mid-checkpoint", "mid-rotation", "worker-error"}
 
-// TestFailoverDrillsLocal runs the three scripted crash points on the
-// local execution backend.
+// TestFailoverDrillsLocal runs the scripted crash points on the local
+// execution backend.
 func TestFailoverDrillsLocal(t *testing.T) {
 	for _, point := range drillCrashPoints {
 		t.Run(point, func(t *testing.T) { runFailoverDrill(t, exec.Local{}, point) })

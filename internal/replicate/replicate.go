@@ -4,7 +4,10 @@
 // and sizes plus ranged byte fetches. The follower mirrors those bytes
 // into a local directory laid out exactly like the primary's data dir,
 // and applies complete WAL records through a persist.Tailer as they
-// arrive, so its engines track the primary tick by tick. On promotion
+// arrive, so its engines track the primary tick by tick. A shard record
+// carries each refresh's outcome (see internal/stream), so applying it
+// installs the primary's plans and fresh batches: a follower never
+// searches or simulates, and costs a fraction of the primary. On promotion
 // the mirror IS a valid data directory: persist.Open recovers it like
 // any other, torn tails and all.
 //

@@ -21,10 +21,13 @@ import (
 // The contract the types uphold is the repository's signature determinism
 // guarantee extended across process death: Restore hands back an engine
 // whose g-MLSS counters, per-root moments and root substream indices
-// (nextRoot) are exactly the captured ones, and Apply re-runs
-// journaled mutations through the same deterministic refresh path live
-// traffic used — so a recovered engine's subsequent answers are
-// bit-for-bit the answers the uninterrupted engine would have produced.
+// (nextRoot) are exactly the captured ones. The journal records what each
+// refresh decided — the plan it resolved, the fresh batches it simulated,
+// how it ended — not the command that triggered it, and Apply installs
+// those decisions through the same refresh body live traffic ran, minus
+// the plan search and the simulation. A recovered engine therefore holds
+// bit-for-bit the state of the uninterrupted one, whatever backend it
+// replays on and whether or not its live refreshes failed.
 
 // SpecState is the serializable form of a SubSpec: everything except the
 // observer function itself, which is code and is re-resolved by name at
@@ -200,12 +203,13 @@ type EvRegistered struct {
 	State   stochastic.State
 }
 
-// EvSubscribed records a successfully registered standing query with its
-// engine-assigned ID. Replay re-runs the initial refresh through the same
-// deterministic path, reconstructing the pool the live subscribe built.
-type EvSubscribed struct {
-	Spec SpecState
-	ID   uint64
+// EvAdded records a successfully registered standing query with its
+// engine-assigned ID and what its initial refresh decided. Replay
+// installs that outcome; it never searches or simulates.
+type EvAdded struct {
+	Spec    SpecState
+	ID      uint64
+	Outcome Outcome
 }
 
 // EvClosed records a subscription's deregistration.
@@ -213,24 +217,88 @@ type EvClosed struct {
 	ID uint64
 }
 
-// EvUpdated records one published state of a live stream. Replay re-runs
-// every affected subscription's refresh; determinism makes the replayed
-// refreshes consume exactly the root substreams the live refreshes
-// consumed.
+// EvTicked records one published state of a live stream together with
+// the outcome of every refresh on it that resolved a plan, simulated
+// fresh roots, or ended capped or with an error, ordered by subscription
+// ID. Refreshes that did none of these carry no entry: replay recomputes
+// them from the pool alone.
+type EvTicked struct {
+	Name     string
+	State    stochastic.State
+	Outcomes []Outcome
+}
+
+// Outcome is what one refresh decided, as a journal record carries it.
+// An Outcome with only its ID set decided nothing: the refresh kept its
+// plan and needed no top-up.
+type Outcome struct {
+	ID uint64
+	// Plan is set when the refresh resolved its plan (the first refresh,
+	// or a drift-bucket crossing).
+	Plan *PlanOutcome
+	// Batches are the fresh batches the top-up simulated, in order. Their
+	// tick, start value, start level and plan are the refresh's own.
+	Batches []BatchOutcome
+	// End is set when the top-up stopped short of the quality target.
+	End *EndOutcome
+}
+
+// PlanOutcome is one plan resolution: the plan, what the search cost and
+// whether the shared cache served it — or the error that left the
+// subscription on its previous plan and answer.
+type PlanOutcome struct {
+	Plan        core.Plan
+	SearchSteps int64
+	CacheHit    bool
+	Err         string
+}
+
+// BatchOutcome is one top-up round's fresh batch: its roots, their
+// simulator invocations, and its g-MLSS counters and per-root moments.
+type BatchOutcome struct {
+	Roots   int64
+	Steps   int64
+	Agg     core.Counters
+	Moments core.Moments
+}
+
+// EndOutcome is a top-up that stopped short of the quality target: the
+// root cursor it left, whether it counts as capped, and the error that
+// stopped it ("" for a step cap).
+type EndOutcome struct {
+	NextRoot int64
+	Capped   bool
+	Err      string
+}
+
+// EvSubscribed and EvUpdated are the records of the command log this
+// journal replaced: each told replay to re-run a refresh. They stay
+// declared and gob-registered only so that an old log still decodes and
+// Apply can refuse it by name.
+type EvSubscribed struct {
+	Spec SpecState
+	ID   uint64
+}
+
+// EvUpdated is the command log's tick record; see EvSubscribed.
 type EvUpdated struct {
 	Name  string
 	State stochastic.State
 }
 
 func (EvRegistered) journalEvent() {}
-func (EvSubscribed) journalEvent() {}
+func (EvAdded) journalEvent()      {}
 func (EvClosed) journalEvent()     {}
+func (EvTicked) journalEvent()     {}
+func (EvSubscribed) journalEvent() {}
 func (EvUpdated) journalEvent()    {}
 
 func init() {
 	gob.Register(EvRegistered{})
-	gob.Register(EvSubscribed{})
+	gob.Register(EvAdded{})
 	gob.Register(EvClosed{})
+	gob.Register(EvTicked{})
+	gob.Register(EvSubscribed{})
 	gob.Register(EvUpdated{})
 }
 
@@ -301,12 +369,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 			LSN:     ls.lsn,
 			Subs:    make([]SubState, 0, len(ls.subs)),
 		}
-		subs := make([]*Subscription, 0, len(ls.subs))
-		for _, sub := range ls.subs {
-			subs = append(subs, sub)
-		}
-		sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
-		for _, sub := range subs {
+		for _, sub := range ls.sorted() {
 			ss.Subs = append(ss.Subs, sub.extract())
 		}
 		ls.mu.Unlock()
@@ -382,19 +445,9 @@ func (e *Engine) Restore(snap EngineSnapshot, resolve Resolver) error {
 			if !ok {
 				return fmt.Errorf("stream: restoring subscription %d on %q: model %q has no observer %q — durable subscriptions must use registered observer names", sst.ID, ss.Name, ss.ModelID, sst.Spec.ObserverID)
 			}
-			sub := &Subscription{
-				id:       sst.ID,
-				engine:   e,
-				ls:       ls,
-				spec:     sst.Spec.subSpec(obs),
-				havePlan: sst.HavePlan,
-				plan:     sst.Plan,
-				bucket:   sst.Bucket,
-				nextRoot: sst.NextRoot,
-				answer:   sst.Answer,
-				stats:    sst.Stats,
-				notify:   make(chan struct{}),
-			}
+			sub := newSubscription(e, ls, sst.Spec.subSpec(obs), sst.ID)
+			sub.havePlan, sub.plan, sub.bucket, sub.nextRoot = sst.HavePlan, sst.Plan, sst.Bucket, sst.NextRoot
+			sub.answer, sub.stats = sst.Answer, sst.Stats
 			for _, bs := range sst.Batches {
 				sub.batches = append(sub.batches, &batch{
 					tick: bs.Tick, f0: bs.F0, initLevel: bs.InitLevel, plan: bs.Plan,
@@ -419,21 +472,20 @@ func (e *Engine) Restore(snap EngineSnapshot, resolve Resolver) error {
 	return nil
 }
 
-// Apply replays one journaled event onto the engine — the recovery path
-// after Restore. Events the snapshot already includes (lsn at or below the
-// event's stream's restored LSN) are skipped, so a snapshot taken mid-WAL
-// composes with the records around it. Attach the journal only after the
-// whole tail is applied.
+// Apply replays one journaled event onto the engine — the recovery and
+// follower path after Restore. Events the snapshot already includes (lsn
+// at or below the event's stream's restored LSN) are skipped, so a
+// snapshot taken mid-WAL composes with the records around it. Subscribe
+// and tick records install the outcomes they carry: Apply never resolves
+// a plan through a search and never simulates, so it needs neither the
+// executor nor a warm plan cache, and a refresh that failed live fails
+// identically here. Attach the journal only after the whole tail is
+// applied.
 func (e *Engine) Apply(ctx context.Context, lsn int64, ev JournalEvent, resolve Resolver) error {
 	switch ev := ev.(type) {
 	case EvRegistered:
-		if ls, err := e.stream(ev.Name); err == nil {
-			ls.mu.Lock()
-			done := ls.lsn >= lsn
-			ls.mu.Unlock()
-			if done {
-				return nil
-			}
+		if ls, err := e.stream(ev.Name); err == nil && ls.applied(lsn) {
+			return nil
 		}
 		proc, _, err := resolve(ev.Name, ev.ModelID)
 		if err != nil {
@@ -444,15 +496,12 @@ func (e *Engine) Apply(ctx context.Context, lsn int64, ev JournalEvent, resolve 
 		}
 		return e.stampLSN(ev.Name, lsn)
 
-	case EvSubscribed:
+	case EvAdded:
 		ls, err := e.stream(ev.Spec.Stream)
 		if err != nil {
 			return fmt.Errorf("stream: replaying subscription %d: %w", ev.ID, err)
 		}
-		ls.mu.Lock()
-		done := ls.lsn >= lsn
-		ls.mu.Unlock()
-		if done {
+		if ls.applied(lsn) {
 			return nil
 		}
 		_, observers, err := resolve(ls.name, ls.modelID)
@@ -463,12 +512,20 @@ func (e *Engine) Apply(ctx context.Context, lsn int64, ev JournalEvent, resolve 
 		if !ok {
 			return fmt.Errorf("stream: replaying subscription %d: model %q has no observer %q", ev.ID, ls.modelID, ev.Spec.ObserverID)
 		}
-		if _, err := e.subscribe(ctx, ev.Spec.subSpec(obs), ev.ID, lsn, true); err != nil {
+		sub := newSubscription(e, ls, ev.Spec.subSpec(obs), ev.ID)
+		ls.mu.Lock()
+		defer ls.mu.Unlock()
+		ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, &ev.Outcome)
+		if err != nil {
+			// Only successful subscribes are journaled.
 			return fmt.Errorf("stream: replaying subscription %d: %w", ev.ID, err)
 		}
-		if next := e.nextSub.Load(); ev.ID > next {
-			e.nextSub.Store(ev.ID)
+		if r.publish {
+			sub.store(ans)
 		}
+		ls.subs[sub.id] = sub
+		ls.lsn = lsn
+		e.adoptID(ev.ID)
 		return nil
 
 	case EvClosed:
@@ -487,10 +544,10 @@ func (e *Engine) Apply(ctx context.Context, lsn int64, ev JournalEvent, resolve 
 		}
 		return nil
 
-	case EvUpdated:
+	case EvTicked:
 		ls, err := e.stream(ev.Name)
 		if err != nil {
-			return fmt.Errorf("stream: replaying update of %q: %w", ev.Name, err)
+			return fmt.Errorf("stream: replaying tick of %q: %w", ev.Name, err)
 		}
 		ls.mu.Lock()
 		defer ls.mu.Unlock()
@@ -501,21 +558,60 @@ func (e *Engine) Apply(ctx context.Context, lsn int64, ev JournalEvent, resolve 
 		ls.tick++
 		ls.lsn = lsn
 		e.ticks.Add(1)
-		// Per-subscription refresh errors are tolerated exactly as the
-		// live Update path tolerates them (the next tick retries): the
-		// event was journaled before the live outcome was known, so
-		// failing recovery over one would turn a tolerated transient —
-		// a cancelled request, a brief backend outage — into a data
-		// directory that can never boot. A refresh that failed live and
-		// succeeds on replay (or vice versa) voids bit-for-bit equality
-		// until the next checkpoint, the documented boundary for
-		// non-deterministic mid-tick failures.
-		e.refreshLocked(ctx, ls)
+		// Outcomes and subscriptions are both in ID order; a subscription
+		// without an entry decided nothing and replays from its pool.
+		next := ev.Outcomes
+		var none Outcome
+		for _, sub := range ls.sorted() {
+			rec := &none
+			if len(next) > 0 && next[0].ID == sub.id {
+				rec, next = &next[0], next[1:]
+			}
+			ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, rec)
+			if errors.Is(err, errDiverged) {
+				return fmt.Errorf("stream: replaying tick %d of %q: %w", ls.tick, ev.Name, err)
+			}
+			// Any other error is the recorded outcome, reproduced: the
+			// live tick kept the subscription's failed refresh too.
+			if r.publish {
+				sub.store(ans)
+			}
+		}
+		if len(next) > 0 {
+			return fmt.Errorf("stream: replaying tick %d of %q: %w: the record carries an outcome for subscription %d, which the stream does not hold", ls.tick, ev.Name, errDiverged, next[0].ID)
+		}
 		return nil
+
+	case EvSubscribed:
+		return e.refuseCommand(lsn, ev.Spec.Stream, ev)
+	case EvUpdated:
+		return e.refuseCommand(lsn, ev.Name, ev)
 
 	default:
 		return fmt.Errorf("stream: unknown journal event %T", ev)
 	}
+}
+
+// refuseCommand rejects a command-log record the snapshot does not
+// already cover. Such a record asks replay to re-run a refresh whose
+// outcome it never recorded, which this engine no longer does.
+func (e *Engine) refuseCommand(lsn int64, name string, ev JournalEvent) error {
+	if ls, err := e.stream(name); err == nil && ls.applied(lsn) {
+		return nil
+	}
+	return fmt.Errorf("stream: record %d (%T) is from a journal that predates refresh-outcome records; checkpoint the data directory with the previous binary (a clean shutdown leaves a final checkpoint and an empty log tail), or move it aside and re-subscribe", lsn, ev)
+}
+
+// errDiverged marks a record that does not fit the state it is replayed
+// onto: an outcome for a subscription the stream lacks, or a refresh
+// whose recorded decisions disagree with what the pool requires.
+var errDiverged = errors.New("journal diverges from the replayed state")
+
+// applied reports whether the stream has already applied lsn.
+func (ls *liveState) applied(lsn int64) bool {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	return ls.lsn >= lsn
 }
 
 // stampLSN records lsn as applied on the named stream.

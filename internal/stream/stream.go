@@ -107,7 +107,8 @@ type Config struct {
 	// a sharded engine maintains bit-for-bit the answers a single-machine
 	// engine would. Remote backends rebuild models by registry name, so
 	// streams must be registered through RegisterModel with the name the
-	// workers know.
+	// workers know. Apply never calls it: replay installs the batches the
+	// journal recorded.
 	Exec exec.Executor
 
 	DriftTol         float64 // batch survival tolerance on |Δf0| (default DefaultDriftTol)
@@ -339,6 +340,14 @@ func (e *Engine) stream(name string) (*liveState, error) {
 // subscription, ordered by subscription ID. Updates to the same stream
 // serialize; a context cancellation mid-update leaves each subscription
 // with its last completed answer.
+//
+// The tick is journaled before it is published: the record carries the
+// state and what every refresh decided, and only once it is written do
+// the answers reach Answer and Wait, so no client ever sees an answer
+// the log lacks. A journal failure returns the error with every answer
+// unpublished; the refreshes' maintenance state has moved on, but the
+// journal's error is sticky, so recovery resumes from the last journaled
+// tick.
 func (e *Engine) Update(ctx context.Context, name string, st stochastic.State) ([]Refresh, error) {
 	if st == nil {
 		return nil, errors.New("stream: nil state")
@@ -349,48 +358,56 @@ func (e *Engine) Update(ctx context.Context, name string, st stochastic.State) (
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	// Write-ahead: the update is journaled before it is applied, so every
-	// tick whose answers a client could have observed is recoverable.
-	lsn, err := e.record(EvUpdated{Name: name, State: st.Clone()})
+	ls.state = st.Clone()
+	ls.tick++
+	e.ticks.Add(1)
+	began := telemetry.Now()
+	subs, out, done := e.refreshLocked(ctx, ls)
+	var outcomes []Outcome
+	for _, r := range done {
+		if r.out != nil {
+			outcomes = append(outcomes, *r.out)
+		}
+	}
+	lsn, err := e.record(EvTicked{Name: name, State: st.Clone(), Outcomes: outcomes})
 	if err != nil {
 		return nil, fmt.Errorf("stream: journaling update of %q: %w", name, err)
 	}
-	ls.state = st.Clone()
-	ls.tick++
 	if lsn > ls.lsn {
 		ls.lsn = lsn
 	}
-	e.ticks.Add(1)
-	began := telemetry.Now()
-	out := e.refreshLocked(ctx, ls)
 	var topUp int64
-	for _, r := range out {
+	for i, r := range out {
+		if done[i].publish {
+			subs[i].store(r.Answer)
+		}
 		topUp += r.Answer.FreshRoots
 	}
 	e.cfg.Metrics.ObserveTick(telemetry.Since(began), int64(len(out)), topUp)
 	return out, nil
 }
 
-// refreshLocked refreshes every subscription of ls against its current
-// state; the caller holds ls.mu.
-func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) []Refresh {
-	subs := make([]*Subscription, 0, len(ls.subs))
-	for _, sub := range ls.subs {
-		subs = append(subs, sub)
-	}
-	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
-
+// refreshLocked live-refreshes every subscription of ls against its
+// current state, in ID order, returning the subscriptions, their
+// refreshes and what each left to journal and publish. The caller holds
+// ls.mu.
+func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) ([]*Subscription, []Refresh, []refreshed) {
+	subs := ls.sorted()
 	out := make([]Refresh, len(subs))
+	done := make([]refreshed, len(subs))
+	run := func(i int) {
+		ans, r, err := subs[i].refresh(ctx, ls.proc, ls.state, ls.tick, nil)
+		out[i], done[i] = Refresh{SubID: subs[i].id, Answer: ans, Err: err}, r
+	}
 	workers := e.cfg.RefreshWorkers
 	if workers > len(subs) {
 		workers = len(subs)
 	}
 	if workers <= 1 {
-		for i, sub := range subs {
-			ans, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick)
-			out[i] = Refresh{SubID: sub.id, Answer: ans, Err: err}
+		for i := range subs {
+			run(i)
 		}
-		return out
+		return subs, out, done
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -399,8 +416,7 @@ func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) []Refresh {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				ans, err := subs[i].refresh(ctx, ls.proc, ls.state, ls.tick)
-				out[i] = Refresh{SubID: subs[i].id, Answer: ans, Err: err}
+				run(i)
 			}
 		}()
 	}
@@ -409,7 +425,18 @@ func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) []Refresh {
 	}
 	close(jobs)
 	wg.Wait()
-	return out
+	return subs, out, done
+}
+
+// sorted lists the stream's subscriptions in ID order. The caller holds
+// ls.mu.
+func (ls *liveState) sorted() []*Subscription {
+	subs := make([]*Subscription, 0, len(ls.subs))
+	for _, sub := range ls.subs {
+		subs = append(subs, sub)
+	}
+	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
+	return subs
 }
 
 // Subscribe registers a standing query against spec.Stream and computes
@@ -422,7 +449,7 @@ func (e *Engine) Subscribe(ctx context.Context, spec SubSpec) (*Subscription, er
 	if err != nil {
 		return nil, err
 	}
-	return e.subscribe(ctx, spec, 0, 0, false)
+	return e.subscribe(ctx, spec, 0)
 }
 
 // SubscribeAssigned is Subscribe with a caller-assigned ID — the sharded
@@ -439,15 +466,19 @@ func (e *Engine) SubscribeAssigned(ctx context.Context, spec SubSpec, id uint64)
 	if err != nil {
 		return nil, err
 	}
-	// Keep the internal sequence at or ahead of assigned IDs so a later
-	// plain Subscribe on this engine cannot collide.
+	e.adoptID(id)
+	return e.subscribe(ctx, spec, id)
+}
+
+// adoptID keeps the internal sequence at or ahead of an assigned or
+// replayed ID, so a later plain Subscribe on this engine cannot collide.
+func (e *Engine) adoptID(id uint64) {
 	for {
 		cur := e.nextSub.Load()
 		if cur >= id || e.nextSub.CompareAndSwap(cur, id) {
-			break
+			return
 		}
 	}
-	return e.subscribe(ctx, spec, id, 0, false)
 }
 
 // MaxSubID returns the highest subscription ID this engine has assigned
@@ -455,11 +486,11 @@ func (e *Engine) SubscribeAssigned(ctx context.Context, spec SubSpec, id uint64)
 // wrapper resumes its shared sequence from the max over its shards.
 func (e *Engine) MaxSubID() uint64 { return e.nextSub.Load() }
 
-// subscribe registers a defaulted spec. id == 0 is the live path: a fresh
-// ID is assigned. replay marks the Apply path, which reuses the logged ID
-// and stamps the event's lsn instead of journaling again; live paths
-// journal the registration once the initial refresh succeeds.
-func (e *Engine) subscribe(ctx context.Context, spec SubSpec, id uint64, lsn int64, replay bool) (*Subscription, error) {
+// subscribe registers a defaulted spec; id == 0 assigns a fresh ID. The
+// initial refresh runs live, and the registration is journaled with its
+// outcome before the answer is published or the subscription becomes
+// visible.
+func (e *Engine) subscribe(ctx context.Context, spec SubSpec, id uint64) (*Subscription, error) {
 	ls, err := e.stream(spec.Stream)
 	if err != nil {
 		return nil, err
@@ -467,31 +498,35 @@ func (e *Engine) subscribe(ctx context.Context, spec SubSpec, id uint64, lsn int
 	if id == 0 {
 		id = e.nextSub.Add(1)
 	}
-	sub := &Subscription{
-		id:     id,
-		engine: e,
-		ls:     ls,
-		spec:   spec,
-		notify: make(chan struct{}),
-	}
+	sub := newSubscription(e, ls, spec, id)
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if _, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick); err != nil {
+	ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, nil)
+	if err != nil {
 		return nil, err
 	}
-	if !replay {
-		// Journaled only on success: a crash mid-subscribe loses the
-		// half-built registration (the client retries) rather than
-		// recovering a subscription the client was never told about.
-		if lsn, err = e.record(EvSubscribed{Spec: specState(spec), ID: id}); err != nil {
-			return nil, fmt.Errorf("stream: journaling subscription: %w", err)
-		}
+	// Journaled only on success: a crash mid-subscribe loses the
+	// half-built registration (the client retries) rather than
+	// recovering a subscription the client was never told about.
+	ev := EvAdded{Spec: specState(spec), ID: id, Outcome: Outcome{ID: id}}
+	if r.out != nil {
+		ev.Outcome = *r.out
 	}
+	lsn, err := e.record(ev)
+	if err != nil {
+		return nil, fmt.Errorf("stream: journaling subscription: %w", err)
+	}
+	sub.store(ans)
 	ls.subs[sub.id] = sub
 	if lsn > ls.lsn {
 		ls.lsn = lsn
 	}
 	return sub, nil
+}
+
+// newSubscription builds an unregistered subscription with no answer.
+func newSubscription(e *Engine, ls *liveState, spec SubSpec, id uint64) *Subscription {
+	return &Subscription{id: id, engine: e, ls: ls, spec: spec, notify: make(chan struct{})}
 }
 
 // EngineStats is a point-in-time snapshot of the engine.

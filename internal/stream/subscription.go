@@ -369,9 +369,29 @@ func (s *Subscription) store(ans Answer) {
 	s.notify = make(chan struct{})
 }
 
+// refreshed is what one refresh hands back to the caller that journals
+// and publishes it.
+type refreshed struct {
+	// out is the live mode's outcome: what the journal must carry so
+	// replay reaches the same state (nil when the refresh decided
+	// nothing worth recording).
+	out *Outcome
+	// publish is false only when plan resolution failed: the
+	// subscription keeps its previous answer and nothing is stored.
+	publish bool
+}
+
+// decided reports whether the outcome records anything replay must
+// install. A nil outcome decided nothing.
+func (o *Outcome) decided() bool {
+	return o != nil && (o.Plan != nil || o.Batches != nil || o.End != nil)
+}
+
 // refresh maintains the answer against a new snapshot of the live state.
 // The caller holds ls.mu, which serializes refreshes per stream; proc and
 // state are the stream's current dynamics and snapshot, tick its clock.
+// The caller publishes the returned answer (store) once the outcome is
+// journaled.
 //
 // The maintenance sequence is: resolve the plan (re-searching only when
 // the normalized start value crossed a drift-bucket boundary, and then
@@ -379,12 +399,25 @@ func (s *Subscription) store(ans Answer) {
 // the surviving batches still within drift tolerance of the new state,
 // and top up with fresh root trees from the new state until the quality
 // target holds again.
-func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, state stochastic.State, tick int64) (Answer, error) {
+//
+// rec selects the mode. With rec nil the refresh is live: it resolves the
+// plan, runs the top-up loop and captures both in the returned outcome.
+// With rec non-nil it replays a journaled outcome: the recorded plan and
+// batches are installed in the same order and the answer is evaluated
+// once over the same active batches, so answers, SubStats and engine
+// counters equal the live ones — without a search or a simulation. The
+// plan-independent steps (expiry, survival, revival, booking, evaluate)
+// are shared by both modes.
+func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, state stochastic.State, tick int64, rec *Outcome) (Answer, refreshed, error) {
 	e := s.engine
 	cfg := e.cfg
 	began := telemetry.Now()
 	ans := Answer{Tick: tick}
 	defer e.refreshes.Add(1)
+	// out is the live refresh's outcome, allocated only once it decides
+	// something: a tick's journal record grows with the subscriptions
+	// that changed, not with all of them.
+	var out *Outcome
 
 	value := core.ThresholdValue(s.spec.Obs, s.spec.Beta)
 	f0 := s.spec.Obs(state) / s.spec.Beta
@@ -393,11 +426,13 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		// with certainty and no simulation. The pool is left in place —
 		// if the state recedes below the threshold, surviving batches
 		// resume contributing (age and drift pruning still apply).
+		if rec.decided() {
+			return s.Answer(), refreshed{}, fmt.Errorf("%w: subscription %d records decisions at a state that satisfies its query", errDiverged, s.id)
+		}
 		ans.Satisfied = true
 		ans.Result = mc.Result{P: 1}
-		s.store(ans)
 		cfg.Metrics.ObserveRefresh(telemetry.Since(began), 0, 0)
-		return ans, nil
+		return ans, refreshed{publish: true}, nil
 	}
 
 	bucket := int(math.Floor(math.Max(f0, 0) / cfg.StartBucketWidth))
@@ -421,19 +456,41 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		Stop:        s.spec.Stop,
 	}
 	if !s.havePlan || bucket != s.bucket {
-		plan, meta, err := e.runner.ResolvePlan(ctx, &sspec)
-		ans.SearchSteps = meta.SearchSteps
-		e.searchSteps.Add(meta.SearchSteps)
-		if err != nil {
+		var po PlanOutcome
+		if rec == nil {
+			plan, meta, err := e.runner.ResolvePlan(ctx, &sspec)
+			po = PlanOutcome{Plan: plan, SearchSteps: meta.SearchSteps, CacheHit: meta.CacheHit}
+			if err != nil {
+				po.Err = err.Error()
+			}
+			out = &Outcome{ID: s.id, Plan: &po}
+		} else {
+			if rec.Plan == nil {
+				return s.Answer(), refreshed{}, fmt.Errorf("%w: subscription %d crossed into drift bucket %d, but its outcome records no plan", errDiverged, s.id, bucket)
+			}
+			po = *rec.Plan
+			if po.Err == "" {
+				// Keep the primary's cache: a promoted standby then hits
+				// where the primary would have.
+				if key, ok := e.runner.PlanKeyFor(sspec); ok {
+					e.runner.Cache.Warm(key, po.Plan)
+				}
+			}
+		}
+		ans.SearchSteps = po.SearchSteps
+		e.searchSteps.Add(po.SearchSteps)
+		if po.Err != "" {
 			// Keep the previous plan and answer; the next update retries.
-			return s.Answer(), fmt.Errorf("stream: resolving plan: %w", err)
+			return s.Answer(), refreshed{out: out}, fmt.Errorf("stream: resolving plan: %s", po.Err)
 		}
 		ans.Replanned = s.havePlan
-		ans.PlanCached = meta.CacheHit
+		ans.PlanCached = po.CacheHit
 		if s.havePlan {
 			e.replans.Add(1)
 		}
-		s.plan, s.bucket, s.havePlan = plan, bucket, true
+		s.plan, s.bucket, s.havePlan = po.Plan, bucket, true
+	} else if rec != nil && rec.Plan != nil {
+		return s.Answer(), refreshed{}, fmt.Errorf("%w: subscription %d records a plan resolution its drift bucket %d does not call for", errDiverged, s.id, bucket)
 	}
 	m := s.plan.M()
 	initLevel := s.plan.LevelOf(value(state, 0))
@@ -463,70 +520,103 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		b.active = contributing
 	}
 
-	// Top up with fresh root trees from the new state until the quality
-	// target is restored. The fresh simulation runs through the engine's
-	// execution backend: in-process by default, or sharded across a
-	// worker fleet — the backend's determinism invariant (root i draws
-	// from substream i regardless of placement) keeps the maintained
-	// answer identical either way.
-	task := exec.Task{
-		Proc:       proc,
-		Obs:        s.spec.Obs,
-		Model:      s.ls.modelID,
-		Observer:   s.spec.ObserverID,
-		Start:      state,
-		Beta:       s.spec.Beta,
-		Horizon:    s.spec.Horizon,
-		Boundaries: s.plan.Boundaries,
-		Ratio:      s.spec.Ratio,
-		Seed:       s.spec.Seed,
-		SimWorkers: s.spec.SimWorkers,
-	}
-	res := s.evaluate(active, m, initLevel)
-	// fresh accumulates this refresh's top-up counters — each shard is
-	// already folded in root order by the backend — for the plan-quality
-	// ledger booking below.
+	// fresh accumulates this refresh's top-up counters, in batch order,
+	// for the plan-quality ledger booking below.
 	fresh := core.NewCounters(m)
-	var err error
-	for !s.spec.Stop.Done(res) {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			ans.Capped = true
-			break
-		}
-		if ans.FreshSteps >= cfg.MaxRefreshSteps {
-			ans.Capped = true
-			break
-		}
-		lo, hi := s.nextRoot, s.nextRoot+int64(cfg.TopUpRoots)
-		shard, serr := cfg.Exec.RunRoots(ctx, task, lo, hi, 1)
-		if serr != nil {
-			err = serr
-			ans.Capped = true
-			break
-		}
-		s.nextRoot = hi
-		ans.FreshRoots += shard.Roots
-		ans.FreshSteps += shard.Steps
-		ans.PoolRoots += shard.Roots
-		e.freshRoots.Add(shard.Roots)
-		e.freshSteps.Add(shard.Steps)
-		// The shard's aggregate and units are carved from one backing
-		// array; the batch copies what it keeps, so the array is freed.
+	// keep adds one fresh batch to the pool and the answer's accounting.
+	keep := func(bo BatchOutcome) *batch {
 		b := &batch{
 			tick: tick, f0: f0, initLevel: initLevel, plan: s.plan,
-			roots: shard.Roots, steps: shard.Steps,
-			agg: core.NewCounters(m), moments: core.NewMoments(m, initLevel),
+			roots: bo.Roots, steps: bo.Steps, agg: bo.Agg, moments: bo.Moments,
 			active: true,
 		}
-		b.agg.Add(shard.Agg)
-		for _, u := range shard.Groups {
-			b.moments.Add(u)
-		}
+		ans.FreshRoots += b.roots
+		ans.FreshSteps += b.steps
+		ans.PoolRoots += b.roots
+		e.freshRoots.Add(b.roots)
+		e.freshSteps.Add(b.steps)
 		s.batches = append(s.batches, b)
-		active = append(active, b)
-		fresh.Add(shard.Agg)
+		fresh.Add(b.agg)
+		return b
+	}
+	var res mc.Result
+	var err error
+	if rec != nil {
+		for _, bo := range rec.Batches {
+			s.nextRoot += int64(cfg.TopUpRoots)
+			active = append(active, keep(bo))
+		}
+		if end := rec.End; end != nil {
+			s.nextRoot, ans.Capped = end.NextRoot, end.Capped
+			if end.Err != "" {
+				err = errors.New(end.Err)
+			}
+		}
 		res = s.evaluate(active, m, initLevel)
+	} else {
+		// Top up with fresh root trees from the new state until the
+		// quality target is restored. The fresh simulation runs through
+		// the engine's execution backend: in-process by default, or
+		// sharded across a worker fleet — the backend's determinism
+		// invariant (root i draws from substream i regardless of
+		// placement) keeps the maintained answer identical either way.
+		task := exec.Task{
+			Proc:       proc,
+			Obs:        s.spec.Obs,
+			Model:      s.ls.modelID,
+			Observer:   s.spec.ObserverID,
+			Start:      state,
+			Beta:       s.spec.Beta,
+			Horizon:    s.spec.Horizon,
+			Boundaries: s.plan.Boundaries,
+			Ratio:      s.spec.Ratio,
+			Seed:       s.spec.Seed,
+			SimWorkers: s.spec.SimWorkers,
+		}
+		var batches []BatchOutcome
+		res = s.evaluate(active, m, initLevel)
+		for !s.spec.Stop.Done(res) {
+			if cerr := ctx.Err(); cerr != nil {
+				err = cerr
+				ans.Capped = true
+				break
+			}
+			if ans.FreshSteps >= cfg.MaxRefreshSteps {
+				ans.Capped = true
+				break
+			}
+			lo, hi := s.nextRoot, s.nextRoot+int64(cfg.TopUpRoots)
+			shard, serr := cfg.Exec.RunRoots(ctx, task, lo, hi, 1)
+			if serr != nil {
+				err = serr
+				ans.Capped = true
+				break
+			}
+			s.nextRoot = hi
+			// The shard's aggregate and units are carved from one backing
+			// array; the batch copies what it keeps, so the array is freed.
+			bo := BatchOutcome{Roots: shard.Roots, Steps: shard.Steps, Agg: core.NewCounters(m), Moments: core.NewMoments(m, initLevel)}
+			bo.Agg.Add(shard.Agg)
+			for _, u := range shard.Groups {
+				bo.Moments.Add(u)
+			}
+			// Batches are immutable once kept, so the outcome shares them.
+			batches = append(batches, bo)
+			active = append(active, keep(bo))
+			res = s.evaluate(active, m, initLevel)
+		}
+		if batches != nil || ans.Capped {
+			if out == nil {
+				out = &Outcome{ID: s.id}
+			}
+			out.Batches = batches
+			if ans.Capped {
+				out.End = &EndOutcome{NextRoot: s.nextRoot, Capped: true}
+				if err != nil {
+					out.End.Err = err.Error()
+				}
+			}
+		}
 	}
 	if err == nil && ans.FreshRoots > 0 {
 		// Book the refresh's fresh counters under the standing query's
@@ -535,9 +625,8 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		e.runner.BookRun(sspec, s.plan, fresh, ans.FreshRoots, ans.FreshSteps)
 	}
 	ans.Result = res
-	s.store(ans)
 	cfg.Metrics.ObserveRefresh(telemetry.Since(began), ans.FreshSteps, revived)
-	return ans, err
+	return ans, refreshed{out: out, publish: true}, err
 }
 
 // expire deletes batches older than MaxAgeTicks, booking their roots into
