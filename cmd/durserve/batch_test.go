@@ -128,7 +128,7 @@ func TestBatchConcurrentWithQueriesAndTicks(t *testing.T) {
 		Tracer: tel.tracer,
 	})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.2, 50_000_000, 1, nil, 0, tel.engine, 1)
+	hub := newStreamHub(srv, registry, 0.2, 50_000_000, 1, nil, tel.engine, 1)
 	tel.bind(srv, hub)
 	tel.setState(stateReady)
 	ts := httptest.NewServer(newMux(srv, hub, tel, &replicaSet{}))

@@ -30,7 +30,7 @@ var fuzzTS = sync.OnceValue(func() *httptest.Server {
 		DefaultRelErr: 0.5,
 		MaxHorizon:    2_000,
 	})
-	hub := newStreamHub(srv, registry, 0.5, 50_000, 1, nil, 0, nil, 1)
+	hub := newStreamHub(srv, registry, 0.5, 50_000, 1, nil, nil, 1)
 	return httptest.NewServer(newMux(srv, hub, newTelemetry(), &replicaSet{}))
 })
 

@@ -128,8 +128,6 @@ func main() {
 		workers    = flag.String("workers", "", "comma-separated shard-worker addresses; g-MLSS simulation is distributed across them")
 		worker     = flag.String("worker", "", "run as a shard worker on this address instead of serving HTTP")
 		localSim   = flag.Int("worker-sim", 4, "worker mode: local simulation parallelism per shard")
-		batchRoots = flag.Int("batch-roots", 0, "/batch: root paths per round (0 = 128, the one-shot estimator's round). One-shot queries run the estimator's own rounds")
-		topUpRoots = flag.Int("topup-roots", 0, "standing queries: fresh root paths per refresh top-up (0 = 64)")
 
 		// queue parameters
 		lambda = flag.Float64("lambda", 0.5, "queue: arrival rate")
@@ -200,7 +198,6 @@ func main() {
 		BetaBucketWidth: *bucket,
 		PlanCacheCap:    *planCache,
 		Executor:        backend,
-		ExecBatchRoots:  *batchRoots,
 		CoalesceWindow:  *coalesce,
 		Tracer:          tel.tracer,
 		Ledger:          ledger,
@@ -226,7 +223,7 @@ func main() {
 		}
 		shardCount = n
 	}
-	hub := newStreamHub(srv, registry, *defaultRE, *maxBudget, *seed, backend, *topUpRoots, tel.engine, shardCount)
+	hub := newStreamHub(srv, registry, *defaultRE, *maxBudget, *seed, backend, tel.engine, shardCount)
 	tel.bind(srv, hub)
 
 	opts := persist.Options{MaxWALBytes: *ckptBytes, MaxWALAge: *ckptAge}

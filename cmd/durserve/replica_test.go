@@ -39,7 +39,7 @@ func durableSharded(t *testing.T, dir string, shards int) *replicaStack {
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, 0, tel.engine, shards)
+	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, shards)
 	tel.bind(srv, hub)
 	hs, err := openHubStores(dir, persist.Options{}, shards)
 	if err != nil {
@@ -77,7 +77,7 @@ func startTestFollower(t *testing.T, primaryURL, dir string, shards int) *follow
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, 0, tel.engine, shards)
+	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, shards)
 	tel.bind(srv, hub)
 	tel.setState(stateFollowing)
 	fr := startFollower(hub, replicate.HTTPSource{Base: primaryURL}, dir, persist.Options{},
@@ -194,7 +194,7 @@ func TestFinalShutdownCoversAllShards(t *testing.T) {
 	defer srv.Close()
 	restarted.ts.Close()
 	restarted.hub.closeStores()
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, 0, tel.engine, shards)
+	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, shards)
 	tel.bind(srv, hub)
 	hs, err := openHubStores(dir, persist.Options{}, shards)
 	if err != nil {

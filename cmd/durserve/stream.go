@@ -76,7 +76,7 @@ type feed struct {
 	lsn   int64 // last journaled mutation applied to this feed
 }
 
-func newStreamHub(srv *serve.Server, registry serve.Registry, defaultRelErr float64, maxBudget int64, seed uint64, backend exec.Executor, topUpRoots int, metrics *telemetry.EngineMetrics, shards int) *streamHub {
+func newStreamHub(srv *serve.Server, registry serve.Registry, defaultRelErr float64, maxBudget int64, seed uint64, backend exec.Executor, metrics *telemetry.EngineMetrics, shards int) *streamHub {
 	if defaultRelErr <= 0 {
 		defaultRelErr = 0.10
 	}
@@ -90,7 +90,7 @@ func newStreamHub(srv *serve.Server, registry serve.Registry, defaultRelErr floa
 		shards = 1
 	}
 	return &streamHub{
-		engine:        stream.NewSharded(stream.Config{Runner: srv.Runner(), Exec: backend, TopUpRoots: topUpRoots, Metrics: metrics}, shards, 0),
+		engine:        stream.NewSharded(stream.Config{Runner: srv.Runner(), Exec: backend, Metrics: metrics}, shards, 0),
 		runner:        srv.Runner(),
 		registry:      registry,
 		defaultRelErr: defaultRelErr,

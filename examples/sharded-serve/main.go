@@ -8,8 +8,10 @@
 // transport is the same net/rpc the real fleet uses), runs one durability
 // query with the plain in-process sampler, on the local execution
 // backend and again sharded across the workers, and checks the three
-// answers bit for bit. It then does the same for a standing query
-// maintained over ten ticks of a live price stream.
+// answers bit for bit. It then does the same for a threshold ladder
+// answered by one shared run, and for a standing query maintained over
+// ten ticks of a live price stream — the three callers of core's one
+// estimator loop, each on both backends.
 //
 // Root path i draws from PRNG substream i of the query seed no matter
 // which machine simulates it, every root comes back as its own unit, and
@@ -104,6 +106,26 @@ func main() {
 		}
 	}
 	fmt.Println("bit-for-bit equal: in-process sampler, local backend, 2 workers")
+
+	// A threshold ladder — 0.85, 0.93 and 1 times the threshold, the
+	// plan's three boundaries — answered by one shared run per backend.
+	ladder := []core.Target{{Level: 1, Stop: quality}, {Level: 2, Stop: quality}, {Level: 3, Stop: quality}}
+	localLadder, err := exec.SampleBatch(ctx, exec.Local{}, task, ladder, exec.SampleOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	shardedLadder, err := exec.SampleBatch(ctx, backend, task, ladder, exec.SampleOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, l := range localLadder {
+		s := shardedLadder[i]
+		if s.P != l.P || s.Variance != l.Variance || s.Steps != l.Steps || s.Paths != l.Paths || s.Hits != l.Hits {
+			log.Fatalf("ladder level %d: sharded %v diverged from local %v", ladder[i].Level, s, l)
+		}
+	}
+	fmt.Printf("threshold ladder: P = %.6g / %.6g / %.6g over one run of %d steps, bit-for-bit equal across backends\n",
+		localLadder[0].P, localLadder[1].P, localLadder[2].P, localLadder[0].Steps)
 
 	// The same seam carries standing-query maintenance: two engines, one
 	// per backend, maintain the same subscription through the same ticks.

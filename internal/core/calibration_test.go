@@ -62,8 +62,10 @@ func calibrate(t *testing.T, p, target float64, answer func(seed uint64) (mc.Res
 
 // TestGMLSSCalibration gates the one-shot g-MLSS loop and a one-target
 // batch (exec.SampleBatch) on a birth-death chain whose hitting
-// probability internal/exact computes, with a three-boundary plan (so
-// the variance is the moments', not Eq. 11's).
+// probability internal/exact computes, with a three-boundary plan, and
+// the one-shot loop again with a single interior boundary: the two-level
+// plan that §4.2's Eq. 11 covers in closed form and the loop answers
+// with the moment variance like every other.
 func TestGMLSSCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs 400 seeded queries per path")
@@ -79,18 +81,24 @@ func TestGMLSSCalibration(t *testing.T) {
 	}
 	boundaries := []float64{4.0 / 9, 6.0 / 9, 8.0 / 9}
 	stop := mc.Any{mc.RETarget{Target: re}, mc.Budget{Steps: 10_000_000}}
-	t.Run("one-shot", func(t *testing.T) {
-		calibrate(t, p, re, func(seed uint64) (mc.Result, error) {
+	oneShot := func(plan core.Plan) func(seed uint64) (mc.Result, error) {
+		return func(seed uint64) (mc.Result, error) {
 			g := &core.GMLSS{
 				Proc:  stochastic.BirthDeathChain(12, 0.45, 2),
 				Query: core.Query{Value: core.ThresholdValue(stochastic.ChainIndex, beta), Horizon: horizon},
-				Plan:  core.MustPlan(boundaries...),
+				Plan:  plan,
 				Ratio: 3,
 				Stop:  stop,
 				Seed:  seed,
 			}
 			return g.Run(context.Background())
-		})
+		}
+	}
+	t.Run("one-shot", func(t *testing.T) {
+		calibrate(t, p, re, oneShot(core.MustPlan(boundaries...)))
+	})
+	t.Run("two-level", func(t *testing.T) {
+		calibrate(t, p, re, oneShot(core.MustPlan(5.0/9)))
 	})
 	t.Run("batch", func(t *testing.T) {
 		top := core.MustPlan(boundaries...).M()
@@ -100,7 +108,7 @@ func TestGMLSSCalibration(t *testing.T) {
 				Beta: beta, Horizon: horizon, Boundaries: boundaries, Ratio: 3, Seed: seed,
 			}
 			res, err := exec.SampleBatch(context.Background(), exec.Local{}, task,
-				[]exec.BatchTarget{{Level: top, Stop: stop}}, exec.SampleOptions{})
+				[]core.Target{{Level: top, Stop: stop}}, exec.SampleOptions{})
 			if err != nil {
 				return mc.Result{}, err
 			}

@@ -7,7 +7,6 @@ import (
 
 	"durability/internal/mc"
 	"durability/internal/stochastic"
-	"durability/internal/telemetry"
 )
 
 // estimate computes the g-MLSS estimator (Eq. 10) from aggregate counters
@@ -26,8 +25,10 @@ func (c *Counters) estimate(n int64, m, initLevel int) float64 {
 // No closed-form variance exists in general (§4.2), where the paper
 // bootstraps on a conservative schedule. Run instead reports the
 // delta-method variance of mergeable per-root moments (Moments), cheap
-// enough to evaluate every round, and Eq. 11's closed form on two-level
-// plans. The Result's VarTime field reports how much time variance
+// enough to evaluate every round, on every plan: on a two-level plan it
+// is the exact sample variance of the iid per-root estimate, which
+// Eq. 11's closed form overstates by the landing/skip covariance. The
+// Result's VarTime field reports how much time folding and variance
 // evaluation consumed — the quantity Figure 9 of the paper breaks out.
 type GMLSS struct {
 	Proc  stochastic.Process
@@ -42,11 +43,11 @@ type GMLSS struct {
 	// how to optimally allocate splitting ratios"). Rarer, higher levels
 	// typically warrant larger ratios.
 	Ratios []int
-	Stop   mc.StopRule
+	Stop   mc.StopRule // required by Run and RunOn
 	Seed   uint64
 
 	Workers int             // parallel workers (default 1)
-	Batch   int             // root paths between stop-rule checks (default 128)
+	Batch   int             // root paths between stop-rule checks (default RoundRoots)
 	Trace   func(mc.Result) // optional per-batch progress callback
 
 	// Observe, when non-nil, receives the run's finalized aggregate
@@ -79,9 +80,6 @@ func (g *GMLSS) validate() error {
 				return fmt.Errorf("core: per-level ratio %d at level %d must be >= 1", r, i+1)
 			}
 		}
-	}
-	if g.Stop == nil {
-		return errors.New("core: GMLSS requires a stop rule")
 	}
 	return nil
 }
@@ -116,13 +114,6 @@ func (g *GMLSS) workerCount() int {
 	return g.Workers
 }
 
-// RootRange simulates root paths [lo, hi) of a GMLSS sampler's tree
-// process and returns them as one Groups entry per root, in root order:
-// the ShardResult of RunRootsBy(ctx, lo, hi, 1), or of any execution
-// backend's RunRoots(…, 1). On an error it may return the completed
-// prefix of the range alongside, which RunOn folds before returning.
-type RootRange func(ctx context.Context, lo, hi int64) (ShardResult, error)
-
 // Run executes the sampler until the stop rule fires or the context is
 // cancelled. It is RunOn over RunRootsBy(ctx, lo, hi, 1), with the
 // simulation's kernels kept across rounds.
@@ -137,9 +128,9 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 	}
 	sim := simulate(g, g.workerCount(), proto, initLevel)
 	m := g.Plan.M()
-	return g.loop(ctx, initLevel, func(ctx context.Context, lo, hi int64) (ShardResult, error) {
+	return top(g.loop(ctx, initLevel, func(ctx context.Context, lo, hi int64) (ShardResult, error) {
 		return groupRoots(ctx, sim, lo, hi, 1, m)
-	})
+	}, []Target{{Level: m, Stop: g.Stop}}))
 }
 
 // RunOn executes the sampler's estimator loop over root paths simulated
@@ -149,77 +140,40 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 // the result is bit-for-bit Run's whenever roots returns what
 // RunRootsBy(ctx, lo, hi, 1) would.
 func (g *GMLSS) RunOn(ctx context.Context, roots RootRange) (mc.Result, error) {
-	_, initLevel, err := g.start()
-	if err != nil {
-		return mc.Result{}, err
-	}
-	return g.loop(ctx, initLevel, roots)
+	return top(g.RunTargetsOn(ctx, roots, []Target{{Level: g.Plan.M(), Stop: g.Stop}}))
 }
 
-// loop is the one-shot g-MLSS estimator loop (§3.1's "synchronize
-// counters on the machines periodically to produce a running
-// estimate"): fold each round of per-root units in root order, refresh
-// the estimate (Eq. 10) and its variance, and stop when the quality
-// target holds on the variance the result reports.
-func (g *GMLSS) loop(ctx context.Context, initLevel int, roots RootRange) (mc.Result, error) {
-	batch := g.Batch
-	if batch <= 0 {
-		batch = 128
+// RunTargetsOn is RunOn for a threshold ladder: one shared run, read off
+// at every target's level and stopped once every target's rule holds.
+// The results align with targets; Stop is not consulted, and Trace sees
+// the last target's result.
+func (g *GMLSS) RunTargetsOn(ctx context.Context, roots RootRange, targets []Target) ([]mc.Result, error) {
+	_, initLevel, err := g.start()
+	if err != nil {
+		return nil, err
 	}
-	m := g.Plan.M()
+	return g.loop(ctx, initLevel, roots, targets)
+}
 
-	start := telemetry.Now()
-	var res mc.Result
-	agg := NewCounters(m)
-	mom := NewMoments(m, initLevel)
-	// Eq. 11's Var(N_2^<1>) needs the sum of squared per-split crossing
-	// fractions. With m == 2 a root splits at most once at level 1 (the
-	// offspring watch only beta_2), so each root's Mu[1] is its one
-	// split's fraction and the per-root squares sum to that moment.
-	var fracSq float64
-	for {
-		shard, err := roots(ctx, res.Paths, res.Paths+int64(batch))
-		if int64(len(shard.Groups)) != shard.Roots {
-			return res, fmt.Errorf("core: root range returned %d units for %d roots, want one per root", len(shard.Groups), shard.Roots)
-		}
-		for _, u := range shard.Groups {
-			agg.Add(u)
-			if m == 2 {
-				fracSq += u.Mu[1] * u.Mu[1]
-			}
-		}
-		res.Steps += shard.Steps
-		res.Paths += shard.Roots
-		res.Hits = int64(agg.Hits)
-		res.P = agg.estimate(res.Paths, m, initLevel)
-		if err != nil {
-			res.Elapsed = telemetry.Since(start)
-			return res, err
-		}
-		// The two-level case has the closed form of Eq. 11, which costs
-		// nothing; every other plan takes the delta-method variance of the
-		// moments, and VarTime books its fold and evaluation. The moments
-		// fold on every plan: a two-level run falls back to them until
-		// two splits have happened.
-		varStart := telemetry.Now()
-		for _, u := range shard.Groups {
-			mom.Add(u)
-		}
-		if v, closed := twoLevelVariance(agg, fracSq, res.Paths, m, initLevel); closed {
-			res.Variance = v
-		} else {
-			res.Variance = mom.Variance(m)
-			res.VarTime += telemetry.Since(varStart)
-		}
-		res.Elapsed = telemetry.Since(start)
+// loop runs the estimator loop (Pool.Run) from an empty pool in rounds
+// of Batch roots.
+func (g *GMLSS) loop(ctx context.Context, initLevel int, roots RootRange, targets []Target) ([]mc.Result, error) {
+	pool := NewPool(g.Plan.M(), initLevel)
+	res, err := pool.Run(ctx, roots, g.Batch, targets, func(_ *Pool, res []mc.Result) {
 		if g.Trace != nil {
-			g.Trace(res)
+			g.Trace(res[len(res)-1])
 		}
-		if g.Stop.Done(res) {
-			if g.Observe != nil {
-				g.Observe(agg, res.Paths, res.Steps)
-			}
-			return res, nil
-		}
+	})
+	if err == nil && g.Observe != nil {
+		g.Observe(pool.Counters, pool.Roots, pool.Steps)
 	}
+	return res, err
+}
+
+// top unwraps a one-target run.
+func top(res []mc.Result, err error) (mc.Result, error) {
+	if len(res) == 0 {
+		return mc.Result{}, err
+	}
+	return res[0], err
 }

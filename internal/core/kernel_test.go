@@ -320,9 +320,10 @@ func TestKernelCancelMidBatch(t *testing.T) {
 			if res.Paths == 0 {
 				t.Fatalf("workers=%d %s: no completed prefix before cancellation", workers, path)
 			}
-			// Replay the prefix down the reference, uncancelled: a single
-			// group keeps the fold order identical to Run's batch folds.
-			shard, err := fx.gmlss(fx.proc, 1).runRootsBy(context.Background(), 0, res.Paths, int(res.Paths), referenceGMLSS)
+			// Replay the prefix down the reference, uncancelled: groups of
+			// one round, summed in order, keep the fold order identical to
+			// the loop's per-round folds and merges.
+			shard, err := fx.gmlss(fx.proc, 1).runRootsBy(context.Background(), 0, res.Paths, g.Batch, referenceGMLSS)
 			if err != nil {
 				t.Fatal(err)
 			}

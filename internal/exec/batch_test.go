@@ -3,9 +3,11 @@ package exec
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"durability/internal/core"
 	"durability/internal/mc"
 	"durability/internal/stochastic"
 )
@@ -18,8 +20,8 @@ func ladderTask() Task {
 	return t
 }
 
-func ladderTargets(stop mc.StopRule) []BatchTarget {
-	return []BatchTarget{
+func ladderTargets(stop mc.StopRule) []core.Target {
+	return []core.Target{
 		{Level: 1, Stop: stop},
 		{Level: 2, Stop: stop},
 		{Level: 3, Stop: stop},
@@ -133,6 +135,23 @@ func TestSampleBatchQualityTargets(t *testing.T) {
 	}
 }
 
+// groupingExec is a broken backend: it folds each range into one unit
+// whatever grouping the caller asks for.
+type groupingExec struct{ Local }
+
+func (g groupingExec) RunRoots(ctx context.Context, t Task, lo, hi int64, _ int) (core.ShardResult, error) {
+	return g.Local.RunRoots(ctx, t, lo, hi, int(hi-lo))
+}
+
+// The moments model one unit per root; a backend returning coarser
+// groups must fail the batch rather than skew its variances.
+func TestSampleBatchRejectsGroupedUnits(t *testing.T) {
+	_, err := SampleBatch(context.Background(), groupingExec{}, ladderTask(), ladderTargets(mc.Budget{Steps: 400_000}), SampleOptions{})
+	if err == nil || !strings.Contains(err.Error(), "one per root") {
+		t.Fatalf("grouped units: err = %v, want the loop's one-unit-per-root error", err)
+	}
+}
+
 func TestSampleBatchValidation(t *testing.T) {
 	ctx := context.Background()
 	task := ladderTask()
@@ -140,11 +159,11 @@ func TestSampleBatchValidation(t *testing.T) {
 	if _, err := SampleBatch(ctx, Local{}, task, nil, SampleOptions{}); err == nil {
 		t.Error("empty target set accepted")
 	}
-	if _, err := SampleBatch(ctx, Local{}, task, []BatchTarget{{Level: 1}}, SampleOptions{}); err == nil {
+	if _, err := SampleBatch(ctx, Local{}, task, []core.Target{{Level: 1}}, SampleOptions{}); err == nil {
 		t.Error("target without stop rule accepted")
 	}
 	for _, lvl := range []int{0, 4} {
-		if _, err := SampleBatch(ctx, Local{}, task, []BatchTarget{{Level: lvl, Stop: stop}}, SampleOptions{}); err == nil {
+		if _, err := SampleBatch(ctx, Local{}, task, []core.Target{{Level: lvl, Stop: stop}}, SampleOptions{}); err == nil {
 			t.Errorf("out-of-range target level %d accepted", lvl)
 		}
 	}

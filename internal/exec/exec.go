@@ -31,7 +31,6 @@ import (
 	"errors"
 
 	"durability/internal/core"
-	"durability/internal/mc"
 	"durability/internal/stochastic"
 )
 
@@ -106,17 +105,17 @@ func (Local) Name() string { return "local" }
 
 // RunRoots implements Executor.
 func (Local) RunRoots(ctx context.Context, t Task, lo, hi int64, rootsPerGroup int) (core.ShardResult, error) {
-	g, err := t.sampler(mc.Budget{Steps: 1}) // RunRootsBy never consults the stop rule
+	g, err := t.sampler()
 	if err != nil {
 		return core.ShardResult{}, err
 	}
 	return g.RunRootsBy(ctx, lo, hi, rootsPerGroup)
 }
 
-// sampler builds the in-process g-MLSS sampler of the task under the
-// given stop rule: the simulation Local runs, and the estimator loop
-// Sample runs over any backend.
-func (t *Task) sampler(stop mc.StopRule) (*core.GMLSS, error) {
+// sampler builds the in-process g-MLSS sampler of the task, without a
+// stop rule: the simulation Local runs, and the estimator loop Sample and
+// SampleBatch run over any backend.
+func (t *Task) sampler() (*core.GMLSS, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
@@ -137,7 +136,6 @@ func (t *Task) sampler(stop mc.StopRule) (*core.GMLSS, error) {
 		Plan:    plan,
 		Ratio:   t.Ratio,
 		Ratios:  t.Ratios,
-		Stop:    stop,
 		Seed:    t.Seed,
 		Workers: t.SimWorkers,
 	}, nil

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 
 	"durability/internal/core"
 	"durability/internal/mc"
@@ -14,10 +13,6 @@ type SampleOptions struct {
 	// Stop is the quality target; required by Sample (SampleBatch takes
 	// one per target).
 	Stop mc.StopRule
-	// BatchRoots is the number of root paths SampleBatch simulates per
-	// synchronization round (default 128, the one-shot loop's round).
-	// Sample runs core's own rounds and ignores it.
-	BatchRoots int
 	// Trace, when set, observes the running estimate after every round.
 	Trace func(mc.Result)
 	// Tracer, when set, books one merge span per SampleBatch round
@@ -26,18 +21,11 @@ type SampleOptions struct {
 	Tracer *telemetry.Tracer
 	// Counters, when set, receives the run's finalized aggregate
 	// counters (root paths and simulator steps alongside) exactly once,
-	// at a successful return. The aggregate is the in-root-order fold of
-	// every shard's per-root units, so it is identical across backends and
-	// cluster sizes — the crossing-statistics ledger hangs off this
-	// hook. Observability only.
+	// at a successful return. The aggregate is the in-order merge of every
+	// round's in-root-order fold of per-root units, so it is identical
+	// across backends and cluster sizes — the crossing-statistics ledger
+	// hangs off this hook. Observability only.
 	Counters func(agg core.Counters, roots, steps int64)
-}
-
-func (o SampleOptions) withDefaults() SampleOptions {
-	if o.BatchRoots <= 0 {
-		o.BatchRoots = 128
-	}
-	return o
 }
 
 // Sample answers one query over any execution backend. It is the task's
@@ -54,15 +42,11 @@ func Sample(ctx context.Context, ex Executor, t Task, opt SampleOptions) (mc.Res
 	if ex == nil {
 		ex = Local{}
 	}
-	if opt.Stop == nil {
-		return mc.Result{}, errors.New("exec: Sample requires a stop rule")
-	}
-	g, err := t.sampler(opt.Stop)
+	g, err := t.sampler()
 	if err != nil {
 		return mc.Result{}, err
 	}
-	g.Trace = opt.Trace
-	g.Observe = opt.Counters
+	g.Stop, g.Trace, g.Observe = opt.Stop, opt.Trace, opt.Counters
 	return g.RunOn(ctx, func(ctx context.Context, lo, hi int64) (core.ShardResult, error) {
 		return ex.RunRoots(ctx, t, lo, hi, 1)
 	})

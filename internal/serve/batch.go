@@ -228,15 +228,15 @@ func (r *Runner) RunBatch(ctx context.Context, s BatchSpec) ([]mc.Result, BatchM
 	}
 
 	// Locate every threshold's boundary in the covering plan.
-	targets := make([]exec.BatchTarget, len(distinct))
+	targets := make([]core.Target, len(distinct))
 	for i, ratio := range required {
 		lvl := plan.LevelOf(ratio)
 		if lvl < 1 || lvl >= plan.M() || plan.Boundary(lvl) != ratio {
 			return nil, meta, fmt.Errorf("serve: covering plan lost required boundary %v", ratio)
 		}
-		targets[i] = exec.BatchTarget{Level: lvl, Stop: s.Stop}
+		targets[i] = core.Target{Level: lvl, Stop: s.Stop}
 	}
-	targets[len(distinct)-1] = exec.BatchTarget{Level: plan.M(), Stop: s.Stop}
+	targets[len(distinct)-1] = core.Target{Level: plan.M(), Stop: s.Stop}
 
 	ex := r.Exec
 	if ex == nil {
@@ -255,7 +255,7 @@ func (r *Runner) RunBatch(ctx context.Context, s BatchSpec) ([]mc.Result, BatchM
 		Ratios:     plan.Ratios,
 		Seed:       s.Seed,
 		SimWorkers: s.SimWorkers,
-	}, targets, exec.SampleOptions{Stop: s.Stop, Trace: s.Trace, BatchRoots: r.ExecBatchRoots, Tracer: r.Trace, Counters: book})
+	}, targets, exec.SampleOptions{Trace: s.Trace, Tracer: r.Trace, Counters: book})
 	if len(distinctRes) > 0 {
 		meta.SharedSteps = distinctRes[0].Steps
 	}

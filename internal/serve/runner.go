@@ -129,14 +129,6 @@ type Runner struct {
 	// counters — stay on the in-process samplers regardless.
 	Exec exec.Executor
 
-	// ExecBatchRoots is the per-round root batch of batch answering
-	// (0 = exec's default, 128). A cluster backend cuts each round into
-	// one chunk per live worker. Changing it changes the stopping
-	// schedule (the batch size is part of the deterministic numerics),
-	// so compare runs only at equal settings. One-shot queries run
-	// core's own rounds and ignore it.
-	ExecBatchRoots int
-
 	// Trace, when non-nil, receives lifecycle spans: plan-cache /
 	// plan-search around plan resolution and exec around sampling, with
 	// step counts attributed so each stage's steps sum exactly to the

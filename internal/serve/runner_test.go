@@ -16,9 +16,8 @@ import (
 // A one-shot g-MLSS answer does not depend on where its roots are
 // simulated: the runner without an executor, with exec.Local and with a
 // two-worker cluster returns == results and books == ledger snapshots.
-// The two plans cover both variance paths of the estimator loop: a
-// two-level plan takes Eq. 11's closed form, a three-boundary plan the
-// delta-method moment variance.
+// The two plans cover a single interior boundary and several; both
+// report the delta-method moment variance.
 func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 	newWalk := func() (stochastic.Process, map[string]stochastic.Observer, error) {
 		return &stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
@@ -36,12 +35,11 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 		ex   exec.Executor
 	}{{"none", nil}, {"local", exec.Local{}}, {"cluster", clus}}
 	plans := []struct {
-		name    string
-		plan    core.Plan
-		moments bool
+		name string
+		plan core.Plan
 	}{
-		{"two-level", core.MustPlan(0.6), false},
-		{"three-boundary", core.MustPlan(0.4, 0.6, 0.8), true},
+		{"two-level", core.MustPlan(0.6)},
+		{"three-boundary", core.MustPlan(0.4, 0.6, 0.8)},
 	}
 	for _, pc := range plans {
 		t.Run(pc.name, func(t *testing.T) {
@@ -67,8 +65,8 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 				if !meta.CacheHit || !meta.Plan.Equal(pc.plan) {
 					t.Fatalf("%s: ran plan %v (cache hit %v), want the warmed %v", b.name, meta.Plan, meta.CacheHit, pc.plan)
 				}
-				if ranMoments := res.VarTime > 0; ranMoments != pc.moments {
-					t.Fatalf("%s: moment variance ran = %v, want %v", b.name, ranMoments, pc.moments)
+				if res.VarTime <= 0 {
+					t.Fatalf("%s: the moment variance's time went unbooked", b.name)
 				}
 				res.Elapsed, res.VarTime = 0, 0
 				snaps := r.Ledger.Snapshots()

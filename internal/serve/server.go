@@ -88,10 +88,8 @@ type Config struct {
 	PlanCacheCap int
 	// Executor, when set, is the execution backend g-MLSS queries run on
 	// (see Runner.Exec); nil keeps every query on the in-process
-	// samplers. ExecBatchRoots tunes the backend's per-round root batch
-	// (see Runner.ExecBatchRoots).
-	Executor       exec.Executor
-	ExecBatchRoots int
+	// samplers.
+	Executor exec.Executor
 
 	// CoalesceWindow is how long the first batch request of a
 	// compatibility class (model, observer, horizon, ratio, seed, quality
@@ -217,7 +215,7 @@ func NewServer(registry Registry, cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		registry: registry,
-		runner:   &Runner{Cache: NewPlanCache(cfg.BetaBucketWidth, WithCacheCapacity(cap)), Exec: cfg.Executor, ExecBatchRoots: cfg.ExecBatchRoots, Trace: cfg.Tracer, Ledger: cfg.Ledger},
+		runner:   &Runner{Cache: NewPlanCache(cfg.BetaBucketWidth, WithCacheCapacity(cap)), Exec: cfg.Executor, Trace: cfg.Tracer, Ledger: cfg.Ledger},
 		models:   make(map[string]*builtModel),
 		pending:  make(map[batchKey]*batchGather),
 		queue:    make(chan *job, cfg.QueueDepth),

@@ -46,6 +46,49 @@ func (c *countingExec) RunRoots(ctx context.Context, task exec.Task, lo, hi int6
 	return c.Local.RunRoots(ctx, task, lo, hi, rootsPerGroup)
 }
 
+// groupingExec is exec.Local until broken, then folds each range into
+// one unit whatever grouping the caller asks for.
+type groupingExec struct {
+	exec.Local
+	broken atomic.Bool
+}
+
+func (g *groupingExec) RunRoots(ctx context.Context, task exec.Task, lo, hi int64, rootsPerGroup int) (core.ShardResult, error) {
+	if g.broken.Load() {
+		rootsPerGroup = int(hi - lo)
+	}
+	return g.Local.RunRoots(ctx, task, lo, hi, rootsPerGroup)
+}
+
+// A top-up whose backend returns coarser groups than one unit per root
+// ends Capped with the loop's error and keeps none of them.
+func TestRefreshRejectsGroupedUnits(t *testing.T) {
+	env := newChainEnv()
+	ex := &groupingExec{}
+	eng := NewEngine(Config{Exec: ex})
+	if err := eng.Register("chain", env.proc, &stochastic.ChainState{I: 0}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := eng.Subscribe(ctx, env.spec()); err != nil {
+		t.Fatal(err)
+	}
+	ex.broken.Store(true)
+	// State 3 is far outside the drift tolerance: nothing survives, so
+	// the refresh must top up.
+	refreshes, err := eng.Update(ctx, "chain", &stochastic.ChainState{I: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := refreshes[0]
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "one per root") || !r.Answer.Capped {
+		t.Fatalf("grouped units: err %v, capped %v; want a capped refresh with the loop's error", r.Err, r.Answer.Capped)
+	}
+	if r.Answer.FreshRoots != 0 || r.Answer.Result.Paths != 0 {
+		t.Fatalf("a rejected round reached the pool: %+v", r.Answer)
+	}
+}
+
 // Replay installs journaled outcomes: it must reach bit-for-bit the
 // primary's answers, subscription stats and engine counters while running
 // no plan search, no plan-cache lookup and no simulation — including for
@@ -101,6 +144,9 @@ func TestReplayInstallsOutcomesWithoutSimulating(t *testing.T) {
 			sawPlanErr = sawPlanErr || (r.Err != nil && strings.Contains(r.Err.Error(), "resolving plan"))
 			sawInjected = sawInjected || errors.Is(r.Err, errInjected)
 			sawCapped = sawCapped || (r.Err == nil && r.Answer.Capped)
+			if res := r.Answer.Result; res.Elapsed != 0 || res.VarTime != 0 {
+				t.Fatalf("tick %d sub %d: live answer carries wall time %+v", k+1, r.SubID, res)
+			}
 		}
 	}
 	if !sawPlanErr || !sawInjected || !sawCapped {

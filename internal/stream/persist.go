@@ -131,9 +131,12 @@ type StreamState struct {
 type ConfigState struct {
 	DriftTol         float64
 	StartBucketWidth float64
-	TopUpRoots       int
-	MaxAgeTicks      int64
-	MaxRefreshSteps  int64
+	// TopUpRoots is always DefaultTopUpRoots, the constant round size.
+	// It stays so older snapshots decode and one taken under another
+	// round size is refused.
+	TopUpRoots      int
+	MaxAgeTicks     int64
+	MaxRefreshSteps int64
 	// GroupRoots and BootstrapReps are non-zero only in snapshots written
 	// while refreshes bootstrapped their variance: those batches carry
 	// bootstrap groups of GroupRoots roots, not the per-root moments the
@@ -150,7 +153,7 @@ func configState(c Config) ConfigState {
 	return ConfigState{
 		DriftTol:         c.DriftTol,
 		StartBucketWidth: c.StartBucketWidth,
-		TopUpRoots:       c.TopUpRoots,
+		TopUpRoots:       DefaultTopUpRoots,
 		MaxAgeTicks:      c.MaxAgeTicks,
 		MaxRefreshSteps:  c.MaxRefreshSteps,
 	}
@@ -395,7 +398,7 @@ func (s *Subscription) extract() SubState {
 	for _, b := range s.batches {
 		st.Batches = append(st.Batches, BatchState{
 			Tick: b.tick, F0: b.f0, InitLevel: b.initLevel, Plan: b.plan,
-			Roots: b.roots, Steps: b.steps, Agg: b.agg, Moments: b.moments,
+			Roots: b.Roots, Steps: b.Steps, Agg: b.Counters, Moments: b.Moments,
 		})
 	}
 	return st
@@ -451,7 +454,7 @@ func (e *Engine) Restore(snap EngineSnapshot, resolve Resolver) error {
 			for _, bs := range sst.Batches {
 				sub.batches = append(sub.batches, &batch{
 					tick: bs.Tick, f0: bs.F0, initLevel: bs.InitLevel, plan: bs.Plan,
-					roots: bs.Roots, steps: bs.Steps, agg: bs.Agg, moments: bs.Moments,
+					Pool: core.Pool{Counters: bs.Agg, Moments: bs.Moments, Roots: bs.Roots, Steps: bs.Steps},
 				})
 			}
 			ls.subs[sub.id] = sub

@@ -12,6 +12,7 @@ import (
 
 	"durability/internal/core"
 	"durability/internal/exec"
+	"durability/internal/mc"
 	"durability/internal/stochastic"
 )
 
@@ -221,7 +222,7 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	}
 	snap := eng.Snapshot()
 
-	other := NewEngine(Config{TopUpRoots: 128})
+	other := NewEngine(Config{DriftTol: 2 * DefaultDriftTol})
 	if err := other.Restore(snap, chainResolver); err == nil {
 		t.Fatal("Restore accepted a snapshot from different engine settings")
 	}
@@ -327,21 +328,21 @@ func TestStoredBatchSharesNoBackingWithShard(t *testing.T) {
 	if len(rec.shards) == 0 || len(sub.batches) == 0 {
 		t.Fatalf("no top-ups recorded (%d shards, %d batches)", len(rec.shards), len(sub.batches))
 	}
-	type kept struct {
-		agg core.Counters
-		mom core.Moments
-	}
-	before := make([]kept, len(sub.batches))
-	for i, b := range sub.batches {
-		agg := core.NewCounters(b.plan.M())
-		agg.Add(b.agg)
-		mom := core.NewMoments(b.plan.M(), b.initLevel)
-		mom.Merge(&b.moments) // into empty: a copy
-		before[i] = kept{agg, mom}
-	}
 	m := sub.plan.M()
 	initLevel := sub.batches[len(sub.batches)-1].initLevel
-	want := sub.evaluate(sub.batches, m, initLevel)
+	evaluate := func() mc.Result {
+		pool := core.NewPool(m, initLevel)
+		for _, b := range sub.batches {
+			pool.Merge(&b.Pool)
+		}
+		return pool.Result(m)
+	}
+	before := make([]core.Pool, len(sub.batches))
+	for i, b := range sub.batches {
+		before[i] = core.NewPool(m, b.initLevel)
+		before[i].Merge(&b.Pool) // into empty: a copy
+	}
+	want := evaluate()
 
 	poison := func(c core.Counters) {
 		for _, s := range [][]float64{c.Land, c.Skip, c.Mu} {
@@ -357,11 +358,11 @@ func TestStoredBatchSharesNoBackingWithShard(t *testing.T) {
 		}
 	}
 	for i, b := range sub.batches {
-		if !reflect.DeepEqual(b.agg, before[i].agg) || !reflect.DeepEqual(b.moments, before[i].mom) {
+		if !reflect.DeepEqual(b.Pool, before[i]) {
 			t.Fatalf("batch %d changed when its shard was overwritten: it shares the shard's backing array", i)
 		}
 	}
-	if got := sub.evaluate(sub.batches, m, initLevel); got != want {
+	if got := evaluate(); got != want {
 		t.Fatalf("answer moved after the shards were overwritten: %+v, was %+v", got, want)
 	}
 }

@@ -60,6 +60,11 @@ import (
 	"durability/internal/telemetry"
 )
 
+// DefaultTopUpRoots is the number of fresh root trees simulated per
+// top-up round: the round of a refresh's estimator loop, and the unit of
+// root survival.
+const DefaultTopUpRoots = 64
+
 // Defaults for Config fields left zero.
 const (
 	// DefaultDriftTol is the survival tolerance: a batch of root trees
@@ -74,9 +79,6 @@ const (
 	// keying; a plan is re-searched only when the state crosses a bucket
 	// boundary.
 	DefaultStartBucketWidth = 0.25
-	// DefaultTopUpRoots is the number of fresh root trees simulated per
-	// top-up round.
-	DefaultTopUpRoots = 64
 	// DefaultMaxAgeTicks expires batches by age even when the state has
 	// not drifted, bounding answer staleness on a becalmed stream.
 	DefaultMaxAgeTicks = 128
@@ -113,7 +115,6 @@ type Config struct {
 
 	DriftTol         float64 // batch survival tolerance on |Δf0| (default DefaultDriftTol)
 	StartBucketWidth float64 // plan-key bucket width on f0 (default DefaultStartBucketWidth)
-	TopUpRoots       int     // fresh roots per top-up round (default DefaultTopUpRoots)
 	MaxAgeTicks      int64   // batch age cap in ticks (default DefaultMaxAgeTicks)
 	MaxRefreshSteps  int64   // per-refresh fresh-simulation cap (default DefaultMaxRefreshSteps)
 
@@ -140,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StartBucketWidth <= 0 {
 		c.StartBucketWidth = DefaultStartBucketWidth
-	}
-	if c.TopUpRoots <= 0 {
-		c.TopUpRoots = DefaultTopUpRoots
 	}
 	if c.MaxAgeTicks <= 0 {
 		c.MaxAgeTicks = DefaultMaxAgeTicks

@@ -18,6 +18,10 @@ import (
 // ErrSubscriptionClosed reports use of a closed subscription.
 var ErrSubscriptionClosed = errors.New("stream: subscription closed")
 
+// errRefreshCapped stops a top-up that reached MaxRefreshSteps; the
+// refresh answers Capped without an error.
+var errRefreshCapped = errors.New("stream: refresh reached its fresh-step cap")
+
 // SubSpec describes one standing durability query: the probability that
 // Obs(state) >= Beta at any time within Horizon steps of the live state
 // it is registered against.
@@ -141,9 +145,9 @@ type Refresh struct {
 	Err    error
 }
 
-// batch is the unit of root survival: the g-MLSS sufficient statistics
-// of a small set of root trees simulated from one snapshot of the live
-// state, with their per-root moments for variance estimation. A batch
+// batch is the unit of root survival: one top-up round of root trees
+// simulated from one snapshot of the live state, kept as the estimator
+// loop's pool of their counters and per-root moments. A batch
 // contributes to the answer while it is "active" — simulated under
 // the current plan, from the current start level, with a start value
 // within the drift tolerance of the live state. An inactive batch stays
@@ -154,10 +158,7 @@ type batch struct {
 	f0        float64   // normalized start value z/beta at simulation time
 	initLevel int       // start level under the plan at simulation time
 	plan      core.Plan // the plan the trees were split under
-	roots     int64
-	steps     int64
-	agg       core.Counters
-	moments   core.Moments
+	core.Pool
 
 	// active marks the batch as contributing to the latest answer. It is
 	// in-memory telemetry bookkeeping only (revival detection) and is
@@ -190,9 +191,8 @@ type Subscription struct {
 	plan      core.Plan
 	bucket    int // drift bucket the plan was resolved for
 	batches   []*batch
-	nextRoot  int64        // next root index; strictly increasing so substreams never repeat
-	destroyed bool         // removed from ls.subs
-	evalMom   core.Moments // evaluate's scratch, reused across calls
+	nextRoot  int64 // next root index; strictly increasing so substreams never repeat
+	destroyed bool  // removed from ls.subs
 
 	// Published state, guarded by mu so readers never contend with a
 	// running refresh.
@@ -398,16 +398,16 @@ func (o *Outcome) decided() bool {
 // usually hitting the shared plan cache), expire aged batches, select
 // the surviving batches still within drift tolerance of the new state,
 // and top up with fresh root trees from the new state until the quality
-// target holds again.
+// target holds again: core's estimator loop, seeded with the survivors
+// merged in pool order, in rounds of DefaultTopUpRoots.
 //
 // rec selects the mode. With rec nil the refresh is live: it resolves the
 // plan, runs the top-up loop and captures both in the returned outcome.
 // With rec non-nil it replays a journaled outcome: the recorded plan and
-// batches are installed in the same order and the answer is evaluated
-// once over the same active batches, so answers, SubStats and engine
-// counters equal the live ones — without a search or a simulation. The
-// plan-independent steps (expiry, survival, revival, booking, evaluate)
-// are shared by both modes.
+// batches are merged into the same seed in the same order and the pool
+// is evaluated once, so answers, SubStats and engine counters equal the
+// live ones — without a search or a simulation. The plan-independent
+// steps (expiry, survival, revival, booking) are shared by both modes.
 func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, state stochastic.State, tick int64, rec *Outcome) (Answer, refreshed, error) {
 	e := s.engine
 	cfg := e.cfg
@@ -501,16 +501,17 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 
 	// Survival: a batch contributes to this answer when its trees were
 	// split under the current plan, start from the current level, and its
-	// start value is within the drift tolerance of the new state.
+	// start value is within the drift tolerance of the new state. The
+	// contributing batches, merged in pool order, seed the answer's pool.
 	tol := s.spec.driftTol(cfg)
 	var revived int64
-	active := make([]*batch, 0, len(s.batches)+1)
+	pool := core.NewPool(m, initLevel)
 	for _, b := range s.batches {
-		ans.PoolRoots += b.roots
+		ans.PoolRoots += b.Roots
 		contributing := b.initLevel == initLevel && math.Abs(b.f0-f0) <= tol && b.plan.Equal(s.plan)
 		if contributing {
-			active = append(active, b)
-			ans.SurvivedRoots += b.roots
+			pool.Merge(&b.Pool)
+			ans.SurvivedRoots += b.Roots
 			if !b.active {
 				// A dormant batch the state drifted back to — the revisit
 				// case the pool retains dormant batches for.
@@ -524,27 +525,24 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	// for the plan-quality ledger booking below.
 	fresh := core.NewCounters(m)
 	// keep adds one fresh batch to the pool and the answer's accounting.
-	keep := func(bo BatchOutcome) *batch {
-		b := &batch{
-			tick: tick, f0: f0, initLevel: initLevel, plan: s.plan,
-			roots: bo.Roots, steps: bo.Steps, agg: bo.Agg, moments: bo.Moments,
-			active: true,
-		}
-		ans.FreshRoots += b.roots
-		ans.FreshSteps += b.steps
-		ans.PoolRoots += b.roots
-		e.freshRoots.Add(b.roots)
-		e.freshSteps.Add(b.steps)
+	keep := func(p core.Pool) {
+		b := &batch{tick: tick, f0: f0, initLevel: initLevel, plan: s.plan, Pool: p, active: true}
+		ans.FreshRoots += b.Roots
+		ans.FreshSteps += b.Steps
+		ans.PoolRoots += b.Roots
+		e.freshRoots.Add(b.Roots)
+		e.freshSteps.Add(b.Steps)
 		s.batches = append(s.batches, b)
-		fresh.Add(b.agg)
-		return b
+		fresh.Add(b.Counters)
 	}
 	var res mc.Result
 	var err error
 	if rec != nil {
 		for _, bo := range rec.Batches {
-			s.nextRoot += int64(cfg.TopUpRoots)
-			active = append(active, keep(bo))
+			s.nextRoot += DefaultTopUpRoots
+			p := core.Pool{Counters: bo.Agg, Moments: bo.Moments, Roots: bo.Roots, Steps: bo.Steps}
+			keep(p)
+			pool.Merge(&p)
 		}
 		if end := rec.End; end != nil {
 			s.nextRoot, ans.Capped = end.NextRoot, end.Capped
@@ -552,7 +550,7 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 				err = errors.New(end.Err)
 			}
 		}
-		res = s.evaluate(active, m, initLevel)
+		res = pool.Result(m)
 	} else {
 		// Top up with fresh root trees from the new state until the
 		// quality target is restored. The fresh simulation runs through
@@ -574,36 +572,37 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 			SimWorkers: s.spec.SimWorkers,
 		}
 		var batches []BatchOutcome
-		res = s.evaluate(active, m, initLevel)
-		for !s.spec.Stop.Done(res) {
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-				ans.Capped = true
-				break
+		first := s.nextRoot
+		var results []mc.Result
+		results, err = pool.Run(ctx, func(ctx context.Context, lo, hi int64) (core.ShardResult, error) {
+			if err := ctx.Err(); err != nil {
+				return core.ShardResult{}, err
 			}
 			if ans.FreshSteps >= cfg.MaxRefreshSteps {
-				ans.Capped = true
-				break
+				return core.ShardResult{}, errRefreshCapped
 			}
-			lo, hi := s.nextRoot, s.nextRoot+int64(cfg.TopUpRoots)
-			shard, serr := cfg.Exec.RunRoots(ctx, task, lo, hi, 1)
-			if serr != nil {
-				err = serr
-				ans.Capped = true
-				break
+			// A failed range drops its partial shard: the cursor stays,
+			// and the answer is the last round's.
+			shard, err := cfg.Exec.RunRoots(ctx, task, first+lo, first+hi, 1)
+			if err != nil {
+				return core.ShardResult{}, err
 			}
-			s.nextRoot = hi
-			// The shard's aggregate and units are carved from one backing
-			// array; the batch copies what it keeps, so the array is freed.
-			bo := BatchOutcome{Roots: shard.Roots, Steps: shard.Steps, Agg: core.NewCounters(m), Moments: core.NewMoments(m, initLevel)}
-			bo.Agg.Add(shard.Agg)
-			for _, u := range shard.Groups {
-				bo.Moments.Add(u)
+			s.nextRoot = first + hi
+			return shard, nil
+		}, DefaultTopUpRoots, []core.Target{{Level: m, Stop: s.spec.Stop}}, func(round *core.Pool, _ []mc.Result) {
+			// The loop hands each round over: the batch keeps it, and the
+			// outcome shares it, since batches are immutable once kept.
+			batches = append(batches, BatchOutcome{Roots: round.Roots, Steps: round.Steps, Agg: round.Counters, Moments: round.Moments})
+			keep(*round)
+		})
+		// Answers carry no wall time (see Answer.Result).
+		res = results[0]
+		res.Elapsed, res.VarTime = 0, 0
+		if err != nil {
+			ans.Capped = true
+			if errors.Is(err, errRefreshCapped) {
+				err = nil
 			}
-			// Batches are immutable once kept, so the outcome shares them.
-			batches = append(batches, bo)
-			active = append(active, keep(bo))
-			res = s.evaluate(active, m, initLevel)
 		}
 		if batches != nil || ans.Capped {
 			if out == nil {
@@ -636,8 +635,8 @@ func (s *Subscription) expire(tick int64, ans *Answer) {
 	kept := s.batches[:0]
 	for _, b := range s.batches {
 		if tick-b.tick > maxAge {
-			ans.DroppedRoots += b.roots
-			s.engine.dropped.Add(b.roots)
+			ans.DroppedRoots += b.Roots
+			s.engine.dropped.Add(b.Roots)
 			continue
 		}
 		kept = append(kept, b)
@@ -647,27 +646,4 @@ func (s *Subscription) expire(tick int64, ans *Answer) {
 		s.batches[i] = nil
 	}
 	s.batches = kept
-}
-
-// evaluate computes the merged estimate and delta-method variance over
-// the active batches, merging their moments in pool order. The caller
-// holds ls.mu.
-func (s *Subscription) evaluate(active []*batch, m, initLevel int) mc.Result {
-	agg := core.NewCounters(m)
-	s.evalMom.Reset(m, initLevel)
-	var roots, steps int64
-	for _, b := range active {
-		agg.Add(b.agg)
-		s.evalMom.Merge(&b.moments)
-		roots += b.roots
-		steps += b.steps
-	}
-	res := mc.Result{Paths: roots, Steps: steps, Hits: int64(agg.Hits)}
-	if roots == 0 {
-		res.Variance = math.Inf(1)
-		return res
-	}
-	res.P = core.EstimateFromCounters(agg, roots, m, initLevel)
-	res.Variance = s.evalMom.Variance(m)
-	return res
 }
