@@ -61,7 +61,7 @@ func registry() cluster.Registry {
 func main() {
 	var (
 		serve   = flag.String("serve", "", "worker mode: listen on this address")
-		local   = flag.Int("local-workers", 4, "worker mode: local simulation parallelism")
+		local   = flag.Int("local-workers", 4, "worker mode: ceiling on the kernels one shard steps at once; a shard borrows only idle CPUs, up to it (0 = GOMAXPROCS)")
 		model   = flag.String("model", "queue", "coordinator: model name")
 		beta    = flag.Float64("beta", 58, "coordinator: threshold")
 		horizon = flag.Int("horizon", 500, "coordinator: time horizon")
@@ -82,7 +82,7 @@ func main() {
 			os.Exit(1)
 		}
 		addr := cluster.Serve(cluster.NewWorker(reg, *local), ln)
-		fmt.Printf("worker serving on %s (%d local workers)\n", addr, *local)
+		fmt.Printf("worker serving on %s (at most %d kernels per shard; 0 = GOMAXPROCS)\n", addr, *local)
 		select {} // serve until killed
 	}
 

@@ -37,7 +37,7 @@ func main() {
 		budget  = flag.Int64("budget", 0, "stop after this many simulator invocations")
 		ratio   = flag.Int("ratio", 3, "MLSS splitting ratio")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		workers = flag.Int("workers", 1, "parallel workers")
+		workers = flag.Int("workers", 1, "ceiling on the kernels one sampling round steps at once (only idle CPUs join)")
 
 		// queue parameters
 		lambda = flag.Float64("lambda", 0.5, "queue: arrival rate")

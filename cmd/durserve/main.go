@@ -106,7 +106,6 @@ func main() {
 		opsAddr    = flag.String("ops-addr", "", "separate operations listener for /metrics, /healthz, /readyz and /debug/pprof (empty = no ops listener; /metrics and /readyz still serve on -addr, pprof does not)")
 		pool       = flag.Int("pool", 0, "concurrent queries (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue", 64, "admission queue depth")
-		simWorkers = flag.Int("sim-workers", 1, "simulation workers per query")
 		timeout    = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 		maxBudget  = flag.Int64("max-budget", 0, "per-query simulator-invocation cap (0 = default)")
 		maxHorizon = flag.Int("max-horizon", 1_000_000, "reject queries with a longer horizon — budgets only bind between sampling rounds, so an absurd horizon could overshoot the budget by a whole round (0 = unlimited)")
@@ -127,7 +126,7 @@ func main() {
 		coalesce   = flag.Duration("coalesce", 2*time.Millisecond, "how long a /batch request waits for compatible batches to share its run (0 = never coalesce)")
 		workers    = flag.String("workers", "", "comma-separated shard-worker addresses; g-MLSS simulation is distributed across them")
 		worker     = flag.String("worker", "", "run as a shard worker on this address instead of serving HTTP")
-		localSim   = flag.Int("worker-sim", 4, "worker mode: local simulation parallelism per shard")
+		localSim   = flag.Int("worker-sim", 0, "worker mode: ceiling on the kernels one shard steps at once; a shard borrows only idle CPUs, up to it (0 = GOMAXPROCS)")
 
 		// queue parameters
 		lambda = flag.Float64("lambda", 0.5, "queue: arrival rate")
@@ -163,7 +162,7 @@ func main() {
 			log.Fatalf("durserve: %v", err)
 		}
 		addr := cluster.Serve(cluster.NewWorker(clusterRegistry(registry), *localSim), ln)
-		log.Printf("durserve: shard worker serving on %s (%d local sim workers)", addr, *localSim)
+		log.Printf("durserve: shard worker serving on %s (at most %d kernels per shard; 0 = GOMAXPROCS)", addr, *localSim)
 		stop := make(chan os.Signal, 1)
 		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 		<-stop
@@ -189,7 +188,6 @@ func main() {
 	srv := serve.NewServer(registry, serve.Config{
 		PoolWorkers:     *pool,
 		QueueDepth:      *queueDepth,
-		SimWorkers:      *simWorkers,
 		QueryTimeout:    *timeout,
 		MaxBudget:       *maxBudget,
 		MaxHorizon:      *maxHorizon,

@@ -57,7 +57,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments and exit")
 		scale   = flag.Float64("scale", 2, "quality-target scale (1 = paper fidelity)")
 		runs    = flag.Int("runs", 10, "repetitions for mean±std tables (paper uses 100)")
-		workers = flag.Int("workers", 8, "parallel simulation workers")
+		workers = flag.Int("workers", 8, "ceiling on the kernels one sampling round steps at once (only idle CPUs join)")
 		seed    = flag.Uint64("seed", 1, "base random seed")
 		cap     = flag.Int64("cap", 500_000_000, "hard per-run step budget")
 		mdPath  = flag.String("md", "", "append markdown output to this file")

@@ -217,7 +217,9 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) error { c.seed = seed; return nil }
 }
 
-// WithWorkers sets the number of parallel simulation workers (default 1).
+// WithWorkers caps the simulation kernels one sampling round steps at
+// once (default 1). A round borrows only the CPUs idle when it starts, up
+// to n, and the answer does not depend on how many joined.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

@@ -11,7 +11,9 @@
 // answers bit for bit. It then does the same for a threshold ladder
 // answered by one shared run, and for a standing query maintained over
 // ten ticks of a live price stream — the three callers of core's one
-// estimator loop, each on both backends.
+// estimator loop, each on both backends. The one-shot and the ladder
+// run once more with every round pinned to one kernel: idle CPUs join
+// rounds elsewhere, and that must not move an answer either.
 //
 // Root path i draws from PRNG substream i of the query seed no matter
 // which machine simulates it, every root comes back as its own unit, and
@@ -126,6 +128,29 @@ func main() {
 	}
 	fmt.Printf("threshold ladder: P = %.6g / %.6g / %.6g over one run of %d steps, bit-for-bit equal across backends\n",
 		localLadder[0].P, localLadder[1].P, localLadder[2].P, localLadder[0].Steps)
+
+	// Rounds above ran as wide as the idle CPUs allowed. Pinned to one
+	// kernel per round, the one-shot and the ladder must not move.
+	narrow := task
+	narrow.SimWorkers = 1
+	narrowOne, err := exec.Sample(ctx, exec.Local{}, narrow, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if narrowOne.P != local.P || narrowOne.Variance != local.Variance || narrowOne.Steps != local.Steps || narrowOne.Paths != local.Paths {
+		log.Fatalf("one-shot at width 1 %v diverged from the lending run %v", narrowOne, local)
+	}
+	narrowLadder, err := exec.SampleBatch(ctx, exec.Local{}, narrow, ladder, exec.SampleOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, l := range localLadder {
+		n := narrowLadder[i]
+		if n.P != l.P || n.Variance != l.Variance || n.Steps != l.Steps || n.Paths != l.Paths || n.Hits != l.Hits {
+			log.Fatalf("ladder level %d at width 1 %v diverged from the lending run %v", ladder[i].Level, n, l)
+		}
+	}
+	fmt.Println("bit-for-bit equal: one-shot and ladder at width 1 and with idle CPUs lent")
 
 	// The same seam carries standing-query maintenance: two engines, one
 	// per backend, maintain the same subscription through the same ticks.

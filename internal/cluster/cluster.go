@@ -87,15 +87,13 @@ type ShardReply struct {
 // Worker is the rpc service running on each machine.
 type Worker struct {
 	registry Registry
-	workers  int // local simulation parallelism per shard
+	workers  int // ceiling on the kernels one shard round steps at once
 }
 
-// NewWorker builds a worker that simulates each shard with the given
-// local parallelism.
+// NewWorker builds a worker whose shards step at most localWorkers
+// kernels at once (<= 0: GOMAXPROCS); each shard borrows only the idle
+// CPUs of the worker's process, so concurrent shards share its cores.
 func NewWorker(registry Registry, localWorkers int) *Worker {
-	if localWorkers < 1 {
-		localWorkers = 1
-	}
 	return &Worker{registry: registry, workers: localWorkers}
 }
 

@@ -46,7 +46,7 @@ type GMLSS struct {
 	Stop   mc.StopRule // required by Run and RunOn
 	Seed   uint64
 
-	Workers int             // parallel workers (default 1)
+	Workers int             // ceiling on the kernels a round steps at once (<= 0: GOMAXPROCS)
 	Batch   int             // root paths between stop-rule checks (default RoundRoots)
 	Trace   func(mc.Result) // optional per-batch progress callback
 
@@ -107,13 +107,6 @@ func (g *GMLSS) start() (proto stochastic.State, initLevel int, err error) {
 	return proto, initLevel, nil
 }
 
-func (g *GMLSS) workerCount() int {
-	if g.Workers <= 0 {
-		return 1
-	}
-	return g.Workers
-}
-
 // Run executes the sampler until the stop rule fires or the context is
 // cancelled. It is RunOn over RunRootsBy(ctx, lo, hi, 1), with the
 // simulation's kernels kept across rounds.
@@ -126,7 +119,7 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 	if err != nil {
 		return mc.Result{}, err
 	}
-	sim := simulate(g, g.workerCount(), proto, initLevel)
+	sim := simulate(g, width(g.Workers), proto, initLevel)
 	m := g.Plan.M()
 	return top(g.loop(ctx, initLevel, func(ctx context.Context, lo, hi int64) (ShardResult, error) {
 		return groupRoots(ctx, sim, lo, hi, 1, m)

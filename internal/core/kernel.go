@@ -2,14 +2,16 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"durability/internal/rng"
 	"durability/internal/stochastic"
 )
 
 // This file implements the vectorized simulation kernel: instead of
-// recursing through one root-path tree at a time, each worker drives a
+// recursing through one root-path tree at a time, each kernel drives a
 // frontier of lanes — one lane per in-flight root — in lockstep through
 // the model's bulk step (stochastic.BulkProcess.StepVec), amortizing
 // per-step dispatch across the whole frontier and keeping lane state in
@@ -25,7 +27,7 @@ import (
 // therefore every floating-point value, in the exact accumulation
 // order — is bit-for-bit the recursion's.
 
-// defaultLanes is the lane-frontier width per worker. Wide enough to
+// defaultLanes is the lane-frontier width per kernel. Wide enough to
 // amortize the per-round bookkeeping, small enough that the frontier's
 // state vectors stay cache-resident for every built-in model.
 const defaultLanes = 64
@@ -79,6 +81,7 @@ func (a *counterArena) carve(n int) []Counters {
 type entryArena struct {
 	m   int
 	buf []int64
+	ent [][]int64
 }
 
 func (a *entryArena) carve(n int) [][]int64 {
@@ -90,67 +93,125 @@ func (a *entryArena) carve(n int) [][]int64 {
 		a.buf = a.buf[:need]
 		clear(a.buf)
 	}
-	out := make([][]int64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a.buf[i*stride : (i+1)*stride : (i+1)*stride]
+	if cap(a.ent) < n {
+		a.ent = make([][]int64, n)
 	}
-	return out
+	a.ent = a.ent[:n]
+	for i := 0; i < n; i++ {
+		a.ent[i] = a.buf[i*stride : (i+1)*stride : (i+1)*stride]
+	}
+	return a.ent
 }
 
-// runLaneChunks fans the range [0, n) out over the lane kernels: one
-// contiguous chunk per worker, each advanced by its own kernel, and
-// chunk(w, wlo, whi) returns how many roots from wlo on completed. Root
-// paths are independent (§3.1 "Parallel Computations") and every root
-// draws from its own substream, so results are independent of goroutine
-// scheduling. On cancellation the completed range is the longest
-// contiguous prefix of finished roots — the contract callers rely on
-// for deterministic resume: roots a later worker finished beyond the
-// first gap are discarded, since they cannot be reported without
-// leaving a hole in the index space.
-func runLaneChunks(ctx context.Context, workers int, n int64, chunk func(w int, wlo, whi int64) int64) (int64, error) {
-	if workers <= 1 {
-		completed := chunk(0, 0, n)
-		if err := ctx.Err(); err != nil {
-			return completed, err
-		}
-		return n, nil
+// stepping counts the goroutines stepping lane kernels, process-wide:
+// each sampler loop or root-range call counts its own goroutine
+// (occupy), and each helper kernel lent to a round counts while it runs.
+// GOMAXPROCS minus stepping is the number of idle CPUs a round may
+// borrow, so a saturated process lends nothing.
+var stepping atomic.Int64
+
+// lent counts the helper kernels borrowed since the process started.
+var lent atomic.Int64
+
+// LentKernels reports how many helper kernels rounds have borrowed since
+// the process started. It is a diagnostic: tests read it to check that a
+// round lends only idle CPUs.
+func LentKernels() int64 { return lent.Load() }
+
+// occupiedKey marks a context whose goroutine occupy already counts.
+type occupiedKey struct{}
+
+// occupy counts the calling goroutine as stepping until release runs.
+// The returned context carries the mark, so a sampler call nested on the
+// same goroutine — exec.Local's RunRootsBy inside Pool.Run — does not
+// count it twice, and a loop keeps its CPU across the gaps between its
+// rounds instead of lending it to another query's round.
+func occupy(ctx context.Context) (context.Context, func()) {
+	if ctx.Value(occupiedKey{}) != nil {
+		return ctx, func() {}
 	}
-	per := (n + int64(workers) - 1) / int64(workers)
-	done := make([]int64, workers)
+	stepping.Add(1)
+	return context.WithValue(ctx, occupiedKey{}, true), func() { stepping.Add(-1) }
+}
+
+// borrow claims up to want idle CPUs for helper kernels and returns how
+// many it claimed; each claimed CPU is returned by stepping.Add(-1).
+// Width-1 rounds (want 0) return before runtime.GOMAXPROCS, which takes
+// the scheduler's lock.
+func borrow(want int) int {
+	if want <= 0 {
+		return 0
+	}
+	procs := int64(runtime.GOMAXPROCS(0))
+	for {
+		s := stepping.Load()
+		k := min(int64(want), procs-s)
+		if k <= 0 {
+			return 0
+		}
+		if stepping.CompareAndSwap(s, s+k) {
+			lent.Add(k)
+			return int(k)
+		}
+	}
+}
+
+// width resolves a Workers setting to the ceiling on the kernels one
+// round may step at once: the setting itself, or GOMAXPROCS when <= 0.
+func width(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// cancelled reports whether done (a ctx.Done() captured once per chunk)
+// is closed. Unlike ctx.Err, the receive takes no lock, so the kernels
+// can poll it every lockstep round while the helpers of one query, or
+// the shards of one tick, share a context.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// runLaneChunks fans the range [0, n) out over lane kernels: the calling
+// goroutine always steps chunk 0, and each idle CPU the process has when
+// the round starts joins as a helper kernel, up to ceiling kernels in all
+// (and at most one per root). The range is cut into one contiguous chunk
+// per kernel, and chunk(w, wlo, whi) returns how many roots from wlo on
+// completed. Root paths are independent (§3.1 "Parallel Computations")
+// and every root draws from its own substream, so results are
+// independent of the width and of goroutine scheduling. On cancellation
+// the completed range is the longest contiguous prefix of finished roots
+// — the contract callers rely on for deterministic resume: roots a later
+// kernel finished beyond the first gap are discarded, since they cannot
+// be reported without leaving a hole in the index space.
+func runLaneChunks(ctx context.Context, ceiling int, n int64, chunk func(w int, wlo, whi int64) int64) (int64, error) {
+	kernels := 1 + borrow(int(min(int64(ceiling), n))-1)
+	bound := func(w int) int64 { return n * int64(w) / int64(kernels) }
+	done := make([]int64, kernels)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wlo := int64(w) * per
-		whi := wlo + per
-		if whi > n {
-			whi = n
-		}
-		if wlo >= whi {
-			continue
-		}
+	for w := 1; w < kernels; w++ {
 		wg.Add(1)
-		go func(w int, wlo, whi int64) {
+		go func() {
 			defer wg.Done()
-			done[w] = chunk(w, wlo, whi)
-		}(w, wlo, whi)
+			defer stepping.Add(-1)
+			done[w] = chunk(w, bound(w), bound(w+1))
+		}()
 	}
+	done[0] = chunk(0, 0, bound(1))
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		prefix := n
-		for w := 0; w < workers; w++ {
-			wlo := int64(w) * per
-			whi := wlo + per
-			if whi > n {
-				whi = n
-			}
-			if wlo >= whi {
-				break
-			}
-			if done[w] < whi-wlo {
-				prefix = wlo + done[w]
-				break
+	if cancelled(ctx.Done()) {
+		for w := range done {
+			if lo := bound(w); done[w] < bound(w+1)-lo {
+				return lo + done[w], ctx.Err()
 			}
 		}
-		return prefix, err
+		return n, ctx.Err()
 	}
 	return n, nil
 }
@@ -224,7 +285,7 @@ func (ls *laneSet) completedPrefix() int64 {
 	return p
 }
 
-// gmlssKernel drives one worker's lane frontier through the g-MLSS
+// gmlssKernel drives one kernel's lane frontier through the g-MLSS
 // tree walk. advance replicates the recursion's per-step bookkeeping;
 // finishSegment replicates its unwinding.
 type gmlssKernel struct {
@@ -269,7 +330,8 @@ func (k *gmlssKernel) runChunk(ctx context.Context, base int64, out []gmlssRoot)
 		k.startRoot(i)
 		k.active = append(k.active, i)
 	}
-	for len(k.active) > 0 && ctx.Err() == nil {
+	done := ctx.Done()
+	for len(k.active) > 0 && !cancelled(done) {
 		k.bulk.StepVec(k.vec, k.active, k.t, k.srcPtr)
 		w := 0
 		for _, i := range k.active {
@@ -387,7 +449,7 @@ func (k *gmlssKernel) finishSegment(i int, crossed bool) bool {
 	}
 }
 
-// smlssKernel drives one worker's lane frontier through the s-MLSS
+// smlssKernel drives one kernel's lane frontier through the s-MLSS
 // tree walk.
 type smlssKernel struct {
 	laneSet
@@ -429,7 +491,8 @@ func (k *smlssKernel) runChunk(ctx context.Context, base int64, out []smlssRoot)
 		k.startRoot(i)
 		k.active = append(k.active, i)
 	}
-	for len(k.active) > 0 && ctx.Err() == nil {
+	done := ctx.Done()
+	for len(k.active) > 0 && !cancelled(done) {
 		k.bulk.StepVec(k.vec, k.active, k.t, k.srcPtr)
 		w := 0
 		for _, i := range k.active {

@@ -472,6 +472,17 @@ func TestNewLevelCountersSingleAlloc(t *testing.T) {
 	}
 }
 
+// The s-MLSS entry arena is recycled batch to batch like the counter
+// arena: carving a batch no larger than the last allocates nothing, the
+// per-root header included.
+func TestEntryArenaCarveRecycles(t *testing.T) {
+	a := entryArena{m: 4}
+	a.carve(128)
+	if allocs := testing.AllocsPerRun(100, func() { a.carve(128) }); allocs != 0 {
+		t.Fatalf("carving a recycled batch allocates %v times, want 0", allocs)
+	}
+}
+
 // TestKernelAllocsPerRoot pins the pooling work: a bulk sharded run
 // must allocate O(1), not O(roots) — the arena, the lane vectors and
 // the result slices, amortized over thousands of roots.

@@ -92,6 +92,10 @@ func (p *Pool) Result(level int) mc.Result {
 // prefix roots returned, or nothing) and returns the results with the
 // error. Every result carries the loop's wall time, Elapsed, and in
 // VarTime the part spent folding, merging and evaluating.
+//
+// The calling goroutine counts as stepping a kernel for the whole loop,
+// so the idle CPUs in-process rounds borrow (runLaneChunks) are never
+// the ones this loop folds and evaluates on between its rounds.
 func (p *Pool) Run(ctx context.Context, roots RootRange, round int, targets []Target, onRound func(round *Pool, res []mc.Result)) ([]mc.Result, error) {
 	m, initLevel := p.Moments.M, p.Moments.First-1
 	if len(targets) == 0 {
@@ -108,6 +112,8 @@ func (p *Pool) Run(ctx context.Context, roots RootRange, round int, targets []Ta
 	if round <= 0 {
 		round = RoundRoots
 	}
+	ctx, release := occupy(ctx)
+	defer release()
 
 	start := telemetry.Now()
 	res := make([]mc.Result, len(targets))

@@ -83,11 +83,13 @@ func (g *GMLSS) RunRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int)
 }
 
 func (g *GMLSS) runRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int, simulate gmlssSimFunc) (ShardResult, error) {
+	ctx, release := occupy(ctx)
+	defer release()
 	proto, initLevel, err := g.start()
 	if err != nil {
 		return ShardResult{}, err
 	}
-	return groupRoots(ctx, simulate(g, g.workerCount(), proto, initLevel), lo, hi, rootsPerGroup, g.Plan.M())
+	return groupRoots(ctx, simulate(g, width(g.Workers), proto, initLevel), lo, hi, rootsPerGroup, g.Plan.M())
 }
 
 // groupRoots simulates roots [lo, hi) through sim and folds them, in root

@@ -11,7 +11,8 @@ import (
 // prototype built by a single Proc.Initial() call and loaded into a lane
 // per root (expensive initializers — neural warmup replay — run once per
 // run, not once per root), the counter arenas recycled batch to batch,
-// and one lane kernel per worker. Every model runs through the kernel:
+// and one lane kernel per chunk slot of a round (runLaneChunks), built
+// the first time a round is that wide. Every model runs through the kernel:
 // stochastic.AsBulk supplies the model's native bulk form, or the Lanes
 // adapter for a black-box model.
 //
@@ -27,28 +28,27 @@ import (
 type rangeFunc[T any] func(ctx context.Context, lo, hi int64) ([]T, error)
 
 // gmlssSimFunc builds the root-range simulation of one GMLSS run.
-type gmlssSimFunc func(g *GMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot]
+type gmlssSimFunc func(g *GMLSS, ceiling int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot]
 
 // smlssSimFunc builds the root-range simulation of one SMLSS run.
-type smlssSimFunc func(s *SMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[smlssRoot]
+type smlssSimFunc func(s *SMLSS, ceiling int, proto stochastic.State, initLevel int) rangeFunc[smlssRoot]
 
 // gmlssSim is the per-run simulation engine for GMLSS.
 type gmlssSim struct {
 	g         *GMLSS
-	workers   int
 	proto     stochastic.State
 	initLevel int
 	bulk      stochastic.BulkProcess
 	arena     counterArena
-	kernels   []*gmlssKernel // one per worker slot, built lazily
+	kernels   []*gmlssKernel // one per chunk slot a round may use, built lazily
 }
 
 // kernelGMLSS is the production gmlssSimFunc: the lane kernel.
-func kernelGMLSS(g *GMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot] {
+func kernelGMLSS(g *GMLSS, ceiling int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot] {
 	sim := &gmlssSim{
-		g: g, workers: workers, proto: proto, initLevel: initLevel,
+		g: g, proto: proto, initLevel: initLevel,
 		bulk:    stochastic.AsBulk(g.Proc),
-		kernels: make([]*gmlssKernel, workers),
+		kernels: make([]*gmlssKernel, ceiling),
 	}
 	sim.arena.m = g.Plan.M()
 	return sim.runRange
@@ -61,7 +61,7 @@ func (sim *gmlssSim) runRange(ctx context.Context, lo, hi int64) ([]gmlssRoot, e
 	for i := range out {
 		out[i].counters = counters[i]
 	}
-	prefix, err := runLaneChunks(ctx, sim.workers, n, func(w int, wlo, whi int64) int64 {
+	prefix, err := runLaneChunks(ctx, len(sim.kernels), n, func(w int, wlo, whi int64) int64 {
 		k := sim.kernels[w]
 		if k == nil {
 			k = newGMLSSKernel(sim.g, sim.bulk, sim.proto, sim.initLevel)
@@ -78,7 +78,6 @@ func (sim *gmlssSim) runRange(ctx context.Context, lo, hi int64) ([]gmlssRoot, e
 // smlssSim is the per-run simulation engine for SMLSS.
 type smlssSim struct {
 	s         *SMLSS
-	workers   int
 	proto     stochastic.State
 	initLevel int
 	bulk      stochastic.BulkProcess
@@ -87,11 +86,11 @@ type smlssSim struct {
 }
 
 // kernelSMLSS is the production smlssSimFunc: the lane kernel.
-func kernelSMLSS(s *SMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[smlssRoot] {
+func kernelSMLSS(s *SMLSS, ceiling int, proto stochastic.State, initLevel int) rangeFunc[smlssRoot] {
 	sim := &smlssSim{
-		s: s, workers: workers, proto: proto, initLevel: initLevel,
+		s: s, proto: proto, initLevel: initLevel,
 		bulk:    stochastic.AsBulk(s.Proc),
-		kernels: make([]*smlssKernel, workers),
+		kernels: make([]*smlssKernel, ceiling),
 	}
 	sim.arena.m = s.Plan.M()
 	return sim.runRange
@@ -104,7 +103,7 @@ func (sim *smlssSim) runRange(ctx context.Context, lo, hi int64) ([]smlssRoot, e
 	for i := range out {
 		out[i].entries = entries[i]
 	}
-	prefix, err := runLaneChunks(ctx, sim.workers, n, func(w int, wlo, whi int64) int64 {
+	prefix, err := runLaneChunks(ctx, len(sim.kernels), n, func(w int, wlo, whi int64) int64 {
 		k := sim.kernels[w]
 		if k == nil {
 			k = newSMLSSKernel(sim.s, sim.bulk, sim.proto, sim.initLevel)

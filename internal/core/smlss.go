@@ -34,7 +34,7 @@ type SMLSS struct {
 	Stop  mc.StopRule
 	Seed  uint64
 
-	Workers int             // parallel workers (default 1)
+	Workers int             // ceiling on the kernels a round steps at once (<= 0: GOMAXPROCS)
 	Batch   int             // root paths between stop-rule checks (default 128)
 	Trace   func(mc.Result) // optional per-batch progress callback
 }
@@ -80,10 +80,8 @@ func (s *SMLSS) run(ctx context.Context, stop mc.StopRule, simulate smlssSimFunc
 	if err := s.validate(); err != nil {
 		return mc.Result{}, nil, err
 	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	ctx, release := occupy(ctx)
+	defer release()
 	batch := s.Batch
 	if batch <= 0 {
 		batch = 128
@@ -94,7 +92,7 @@ func (s *SMLSS) run(ctx context.Context, stop mc.StopRule, simulate smlssSimFunc
 	if initLevel >= m {
 		return mc.Result{}, nil, errors.New("core: initial state already satisfies the query")
 	}
-	runRange := simulate(s, workers, proto, initLevel)
+	runRange := simulate(s, width(s.Workers), proto, initLevel)
 	// Scale factor r^(m-1-initLevel): total leaves per root.
 	scale := 1.0
 	for i := initLevel + 1; i < m; i++ {
@@ -144,13 +142,11 @@ func (s *SMLSS) LevelEntryCounts(ctx context.Context, nRoots int64) ([]int64, in
 	if err := s.validate(); err != nil {
 		return nil, 0, err
 	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	ctx, release := occupy(ctx)
+	defer release()
 	proto := s.Proc.Initial()
 	initLevel := s.Plan.LevelOf(s.Query.Value(proto, 0))
-	roots, err := kernelSMLSS(s, workers, proto, initLevel)(ctx, 0, nRoots)
+	roots, err := kernelSMLSS(s, width(s.Workers), proto, initLevel)(ctx, 0, nRoots)
 	counts := make([]int64, s.Plan.M()+1)
 	var steps int64
 	for _, r := range roots {

@@ -64,7 +64,7 @@ type Task struct {
 	// the numerics: both backends must apply it identically.
 	Ratios     []int
 	Seed       uint64
-	SimWorkers int // in-process parallelism (Local; workers use their own)
+	SimWorkers int // Local: ceiling on the kernels a round steps at once (<= 0: GOMAXPROCS); workers use their own
 }
 
 func (t *Task) validate() error {

@@ -23,7 +23,7 @@ type Problem struct {
 	Query   core.Query
 	Ratio   int    // splitting ratio used during trials and by the final plan
 	Seed    uint64 // base seed; trial i shifts it so trials are independent
-	Workers int    // parallel workers for trial simulations
+	Workers int    // ceiling on the kernels a trial round steps at once (<= 0: GOMAXPROCS)
 
 	// TrialSteps is the per-trial simulation budget t0 (in simulator
 	// invocations). Default 20000.

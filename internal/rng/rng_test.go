@@ -415,3 +415,19 @@ func TestMul64MatchesPortable(t *testing.T) {
 		check(src.Uint64(), src.Uint64())
 	}
 }
+
+// Norm's Sincos must return the very bits of separate Sin and Cos calls:
+// every golden in the repository was recorded with the pair.
+func TestNormMatchesSinCosPair(t *testing.T) {
+	s, ref := New(17), New(17)
+	for i := 0; i < 1_000_000; i++ {
+		u1, u2 := ref.Float64Open(), ref.Float64()
+		r, theta := math.Sqrt(-2*math.Log(u1)), 2*math.Pi*u2
+		if got, want := s.Norm(), r*math.Cos(theta); got != want {
+			t.Fatalf("draw %d: cos variate %v, want %v", 2*i, got, want)
+		}
+		if got, want := s.Norm(), r*math.Sin(theta); got != want {
+			t.Fatalf("draw %d: sin variate %v, want %v", 2*i+1, got, want)
+		}
+	}
+}

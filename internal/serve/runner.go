@@ -71,7 +71,7 @@ type Spec struct {
 	BalLevels  int
 	Ratio      int
 	Seed       uint64
-	SimWorkers int // parallel simulation workers within this one query
+	SimWorkers int // ceiling on the kernels one round of this query steps at once (<= 0: GOMAXPROCS)
 
 	// StartBucket is the drift bucket of the start state for plan keying.
 	// Queries answered from a model's canonical initial state leave it 0;

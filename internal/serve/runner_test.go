@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"durability/internal/cluster"
@@ -86,5 +88,78 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A saturated pool lends nothing. With GOMAXPROCS queries in flight —
+// the Server's default PoolWorkers — every CPU already steps a query's
+// kernel, so no round may borrow a helper. A barrier in each query's
+// Trace holds every query inside its loop until all have finished the
+// round, so every round after the first starts with all of them
+// counted. A lone query on the same CPUs does borrow, so the zero is not
+// vacuous.
+func TestBusyPoolLendsNoKernels(t *testing.T) {
+	const procs = 4
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	spec := func(trace func(mc.Result)) Spec {
+		return Spec{
+			Proc: &stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2}, Obs: stochastic.ScalarValue,
+			Beta: 30, Horizon: 60, Ratio: 3, Seed: 7,
+			PlanMode: PlanFixed, Plan: core.MustPlan(0.4, 0.6, 0.8),
+			Stop:  mc.Any{mc.RETarget{Target: 0.03}, mc.Budget{Steps: 50_000_000}},
+			Trace: trace,
+		}
+	}
+	r := &Runner{}
+	ctx := context.Background()
+
+	before := core.LentKernels()
+	if _, _, err := r.Run(ctx, spec(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if core.LentKernels() == before {
+		t.Fatal("a lone query borrowed no idle CPU")
+	}
+
+	var (
+		mu         sync.Mutex
+		cond       = sync.NewCond(&mu)
+		arrived    int
+		rounds     int
+		afterFirst int64
+	)
+	barrier := func(mc.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		round := rounds
+		if arrived++; arrived == procs {
+			arrived, rounds = 0, rounds+1
+			if rounds == 1 {
+				afterFirst = core.LentKernels()
+			}
+			cond.Broadcast()
+			return
+		}
+		for rounds == round {
+			cond.Wait()
+		}
+	}
+	var wg sync.WaitGroup
+	for range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := r.Run(ctx, spec(barrier)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if rounds < 3 {
+		t.Fatalf("degenerate load: the queries ran %d rounds", rounds)
+	}
+	if lent := core.LentKernels() - afterFirst; lent != 0 {
+		t.Fatalf("%d helper kernels lent over %d rounds with %d queries in flight on %d CPUs", lent, rounds-1, procs, procs)
 	}
 }

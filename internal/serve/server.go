@@ -65,8 +65,11 @@ type Config struct {
 	// queue is full is rejected immediately with ErrOverloaded
 	// (default 64).
 	QueueDepth int
-	// SimWorkers is the per-query simulation parallelism (default 1; keep
-	// it low when PoolWorkers already saturates the machine).
+	// SimWorkers caps the kernels one round of a query, batch or level
+	// search steps at once (<= 0, the default: GOMAXPROCS). Rounds borrow
+	// only idle CPUs (core's runLaneChunks), so a lone query spreads over
+	// the machine and a saturated pool lends nothing; answers do not
+	// depend on the width.
 	SimWorkers int
 	// QueryTimeout is the per-query deadline enforced on top of the
 	// caller's context (0 = none).
@@ -125,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.SimWorkers <= 0 {
-		c.SimWorkers = 1
 	}
 	if c.MaxBudget <= 0 {
 		c.MaxBudget = 200_000_000
