@@ -131,3 +131,28 @@ func TestLoadBaseline(t *testing.T) {
 		t.Fatal("malformed baseline silently accepted")
 	}
 }
+
+// TestKernelTopUpGuardTrips: a top-up round's allocs and bytes trip the
+// kernel guard past the budget, and a baseline without top-up figures
+// (one committed before they were recorded) guards only allocs/root.
+func TestKernelTopUpGuardTrips(t *testing.T) {
+	base := []kernelReport{{Model: "gbm", BulkAllocsPerRoot: 0.05, TopUpAllocsPerRound: 6, TopUpBytesPerRound: 400}}
+	ok := kernelReport{Model: "gbm", BulkAllocsPerRoot: 0.05, TopUpAllocsPerRound: 6, TopUpBytesPerRound: 430}
+	if err := checkKernelRegression(base, []kernelReport{ok}); err != nil {
+		t.Fatalf("guard tripped within budget: %v", err)
+	}
+	allocs := ok
+	allocs.TopUpAllocsPerRound = 8
+	if err := checkKernelRegression(base, []kernelReport{allocs}); err == nil || !strings.Contains(err.Error(), "top-up round allocs") {
+		t.Fatalf("guard did not trip at 8 allocs vs 6: %v", err)
+	}
+	bytes := ok
+	bytes.TopUpBytesPerRound = 600
+	if err := checkKernelRegression(base, []kernelReport{bytes}); err == nil || !strings.Contains(err.Error(), "top-up round bytes") {
+		t.Fatalf("guard did not trip at 600 B vs 400: %v", err)
+	}
+	old := []kernelReport{{Model: "gbm", BulkAllocsPerRoot: 0.05}}
+	if err := checkKernelRegression(old, []kernelReport{bytes}); err != nil {
+		t.Fatalf("a baseline without top-up figures tripped the top-up guard: %v", err)
+	}
+}

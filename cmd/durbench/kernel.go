@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"durability/internal/core"
+	"durability/internal/exec"
 	"durability/internal/mc"
 	"durability/internal/stochastic"
+	"durability/internal/stream"
 )
 
 // The kernel benchmark: every built-in model run cold through GMLSS with
@@ -21,7 +23,10 @@ import (
 // that differ are cost, not answers: ns/step and steps/sec (wall-clock,
 // informational across machines) and allocs/root (deterministic; the
 // native figure is guarded against the committed BENCH_kernel.json under
-// the same >10% budget as the serve scenarios).
+// the same >10% budget as the serve scenarios). A third, deterministic
+// figure is the cost of one standing-query top-up round: roots folded
+// through exec.Local into the round's pool from a pinned start state,
+// its allocations and bytes guarded the same way.
 //
 // The estimator's per-round variance (a moment fold, O(m²) per root) is
 // bookkeeping both paths share; Batch 512 keeps its rounds few.
@@ -102,6 +107,57 @@ type kernelReport struct {
 	// Speedup is adapter ns/step over native ns/step: what a model gains
 	// by shipping a native bulk form instead of running as a black box.
 	Speedup float64 `json:"speedup"`
+
+	// Heap allocations and bytes of one top-up round on the native path
+	// (topUpRound), averaged over topUpRounds rounds. Both are fixed
+	// costs of the round: the sampler's workspace outlives it.
+	TopUpAllocsPerRound float64 `json:"topUpAllocsPerRound"`
+	TopUpBytesPerRound  float64 `json:"topUpBytesPerRound"`
+}
+
+// topUpRounds is how many consecutive top-up rounds topUpRound averages.
+const topUpRounds = 32
+
+// topUpRound measures a standing query's refresh round: stream's
+// DefaultTopUpRoots roots, pinned to the model's initial state, folded
+// through exec.Local into the round's own pool, on one kernel. One
+// warm-up round builds the workspace; the next topUpRounds rounds, each
+// on the next roots, are measured. Mallocs and TotalAlloc deltas are
+// exact, so both figures are deterministic.
+func topUpRound(ctx context.Context, sc kernelScenario) (allocs, bytes float64, err error) {
+	task := exec.Task{
+		Proc:       sc.proc,
+		Obs:        sc.obs,
+		Start:      sc.proc.Initial(),
+		Beta:       sc.beta,
+		Horizon:    sc.horizon,
+		Boundaries: sc.levels,
+		Ratio:      3,
+		Seed:       41,
+		SimWorkers: 1,
+	}
+	plan, err := core.NewPlan(sc.levels...)
+	if err != nil {
+		return 0, 0, err
+	}
+	initLevel := plan.LevelOf(core.ThresholdValue(sc.obs, sc.beta)(task.Start, 0))
+	round := func(i int64) error {
+		pool := core.NewPool(plan.M(), initLevel)
+		return exec.FoldRoots(ctx, exec.Local{}, task, i*stream.DefaultTopUpRoots, (i+1)*stream.DefaultTopUpRoots, &pool)
+	}
+	if err := round(0); err != nil {
+		return 0, 0, err
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := int64(1); i <= topUpRounds; i++ {
+		if err := round(i); err != nil {
+			return 0, 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / topUpRounds, float64(after.TotalAlloc-before.TotalAlloc) / topUpRounds, nil
 }
 
 // timedRun measures one cold GMLSS run: wall time, steps, roots, and
@@ -178,6 +234,9 @@ func runKernelBench(ctx context.Context, budget int64, reps int) ([]kernelReport
 			BulkAllocsPerRoot:    float64(bulkAllocs) / float64(bulkRes.Paths),
 			AdapterAllocsPerRoot: float64(adapterAllocs) / float64(bulkRes.Paths),
 		}
+		if r.TopUpAllocsPerRound, r.TopUpBytesPerRound, err = topUpRound(ctx, sc); err != nil {
+			return nil, fmt.Errorf("kernel %s top-up round: %w", sc.name, err)
+		}
 		r.BulkStepsPerSec = 1e9 / r.BulkNsPerStep
 		r.AdapterStepsPerSec = 1e9 / r.AdapterNsPerStep
 		r.Speedup = r.AdapterNsPerStep / r.BulkNsPerStep
@@ -203,10 +262,12 @@ func loadKernelBaseline(path string) ([]kernelReport, error) {
 	return base, nil
 }
 
-// checkKernelRegression guards the deterministic kernel quantity against
-// the committed baseline: native allocs/root may grow at most the guard
-// budget (plus half an allocation of absolute slack — the numbers sit
-// near one, where a ratio alone is too twitchy).
+// checkKernelRegression guards the deterministic kernel quantities against
+// the committed baseline: native allocs/root and a top-up round's allocs
+// and bytes may grow at most the guard budget (plus half an allocation,
+// or one small object's bytes, of absolute slack — the numbers are small,
+// where a ratio alone is too twitchy). A baseline without top-up figures
+// guards only allocs/root.
 // Wall-clock numbers are recorded, not guarded: ns/step is a property of
 // the machine as much as the code.
 func checkKernelRegression(base, fresh []kernelReport) error {
@@ -222,6 +283,14 @@ func checkKernelRegression(base, fresh []kernelReport) error {
 		if r.BulkAllocsPerRoot > guardBudget*old.BulkAllocsPerRoot+0.5 {
 			return fmt.Errorf("durbench: kernel %s bulk allocs/root regressed: %.3f vs committed %.3f (>%.0f%% budget)",
 				r.Model, r.BulkAllocsPerRoot, old.BulkAllocsPerRoot, 100*(guardBudget-1))
+		}
+		if old.TopUpAllocsPerRound > 0 && r.TopUpAllocsPerRound > guardBudget*old.TopUpAllocsPerRound+0.5 {
+			return fmt.Errorf("durbench: kernel %s top-up round allocs regressed: %.2f vs committed %.2f (>%.0f%% budget)",
+				r.Model, r.TopUpAllocsPerRound, old.TopUpAllocsPerRound, 100*(guardBudget-1))
+		}
+		if old.TopUpBytesPerRound > 0 && r.TopUpBytesPerRound > guardBudget*old.TopUpBytesPerRound+64 {
+			return fmt.Errorf("durbench: kernel %s top-up round bytes regressed: %.0f vs committed %.0f (>%.0f%% budget)",
+				r.Model, r.TopUpBytesPerRound, old.TopUpBytesPerRound, 100*(guardBudget-1))
 		}
 	}
 	return nil

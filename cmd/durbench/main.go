@@ -159,7 +159,7 @@ func main() {
 		failoverTicks  = flag.Int("failover-ticks", 4, "failover scenario: ticks under load before the crash")
 
 		kernelOut      = flag.String("kernel-out", "", "write the kernel benchmark (native bulk vs Lanes adapter per model) to this path (empty = skip)")
-		kernelBaseline = flag.String("kernel-baseline", "", "committed BENCH_kernel.json to guard against: fail if native allocs/root regress >10%")
+		kernelBaseline = flag.String("kernel-baseline", "", "committed BENCH_kernel.json to guard against: fail if native allocs/root or a top-up round's allocs or bytes regress >10%")
 		kernelBudget   = flag.Int64("kernel-budget", 1_000_000, "step budget per kernel scenario run")
 		kernelReps     = flag.Int("kernel-reps", 2, "timed repetitions per kernel scenario (fastest wins)")
 	)
@@ -324,8 +324,8 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, r := range kernel {
-			fmt.Printf("durbench[kernel/%s]: bulk %.1f ns/step (%.2fx vs adapter %.1f), allocs/root %.2f vs adapter %.1f\n",
-				r.Model, r.BulkNsPerStep, r.Speedup, r.AdapterNsPerStep, r.BulkAllocsPerRoot, r.AdapterAllocsPerRoot)
+			fmt.Printf("durbench[kernel/%s]: bulk %.1f ns/step (%.2fx vs adapter %.1f), allocs/root %.2f vs adapter %.1f, top-up round %.1f allocs %.0f B\n",
+				r.Model, r.BulkNsPerStep, r.Speedup, r.AdapterNsPerStep, r.BulkAllocsPerRoot, r.AdapterAllocsPerRoot, r.TopUpAllocsPerRound, r.TopUpBytesPerRound)
 		}
 		fmt.Printf("durbench: wrote %d kernel scenarios -> %s\n", len(kernel), *kernelOut)
 	}

@@ -115,9 +115,6 @@ func (w *Worker) Run(req ShardRequest, reply *ShardReply) error {
 	if !ok {
 		return fmt.Errorf("cluster: model %q has no observer %q", req.Model, obsName)
 	}
-	if req.Start != nil {
-		proc = stochastic.Pin(proc, req.Start)
-	}
 	plan, err := core.NewPlan(req.Boundaries...)
 	if err != nil {
 		return err
@@ -127,6 +124,7 @@ func (w *Worker) Run(req ShardRequest, reply *ShardReply) error {
 	}
 	g := &core.GMLSS{
 		Proc:    proc,
+		Start:   req.Start,
 		Query:   core.Query{Value: core.ThresholdValue(obs, req.Beta), Horizon: req.Horizon},
 		Plan:    plan,
 		Ratio:   req.Ratio,

@@ -46,6 +46,12 @@ type GMLSS struct {
 	Stop   mc.StopRule // required by Run and RunOn
 	Seed   uint64
 
+	// Start, when set, is the state every root path starts from in place
+	// of Proc.Initial(): a live-state snapshot, as a standing query's
+	// refresh simulates futures of. Simulation only reads it, so the
+	// caller must not change it while a call runs.
+	Start stochastic.State
+
 	Workers int             // ceiling on the kernels a round steps at once (<= 0: GOMAXPROCS)
 	Batch   int             // root paths between stop-rule checks (default RoundRoots)
 	Trace   func(mc.Result) // optional per-batch progress callback
@@ -93,13 +99,17 @@ func (g *GMLSS) ratioAt(j int) int {
 }
 
 // start validates the sampler and places its start state in the plan:
-// the one Proc.Initial call of every entry point (expensive initializers
-// — neural warmup replay — run once per call, not once per root).
+// Start, or the one Proc.Initial call of every entry point (expensive
+// initializers — neural warmup replay — run once per call, not once per
+// root).
 func (g *GMLSS) start() (proto stochastic.State, initLevel int, err error) {
 	if err := g.validate(); err != nil {
 		return nil, 0, err
 	}
-	proto = g.Proc.Initial()
+	proto = g.Start
+	if proto == nil {
+		proto = g.Proc.Initial()
+	}
 	initLevel = g.Plan.LevelOf(g.Query.Value(proto, 0))
 	if initLevel >= g.Plan.M() {
 		return nil, 0, errors.New("core: initial state already satisfies the query")
@@ -108,8 +118,8 @@ func (g *GMLSS) start() (proto stochastic.State, initLevel int, err error) {
 }
 
 // Run executes the sampler until the stop rule fires or the context is
-// cancelled. It is RunOn over RunRootsBy(ctx, lo, hi, 1), with the
-// simulation's kernels kept across rounds.
+// cancelled. It is RunOn over FoldRoots, with one workspace held for the
+// whole run.
 func (g *GMLSS) Run(ctx context.Context) (mc.Result, error) {
 	return g.run(ctx, kernelGMLSS)
 }
@@ -120,18 +130,18 @@ func (g *GMLSS) run(ctx context.Context, simulate gmlssSimFunc) (mc.Result, erro
 		return mc.Result{}, err
 	}
 	sim := simulate(g, width(g.Workers), proto, initLevel)
-	m := g.Plan.M()
-	return top(g.loop(ctx, initLevel, func(ctx context.Context, lo, hi int64) (ShardResult, error) {
-		return groupRoots(ctx, sim, lo, hi, 1, m)
-	}, []Target{{Level: m, Stop: g.Stop}}))
+	defer sim.release()
+	return top(g.loop(ctx, initLevel, func(ctx context.Context, lo, hi int64, into *Pool) error {
+		return foldPool(ctx, sim, lo, hi, into)
+	}, []Target{{Level: g.Plan.M(), Stop: g.Stop}}))
 }
 
 // RunOn executes the sampler's estimator loop over root paths simulated
 // by roots — in-process, or on whatever machines an execution backend
 // places them — until the stop rule fires or the context is cancelled.
 // Root path i draws from substream i of the seed wherever it runs, so
-// the result is bit-for-bit Run's whenever roots returns what
-// RunRootsBy(ctx, lo, hi, 1) would.
+// the result is bit-for-bit Run's whenever roots folds what FoldRoots
+// would.
 func (g *GMLSS) RunOn(ctx context.Context, roots RootRange) (mc.Result, error) {
 	return top(g.RunTargetsOn(ctx, roots, []Target{{Level: g.Plan.M(), Stop: g.Stop}}))
 }

@@ -46,34 +46,31 @@ type kframe struct {
 	crossed int // offspring that crossed the next boundary (g-MLSS)
 }
 
-// counterArena carves per-root Counters out of one flat backing array,
-// recycled batch to batch. Every driver folds each root's counters into
-// its groups (groupRoots copies them out) before the next batch starts,
-// so the backing can be zeroed and reused: one allocation amortized over
-// the run instead of one per root.
+// counterArena carves per-root Counters out of one flat backing array
+// that outlives the call: it lives in a g-MLSS workspace (sim.go), reused
+// across rounds, calls and refreshes. Every driver folds each root's
+// counters into its pool or groups (eachRoot) before the next slab
+// starts, so the backing can be zeroed and reused: one allocation at the
+// workspace's high-water mark instead of one per root or per round.
 type counterArena struct {
 	m   int
 	buf []float64
-	cnt []Counters
 }
 
-func (a *counterArena) carve(n int) []Counters {
+// carve resets roots and points each one's counters at its own zeroed
+// stride of the backing.
+func (a *counterArena) carve(roots []gmlssRoot) {
 	stride := countersStride(a.m)
-	need := n * stride
+	need := len(roots) * stride
 	if cap(a.buf) < need {
 		a.buf = make([]float64, need)
 	} else {
 		a.buf = a.buf[:need]
 		clear(a.buf)
 	}
-	if cap(a.cnt) < n {
-		a.cnt = make([]Counters, n)
+	for i := range roots {
+		roots[i] = gmlssRoot{counters: countersFrom(a.buf[i*stride:(i+1)*stride], a.m)}
 	}
-	a.cnt = a.cnt[:n]
-	for i := 0; i < n; i++ {
-		a.cnt[i] = countersFrom(a.buf[i*stride:(i+1)*stride], a.m)
-	}
-	return a.cnt
 }
 
 // entryArena is counterArena's analog for the s-MLSS per-root
@@ -123,7 +120,7 @@ type occupiedKey struct{}
 
 // occupy counts the calling goroutine as stepping until release runs.
 // The returned context carries the mark, so a sampler call nested on the
-// same goroutine — exec.Local's RunRootsBy inside Pool.Run — does not
+// same goroutine — exec.Local's FoldRoots inside Pool.Run — does not
 // count it twice, and a loop keeps its CPU across the gaps between its
 // rounds instead of lending it to another query's round.
 func occupy(ctx context.Context) (context.Context, func()) {
@@ -192,6 +189,14 @@ func cancelled(done <-chan struct{}) bool {
 // be reported without leaving a hole in the index space.
 func runLaneChunks(ctx context.Context, ceiling int, n int64, chunk func(w int, wlo, whi int64) int64) (int64, error) {
 	kernels := 1 + borrow(int(min(int64(ceiling), n))-1)
+	if kernels == 1 {
+		// No helper: nothing to wait for, and nothing allocated.
+		done := chunk(0, 0, n)
+		if cancelled(ctx.Done()) {
+			return done, ctx.Err()
+		}
+		return n, nil
+	}
 	bound := func(w int) int64 { return n * int64(w) / int64(kernels) }
 	done := make([]int64, kernels)
 	var wg sync.WaitGroup
@@ -225,6 +230,7 @@ func runLaneChunks(ctx context.Context, ceiling int, n int64, chunk func(w int, 
 // cursors and frame stacks, and the root currently simulated by each
 // lane.
 type laneSet struct {
+	bulk   stochastic.BulkProcess // the model the lane state was built for
 	vec    stochastic.StateVec
 	views  []stochastic.State
 	srcs   []rng.Source
@@ -244,6 +250,7 @@ type laneSet struct {
 }
 
 func (ls *laneSet) init(bulk stochastic.BulkProcess) {
+	ls.bulk = bulk
 	ls.vec = bulk.NewStateVec(defaultLanes)
 	ls.views = ls.vec.Views()
 	ls.srcs = make([]rng.Source, defaultLanes)
@@ -256,6 +263,18 @@ func (ls *laneSet) init(bulk stochastic.BulkProcess) {
 	ls.root = make([]int, defaultLanes)
 	ls.lsteps = make([]int64, defaultLanes)
 	ls.active = make([]int, 0, defaultLanes)
+}
+
+// dropFrames empties every lane's frame stack, returning the spill slots
+// a cancelled chunk left behind to the vec's free list, so a kernel
+// reused by a later call starts with no pending splits.
+func (ls *laneSet) dropFrames() {
+	for i, stack := range ls.frames {
+		for _, fr := range stack {
+			ls.vec.Drop(fr.spill)
+		}
+		ls.frames[i] = stack[:0]
+	}
 }
 
 // beginChunk resets the cursor state for a chunk of n roots starting at
@@ -287,11 +306,11 @@ func (ls *laneSet) completedPrefix() int64 {
 
 // gmlssKernel drives one kernel's lane frontier through the g-MLSS
 // tree walk. advance replicates the recursion's per-step bookkeeping;
-// finishSegment replicates its unwinding.
+// finishSegment replicates its unwinding. A kernel outlives the call
+// that built it: a workspace (sim.go) rebinds it to each call's sampler.
 type gmlssKernel struct {
 	laneSet
 	g         *GMLSS
-	bulk      stochastic.BulkProcess
 	proto     stochastic.State
 	initLevel int
 	initB     float64 // Boundary(initLevel+1)
@@ -304,21 +323,34 @@ type gmlssKernel struct {
 	out   []gmlssRoot
 }
 
-func newGMLSSKernel(g *GMLSS, bulk stochastic.BulkProcess, proto stochastic.State, initLevel int) *gmlssKernel {
-	k := &gmlssKernel{
-		g:         g,
-		bulk:      bulk,
-		proto:     proto,
-		initLevel: initLevel,
-		initB:     g.Plan.Boundary(initLevel + 1),
-		m:         g.Plan.M(),
-		value:     g.Query.Value,
-		horizon:   g.Query.Horizon,
-	}
+// newGMLSSKernel builds a kernel's lane state for bulk; bind points it
+// at a sampler before it runs.
+func newGMLSSKernel(bulk stochastic.BulkProcess) *gmlssKernel {
+	k := &gmlssKernel{}
 	k.laneSet.init(bulk)
 	k.curr = make([]int, defaultLanes)
 	k.nextB = make([]float64, defaultLanes)
 	return k
+}
+
+// bind points the kernel at one call's sampler and start state, whose
+// model must be the one its lane state was built for. It drops any
+// split a cancelled chunk of an earlier call left pending.
+func (k *gmlssKernel) bind(g *GMLSS, proto stochastic.State, initLevel int) {
+	k.dropFrames()
+	k.g = g
+	k.proto = proto
+	k.initLevel = initLevel
+	k.initB = g.Plan.Boundary(initLevel + 1)
+	k.m = g.Plan.M()
+	k.value = g.Query.Value
+	k.horizon = g.Query.Horizon
+}
+
+// unbind lets go of the call's start state and value function, so an
+// idle kernel pins nothing of the subscription that last ran on it.
+func (k *gmlssKernel) unbind() {
+	k.g, k.proto, k.value, k.out = nil, nil, nil, nil
 }
 
 // runChunk simulates roots [base, base+len(out)) into out and returns
@@ -454,7 +486,6 @@ func (k *gmlssKernel) finishSegment(i int, crossed bool) bool {
 type smlssKernel struct {
 	laneSet
 	s         *SMLSS
-	bulk      stochastic.BulkProcess
 	proto     stochastic.State
 	initWatch int
 	m         int
@@ -470,7 +501,6 @@ type smlssKernel struct {
 func newSMLSSKernel(s *SMLSS, bulk stochastic.BulkProcess, proto stochastic.State, initLevel int) *smlssKernel {
 	k := &smlssKernel{
 		s:         s,
-		bulk:      bulk,
 		proto:     proto,
 		initWatch: initLevel + 1,
 		m:         s.Plan.M(),

@@ -143,7 +143,7 @@ func TestKernelMatchesReferenceRoots(t *testing.T) {
 			proto := fx.proc.Initial()
 			g := fx.gmlss(fx.proc, 1)
 			initLevel := g.Plan.LevelOf(g.Query.Value(proto, 0))
-			want, err := referenceGMLSS(g, 1, proto, initLevel)(ctx, lo, hi)
+			want, err := referenceGMLSS(g, 1, proto, initLevel).runRange(ctx, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +153,14 @@ func TestKernelMatchesReferenceRoots(t *testing.T) {
 			}
 			for _, workers := range suiteWorkers {
 				for path, proc := range fx.paths() {
-					got, err := kernelGMLSS(fx.gmlss(proc, workers), workers, proto, initLevel)(ctx, lo, hi)
+					sim := kernelGMLSS(fx.gmlss(proc, workers), workers, proto, initLevel)
+					got, err := sim.runRange(ctx, lo, hi)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
+					equal := reflect.DeepEqual(got, want)
+					sim.release()
+					if !equal {
 						t.Errorf("workers=%d %s: g-MLSS per-root results differ from the reference", workers, path)
 					}
 					gotS, err := kernelSMLSS(fx.smlss(proc, workers), workers, proto, initLevel)(ctx, lo, hi)
@@ -484,26 +487,27 @@ func TestEntryArenaCarveRecycles(t *testing.T) {
 }
 
 // TestKernelAllocsPerRoot pins the pooling work: a bulk sharded run
-// must allocate O(1), not O(roots) — the arena, the lane vectors and
-// the result slices, amortized over thousands of roots.
+// must allocate O(1), not O(roots) — and since the workspace (kernels,
+// lane vectors, frame stacks, spill slots, arena, per-root results)
+// outlives the call, only the call's own fixed cost remains.
 func TestKernelAllocsPerRoot(t *testing.T) {
 	fx := kernelFixtures(t)[1]
 	g := fx.gmlss(fx.proc, 1)
 	ctx := context.Background()
 	const roots = 2000
 	if _, err := g.RunRootsBy(ctx, 0, roots, 512); err != nil {
-		t.Fatal(err) // warm up any lazy globals
+		t.Fatal(err) // warm up the workspace and any lazy globals
 	}
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := g.RunRootsBy(ctx, 0, roots, 512); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The budget covers the per-call fixed costs (kernel, lane vectors,
-	// frame-stack and spill growth, arena, bootstrap groups) — roughly
-	// 250 — and must not scale with the 2000 roots: the scalar path's
-	// per-root state would alone cost >= 2 allocations per root.
-	if allocs > 600 {
+	// The budget covers the per-call fixed costs — the occupancy
+	// context, the chunk closure and the returned groups, about 6 — and
+	// must not scale with the 2000 roots: the scalar path's per-root
+	// state would alone cost >= 2 allocations per root.
+	if allocs > 16 {
 		t.Fatalf("bulk path allocates %v times for %d roots, want O(1) per run", allocs, roots)
 	}
 }

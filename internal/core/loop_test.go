@@ -12,9 +12,9 @@ import (
 
 // unitRange serves units as a RootRange, one step per root.
 func unitRange(units []Counters) RootRange {
-	return func(_ context.Context, lo, hi int64) (ShardResult, error) {
+	return func(_ context.Context, lo, hi int64, into *Pool) error {
 		hi = min(hi, int64(len(units)))
-		return ShardResult{Groups: units[lo:hi], Roots: hi - lo, Steps: hi - lo}, nil
+		return into.FoldUnits(ShardResult{Groups: units[lo:hi], Roots: hi - lo, Steps: hi - lo})
 	}
 }
 
@@ -112,5 +112,58 @@ func TestLoopMultiTargetResultsArePrefixesOfTheFold(t *testing.T) {
 				t.Fatalf("m=%d init=%d target %d: %+v, want %+v", m, initLevel, tg.Level, got[i], want)
 			}
 		}
+	}
+}
+
+// A packed pool views back to the pool it packed, bit for bit, from its
+// own array; parts whose shapes disagree do not pack.
+func TestPackKeepsEveryBit(t *testing.T) {
+	for _, sh := range momentShapes() {
+		m, initLevel := sh[0], sh[1]
+		units := oracleGroups(rng.New(uint64(3*m+initLevel)), 50, m)
+		loose := Pool{Counters: NewCounters(m), Moments: NewMoments(m, initLevel), Roots: 50, Steps: 77}
+		for _, u := range units {
+			loose.addRoot(u)
+		}
+		packed, err := Pack(loose)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := packed.Pool()
+		if !reflect.DeepEqual(view, loose) {
+			t.Fatalf("m=%d init=%d: packed %+v != loose %+v", m, initLevel, view, loose)
+		}
+		if &view.Counters.Land[0] == &loose.Counters.Land[0] || &view.Moments.Co[0] == &loose.Moments.Co[0] {
+			t.Fatalf("m=%d init=%d: Pack aliased the pool it packed", m, initLevel)
+		}
+	}
+	for _, bad := range []Pool{
+		{Counters: NewCounters(3), Moments: NewMoments(4, 0)},
+		{Counters: NewCounters(4), Moments: Moments{M: 4, First: 1, Mean: make([]float64, 7)}},
+		{Counters: NewCounters(4), Moments: Moments{M: 4, First: 5}},
+	} {
+		if _, err := Pack(bad); err == nil {
+			t.Fatalf("Pack accepted parts of disagreeing shapes: %+v", bad)
+		}
+	}
+}
+
+// A pool is one allocation, and a seed pool carved from a scratch large
+// enough for its shape is none, across shapes.
+func TestNewPoolAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { _ = NewPool(6, 1) }); allocs != 1 {
+		t.Fatalf("NewPool allocates %v times, want 1", allocs)
+	}
+	var scratch []float64
+	big := NewPoolOn(&scratch, 6, 0)
+	big.Counters.Land[1], big.Moments.Co[0] = 5, 7
+	if allocs := testing.AllocsPerRun(100, func() {
+		p := NewPoolOn(&scratch, 4, 2)
+		if p.Counters.Land[1] != 0 || p.Moments.Co[0] != 0 || len(p.Moments.Co) != 6 {
+			t.Fatal("a reused scratch pool is not empty and of its own shape")
+		}
+		_ = NewPoolOn(&scratch, 6, 0)
+	}); allocs != 0 {
+		t.Fatalf("NewPoolOn on a large enough scratch allocates %v times, want 0", allocs)
 	}
 }

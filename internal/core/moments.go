@@ -79,7 +79,11 @@ func resize(buf []float64, n int) []float64 {
 
 // dim is the length of one root's vector: A and B at each watched level,
 // then Hits.
-func (s *Moments) dim() int { return 2*(s.M-s.First) + 1 }
+func (s *Moments) dim() int { return momentsDim(s.M, s.First-1) }
+
+// momentsDim is Moments.dim for an m-boundary plan whose roots start in
+// level initLevel.
+func momentsDim(m, initLevel int) int { return 2*(m-initLevel-1) + 1 }
 
 // Add folds one root path's counters into s. It is bit-for-bit Merge of
 // a one-root Moments holding u.

@@ -196,20 +196,20 @@ func TestMomentsFoldAcrossRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.RunOn(context.Background(), func(ctx context.Context, lo, hi int64) (ShardResult, error) {
+	got, err := g.RunOn(context.Background(), func(ctx context.Context, lo, hi int64, into *Pool) error {
 		var out ShardResult
 		for cut := lo; cut < hi; {
 			next := min(hi, cut+1+(cut*7)%45)
 			part, err := g.RunRootsBy(ctx, cut, next, 1)
 			if err != nil {
-				return out, err
+				return err
 			}
 			out.Groups = append(out.Groups, part.Groups...)
 			out.Roots += part.Roots
 			out.Steps += part.Steps
 			cut = next
 		}
-		return out, nil
+		return into.FoldUnits(out)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,17 +13,26 @@ import (
 // referenceGMLSS / referenceSMLSS into the samplers' own estimator loops
 // in place of the kernel and compares every result with ==.
 
+// funcSim is a gmlssSim over a rangeFunc, with nothing to release.
+type funcSim rangeFunc[gmlssRoot]
+
+func (f funcSim) runRange(ctx context.Context, lo, hi int64) ([]gmlssRoot, error) {
+	return f(ctx, lo, hi)
+}
+
+func (funcSim) release() {}
+
 // referenceGMLSS is the gmlssSimFunc that simulates each root by the
 // recursion, one model Step at a time.
-func referenceGMLSS(g *GMLSS, workers int, proto stochastic.State, initLevel int) rangeFunc[gmlssRoot] {
-	return func(ctx context.Context, lo, hi int64) ([]gmlssRoot, error) {
+func referenceGMLSS(g *GMLSS, workers int, proto stochastic.State, initLevel int) gmlssSim {
+	return funcSim(func(ctx context.Context, lo, hi int64) ([]gmlssRoot, error) {
 		return forEachRoot(ctx, workers, lo, hi, func(idx int64) gmlssRoot {
 			r := gmlssRoot{counters: NewCounters(g.Plan.M())}
 			src := rng.NewStream(g.Seed, uint64(idx))
 			gmlssSegment(g, proto.Clone(), 0, initLevel, src, &r)
 			return r
 		})
-	}
+	})
 }
 
 // referenceSMLSS is referenceGMLSS's s-MLSS counterpart.

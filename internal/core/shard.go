@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 )
 
 // Counters is the sufficient statistic of a set of root-path trees for
@@ -57,8 +58,8 @@ func countersFrom(buf []float64, m int) Counters {
 
 // ShardResult is the outcome of simulating one contiguous range of root
 // paths: the aggregate counters, the cost, and the per-group counters.
-// The estimator paths ask for groups of one root, the per-root units
-// their moments (Moments) fold.
+// Backends that ship roots between machines return groups of one root:
+// the per-root units Pool.FoldUnits folds into the estimator loop's pool.
 type ShardResult struct {
 	Agg    Counters
 	Groups []Counters // equal-size batches of consecutive roots
@@ -83,43 +84,87 @@ func (g *GMLSS) RunRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int)
 }
 
 func (g *GMLSS) runRootsBy(ctx context.Context, lo, hi int64, rootsPerGroup int, simulate gmlssSimFunc) (ShardResult, error) {
+	if hi <= lo {
+		return ShardResult{}, errEmptyRange
+	}
 	ctx, release := occupy(ctx)
 	defer release()
 	proto, initLevel, err := g.start()
 	if err != nil {
 		return ShardResult{}, err
 	}
-	return groupRoots(ctx, simulate(g, width(g.Workers), proto, initLevel), lo, hi, rootsPerGroup, g.Plan.M())
+	sim := simulate(g, width(g.Workers), proto, initLevel)
+	defer sim.release()
+	return groupRoots(ctx, sim, lo, hi, rootsPerGroup, g.Plan.M())
 }
+
+var errEmptyRange = errors.New("core: empty root range")
 
 // groupRoots simulates roots [lo, hi) through sim and folds them, in root
 // order, into groups of rootsPerGroup. Every group and the aggregate are
 // carved from one backing array, so a call allocates O(1) times however
 // many roots it covers.
-func groupRoots(ctx context.Context, sim rangeFunc[gmlssRoot], lo, hi int64, rootsPerGroup, m int) (ShardResult, error) {
-	if hi <= lo {
-		return ShardResult{}, errors.New("core: empty root range")
-	}
-	per := max(rootsPerGroup, 1)
-	roots, err := sim(ctx, lo, hi)
+func groupRoots(ctx context.Context, sim gmlssSim, lo, hi int64, rootsPerGroup, m int) (ShardResult, error) {
+	per := int64(max(rootsPerGroup, 1))
 	stride := countersStride(m)
-	nGroups := (len(roots) + per - 1) / per
-	buf := make([]float64, (nGroups+1)*stride)
+	groups := make([]Counters, (hi-lo+per-1)/per)
+	buf := make([]float64, (len(groups)+1)*stride)
+	for gi := range groups {
+		groups[gi] = countersFrom(buf[(gi+1)*stride:(gi+2)*stride], m)
+	}
+	var steps int64
+	n, err := eachRoot(ctx, sim, lo, hi, func(i int64, r *gmlssRoot) {
+		groups[i/per].Add(r.counters)
+		steps += r.steps
+	})
 	out := ShardResult{
 		Agg:    countersFrom(buf[:stride], m),
-		Groups: make([]Counters, nGroups),
-		Roots:  int64(len(roots)),
+		Groups: groups[:(n+per-1)/per],
+		Roots:  n,
+		Steps:  steps,
 	}
-	for gi := range out.Groups {
-		group := countersFrom(buf[(gi+1)*stride:(gi+2)*stride], m)
-		for _, r := range roots[gi*per : min((gi+1)*per, len(roots))] {
-			group.Add(r.counters)
-			out.Steps += r.steps
-		}
+	for _, group := range out.Groups {
 		out.Agg.Add(group)
-		out.Groups[gi] = group
 	}
 	return out, err
+}
+
+// FoldRoots simulates root paths [lo, hi) of the sampler's tree process
+// and folds each, in root order, into into: its counters and moments
+// (Pool.FoldUnits's per-root fold, applied as the roots finish, with no
+// per-root unit materialised), its roots and its steps. into must be
+// shaped for the sampler's plan and start level. It is the in-process
+// form of RunRootsBy(ctx, lo, hi, 1) followed by into.FoldUnits, and
+// leaves into bit-for-bit as that would. On cancellation it folds the
+// longest contiguous prefix of completed roots and returns the
+// context's error.
+func (g *GMLSS) FoldRoots(ctx context.Context, lo, hi int64, into *Pool) error {
+	if hi <= lo {
+		return errEmptyRange
+	}
+	ctx, release := occupy(ctx)
+	defer release()
+	proto, initLevel, err := g.start()
+	if err != nil {
+		return err
+	}
+	if m := g.Plan.M(); into.Moments.M != m || into.Moments.First != initLevel+1 {
+		return fmt.Errorf("core: folding roots of plan shape (m %d, first %d) into a pool of shape (m %d, first %d)",
+			m, initLevel+1, into.Moments.M, into.Moments.First)
+	}
+	sim := kernelGMLSS(g, width(g.Workers), proto, initLevel)
+	defer sim.release()
+	return foldPool(ctx, sim, lo, hi, into)
+}
+
+// foldPool simulates roots [lo, hi) through sim into p, in root order.
+func foldPool(ctx context.Context, sim gmlssSim, lo, hi int64, p *Pool) error {
+	n, err := eachRoot(ctx, sim, lo, hi, func(_ int64, r *gmlssRoot) {
+		p.addRoot(r.counters)
+		p.Steps += r.steps
+	})
+	p.Roots += n
+	return err
 }
 
 // EstimateFromCounters computes the g-MLSS estimator (Eq. 10) from

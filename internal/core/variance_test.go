@@ -50,10 +50,13 @@ func TestTwoLevelVarianceMatchesBootstrap(t *testing.T) {
 	g := &GMLSS{Proc: chain, Query: q, Plan: plan, Ratio: 3,
 		Stop: mc.Budget{Steps: 1_500_000}, Seed: 11}
 	var units []Counters
-	res, err := g.RunOn(context.Background(), func(ctx context.Context, lo, hi int64) (ShardResult, error) {
+	res, err := g.RunOn(context.Background(), func(ctx context.Context, lo, hi int64, into *Pool) error {
 		shard, err := g.RunRootsBy(ctx, lo, hi, 1)
 		units = append(units, shard.Groups...)
-		return shard, err
+		if ferr := into.FoldUnits(shard); ferr != nil {
+			return ferr
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []core.Target
 	if err != nil {
 		return nil, err
 	}
-	// A merge span books each round's folds, estimates and variances:
+	// A merge span books each round's merge, estimates and variances:
 	// from the range's return to the round's trace. One run, one trace:
 	// the last target's running result (the serve layer orders targets
 	// ascending, so this is the top — hardest — threshold).
@@ -49,9 +49,9 @@ func SampleBatch(ctx context.Context, ex Executor, t Task, targets []core.Target
 		}
 	}
 	g.Observe = opt.Counters
-	return g.RunTargetsOn(ctx, func(ctx context.Context, lo, hi int64) (core.ShardResult, error) {
-		shard, err := ex.RunRoots(ctx, t, lo, hi, 1)
+	return g.RunTargetsOn(ctx, func(ctx context.Context, lo, hi int64, into *core.Pool) error {
+		err := FoldRoots(ctx, ex, t, lo, hi, into)
 		merging = telemetry.Now()
-		return shard, err
+		return err
 	}, targets)
 }

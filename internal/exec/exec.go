@@ -112,26 +112,50 @@ func (Local) RunRoots(ctx context.Context, t Task, lo, hi int64, rootsPerGroup i
 	return g.RunRootsBy(ctx, lo, hi, rootsPerGroup)
 }
 
+// FoldRoots simulates root paths [lo, hi) of t on ex and folds each, in
+// root order, into into — an empty pool of the task's plan shape —
+// adding their roots and steps: the RootRange every estimator loop over
+// a backend runs (Sample, SampleBatch, a standing query's top-ups).
+//
+// Local (and a nil ex) folds roots in place as its kernels finish them
+// (core.GMLSS.FoldRoots), with no per-root unit built. Every other
+// backend returns one unit per root from RunRoots(…, 1), the form units
+// cross the wire in, and they go through core.Pool.FoldUnits — the same
+// per-root fold in the same order, so into ends bit-for-bit the same on
+// every backend. On an error into may hold the range's completed prefix.
+func FoldRoots(ctx context.Context, ex Executor, t Task, lo, hi int64, into *core.Pool) error {
+	if _, local := ex.(Local); local || ex == nil {
+		g, err := t.sampler()
+		if err != nil {
+			return err
+		}
+		return g.FoldRoots(ctx, lo, hi, into)
+	}
+	shard, err := ex.RunRoots(ctx, t, lo, hi, 1)
+	if ferr := into.FoldUnits(shard); ferr != nil {
+		return ferr
+	}
+	return err
+}
+
 // sampler builds the in-process g-MLSS sampler of the task, without a
 // stop rule: the simulation Local runs, and the estimator loop Sample and
-// SampleBatch run over any backend.
-func (t *Task) sampler() (*core.GMLSS, error) {
+// SampleBatch run over any backend. A pinned task's start state becomes
+// the sampler's Start, read in place.
+func (t *Task) sampler() (core.GMLSS, error) {
 	if err := t.validate(); err != nil {
-		return nil, err
+		return core.GMLSS{}, err
 	}
 	if t.Proc == nil || t.Obs == nil {
-		return nil, errors.New("exec: in-process sampling needs the task's process and observer")
-	}
-	proc := t.Proc
-	if t.Start != nil {
-		proc = stochastic.Pin(proc, t.Start)
+		return core.GMLSS{}, errors.New("exec: in-process sampling needs the task's process and observer")
 	}
 	plan, err := core.NewPlan(t.Boundaries...)
 	if err != nil {
-		return nil, err
+		return core.GMLSS{}, err
 	}
-	return &core.GMLSS{
-		Proc:    proc,
+	return core.GMLSS{
+		Proc:    t.Proc,
+		Start:   t.Start,
 		Query:   core.Query{Value: core.ThresholdValue(t.Obs, t.Beta), Horizon: t.Horizon},
 		Plan:    plan,
 		Ratio:   t.Ratio,

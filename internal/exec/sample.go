@@ -30,7 +30,7 @@ type SampleOptions struct {
 
 // Sample answers one query over any execution backend. It is the task's
 // core.GMLSS sampler running its own estimator loop (RunOn) over the
-// backend's per-root shards, so the answer — estimate, variance, cost
+// backend's roots (FoldRoots), so the answer — estimate, variance, cost
 // and stopping point — is bit-for-bit core.GMLSS.Run's at the same seed,
 // on every backend and cluster size.
 //
@@ -47,7 +47,7 @@ func Sample(ctx context.Context, ex Executor, t Task, opt SampleOptions) (mc.Res
 		return mc.Result{}, err
 	}
 	g.Stop, g.Trace, g.Observe = opt.Stop, opt.Trace, opt.Counters
-	return g.RunOn(ctx, func(ctx context.Context, lo, hi int64) (core.ShardResult, error) {
-		return ex.RunRoots(ctx, t, lo, hi, 1)
+	return g.RunOn(ctx, func(ctx context.Context, lo, hi int64, into *core.Pool) error {
+		return FoldRoots(ctx, ex, t, lo, hi, into)
 	})
 }

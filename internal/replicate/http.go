@@ -89,15 +89,39 @@ func NewHandler(src Source, ack func(applied map[string]int64)) http.Handler {
 // HTTPSource pulls from a live primary's replication endpoints. It
 // implements Acker, so a follower using it reports applied LSNs back.
 type HTTPSource struct {
-	Base   string // e.g. "http://primary:8080"
-	Client *http.Client
+	Base   string       // e.g. "http://primary:8080"
+	Client *http.Client // nil selects a client that keeps a connection per store
 }
+
+// maxStoreConns bounds the idle connections followerClient keeps to one
+// primary: far above any store count a primary runs (hub plus shards).
+const maxStoreConns = 1024
+
+// followerClient is HTTPSource's client when it has none. A follower
+// syncs every store of the primary at once, one request each, so its
+// idle pool keeps a connection per store; http.DefaultClient keeps two
+// per host, and a follower of a sharded primary re-dialed it on every
+// poll.
+var followerClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no total cap: a follower talks to one primary
+	t.MaxIdleConnsPerHost = maxStoreConns
+	return &http.Client{Transport: t}
+}()
 
 func (h HTTPSource) client() *http.Client {
 	if h.Client != nil {
 		return h.Client
 	}
-	return http.DefaultClient
+	return followerClient
+}
+
+// drainClose reads a response body to EOF (up to one fetch's worth)
+// before closing it, so the transport returns the connection to its idle
+// pool instead of closing it.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, maxFetchBytes))
+	body.Close()
 }
 
 // Manifest fetches the primary's current manifest.
@@ -110,7 +134,7 @@ func (h HTTPSource) Manifest(ctx context.Context) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, fmt.Errorf("replicate: %w", err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return Manifest{}, fmt.Errorf("replicate: manifest: %s", resp.Status)
 	}
@@ -145,7 +169,7 @@ func (h HTTPSource) Fetch(ctx context.Context, store, file string, offset, max i
 	if err != nil {
 		return nil, fmt.Errorf("replicate: %w", err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("replicate: fetch %s/%s: %s", store, file, resp.Status)
 	}
@@ -171,8 +195,7 @@ func (h HTTPSource) Ack(ctx context.Context, applied map[string]int64) error {
 	if err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("replicate: ack: %s", resp.Status)
 	}

@@ -396,9 +396,10 @@ func (s *Subscription) extract() SubState {
 		Stats:    s.Stats(),
 	}
 	for _, b := range s.batches {
+		p := b.Pool()
 		st.Batches = append(st.Batches, BatchState{
 			Tick: b.tick, F0: b.f0, InitLevel: b.initLevel, Plan: b.plan,
-			Roots: b.Roots, Steps: b.Steps, Agg: b.Counters, Moments: b.Moments,
+			Roots: b.Roots, Steps: b.Steps, Agg: p.Counters, Moments: p.Moments,
 		})
 	}
 	return st
@@ -451,10 +452,14 @@ func (e *Engine) Restore(snap EngineSnapshot, resolve Resolver) error {
 			sub := newSubscription(e, ls, sst.Spec.subSpec(obs), sst.ID)
 			sub.havePlan, sub.plan, sub.bucket, sub.nextRoot = sst.HavePlan, sst.Plan, sst.Bucket, sst.NextRoot
 			sub.answer, sub.stats = sst.Answer, sst.Stats
-			for _, bs := range sst.Batches {
+			for i, bs := range sst.Batches {
+				packed, err := core.Pack(core.Pool{Counters: bs.Agg, Moments: bs.Moments, Roots: bs.Roots, Steps: bs.Steps})
+				if err != nil {
+					return fmt.Errorf("stream: restoring subscription %d on %q: batch %d: %w", sst.ID, ss.Name, i, err)
+				}
 				sub.batches = append(sub.batches, &batch{
 					tick: bs.Tick, f0: bs.F0, initLevel: bs.InitLevel, plan: bs.Plan,
-					Pool: core.Pool{Counters: bs.Agg, Moments: bs.Moments, Roots: bs.Roots, Steps: bs.Steps},
+					PackedPool: packed,
 				})
 			}
 			ls.subs[sub.id] = sub
@@ -518,7 +523,7 @@ func (e *Engine) Apply(ctx context.Context, lsn int64, ev JournalEvent, resolve 
 		sub := newSubscription(e, ls, ev.Spec.subSpec(obs), ev.ID)
 		ls.mu.Lock()
 		defer ls.mu.Unlock()
-		ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, &ev.Outcome)
+		ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, &ev.Outcome, nil)
 		if err != nil {
 			// Only successful subscribes are journaled.
 			return fmt.Errorf("stream: replaying subscription %d: %w", ev.ID, err)
@@ -565,12 +570,13 @@ func (e *Engine) Apply(ctx context.Context, lsn int64, ev JournalEvent, resolve 
 		// without an entry decided nothing and replays from its pool.
 		next := ev.Outcomes
 		var none Outcome
+		var seed []float64
 		for _, sub := range ls.sorted() {
 			rec := &none
 			if len(next) > 0 && next[0].ID == sub.id {
 				rec, next = &next[0], next[1:]
 			}
-			ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, rec)
+			ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, rec, &seed)
 			if errors.Is(err, errDiverged) {
 				return fmt.Errorf("stream: replaying tick %d of %q: %w", ls.tick, ev.Name, err)
 			}

@@ -333,14 +333,16 @@ func TestStoredBatchSharesNoBackingWithShard(t *testing.T) {
 	evaluate := func() mc.Result {
 		pool := core.NewPool(m, initLevel)
 		for _, b := range sub.batches {
-			pool.Merge(&b.Pool)
+			p := b.Pool()
+			pool.Merge(&p)
 		}
 		return pool.Result(m)
 	}
 	before := make([]core.Pool, len(sub.batches))
 	for i, b := range sub.batches {
 		before[i] = core.NewPool(m, b.initLevel)
-		before[i].Merge(&b.Pool) // into empty: a copy
+		p := b.Pool()
+		before[i].Merge(&p) // into empty: a copy
 	}
 	want := evaluate()
 
@@ -358,7 +360,7 @@ func TestStoredBatchSharesNoBackingWithShard(t *testing.T) {
 		}
 	}
 	for i, b := range sub.batches {
-		if !reflect.DeepEqual(b.Pool, before[i]) {
+		if !reflect.DeepEqual(b.Pool(), before[i]) {
 			t.Fatalf("batch %d changed when its shard was overwritten: it shares the shard's backing array", i)
 		}
 	}

@@ -168,7 +168,14 @@ func (se *ShardedEngine) Update(ctx context.Context, name string, st stochastic.
 		}(i, eng)
 	}
 	wg.Wait()
+	n := 0
+	for _, rs := range results {
+		n += len(rs)
+	}
 	var out []Refresh
+	if n > 0 {
+		out = make([]Refresh, 0, n)
+	}
 	for _, rs := range results {
 		out = append(out, rs...)
 	}

@@ -393,8 +393,9 @@ func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) ([]*Subscript
 	subs := ls.sorted()
 	out := make([]Refresh, len(subs))
 	done := make([]refreshed, len(subs))
-	run := func(i int) {
-		ans, r, err := subs[i].refresh(ctx, ls.proc, ls.state, ls.tick, nil)
+	// Each worker keeps one seed-pool scratch across its refreshes.
+	run := func(i int, seed *[]float64) {
+		ans, r, err := subs[i].refresh(ctx, ls.proc, ls.state, ls.tick, nil, seed)
 		out[i], done[i] = Refresh{SubID: subs[i].id, Answer: ans, Err: err}, r
 	}
 	workers := e.cfg.RefreshWorkers
@@ -402,8 +403,9 @@ func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) ([]*Subscript
 		workers = len(subs)
 	}
 	if workers <= 1 {
+		var seed []float64
 		for i := range subs {
-			run(i)
+			run(i, &seed)
 		}
 		return subs, out, done
 	}
@@ -413,8 +415,9 @@ func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) ([]*Subscript
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var seed []float64
 			for i := range jobs {
-				run(i)
+				run(i, &seed)
 			}
 		}()
 	}
@@ -499,7 +502,7 @@ func (e *Engine) subscribe(ctx context.Context, spec SubSpec, id uint64) (*Subsc
 	sub := newSubscription(e, ls, spec, id)
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, nil)
+	ans, r, err := sub.refresh(ctx, ls.proc, ls.state, ls.tick, nil, nil)
 	if err != nil {
 		return nil, err
 	}

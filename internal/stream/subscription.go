@@ -147,7 +147,7 @@ type Refresh struct {
 
 // batch is the unit of root survival: one top-up round of root trees
 // simulated from one snapshot of the live state, kept as the estimator
-// loop's pool of their counters and per-root moments. A batch
+// loop's pool of their counters and per-root moments, packed. A batch
 // contributes to the answer while it is "active" — simulated under
 // the current plan, from the current start level, with a start value
 // within the drift tolerance of the live state. An inactive batch stays
@@ -158,7 +158,7 @@ type batch struct {
 	f0        float64   // normalized start value z/beta at simulation time
 	initLevel int       // start level under the plan at simulation time
 	plan      core.Plan // the plan the trees were split under
-	core.Pool
+	core.PackedPool
 
 	// active marks the batch as contributing to the latest answer. It is
 	// in-memory telemetry bookkeeping only (revival detection) and is
@@ -408,7 +408,11 @@ func (o *Outcome) decided() bool {
 // is evaluated once, so answers, SubStats and engine counters equal the
 // live ones — without a search or a simulation. The plan-independent
 // steps (expiry, survival, revival, booking) are shared by both modes.
-func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, state stochastic.State, tick int64, rec *Outcome) (Answer, refreshed, error) {
+//
+// The answer's seed pool lives only for the call: it is carved from
+// *seed (core.NewPoolOn) when seed is non-nil, so a caller refreshing
+// many subscriptions in turn reuses one buffer.
+func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, state stochastic.State, tick int64, rec *Outcome, seed *[]float64) (Answer, refreshed, error) {
 	e := s.engine
 	cfg := e.cfg
 	began := telemetry.Now()
@@ -437,7 +441,6 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 
 	bucket := int(math.Floor(math.Max(f0, 0) / cfg.StartBucketWidth))
 	sspec := serve.Spec{
-		Proc:       stochastic.Pin(proc, state),
 		Obs:        s.spec.Obs,
 		ModelID:    s.ls.name,
 		ObserverID: s.spec.ObserverID,
@@ -458,6 +461,9 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	if !s.havePlan || bucket != s.bucket {
 		var po PlanOutcome
 		if rec == nil {
+			// Only a search simulates the spec's process: from the live
+			// state.
+			sspec.Proc = stochastic.Pin(proc, state)
 			plan, meta, err := e.runner.ResolvePlan(ctx, &sspec)
 			po = PlanOutcome{Plan: plan, SearchSteps: meta.SearchSteps, CacheHit: meta.CacheHit}
 			if err != nil {
@@ -505,12 +511,13 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	// contributing batches, merged in pool order, seed the answer's pool.
 	tol := s.spec.driftTol(cfg)
 	var revived int64
-	pool := core.NewPool(m, initLevel)
+	pool := core.NewPoolOn(seed, m, initLevel)
 	for _, b := range s.batches {
 		ans.PoolRoots += b.Roots
 		contributing := b.initLevel == initLevel && math.Abs(b.f0-f0) <= tol && b.plan.Equal(s.plan)
 		if contributing {
-			pool.Merge(&b.Pool)
+			p := b.Pool()
+			pool.Merge(&p)
 			ans.SurvivedRoots += b.Roots
 			if !b.active {
 				// A dormant batch the state drifted back to — the revisit
@@ -522,18 +529,27 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	}
 
 	// fresh accumulates this refresh's top-up counters, in batch order,
-	// for the plan-quality ledger booking below.
-	fresh := core.NewCounters(m)
+	// for the plan-quality ledger booking below; most refreshes keep no
+	// fresh batch, so it is allocated by the first one kept.
+	var fresh core.Counters
 	// keep adds one fresh batch to the pool and the answer's accounting.
-	keep := func(p core.Pool) {
-		b := &batch{tick: tick, f0: f0, initLevel: initLevel, plan: s.plan, Pool: p, active: true}
+	keep := func(p core.Pool) error {
+		packed, err := core.Pack(p)
+		if err != nil {
+			return err
+		}
+		b := &batch{tick: tick, f0: f0, initLevel: initLevel, plan: s.plan, PackedPool: packed, active: true}
 		ans.FreshRoots += b.Roots
 		ans.FreshSteps += b.Steps
 		ans.PoolRoots += b.Roots
 		e.freshRoots.Add(b.Roots)
 		e.freshSteps.Add(b.Steps)
 		s.batches = append(s.batches, b)
-		fresh.Add(b.Counters)
+		if fresh.Land == nil {
+			fresh = core.NewCounters(m)
+		}
+		fresh.Add(p.Counters)
+		return nil
 	}
 	var res mc.Result
 	var err error
@@ -541,7 +557,9 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		for _, bo := range rec.Batches {
 			s.nextRoot += DefaultTopUpRoots
 			p := core.Pool{Counters: bo.Agg, Moments: bo.Moments, Roots: bo.Roots, Steps: bo.Steps}
-			keep(p)
+			if err := keep(p); err != nil {
+				return s.Answer(), refreshed{}, fmt.Errorf("%w: subscription %d records a batch: %v", errDiverged, s.id, err)
+			}
 			pool.Merge(&p)
 		}
 		if end := rec.End; end != nil {
@@ -574,26 +592,28 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		var batches []BatchOutcome
 		first := s.nextRoot
 		var results []mc.Result
-		results, err = pool.Run(ctx, func(ctx context.Context, lo, hi int64) (core.ShardResult, error) {
+		results, err = pool.Run(ctx, func(ctx context.Context, lo, hi int64, into *core.Pool) error {
 			if err := ctx.Err(); err != nil {
-				return core.ShardResult{}, err
+				return err
 			}
 			if ans.FreshSteps >= cfg.MaxRefreshSteps {
-				return core.ShardResult{}, errRefreshCapped
+				return errRefreshCapped
 			}
-			// A failed range drops its partial shard: the cursor stays,
+			// A failed range drops its partial roots: the cursor stays,
 			// and the answer is the last round's.
-			shard, err := cfg.Exec.RunRoots(ctx, task, first+lo, first+hi, 1)
-			if err != nil {
-				return core.ShardResult{}, err
+			if err := exec.FoldRoots(ctx, cfg.Exec, task, first+lo, first+hi, into); err != nil {
+				into.Reset()
+				return err
 			}
 			s.nextRoot = first + hi
-			return shard, nil
+			return nil
 		}, DefaultTopUpRoots, []core.Target{{Level: m, Stop: s.spec.Stop}}, func(round *core.Pool, _ []mc.Result) {
-			// The loop hands each round over: the batch keeps it, and the
-			// outcome shares it, since batches are immutable once kept.
+			// The loop hands each round over: the outcome keeps it, and the
+			// batch a packed copy.
 			batches = append(batches, BatchOutcome{Roots: round.Roots, Steps: round.Steps, Agg: round.Counters, Moments: round.Moments})
-			keep(*round)
+			if err := keep(*round); err != nil {
+				panic(err) // a round NewPool built always packs
+			}
 		})
 		// Answers carry no wall time (see Answer.Result).
 		res = results[0]
