@@ -58,8 +58,8 @@ func BenchmarkAblationParallelWorkers(b *testing.B) {
 // more for the same target.
 func BenchmarkAblationValueFunc(b *testing.B) {
 	proc, query, plan := ablationQuery()
-	coarse := func(s stochastic.State, t int) float64 {
-		v := query.Value(s, t)
+	coarse := func(s stochastic.State) float64 {
+		v := query.Value(s)
 		if v >= 1 {
 			return 1
 		}

@@ -15,6 +15,7 @@ import (
 	"durability/internal/rng"
 	"durability/internal/stochastic"
 	"durability/internal/stream"
+	"durability/internal/telemetry"
 )
 
 // runFailover measures the sharded standing-query engine under
@@ -194,21 +195,23 @@ func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (ben
 	}()
 
 	// Tick through the trajectory under full load, recording per-tick
-	// latency.
+	// fresh steps and latency.
 	feed := market.Initial()
 	src := rng.NewStream(2026, 11)
 	latencies := make([]float64, 0, ticks)
-	var tickSteps int64
+	stepHist := telemetry.NewHistogram(failoverStepBuckets)
 	before := statsSum(eng)
 	for tick := 1; tick <= ticks; tick++ {
 		market.Step(feed, tick, src)
 		began := time.Now()
+		prior := statsSum(eng)
 		if _, err := eng.Update(ctx, "bench", feed); err != nil {
 			return benchReport{}, err
 		}
 		latencies = append(latencies, float64(time.Since(began).Milliseconds()))
+		stepHist.Observe(float64(statsSum(eng) - prior))
 	}
-	tickSteps = statsSum(eng) - before
+	tickSteps := statsSum(eng) - before
 
 	// The crash: the primary is abandoned mid-flight — no final
 	// checkpoint, no farewell to the follower.
@@ -240,7 +243,6 @@ func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (ben
 		failoverSteps = 1
 	}
 
-	latHist := histogramOf(latencies)
 	return benchReport{
 		Scenario:                fmt.Sprintf("failover gbm(s0=%.0f) subs=%d shards=%d ticks=%d", s0, subs, shards, ticks),
 		Backend:                 "local",
@@ -253,7 +255,8 @@ func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (ben
 		P99TickMillis:           informational(percentile(latencies, 0.99)),
 		IncrementalStepsPerTick: float64(tickSteps) / float64(ticks),
 		Speedup:                 float64(rebuildSteps) / float64(failoverSteps),
-		StepsHistogram:          latHist,
+		StepsHistogram:          histJSON(stepHist),
+		TickMillisHistogram:     tickMillis(latencies),
 	}, nil
 }
 
@@ -275,14 +278,18 @@ func percentile(samples []float64, p float64) float64 {
 	return sorted[rank]
 }
 
-// histogramOf buckets wall-latency samples into the standard size
-// buckets so the report keeps the distribution, not just the p99.
-func histogramOf(samples []float64) *histogramJSON {
+// failoverStepBuckets is the per-tick fresh-step ladder: powers of four
+// up to about 1.1e9, past the 100k-subscription tick's ~1.8e8.
+var failoverStepBuckets = telemetry.ExpBuckets(1, 4, 16)
+
+// tickMillis buckets per-tick wall latencies (ms), so the report keeps
+// the distribution, not just the p99. Like wallClock, it is informational.
+func tickMillis(samples []float64) *wallClockHistogram {
 	bounds := []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 	counts := make([]uint64, len(bounds)+1)
 	for _, s := range samples {
 		i := sort.SearchFloat64s(bounds, s)
 		counts[i]++
 	}
-	return &histogramJSON{Bounds: bounds, Counts: counts}
+	return &wallClockHistogram{histogramJSON: histogramJSON{Bounds: bounds, Counts: counts}, Informational: true}
 }

@@ -34,10 +34,10 @@ func loadBaseline(path string) ([]benchReport, error) {
 // stepCounter resolves one of benchReport's deterministic step counters
 // by its JSON tag. Resolving reflectively is what lets the guard refuse
 // wrong fields by construction rather than by reviewer vigilance: a
-// *wallClock field is informational (machine-dependent wall time) and
-// guarding it would flake on every slow CI runner, so asking for one is
-// an error — not a skip — and the same goes for any field that is not an
-// int64 step count.
+// *wallClock or *wallClockHistogram field is informational
+// (machine-dependent wall time) and guarding it would flake on every
+// slow CI runner, so asking for one is an error — not a skip — and the
+// same goes for any field that is not an int64 step count.
 func stepCounter(r benchReport, jsonTag string) (int64, error) {
 	v := reflect.ValueOf(r)
 	t := v.Type()
@@ -47,7 +47,8 @@ func stepCounter(r benchReport, jsonTag string) (int64, error) {
 			continue
 		}
 		f := v.Field(i)
-		if _, ok := f.Interface().(*wallClock); ok {
+		switch f.Interface().(type) {
+		case *wallClock, *wallClockHistogram:
 			return 0, fmt.Errorf("durbench: %q is an informational wall-clock reading — refusing to guard it", jsonTag)
 		}
 		if f.Kind() != reflect.Int64 {

@@ -99,9 +99,12 @@ func TestGuardMatchesScenarioAndTarget(t *testing.T) {
 // no future scenario can accidentally put a machine-dependent number
 // under the regression gate.
 func TestGuardRefusesInformationalFields(t *testing.T) {
-	fresh := benchReport{Scenario: "failover", FailoverSteps: 1, FailoverMillis: informational(12)}
+	fresh := benchReport{Scenario: "failover", FailoverSteps: 1, FailoverMillis: informational(12), TickMillisHistogram: tickMillis([]float64{3, 40})}
 	if err := checkStepRegression(nil, fresh, "failover", "failoverMillis", false); err == nil || !strings.Contains(err.Error(), "informational") {
 		t.Fatalf("guard agreed to compare a wall-clock field: %v", err)
+	}
+	if err := checkStepRegression(nil, fresh, "failover", "tickMillisHistogram", false); err == nil || !strings.Contains(err.Error(), "informational") {
+		t.Fatalf("guard agreed to compare the per-tick latency histogram: %v", err)
 	}
 	if err := checkStepRegression(nil, fresh, "failover", "p99TickMillis", false); err == nil || !strings.Contains(err.Error(), "informational") {
 		t.Fatalf("guard agreed to compare p99TickMillis (nil reading must still refuse): %v", err)

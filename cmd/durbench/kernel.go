@@ -77,7 +77,7 @@ func (sc kernelScenario) gmlss(proc stochastic.Process, budget int64) (*core.GML
 	}
 	return &core.GMLSS{
 		Proc:    proc,
-		Query:   core.Query{Value: core.ThresholdValue(sc.obs, sc.beta), Horizon: sc.horizon},
+		Query:   core.Query{Z: sc.obs, Beta: sc.beta, Horizon: sc.horizon},
 		Plan:    plan,
 		Ratio:   3,
 		Stop:    mc.Budget{Steps: budget},
@@ -140,7 +140,7 @@ func topUpRound(ctx context.Context, sc kernelScenario) (allocs, bytes float64, 
 	if err != nil {
 		return 0, 0, err
 	}
-	initLevel := plan.LevelOf(core.ThresholdValue(sc.obs, sc.beta)(task.Start, 0))
+	initLevel := plan.LevelOf(core.Query{Z: sc.obs, Beta: sc.beta}.ValueOf(task.Start))
 	round := func(i int64) error {
 		pool := core.NewPool(plan.M(), initLevel)
 		return exec.FoldRoots(ctx, exec.Local{}, task, i*stream.DefaultTopUpRoots, (i+1)*stream.DefaultTopUpRoots, &pool)

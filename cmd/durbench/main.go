@@ -64,6 +64,13 @@ func informational(ms float64) *wallClock {
 	return &wallClock{Millis: ms, Informational: true}
 }
 
+// wallClockHistogram is a distribution of wall-time readings in ms,
+// informational like wallClock, and refused by the guard the same way.
+type wallClockHistogram struct {
+	histogramJSON
+	Informational bool `json:"informational"`
+}
+
 // benchReport is one entry of the BENCH_serve.json array.
 type benchReport struct {
 	Scenario string  `json:"scenario"`
@@ -131,9 +138,14 @@ type benchReport struct {
 
 	// StepsHistogram is the scenario's per-unit step distribution:
 	// per-tick maintenance steps (stream scenarios), per-threshold
-	// independent-query steps (batch), or the recovery/cold-restart pair
-	// (recovery). Deterministic at the fixed seed.
+	// independent-query steps (batch), the recovery/cold-restart pair
+	// (recovery), or per-tick fresh steps under load (failover).
+	// Deterministic at the fixed seed.
 	StepsHistogram *histogramJSON `json:"stepsHistogram,omitempty"`
+
+	// TickMillisHistogram is the failover scenario's per-tick wall
+	// latency distribution (the readings behind p99TickMillis).
+	TickMillisHistogram *wallClockHistogram `json:"tickMillisHistogram,omitempty"`
 }
 
 const (

@@ -115,7 +115,7 @@ func main() {
 	} else {
 		prob := &opt.Problem{
 			Proc:  proc,
-			Query: coreq.Query{Value: coreq.ThresholdValue(obs, *beta), Horizon: *horizon},
+			Query: coreq.Query{Z: obs, Beta: *beta, Horizon: *horizon},
 			Ratio: *ratio,
 			Seed:  *seed,
 		}

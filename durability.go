@@ -423,7 +423,7 @@ func AutoPlan(ctx context.Context, proc Process, q Query, ratio int, seed uint64
 	}
 	problem := &opt.Problem{
 		Proc:  proc,
-		Query: core.Query{Value: core.ThresholdValue(q.Z, q.Beta), Horizon: q.Horizon},
+		Query: core.Query{Z: q.Z, Beta: q.Beta, Horizon: q.Horizon},
 		Ratio: ratio,
 		Seed:  seed,
 	}

@@ -78,7 +78,7 @@ func main() {
 	// The same query on the in-process sampler, with no execution backend.
 	inline := &core.GMLSS{
 		Proc:  newMarket(),
-		Query: core.Query{Value: core.ThresholdValue(task.Obs, task.Beta), Horizon: task.Horizon},
+		Query: core.Query{Z: task.Obs, Beta: task.Beta, Horizon: task.Horizon},
 		Plan:  core.MustPlan(task.Boundaries...),
 		Ratio: task.Ratio,
 		Stop:  quality,

@@ -125,7 +125,7 @@ func (w *Worker) Run(req ShardRequest, reply *ShardReply) error {
 	g := &core.GMLSS{
 		Proc:    proc,
 		Start:   req.Start,
-		Query:   core.Query{Value: core.ThresholdValue(obs, req.Beta), Horizon: req.Horizon},
+		Query:   core.Query{Z: obs, Beta: req.Beta, Horizon: req.Horizon},
 		Plan:    plan,
 		Ratio:   req.Ratio,
 		Ratios:  req.Ratios,

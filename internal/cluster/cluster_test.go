@@ -124,7 +124,7 @@ func TestWorkerPinsStartState(t *testing.T) {
 	pinnedLocal := localShard(t, stochastic.Pin(proc, start), obs, beta, horizon, boundaries, 7, 0, 128, 16)
 	unpinned := localShard(t, proc, obs, beta, horizon, boundaries, 7, 0, 128, 16)
 	m := core.MustPlan(boundaries...).M()
-	initLevel := core.MustPlan(boundaries...).LevelOf(core.ThresholdValue(obs, beta)(start, 0))
+	initLevel := core.MustPlan(boundaries...).LevelOf(core.Query{Z: obs, Beta: beta}.ValueOf(start))
 	got := core.EstimateFromCounters(reply.Result.Agg, reply.Result.Roots, m, initLevel)
 	want := core.EstimateFromCounters(pinnedLocal.Agg, pinnedLocal.Roots, m, initLevel)
 	if got != want {

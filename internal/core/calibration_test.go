@@ -85,7 +85,7 @@ func TestGMLSSCalibration(t *testing.T) {
 		return func(seed uint64) (mc.Result, error) {
 			g := &core.GMLSS{
 				Proc:  stochastic.BirthDeathChain(12, 0.45, 2),
-				Query: core.Query{Value: core.ThresholdValue(stochastic.ChainIndex, beta), Horizon: horizon},
+				Query: core.Query{Z: stochastic.ChainIndex, Beta: beta, Horizon: horizon},
 				Plan:  plan,
 				Ratio: 3,
 				Stop:  stop,
@@ -155,7 +155,7 @@ func TestGMLSSCalibrationRareSkip(t *testing.T) {
 		}
 		g := &core.GMLSS{
 			Proc:  chain,
-			Query: core.Query{Value: core.ThresholdValue(stochastic.ChainIndex, beta), Horizon: horizon},
+			Query: core.Query{Z: stochastic.ChainIndex, Beta: beta, Horizon: horizon},
 			Plan:  core.MustPlan(bounds...),
 			Ratio: 3,
 			Stop:  mc.Any{mc.RETarget{Target: re}, mc.Budget{Steps: 50_000_000}},

@@ -67,13 +67,13 @@ func TestUniformPlan(t *testing.T) {
 
 func TestThresholdValueClamps(t *testing.T) {
 	f := ThresholdValue(stochastic.ScalarValue, 10)
-	if v := f(&stochastic.Scalar{V: -5}, 0); v != 0 {
+	if v := f(&stochastic.Scalar{V: -5}); v != 0 {
 		t.Fatalf("negative z gave f = %v", v)
 	}
-	if v := f(&stochastic.Scalar{V: 5}, 0); v != 0.5 {
+	if v := f(&stochastic.Scalar{V: 5}); v != 0.5 {
 		t.Fatalf("f = %v, want 0.5", v)
 	}
-	if v := f(&stochastic.Scalar{V: 25}, 0); v != 1 {
+	if v := f(&stochastic.Scalar{V: 25}); v != 1 {
 		t.Fatalf("overshoot gave f = %v, want 1", v)
 	}
 }
@@ -93,7 +93,7 @@ func TestThresholdValuePanicsOnBadBeta(t *testing.T) {
 func noSkipChain() (*stochastic.MarkovChain, Query, Plan, float64) {
 	chain := stochastic.BirthDeathChain(10, 0.45, 0)
 	const horizon, beta = 50, 7
-	q := Query{Value: ThresholdValue(stochastic.ChainIndex, beta), Horizon: horizon}
+	q := Query{Z: stochastic.ChainIndex, Beta: beta, Horizon: horizon}
 	plan := MustPlan(3.0/beta, 5.0/beta)
 	target := map[int]bool{}
 	for i := beta; i < 10; i++ {
@@ -131,7 +131,7 @@ func skipChain() (*stochastic.MarkovChain, Query, Plan, float64) {
 		panic(err)
 	}
 	const horizon, beta = 40, 10
-	q := Query{Value: ThresholdValue(stochastic.ChainIndex, beta), Horizon: horizon}
+	q := Query{Z: stochastic.ChainIndex, Beta: beta, Horizon: horizon}
 	plan := MustPlan(4.0/beta, 6.0/beta, 8.0/beta)
 	target := map[int]bool{}
 	for i := beta; i < n; i++ {
@@ -395,7 +395,7 @@ func TestQuickGMLSSProducesProbabilities(t *testing.T) {
 
 func TestMLSSRejectsSatisfiedInitialState(t *testing.T) {
 	w := &stochastic.RandomWalk{Start: 20, Drift: 0, Sigma: 1}
-	q := Query{Value: ThresholdValue(stochastic.ScalarValue, 10), Horizon: 10}
+	q := Query{Z: stochastic.ScalarValue, Beta: 10, Horizon: 10}
 	plan := MustPlan(0.5)
 	if _, err := (&SMLSS{Proc: w, Query: q, Plan: plan, Ratio: 2, Stop: mc.Budget{Steps: 10}}).Run(context.Background()); err == nil {
 		t.Error("SMLSS accepted an initial state at the target")

@@ -14,7 +14,7 @@ import (
 // version recorded final-boundary crossings only as hits and estimated 0.)
 func TestGMLSSEmptyPlanDegeneratesToSRS(t *testing.T) {
 	w := &stochastic.RandomWalk{Start: 0, Drift: 0, Sigma: 1}
-	q := Query{Value: ThresholdValue(stochastic.ScalarValue, 8), Horizon: 100}
+	q := Query{Z: stochastic.ScalarValue, Beta: 8, Horizon: 100}
 	g := &GMLSS{Proc: w, Query: q, Plan: Plan{}, Ratio: 3,
 		Stop: mc.Budget{Steps: 500_000}, Seed: 1}
 	res, err := g.Run(context.Background())
@@ -32,7 +32,7 @@ func TestGMLSSEmptyPlanDegeneratesToSRS(t *testing.T) {
 // Same regression for s-MLSS.
 func TestSMLSSEmptyPlan(t *testing.T) {
 	w := &stochastic.RandomWalk{Start: 0, Drift: 0, Sigma: 1}
-	q := Query{Value: ThresholdValue(stochastic.ScalarValue, 8), Horizon: 100}
+	q := Query{Z: stochastic.ScalarValue, Beta: 8, Horizon: 100}
 	s := &SMLSS{Proc: w, Query: q, Plan: Plan{}, Ratio: 3,
 		Stop: mc.Budget{Steps: 500_000}, Seed: 2}
 	res, err := s.Run(context.Background())
@@ -53,7 +53,7 @@ func TestSMLSSEmptyPlan(t *testing.T) {
 func TestMLSSInitialStateAboveFirstBoundary(t *testing.T) {
 	w := &stochastic.RandomWalk{Start: 5, Drift: 0, Sigma: 1}
 	// beta = 10, so the start value 5 has f = 0.5, above the 0.3 boundary.
-	q := Query{Value: ThresholdValue(stochastic.ScalarValue, 10), Horizon: 200}
+	q := Query{Z: stochastic.ScalarValue, Beta: 10, Horizon: 200}
 	plan := MustPlan(0.3, 0.8)
 
 	ref := &mc.SRS{

@@ -110,7 +110,7 @@ func (g *GMLSS) start() (proto stochastic.State, initLevel int, err error) {
 	if proto == nil {
 		proto = g.Proc.Initial()
 	}
-	initLevel = g.Plan.LevelOf(g.Query.Value(proto, 0))
+	initLevel = g.Plan.LevelOf(g.Query.ValueOf(proto))
 	if initLevel >= g.Plan.M() {
 		return nil, 0, errors.New("core: initial state already satisfies the query")
 	}

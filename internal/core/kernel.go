@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -308,19 +309,34 @@ func (ls *laneSet) completedPrefix() int64 {
 // tree walk. advance replicates the recursion's per-step bookkeeping;
 // finishSegment replicates its unwinding. A kernel outlives the call
 // that built it: a workspace (sim.go) rebinds it to each call's sampler.
+//
+// Both kernels test boundaries in observation space: the query's reading
+// z of each stepped lane against the cut of the boundary it watches
+// (observation.cut), so the hot loop pays one observer call and one
+// compare. Only a crossing or the horizon maps z to f.
 type gmlssKernel struct {
 	laneSet
 	g         *GMLSS
 	proto     stochastic.State
 	initLevel int
-	initB     float64 // Boundary(initLevel+1)
 	m         int
-	value     ValueFunc // Query.Value, cached off the hot loop's pointer chase
+	obs       observation
+	cuts      []float64 // cuts[j] is the cut of Boundary(j), 1 <= j <= m
 	horizon   int
 
-	curr  []int     // current level per lane
-	nextB []float64 // Boundary(curr+1) per lane, fixed per segment
-	out   []gmlssRoot
+	curr    []int     // current level per lane
+	nextCut []float64 // cuts[curr+1] per lane, fixed per segment
+	out     []gmlssRoot
+}
+
+// bindCuts fills cuts[1..m] for a plan's boundaries under o, reusing the
+// slice's backing.
+func bindCuts(cuts []float64, o observation, plan Plan) []float64 {
+	cuts = append(cuts[:0], math.NaN()) // index 0 has no boundary
+	for j := 1; j <= plan.M(); j++ {
+		cuts = append(cuts, o.cut(plan.Boundary(j)))
+	}
+	return cuts
 }
 
 // newGMLSSKernel builds a kernel's lane state for bulk; bind points it
@@ -329,9 +345,15 @@ func newGMLSSKernel(bulk stochastic.BulkProcess) *gmlssKernel {
 	k := &gmlssKernel{}
 	k.laneSet.init(bulk)
 	k.curr = make([]int, defaultLanes)
-	k.nextB = make([]float64, defaultLanes)
+	// The cut table lives past nextCut in one backing array, with room
+	// for plans of up to cutRoom-1 boundaries, the target's included.
+	buf := make([]float64, defaultLanes+cutRoom)
+	k.nextCut, k.cuts = buf[:defaultLanes:defaultLanes], buf[defaultLanes:defaultLanes]
 	return k
 }
+
+// cutRoom is the cut-table capacity a g-MLSS kernel starts with.
+const cutRoom = 16
 
 // bind points the kernel at one call's sampler and start state, whose
 // model must be the one its lane state was built for. It drops any
@@ -341,16 +363,16 @@ func (k *gmlssKernel) bind(g *GMLSS, proto stochastic.State, initLevel int) {
 	k.g = g
 	k.proto = proto
 	k.initLevel = initLevel
-	k.initB = g.Plan.Boundary(initLevel + 1)
 	k.m = g.Plan.M()
-	k.value = g.Query.Value
+	k.obs = g.Query.observation()
+	k.cuts = bindCuts(k.cuts, k.obs, g.Plan)
 	k.horizon = g.Query.Horizon
 }
 
-// unbind lets go of the call's start state and value function, so an
-// idle kernel pins nothing of the subscription that last ran on it.
+// unbind lets go of the call's start state and observer, so an idle
+// kernel pins nothing of the subscription that last ran on it.
 func (k *gmlssKernel) unbind() {
-	k.g, k.proto, k.value, k.out = nil, nil, nil, nil
+	k.g, k.proto, k.obs, k.out = nil, nil, observation{}, nil
 }
 
 // runChunk simulates roots [base, base+len(out)) into out and returns
@@ -372,14 +394,14 @@ func (k *gmlssKernel) runChunk(ctx context.Context, base int64, out []gmlssRoot)
 			// goes through advance.
 			k.lsteps[i]++
 			t := k.t[i]
-			f := k.value(k.views[i], t)
-			if f < k.nextB[i] && t < k.horizon {
+			z := k.obs.z(k.views[i])
+			if z < k.nextCut[i] && t < k.horizon {
 				k.t[i] = t + 1
 				k.active[w] = i
 				w++
 				continue
 			}
-			if k.advance(i, t, f) {
+			if k.advance(i, t, z) {
 				k.active[w] = i
 				w++
 			}
@@ -397,23 +419,23 @@ func (k *gmlssKernel) startRoot(i int) {
 	k.srcs[i].SeedStream(k.g.Seed, uint64(k.base+int64(local)))
 	k.vec.Load(i, k.proto)
 	k.curr[i] = k.initLevel
-	k.nextB[i] = k.initB
+	k.nextCut[i] = k.cuts[k.initLevel+1]
 	k.t[i] = 1
 	k.lsteps[i] = 0
 	k.frames[i] = k.frames[i][:0]
 }
 
 // advance books the cold outcomes of the step lane i just took at time
-// t with observed value f — a boundary crossing or the horizon — and
-// reports whether the lane still has work. runChunk's loop handles the
-// hot no-crossing regime inline; by the caller's filter, reaching here
-// means f >= nextB or t >= horizon.
-func (k *gmlssKernel) advance(i, t int, f float64) bool {
-	if f < k.nextB[i] {
+// t with reading z — a boundary crossing or the horizon — and reports
+// whether the lane still has work. runChunk's loop handles the hot
+// no-crossing regime inline; by the caller's filter, reaching here means
+// z >= nextCut (f >= Boundary(curr+1)) or t >= horizon.
+func (k *gmlssKernel) advance(i, t int, z float64) bool {
+	if z < k.nextCut[i] {
 		return k.finishSegment(i, false)
 	}
 	out := &k.out[k.root[i]]
-	j := k.g.Plan.LevelOf(f)
+	j := k.g.Plan.LevelOf(k.obs.f(z))
 	for lvl := k.curr[i] + 1; lvl < j; lvl++ {
 		out.counters.Skip[lvl]++
 	}
@@ -434,7 +456,7 @@ func (k *gmlssKernel) advance(i, t int, f float64) bool {
 	// The first offspring continues in-lane: its state is the entrance
 	// state the lane already holds.
 	k.curr[i] = j
-	k.nextB[i] = k.g.Plan.Boundary(j + 1)
+	k.nextCut[i] = k.cuts[j+1]
 	k.t[i] = t + 1
 	return true
 }
@@ -467,7 +489,7 @@ func (k *gmlssKernel) finishSegment(i int, crossed bool) bool {
 			// Next offspring restarts from the spilled entrance state.
 			k.vec.Restore(i, fr.spill)
 			k.curr[i] = fr.level
-			k.nextB[i] = k.g.Plan.Boundary(fr.level + 1)
+			k.nextCut[i] = k.cuts[fr.level+1]
 			k.t[i] = fr.t + 1 // fr.t < Horizon by the push condition
 			return true
 		}
@@ -489,12 +511,13 @@ type smlssKernel struct {
 	proto     stochastic.State
 	initWatch int
 	m         int
-	value     ValueFunc
+	obs       observation
+	cuts      []float64 // as gmlssKernel's
 	horizon   int
 
 	watch []int
-	loB   []float64
-	hiB   []float64
+	loCut []float64 // cuts[watch] per lane
+	hiCut []float64 // cuts[watch+1] per lane
 	out   []smlssRoot
 }
 
@@ -504,13 +527,14 @@ func newSMLSSKernel(s *SMLSS, bulk stochastic.BulkProcess, proto stochastic.Stat
 		proto:     proto,
 		initWatch: initLevel + 1,
 		m:         s.Plan.M(),
-		value:     s.Query.Value,
+		obs:       s.Query.observation(),
 		horizon:   s.Query.Horizon,
 	}
 	k.laneSet.init(bulk)
 	k.watch = make([]int, defaultLanes)
-	k.loB = make([]float64, defaultLanes)
-	k.hiB = make([]float64, defaultLanes)
+	buf := make([]float64, 2*defaultLanes+k.m+1)
+	k.loCut, k.hiCut = buf[:defaultLanes:defaultLanes], buf[defaultLanes:2*defaultLanes:2*defaultLanes]
+	k.cuts = bindCuts(buf[2*defaultLanes:2*defaultLanes], k.obs, s.Plan)
 	return k
 }
 
@@ -530,22 +554,22 @@ func (k *smlssKernel) runChunk(ctx context.Context, base int64, out []smlssRoot)
 			// interval (nor hit the target) nor reached the horizon.
 			k.lsteps[i]++
 			t := k.t[i]
-			f := k.value(k.views[i], t)
+			z := k.obs.z(k.views[i])
 			wl := k.watch[i]
 			if wl == k.m {
-				if f < 1 && t < k.horizon {
+				if z < k.cuts[wl] && t < k.horizon {
 					k.t[i] = t + 1
 					k.active[w] = i
 					w++
 					continue
 				}
-			} else if (f < k.loB[i] || f >= k.hiB[i]) && t < k.horizon {
+			} else if (z < k.loCut[i] || z >= k.hiCut[i]) && t < k.horizon {
 				k.t[i] = t + 1
 				k.active[w] = i
 				w++
 				continue
 			}
-			if k.advance(i, t, f) {
+			if k.advance(i, t, z) {
 				k.active[w] = i
 				w++
 			}
@@ -567,28 +591,30 @@ func (k *smlssKernel) startRoot(i int) {
 	k.frames[i] = k.frames[i][:0]
 }
 
-// setWatch points lane i at watch level w and caches its interval.
+// setWatch points lane i at watch level w and caches its interval's
+// cuts.
 func (k *smlssKernel) setWatch(i, w int) {
 	k.watch[i] = w
 	if w < k.m {
-		k.loB[i] = k.s.Plan.Boundary(w)
-		k.hiB[i] = k.s.Plan.Boundary(w + 1)
+		k.loCut[i] = k.cuts[w]
+		k.hiCut[i] = k.cuts[w+1]
 	}
 }
 
-// advance books the cold outcomes for lane i at time t with value f: a
+// advance books the cold outcomes for lane i at time t with reading z: a
 // landing, a target hit, or the horizon. runChunk's loop keeps the hot
-// no-landing regime inline.
-func (k *smlssKernel) advance(i, t int, f float64) bool {
+// no-landing regime inline. z >= cut is f >= boundary, NaN included, as
+// z < cut is f < boundary.
+func (k *smlssKernel) advance(i, t int, z float64) bool {
 	w := k.watch[i]
 	if w == k.m {
-		if f >= 1 {
+		if z >= k.cuts[w] {
 			out := &k.out[k.root[i]]
 			out.hits++
 			out.entries[k.m]++
 			return k.finishSegment(i)
 		}
-	} else if f >= k.loB[i] && f < k.hiB[i] {
+	} else if z >= k.loCut[i] && z < k.hiCut[i] {
 		out := &k.out[k.root[i]]
 		out.entries[w]++
 		if t >= k.horizon {

@@ -22,7 +22,7 @@ import (
 func benchGMLSS(proc stochastic.Process, obs stochastic.Observer, beta float64, plan Plan, horizon int) *GMLSS {
 	return &GMLSS{
 		Proc:    proc,
-		Query:   Query{Value: ThresholdValue(obs, beta), Horizon: horizon},
+		Query:   Query{Z: obs, Beta: beta, Horizon: horizon},
 		Plan:    plan,
 		Ratio:   3,
 		Stop:    mc.Budget{Steps: 300_000},
@@ -41,6 +41,12 @@ func benchModels(b *testing.B) map[string]*GMLSS {
 			stochastic.ScalarValue, 20, MustPlan(0.35, 0.5, 0.65, 0.8), 60),
 		"chain": benchGMLSS(stochastic.BirthDeathChain(12, 0.45, 2),
 			stochastic.ChainIndex, 9, MustPlan(4.0/9, 6.0/9, 8.0/9), 80),
+		// The queue and cpp shapes of perfbench's query-mix, at durserve's
+		// default model parameters: the queue dominates its CPU.
+		"queue": benchGMLSS(stochastic.NewTandemQueue(0.5, 2, 2),
+			stochastic.Queue2Len, 30, MustPlan(0.25, 0.45, 0.65, 0.85), 500),
+		"cpp": benchGMLSS(stochastic.NewCompoundPoisson(15, 6, 0.8, 5, 10),
+			stochastic.ScalarValue, 40, MustPlan(0.5, 0.65, 0.8), 250),
 	}
 }
 

@@ -28,9 +28,19 @@ type kernelFixture struct {
 	proc    stochastic.Process
 	obs     stochastic.Observer
 	beta    float64
+	value   ValueFunc // when set, the query's custom form instead of (obs, beta)
 	plan    Plan
 	horizon int
 	ratios  []int // optional per-level ratios (exercises ratioAt)
+}
+
+// query is the fixture's query: the threshold form every serving path
+// uses, whose kernels test readings against cuts, or the custom form.
+func (fx kernelFixture) query() Query {
+	if fx.value != nil {
+		return Query{Value: fx.value, Horizon: fx.horizon}
+	}
+	return Query{Z: fx.obs, Beta: fx.beta, Horizon: fx.horizon}
 }
 
 func kernelFixtures(t *testing.T) []kernelFixture {
@@ -86,13 +96,23 @@ func kernelFixtures(t *testing.T) []kernelFixture {
 			obs: stochastic.Queue2Len, beta: 8,
 			plan: MustPlan(0.25, 0.5, 0.75), horizon: 60,
 		},
+		{
+			// A custom value function runs the same loop, its own reading
+			// tested against cuts equal to the boundaries.
+			name: "walk-custom", proc: &stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2},
+			value: func(s stochastic.State) float64 {
+				v := stochastic.ScalarValue(s) / 20
+				return math.Copysign(v*v, v)
+			},
+			plan: MustPlan(0.1, 0.3, 0.6), horizon: 60,
+		},
 	}
 }
 
 func (fx kernelFixture) gmlss(proc stochastic.Process, workers int) *GMLSS {
 	return &GMLSS{
 		Proc:    proc,
-		Query:   Query{Value: ThresholdValue(fx.obs, fx.beta), Horizon: fx.horizon},
+		Query:   fx.query(),
 		Plan:    fx.plan,
 		Ratio:   3,
 		Ratios:  fx.ratios,
@@ -106,7 +126,7 @@ func (fx kernelFixture) gmlss(proc stochastic.Process, workers int) *GMLSS {
 func (fx kernelFixture) smlss(proc stochastic.Process, workers int) *SMLSS {
 	return &SMLSS{
 		Proc:    proc,
-		Query:   Query{Value: ThresholdValue(fx.obs, fx.beta), Horizon: fx.horizon},
+		Query:   fx.query(),
 		Plan:    fx.plan,
 		Ratio:   3,
 		Stop:    mc.Budget{Steps: 30_000},
@@ -142,7 +162,7 @@ func TestKernelMatchesReferenceRoots(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			proto := fx.proc.Initial()
 			g := fx.gmlss(fx.proc, 1)
-			initLevel := g.Plan.LevelOf(g.Query.Value(proto, 0))
+			initLevel := g.Plan.LevelOf(g.Query.ValueOf(proto))
 			want, err := referenceGMLSS(g, 1, proto, initLevel).runRange(ctx, lo, hi)
 			if err != nil {
 				t.Fatal(err)
@@ -308,12 +328,12 @@ func TestKernelCancelMidBatch(t *testing.T) {
 			// batch can legitimately complete zero roots).
 			g.Batch = 16
 			var evals int64
-			inner := g.Query.Value
-			g.Query.Value = func(s stochastic.State, t int) float64 {
+			inner := g.Query.Z
+			g.Query.Z = func(s stochastic.State) float64 {
 				if atomic.AddInt64(&evals, 1) == 100_000 {
 					cancel()
 				}
-				return inner(s, t)
+				return inner(s)
 			}
 			res, err := g.Run(ctx)
 			cancel()
@@ -331,7 +351,7 @@ func TestKernelCancelMidBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := fx.plan.M()
-			initLevel := fx.plan.LevelOf(g.Query.Value(fx.proc.Initial(), 0))
+			initLevel := fx.plan.LevelOf(g.Query.ValueOf(fx.proc.Initial()))
 			if got, want := res.P, EstimateFromCounters(shard.Agg, res.Paths, m, initLevel); got != want {
 				t.Errorf("workers=%d %s: prefix estimate %v != reference replay %v", workers, path, got, want)
 			}
@@ -355,7 +375,7 @@ func TestKernelMatchesReferenceBlackBox(t *testing.T) {
 	proc := neural.NewStockProcess(neural.NewModel(neural.Config{Hidden: 6, Layers: 1, Mixtures: 2, SeqLen: 20}, 5), 1000, 10)
 	g := &GMLSS{
 		Proc:    proc,
-		Query:   Query{Value: ThresholdValue(neural.Price, 2000), Horizon: 30},
+		Query:   Query{Z: neural.Price, Beta: 2000, Horizon: 30},
 		Plan:    MustPlan(0.6, 0.75, 0.9),
 		Ratio:   3,
 		Stop:    mc.Budget{Steps: 10_000},

@@ -95,12 +95,12 @@ func TestCancelUnderHelpersReturnsCompletedPrefix(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var evals atomic.Int64
-	inner := g.Query.Value
-	g.Query.Value = func(s stochastic.State, t int) float64 {
+	inner := g.Query.Z
+	g.Query.Z = func(s stochastic.State) float64 {
 		if evals.Add(1) == 300_000 {
 			cancel()
 		}
-		return inner(s, t)
+		return inner(s)
 	}
 	res, err := g.Run(ctx)
 	if err != context.Canceled || res.Paths == 0 {
@@ -111,7 +111,7 @@ func TestCancelUnderHelpersReturnsCompletedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initLevel := fx.plan.LevelOf(inner(fx.proc.Initial(), 0))
+	initLevel := fx.plan.LevelOf(g.Query.ValueOf(fx.proc.Initial()))
 	if got, want := res.P, EstimateFromCounters(shard.Agg, res.Paths, fx.plan.M(), initLevel); got != want {
 		t.Errorf("prefix estimate %v != reference replay %v", got, want)
 	}

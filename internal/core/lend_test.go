@@ -47,7 +47,7 @@ const (
 var (
 	lendBounds = []float64{4.0 / 11, 6.0 / 11, 8.0 / 11, 10.0 / 11}
 	lendStop   = mc.Any{mc.RETarget{Target: 0.02}, mc.Budget{Steps: 20_000_000}}
-	lendQuery  = core.Query{Value: core.ThresholdValue(stochastic.ChainIndex, lendBeta), Horizon: lendHorizon}
+	lendQuery  = core.Query{Z: stochastic.ChainIndex, Beta: lendBeta, Horizon: lendHorizon}
 )
 
 func lendChain() stochastic.Process { return stochastic.BirthDeathChain(12, 0.45, 2) }

@@ -282,7 +282,7 @@ func TestTwoLevelVarianceIsMomentsPlusSkipCovariance(t *testing.T) {
 		plan Plan
 	}{
 		{"skipping", skipping, q, plan},
-		{"no-skip", noSkip, Query{Value: ThresholdValue(stochastic.ChainIndex, 9), Horizon: 80}, MustPlan(5.0 / 9)},
+		{"no-skip", noSkip, Query{Z: stochastic.ChainIndex, Beta: 9, Horizon: 80}, MustPlan(5.0 / 9)},
 	} {
 		g := &GMLSS{Proc: tc.proc, Query: tc.q, Plan: tc.plan, Ratio: 3, Stop: mc.Budget{Steps: 1}, Seed: 4}
 		const n = 20_000

@@ -59,7 +59,7 @@ func gmlssSegment(g *GMLSS, st stochastic.State, t0, curr int, src *rng.Source, 
 	for t := t0 + 1; t <= g.Query.Horizon; t++ {
 		g.Proc.Step(st, t, src)
 		out.steps++
-		f := g.Query.Value(st, t)
+		f := g.Query.ValueOf(st)
 		if f < nextB {
 			continue
 		}
@@ -101,7 +101,7 @@ func smlssSegment(s *SMLSS, st stochastic.State, t0, watch int, src *rng.Source,
 	for t := t0 + 1; t <= s.Query.Horizon; t++ {
 		s.Proc.Step(st, t, src)
 		out.steps++
-		f := s.Query.Value(st, t)
+		f := s.Query.ValueOf(st)
 		if watch == m {
 			if f >= 1 {
 				out.hits++

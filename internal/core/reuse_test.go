@@ -132,8 +132,8 @@ func (c reuseCall) answer(t *testing.T, workers int, simulate gmlssSimFunc) any 
 	return got
 }
 
-// cancelMidChunk runs the call's sampler until its value function has
-// been evaluated enough times to land mid-chunk, then cancels, leaving
+// cancelMidChunk runs the call's sampler until its observer has been
+// evaluated enough times to land mid-chunk, then cancels, leaving
 // lanes mid-root with splits pending on their frame stacks.
 func (c reuseCall) cancelMidChunk(t *testing.T, workers int) {
 	t.Helper()
@@ -142,12 +142,12 @@ func (c reuseCall) cancelMidChunk(t *testing.T, workers int) {
 	g := c.sampler(workers)
 	g.Stop = mc.Budget{Steps: math.MaxInt64}
 	var evals atomic.Int64
-	inner := g.Query.Value
-	g.Query.Value = func(s stochastic.State, t int) float64 {
+	inner := g.Query.Z
+	g.Query.Z = func(s stochastic.State) float64 {
 		if evals.Add(1) == 20_000 {
 			cancel()
 		}
-		return inner(s, t)
+		return inner(s)
 	}
 	if _, err := g.Run(ctx); err != context.Canceled {
 		t.Fatalf("%s: want context.Canceled, got %v", c.name, err)

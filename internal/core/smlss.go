@@ -88,7 +88,7 @@ func (s *SMLSS) run(ctx context.Context, stop mc.StopRule, simulate smlssSimFunc
 	}
 	m := s.Plan.M()
 	proto := s.Proc.Initial()
-	initLevel := s.Plan.LevelOf(s.Query.Value(proto, 0))
+	initLevel := s.Plan.LevelOf(s.Query.ValueOf(proto))
 	if initLevel >= m {
 		return mc.Result{}, nil, errors.New("core: initial state already satisfies the query")
 	}
@@ -145,7 +145,7 @@ func (s *SMLSS) LevelEntryCounts(ctx context.Context, nRoots int64) ([]int64, in
 	ctx, release := occupy(ctx)
 	defer release()
 	proto := s.Proc.Initial()
-	initLevel := s.Plan.LevelOf(s.Query.Value(proto, 0))
+	initLevel := s.Plan.LevelOf(s.Query.ValueOf(proto))
 	roots, err := kernelSMLSS(s, width(s.Workers), proto, initLevel)(ctx, 0, nRoots)
 	counts := make([]int64, s.Plan.M()+1)
 	var steps int64

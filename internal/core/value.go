@@ -9,17 +9,17 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"durability/internal/stochastic"
 )
 
-// ValueFunc is the heuristic value function f(x_t) of §3: it maps a state
-// (and the current time) into [0, 1], where 1 means "the query condition
-// holds right now" and larger values mean the path is closer to hitting
-// the condition. Estimator unbiasedness never depends on f — only
-// efficiency does.
-type ValueFunc func(s stochastic.State, t int) float64
+// ValueFunc is the heuristic value function f(x) of §3: it maps a state
+// into [0, 1], where 1 means "the query condition holds right now" and
+// larger values mean the path is closer to hitting the condition.
+// Estimator unbiasedness never depends on f — only efficiency does.
+type ValueFunc func(s stochastic.State) float64
 
 // ThresholdValue builds the paper's standard value function for conditions
 // of the form z(x) >= beta:
@@ -27,38 +27,107 @@ type ValueFunc func(s stochastic.State, t int) float64
 //	f(x) = clamp(z(x)/beta, 0, 1)
 //
 // so f reaches 1 exactly when the condition holds. beta must be positive.
+// A Query's threshold form (Z, Beta) is the same f, evaluated by the
+// kernels against precomputed cuts instead.
 func ThresholdValue(z stochastic.Observer, beta float64) ValueFunc {
 	if beta <= 0 {
 		panic("core: ThresholdValue requires beta > 0")
 	}
-	return func(s stochastic.State, _ int) float64 {
-		v := z(s) / beta
-		if v < 0 {
-			return 0
-		}
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
+	return func(s stochastic.State) float64 { return clampRatio(z(s), beta) }
 }
 
-// Query is a durability prediction query expressed through a value
-// function: the probability that f reaches 1 at some time 1 <= t <= Horizon.
+// clampRatio is the threshold form's f: clamp(z/beta, 0, 1).
+func clampRatio(z, beta float64) float64 {
+	v := z / beta
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
+}
+
+// Query is a durability prediction query: the probability that the value
+// function f reaches 1 at some time 1 <= t <= Horizon. It takes one of two
+// forms. The threshold form sets Z and Beta for the condition z(x) >= beta
+// and the paper's f = clamp(z/beta, 0, 1); every serving path uses it. The
+// custom form sets Value to any f instead.
 type Query struct {
+	Z       stochastic.Observer
+	Beta    float64
 	Value   ValueFunc
 	Horizon int
 }
 
 // Validate reports configuration errors.
 func (q Query) Validate() error {
-	if q.Value == nil {
+	switch {
+	case q.Z != nil && q.Value != nil:
+		return errors.New("core: query sets both a threshold observer and a value function")
+	case q.Z != nil:
+		if !(q.Beta > 0) || math.IsInf(q.Beta, 1) {
+			return fmt.Errorf("core: query threshold %v must be positive and finite", q.Beta)
+		}
+	case q.Value == nil:
 		return errors.New("core: query has no value function")
 	}
 	if q.Horizon <= 0 {
 		return fmt.Errorf("core: query horizon %d must be positive", q.Horizon)
 	}
 	return nil
+}
+
+// ValueOf evaluates the query's value function f at s.
+func (q Query) ValueOf(s stochastic.State) float64 {
+	o := q.observation()
+	return o.f(o.z(s))
+}
+
+// observation is a query as the kernels' hot loops test it: one reading
+// z per step, compared against a cut per boundary, where the cut of
+// boundary b is the smallest z whose f reaches b. Only crossings and the
+// horizon map z to f.
+type observation struct {
+	z    stochastic.Observer
+	beta float64 // 0 in the custom form, where z is f itself
+}
+
+func (q Query) observation() observation {
+	if q.Z != nil {
+		return observation{z: q.Z, beta: q.Beta}
+	}
+	return observation{z: stochastic.Observer(q.Value)}
+}
+
+// f maps a reading to the value function.
+func (o observation) f(z float64) float64 {
+	if o.beta == 0 {
+		return z
+	}
+	return clampRatio(z, o.beta)
+}
+
+// cut returns the cut of boundary b, 0 < b <= 1: for every reading z,
+// NaN included, z < cut exactly when f(z) < b. In the threshold form
+// f(z) >= b exactly when z/beta >= b, and IEEE division by a positive
+// beta is monotone in z, so a bisection over the ordered bit patterns of
+// the non-negative floats finds the first z that gets there (+Inf if no
+// finite z does).
+func (o observation) cut(b float64) float64 {
+	if o.beta == 0 {
+		return b
+	}
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1)) // f(lo) < b; f(hi) >= b or hi is +Inf
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if math.Float64frombits(mid)/o.beta >= b {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
 }
 
 // Plan is a level partition plan: the interior boundaries

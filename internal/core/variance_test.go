@@ -38,7 +38,7 @@ func twoLevelChain() (*stochastic.MarkovChain, Query, Plan) {
 		panic(err)
 	}
 	const beta = 9
-	q := Query{Value: ThresholdValue(stochastic.ChainIndex, beta), Horizon: 30}
+	q := Query{Z: stochastic.ChainIndex, Beta: beta, Horizon: 30}
 	return chain, q, MustPlan(5.0 / beta)
 }
 

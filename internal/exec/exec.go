@@ -156,7 +156,7 @@ func (t *Task) sampler() (core.GMLSS, error) {
 	return core.GMLSS{
 		Proc:    t.Proc,
 		Start:   t.Start,
-		Query:   core.Query{Value: core.ThresholdValue(t.Obs, t.Beta), Horizon: t.Horizon},
+		Query:   core.Query{Z: t.Obs, Beta: t.Beta, Horizon: t.Horizon},
 		Plan:    plan,
 		Ratio:   t.Ratio,
 		Ratios:  t.Ratios,

@@ -250,7 +250,7 @@ func BreakdownFigure(ctx context.Context, specs []*Spec, o RunOpts) (Report, err
 func bootstrapCost(ctx context.Context, g *core.GMLSS, paths int64) (time.Duration, error) {
 	const round, reps, grow = 128, 200, 1.3
 	m := g.Plan.M()
-	initLevel := g.Plan.LevelOf(g.Query.Value(g.Proc.Initial(), 0))
+	initLevel := g.Plan.LevelOf(g.Query.ValueOf(g.Proc.Initial()))
 	src := rng.NewStream(g.Seed, 1<<63)
 	var units []core.Counters
 	var steps, nextAt int64

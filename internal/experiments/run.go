@@ -26,7 +26,7 @@ func (o RunOpts) cap() int64 {
 
 // coreQuery builds the MLSS query for a setting.
 func coreQuery(spec *Spec, st Setting) core.Query {
-	return core.Query{Value: core.ThresholdValue(spec.Obs, st.Beta), Horizon: st.Horizon}
+	return core.Query{Z: spec.Obs, Beta: st.Beta, Horizon: st.Horizon}
 }
 
 // RunSRS answers the class's query with simple random sampling at the

@@ -194,7 +194,7 @@ func BalancedPlanFor(ctx context.Context, spec *Spec, class Class) (core.Plan, e
 	st := spec.Setting(class)
 	prob := &opt.Problem{
 		Proc:  spec.Proc,
-		Query: core.Query{Value: core.ThresholdValue(spec.Obs, st.Beta), Horizon: st.Horizon},
+		Query: core.Query{Z: spec.Obs, Beta: st.Beta, Horizon: st.Horizon},
 		Ratio: Ratio,
 		Seed:  77,
 	}

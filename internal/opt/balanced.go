@@ -65,11 +65,11 @@ func BalancedPlan(ctx context.Context, p *Problem, tau float64, m, pilotPaths in
 		for i, e := range population {
 			src := rng.NewStream(p.Seed, uint64(stage)<<32|uint64(i))
 			st := e.state.Clone()
-			best := p.Query.Value(st, e.t)
+			best := p.Query.ValueOf(st)
 			for t := e.t + 1; t <= p.Query.Horizon; t++ {
 				p.Proc.Step(st, t, src)
 				cost++
-				if v := p.Query.Value(st, t); v > best {
+				if v := p.Query.ValueOf(st); v > best {
 					best = v
 				}
 			}
@@ -91,7 +91,7 @@ func BalancedPlan(ctx context.Context, p *Problem, tau float64, m, pilotPaths in
 			for t := e.t + 1; t <= p.Query.Horizon; t++ {
 				p.Proc.Step(st, t, src)
 				cost++
-				if p.Query.Value(st, t) >= b {
+				if p.Query.ValueOf(st) >= b {
 					next = append(next, entrance{state: st.Clone(), t: t})
 					break
 				}

@@ -174,7 +174,7 @@ func Cover(ctx context.Context, p *Problem, required []float64, opts CoverOption
 // pure function of (problem, required, options).
 func probeReach(ctx context.Context, p *Problem, plan core.Plan, stepBudget int64, probeID uint64) (reach []int64, initLevel int, roots, steps int64, err error) {
 	m := plan.M()
-	initLevel = plan.LevelOf(p.Query.Value(p.Proc.Initial(), 0))
+	initLevel = plan.LevelOf(p.Query.ValueOf(p.Proc.Initial()))
 	if initLevel >= m {
 		return nil, 0, 0, 0, errors.New("opt: initial state already satisfies the query")
 	}
@@ -190,7 +190,7 @@ func probeReach(ctx context.Context, p *Problem, plan core.Plan, stepBudget int6
 		for t := 1; t <= p.Query.Horizon && best < m; t++ {
 			p.Proc.Step(st, t, src)
 			steps++
-			if lvl := plan.LevelOf(p.Query.Value(st, t)); lvl > best {
+			if lvl := plan.LevelOf(p.Query.ValueOf(st)); lvl > best {
 				best = lvl
 			}
 		}

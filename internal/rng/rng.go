@@ -131,18 +131,16 @@ func (s *Source) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly random bits.
 func (s *Source) Uint64() uint64 {
-	result := rotl(s.s1*5, 7) * 9
+	result := bits.RotateLeft64(s.s1*5, 7) * 9
 	t := s.s1 << 17
 	s.s2 ^= s.s0
 	s.s3 ^= s.s1
 	s.s1 ^= s.s2
 	s.s0 ^= s.s3
 	s.s2 ^= t
-	s.s3 = rotl(s.s3, 45)
+	s.s3 = bits.RotateLeft64(s.s3, 45)
 	return result
 }
 
@@ -217,6 +215,10 @@ func (s *Source) Exp(rate float64) float64 {
 	return -math.Log(s.Float64Open()) / rate
 }
 
+// PoissonProductMax is the mean below which Poisson takes Knuth's
+// product method.
+const PoissonProductMax = 30
+
 // Poisson returns a Poisson-distributed count with the given mean. For
 // small means it uses Knuth's product method; for large means it switches
 // to the normal approximation with continuity correction, which is accurate
@@ -225,23 +227,30 @@ func (s *Source) Poisson(mean float64) int {
 	switch {
 	case mean <= 0:
 		return 0
-	case mean < 30:
-		limit := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= s.Float64()
-			if p <= limit {
-				return k
-			}
-			k++
-		}
+	case mean < PoissonProductMax:
+		return s.PoissonProduct(math.Exp(-mean))
 	default:
 		v := math.Round(s.NormMS(mean, math.Sqrt(mean)))
 		if v < 0 {
 			return 0
 		}
 		return int(v)
+	}
+}
+
+// PoissonProduct is Poisson's product method for a mean in
+// (0, PoissonProductMax) given limit = exp(-mean): it multiplies uniforms
+// until the product falls to limit. A caller drawing many counts at one
+// mean computes the exp once and gets Poisson's draws bit for bit.
+func (s *Source) PoissonProduct(limit float64) int {
+	k := 0
+	p := 1.0
+	for {
+		p *= s.Float64()
+		if p <= limit {
+			return k
+		}
+		k++
 	}
 }
 

@@ -147,7 +147,7 @@ func (s *BatchSpec) coverSearchFunc(beta float64, required []float64, seed uint6
 	return func(ctx context.Context) (core.Plan, int64, error) {
 		problem := &opt.Problem{
 			Proc:    s.Proc,
-			Query:   core.Query{Value: core.ThresholdValue(s.Obs, beta), Horizon: s.Horizon},
+			Query:   core.Query{Z: s.Obs, Beta: beta, Horizon: s.Horizon},
 			Ratio:   s.Ratio,
 			Seed:    seed,
 			Workers: s.SimWorkers,

@@ -229,7 +229,7 @@ func (s *Spec) searchFunc(beta float64, seed uint64) SearchFunc {
 	return func(ctx context.Context) (core.Plan, int64, error) {
 		problem := &opt.Problem{
 			Proc:    s.Proc,
-			Query:   core.Query{Value: core.ThresholdValue(s.Obs, beta), Horizon: s.Horizon},
+			Query:   core.Query{Z: s.Obs, Beta: beta, Horizon: s.Horizon},
 			Ratio:   s.Ratio,
 			Seed:    seed,
 			Workers: s.SimWorkers,
@@ -341,7 +341,7 @@ func (r *Runner) Run(ctx context.Context, s Spec) (mc.Result, Meta, error) {
 	sp := r.Trace.Start(telemetry.StageExec)
 	var res mc.Result
 	if s.Method == SMLSS {
-		cq := core.Query{Value: core.ThresholdValue(s.Obs, s.Beta), Horizon: s.Horizon}
+		cq := core.Query{Z: s.Obs, Beta: s.Beta, Horizon: s.Horizon}
 		sampler := &core.SMLSS{
 			Proc: s.Proc, Query: cq, Plan: plan, Ratio: s.Ratio,
 			Stop: s.Stop, Seed: s.Seed, Workers: s.SimWorkers, Trace: s.Trace,

@@ -68,7 +68,7 @@ func (db *DB) RunQuery(ctx context.Context, spec QuerySpec) (mc.Result, error) {
 	case MethodSMLSS:
 		s := &core.SMLSS{
 			Proc:    proc,
-			Query:   core.Query{Value: core.ThresholdValue(obs, spec.Beta), Horizon: spec.Horizon},
+			Query:   core.Query{Z: obs, Beta: spec.Beta, Horizon: spec.Horizon},
 			Plan:    spec.Plan,
 			Ratio:   ratio,
 			Stop:    spec.Stop,
@@ -79,7 +79,7 @@ func (db *DB) RunQuery(ctx context.Context, spec QuerySpec) (mc.Result, error) {
 	case MethodGMLSS:
 		g := &core.GMLSS{
 			Proc:    proc,
-			Query:   core.Query{Value: core.ThresholdValue(obs, spec.Beta), Horizon: spec.Horizon},
+			Query:   core.Query{Z: obs, Beta: spec.Beta, Horizon: spec.Horizon},
 			Plan:    spec.Plan,
 			Ratio:   ratio,
 			Stop:    spec.Stop,

@@ -221,3 +221,40 @@ func TestPinPreservesBulk(t *testing.T) {
 		t.Fatal("Pin of a black-box model must run through the Lanes adapter")
 	}
 }
+
+// TestCPPStepVecHoistsPoisson holds the compound-Poisson StepVec, which
+// computes the claim count's exp(-ClaimRate) once per call, to scalar
+// Step at claim rates on both sides of rng.PoissonProductMax and at 0.
+func TestCPPStepVecHoistsPoisson(t *testing.T) {
+	const lanes, steps = 5, 200
+	for _, rate := range []float64{0, 1e-3, 0.8, 7, 29.99, 30, 45} {
+		p := &CompoundPoisson{U0: 10, Premium: 1, ClaimRate: rate, ClaimLo: 0, ClaimHi: 2}
+		vec := p.NewStateVec(lanes).(*scalarVec)
+		srcs := make([]rng.Source, lanes)
+		srcPtr := make([]*rng.Source, lanes)
+		scalar := make([]Scalar, lanes)
+		scalarSrc := make([]rng.Source, lanes)
+		active := make([]int, lanes)
+		ts := make([]int, lanes)
+		for i := range active {
+			active[i] = i
+			srcs[i].SeedStream(5, uint64(i))
+			srcPtr[i] = &srcs[i]
+			scalarSrc[i] = srcs[i]
+			vec.Load(i, p.Initial())
+			scalar[i] = *p.Initial().(*Scalar)
+		}
+		for step := 1; step <= steps; step++ {
+			for i := range ts {
+				ts[i] = step
+			}
+			p.StepVec(vec, active, ts, srcPtr)
+			for i := range active {
+				p.Step(&scalar[i], step, &scalarSrc[i])
+				if vec.lane[i] != scalar[i] || srcs[i] != scalarSrc[i] {
+					t.Fatalf("rate %v, step %d, lane %d: StepVec %v, Step %v", rate, step, i, vec.lane[i], scalar[i])
+				}
+			}
+		}
+	}
+}

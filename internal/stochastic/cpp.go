@@ -1,6 +1,10 @@
 package stochastic
 
-import "durability/internal/rng"
+import (
+	"math"
+
+	"durability/internal/rng"
+)
 
 // CompoundPoisson is the risk process of §6 model (2):
 //
@@ -62,13 +66,21 @@ func (p *CompoundPoisson) NewStateVec(lanes int) StateVec { return newScalarVec(
 
 // StepVec implements BulkProcess: Step's draw sequence per lane —
 // Poisson claim count, then one uniform per claim, then the impulse
-// Bernoulli — each lane from its own source.
+// Bernoulli — each lane from its own source. The claim count's
+// exp(-ClaimRate) is computed once per call.
 func (p *CompoundPoisson) StepVec(v StateVec, lanes []int, t []int, src []*rng.Source) {
 	sv := v.(*scalarVec)
+	product := p.ClaimRate > 0 && p.ClaimRate < rng.PoissonProductMax
+	limit := math.Exp(-p.ClaimRate)
 	for _, i := range lanes {
 		sc := &sv.lane[i]
 		sc.V += p.Premium
-		claims := src[i].Poisson(p.ClaimRate)
+		var claims int
+		if product {
+			claims = src[i].PoissonProduct(limit)
+		} else {
+			claims = src[i].Poisson(p.ClaimRate)
+		}
 		for c := 0; c < claims; c++ {
 			sc.V -= src[i].Uniform(p.ClaimLo, p.ClaimHi)
 		}

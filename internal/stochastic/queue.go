@@ -2,6 +2,7 @@ package stochastic
 
 import (
 	"fmt"
+	"math"
 
 	"durability/internal/rng"
 )
@@ -14,7 +15,10 @@ import (
 // The continuous-time Markov chain is simulated exactly inside each unit
 // time step with the Gillespie algorithm; thanks to the memorylessness of
 // all three event types no residual clocks have to be carried across step
-// boundaries, so the state is just the two queue lengths.
+// boundaries, so the state is just the two queue lengths. The event clock
+// multiplies its uniforms instead of summing their logs (the product
+// clock, below), with a guard band that hands near-ties back to the log
+// clock, so every state and every draw are the log clock's.
 //
 // The impulse fields reproduce the "Volatile Queue" process of §6.2: after
 // time ImpulseAfter, each step adds ImpulseSize customers to queue 2 with
@@ -82,7 +86,44 @@ func (q *TandemQueue) Initial() State { return &QueueState{} }
 
 // Step implements Process: exact CTMC simulation over one unit of time.
 func (q *TandemQueue) Step(s State, t int, src *rng.Source) {
-	qs := s.(*QueueState)
+	var c queueClock
+	c.init(q)
+	q.step(s.(*QueueState), t, src, &c)
+}
+
+// NewStateVec implements BulkProcess.
+func (q *TandemQueue) NewStateVec(lanes int) StateVec { return newQueueVec(lanes) }
+
+// StepVec implements BulkProcess: Step per lane, each lane drawing its
+// event clocks from its own source, with the clock's thresholds shared
+// across the call's lanes.
+func (q *TandemQueue) StepVec(v StateVec, lanes []int, t []int, src []*rng.Source) {
+	qv := v.(*queueVec)
+	var c queueClock
+	c.init(q)
+	for _, i := range lanes {
+		q.step(&qv.lane[i], t[i], src[i], &c)
+	}
+}
+
+// step is Step and StepVec's one lane step: the product clock, or the
+// log clock from the step's start when the product clock cannot decide,
+// then the impulse.
+func (q *TandemQueue) step(qs *QueueState, t int, src *rng.Source, c *queueClock) {
+	saved, start := *src, *qs
+	if !c.run(q, qs, src) {
+		*src, *qs = saved, start
+		q.gillespie(qs, src)
+	}
+	if q.ImpulseProb > 0 && t >= q.ImpulseAfter && src.Bernoulli(q.ImpulseProb) {
+		qs.Q2 += q.ImpulseSize
+	}
+}
+
+// gillespie is the log clock over one unit of time: draw the next
+// event's clock dt = -log(U)/rate, stop once it overshoots the time
+// remaining, else fire the event chosen proportionally to its rate.
+func (q *TandemQueue) gillespie(qs *QueueState, src *rng.Source) {
 	remaining := 1.0
 	for {
 		rate := q.ArrivalRate
@@ -97,59 +138,165 @@ func (q *TandemQueue) Step(s State, t int, src *rng.Source) {
 			break
 		}
 		remaining -= dt
-		// Choose which event fired, proportionally to its rate.
-		u := src.Float64() * rate
-		switch {
-		case u < q.ArrivalRate:
-			qs.Q1++
-		case qs.Q1 > 0 && u < q.ArrivalRate+q.ServiceRate1:
-			qs.Q1--
-			qs.Q2++
-		default:
-			qs.Q2--
-		}
-	}
-	if q.ImpulseProb > 0 && t >= q.ImpulseAfter && src.Bernoulli(q.ImpulseProb) {
-		qs.Q2 += q.ImpulseSize
+		q.fire(qs, src.Float64()*rate)
 	}
 }
 
-// NewStateVec implements BulkProcess.
-func (q *TandemQueue) NewStateVec(lanes int) StateVec { return newQueueVec(lanes) }
+// fire applies the event selected by u, a uniform draw scaled by the
+// total rate.
+func (q *TandemQueue) fire(qs *QueueState, u float64) {
+	switch {
+	case u < q.ArrivalRate:
+		qs.Q1++
+	case qs.Q1 > 0 && u < q.ArrivalRate+q.ServiceRate1:
+		qs.Q1--
+		qs.Q2++
+	default:
+		qs.Q2--
+	}
+}
 
-// StepVec implements BulkProcess: the exact Gillespie loop of Step per
-// lane, each lane drawing its event clocks from its own source.
-func (q *TandemQueue) StepVec(v StateVec, lanes []int, t []int, src []*rng.Source) {
-	qv := v.(*queueVec)
-	for _, i := range lanes {
-		qs := &qv.lane[i]
-		remaining := 1.0
-		for {
-			rate := q.ArrivalRate
-			if qs.Q1 > 0 {
-				rate += q.ServiceRate1
+// The product-form clock. Inside a run of events at one total rate r,
+// the event whose clock is U fires within the step exactly when the
+// clocks so far sum to at most the time left at the run's start, rem:
+//
+//	Σ -log(U_j)/r <= rem  ⇔  Π U_j >= exp(-r·rem)
+//
+// so the clock multiplies uniforms into P and compares P against the
+// run's threshold T = exp(-r·rem), with no log per event (Knuth's
+// product method for Poisson counts, TAOCP vol. 2 §3.4.1). A run ends,
+// and P is folded into rem by one log and the next T costs one exp, when
+// an event changes the total rate, after clockRunEvents events, or when
+// P nears underflow. The thresholds at rem = 1 are shared by every lane
+// of a StepVec call.
+//
+// The log clock's rounding and the product clock's differ, so a decision
+// is taken only when P·U clears T by more than a guard band that bounds
+// both sides' rounding error (threshold). Inside the band the product
+// clock gives up and step reruns the log clock (gillespie) from the
+// step's start on a copy of the source, which makes every decision, and
+// so every state and every source position, the log clock's by
+// construction. With rates of order one the band is about 1e-13 wide,
+// so the rerun is rare.
+
+// clockRunEvents bounds the events in one run, so the band need only
+// cover that many more roundings.
+const clockRunEvents = 64
+
+// clockFloor caps -log T: when r·rem exceeds it the run's threshold
+// would underflow, so the run instead rebases whenever P falls below
+// exp(-clockFloor). P·U stays a normal number either way.
+const clockFloor = 600
+
+// clockEps bounds the relative rounding error of one operation.
+const clockEps = 1.0 / (1 << 52)
+
+var clockFloorCut = math.Exp(-clockFloor)
+
+// clockRun is one run's decision thresholds: P·U >= hi fires an event;
+// P·U < lo ends the step, or rebases the run when capped; anything
+// between is inside the guard band.
+type clockRun struct {
+	lo, hi float64
+	capped bool
+}
+
+// queueClock holds a call's four total rates, indexed by rateIndex, and
+// their thresholds at rem = 1, computed on first use.
+type queueClock struct {
+	rate  [4]float64
+	start [4]clockRun
+	have  uint8
+}
+
+func (c *queueClock) init(q *TandemQueue) {
+	// The sums in gillespie's order, so the event choice sees the same
+	// rates bit for bit.
+	c.rate = [4]float64{
+		q.ArrivalRate,
+		q.ArrivalRate + q.ServiceRate1,
+		q.ArrivalRate + q.ServiceRate2,
+		q.ArrivalRate + q.ServiceRate1 + q.ServiceRate2,
+	}
+}
+
+// rateIndex selects qs's total rate: bit 0 when queue 1 is busy, bit 1
+// when queue 2 is.
+func rateIndex(qs *QueueState) int {
+	i := 0
+	if qs.Q1 > 0 {
+		i = 1
+	}
+	if qs.Q2 > 0 {
+		i |= 2
+	}
+	return i
+}
+
+// threshold returns the thresholds of a run at rate r with rem time
+// left, known to within slack, after k events of the step. The band
+// bounds, in log space, the product clock's own error (slack, the
+// rounding of r·rem, exp and the run's products) plus the log clock's
+// (per event, a rounded subtraction and a rounded log and division),
+// both for up to clockRunEvents more events. A band too wide to trust
+// (only after runs at rates far below one), or a rate that is not
+// positive, returns the thresholds that leave every decision to the log
+// clock.
+func threshold(r, rem, slack float64, k int) clockRun {
+	x := r * rem
+	band := 2 * (r*slack + clockEps*(x+clockRunEvents+5+r*(float64(k+clockRunEvents)/2+3)))
+	if !(band <= 1.0/1024) || !(r > 0) {
+		return clockRun{lo: 0, hi: math.Inf(1)}
+	}
+	if x > clockFloor+1 {
+		return clockRun{lo: clockFloorCut, hi: clockFloorCut, capped: true}
+	}
+	T := math.Exp(-x)
+	return clockRun{lo: T * (1 - 2*band), hi: T * (1 + 2*band)}
+}
+
+// run advances qs over one unit of time on the product clock and reports
+// false if a decision fell inside the guard band, leaving qs and src
+// part-way.
+func (c *queueClock) run(q *TandemQueue, qs *QueueState, src *rng.Source) bool {
+	idx := rateIndex(qs)
+	if c.have&(1<<idx) == 0 {
+		c.start[idx] = threshold(c.rate[idx], 1, 0, 0)
+		c.have |= 1 << idx
+	}
+	rate, th := c.rate[idx], c.start[idx]
+	rem, slack := 1.0, 0.0
+	p, n, k := 1.0, 0, 0 // product, its factors, events this step
+	for {
+		u := src.Float64Open()
+		pu := p * u
+		for pu < th.hi {
+			if pu >= th.lo {
+				return false
 			}
-			if qs.Q2 > 0 {
-				rate += q.ServiceRate2
+			if !th.capped {
+				return true
 			}
-			dt := src[i].Exp(rate)
-			if dt > remaining {
-				break
-			}
-			remaining -= dt
-			u := src[i].Float64() * rate
-			switch {
-			case u < q.ArrivalRate:
-				qs.Q1++
-			case qs.Q1 > 0 && u < q.ArrivalRate+q.ServiceRate1:
-				qs.Q1--
-				qs.Q2++
-			default:
-				qs.Q2--
-			}
+			rem, slack = fold(rem, slack, p, n, rate)
+			th = threshold(rate, rem, slack, k)
+			p, n, pu = 1, 0, u
 		}
-		if q.ImpulseProb > 0 && t[i] >= q.ImpulseAfter && src[i].Bernoulli(q.ImpulseProb) {
-			qs.Q2 += q.ImpulseSize
+		p, n, k = pu, n+1, k+1
+		q.fire(qs, src.Float64()*rate)
+		if next := rateIndex(qs); next != idx || n == clockRunEvents {
+			rem, slack = fold(rem, slack, p, n, rate)
+			idx, rate = next, c.rate[next]
+			th = threshold(rate, rem, slack, k)
+			p, n = 1, 0
 		}
 	}
+}
+
+// fold closes a run at rate r whose n clock factors multiplied to p:
+// the time left shrinks by the run's clocks, -log(p)/r, and slack grows
+// by the error of that log (p's own rounding plus one ulp) and of the
+// division and the subtraction.
+func fold(rem, slack, p float64, n int, r float64) (float64, float64) {
+	lp := math.Log(p)
+	return rem + lp/r, slack + (float64(n)+2*math.Abs(lp))*clockEps/r + clockEps
 }

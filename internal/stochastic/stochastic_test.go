@@ -416,13 +416,22 @@ func TestQuickCloneIndependence(t *testing.T) {
 	}
 }
 
+// BenchmarkQueueStep steps the paper's queue from empty, restarting the
+// path every 500 steps (the query horizon) so the queues keep emptying
+// and refilling: one unbounded path would drift to long queues whose
+// total rate never changes.
 func BenchmarkQueueStep(b *testing.B) {
+	const horizon = 500
 	q := NewTandemQueue(0.5, 2, 2)
 	src := rng.New(1)
-	s := q.Initial()
+	s := q.Initial().(*QueueState)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Step(s, i+1, src)
+		t := i%horizon + 1
+		if t == 1 {
+			*s = QueueState{}
+		}
+		q.Step(s, t, src)
 	}
 }
 

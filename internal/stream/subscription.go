@@ -423,7 +423,7 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	// that changed, not with all of them.
 	var out *Outcome
 
-	value := core.ThresholdValue(s.spec.Obs, s.spec.Beta)
+	query := core.Query{Z: s.spec.Obs, Beta: s.spec.Beta}
 	f0 := s.spec.Obs(state) / s.spec.Beta
 	if f0 >= 1 {
 		// The condition holds at the live state itself: the answer is 1
@@ -499,7 +499,7 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		return s.Answer(), refreshed{}, fmt.Errorf("%w: subscription %d records a plan resolution its drift bucket %d does not call for", errDiverged, s.id, bucket)
 	}
 	m := s.plan.M()
-	initLevel := s.plan.LevelOf(value(state, 0))
+	initLevel := s.plan.LevelOf(query.ValueOf(state))
 
 	// Age pruning bounds the pool; everything else is kept, dormant
 	// batches included, so a revisit finds its roots alive.
