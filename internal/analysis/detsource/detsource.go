@@ -4,9 +4,10 @@
 // The repository's headline guarantees — local == cluster equality,
 // replayed recovery == uninterrupted serving — hold only if the sampling
 // path never consults a source of nondeterminism. Inside the
-// deterministic packages (internal/core, exec, opt, stream, rng, and
+// deterministic packages (internal/core, exec, opt, stream, rng,
 // stochastic — the models' Step/StepVec bodies are on the bit-for-bit
-// path of every sampler) this analyzer reports:
+// path of every sampler — and vmath, the math those bodies call) this
+// analyzer reports:
 //
 //   - calls to time.Now, time.Since or time.Until (wall clock);
 //   - any use of math/rand or math/rand/v2 (globally seeded generators —
@@ -45,7 +46,7 @@ var Analyzer = &analysis.Analyzer{
 // deterministicPath matches the import paths whose sources must stay
 // deterministic. Fixture packages under testdata/src reuse the same
 // shapes (e.g. "internal/core/bad").
-var deterministicPath = regexp.MustCompile(`(^|/)internal/(core|exec|opt|stream|rng|stochastic)(/|$)`)
+var deterministicPath = regexp.MustCompile(`(^|/)internal/(core|exec|opt|stream|rng|stochastic|vmath)(/|$)`)
 
 // wallClockFuncs are the time package functions that read the wall
 // clock.

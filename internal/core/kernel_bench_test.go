@@ -34,11 +34,21 @@ func benchGMLSS(proc stochastic.Process, obs stochastic.Observer, beta float64, 
 
 func benchModels(b *testing.B) map[string]*GMLSS {
 	b.Helper()
+	regime, err := stochastic.NewRegimeSwitching(0,
+		[][]float64{{0.95, 0.05}, {0.2, 0.8}},
+		[]float64{0.01, 0.3}, []float64{0.5, 2.0}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	return map[string]*GMLSS{
 		"gbm": benchGMLSS(&stochastic.GBM{S0: 100, Mu: 0.002, Sigma: 0.08},
 			stochastic.ScalarValue, 200, MustPlan(0.6, 0.75, 0.9), 50),
 		"walk": benchGMLSS(&stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2},
 			stochastic.ScalarValue, 20, MustPlan(0.35, 0.5, 0.65, 0.8), 60),
+		// ar and regime at BENCH_kernel.json's shapes (cmd/durbench).
+		"ar": benchGMLSS(stochastic.NewAR([]float64{0.6, 0.3}, 1.5, 1),
+			stochastic.ARValue, 10, MustPlan(0.3, 0.5, 0.7, 0.9), 50),
+		"regime": benchGMLSS(regime, stochastic.RegimeValue, 15, MustPlan(0.25, 0.5, 0.75), 50),
 		"chain": benchGMLSS(stochastic.BirthDeathChain(12, 0.45, 2),
 			stochastic.ChainIndex, 9, MustPlan(4.0/9, 6.0/9, 8.0/9), 80),
 		// The queue and cpp shapes of perfbench's query-mix, at durserve's

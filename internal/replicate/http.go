@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // The wire protocol: three endpoints a primary mounts under /replicate.
@@ -90,30 +91,64 @@ func NewHandler(src Source, ack func(applied map[string]int64)) http.Handler {
 // implements Acker, so a follower using it reports applied LSNs back.
 type HTTPSource struct {
 	Base   string       // e.g. "http://primary:8080"
-	Client *http.Client // nil selects a client that keeps a connection per store
+	Client *http.Client // nil selects one connection per store of the primary
 }
 
-// maxStoreConns bounds the idle connections followerClient keeps to one
-// primary: far above any store count a primary runs (hub plus shards).
-const maxStoreConns = 1024
+// storeConns is one primary's connections when HTTPSource has no Client:
+// a single-connection client per store slot. Slot i carries the fetches
+// of the i-th store of the latest manifest; slot 0 also carries
+// manifests and acks, which a sync sends while none of its fetches is in
+// flight. A sync therefore never holds more connections than the stores
+// it fetches. One shared pool cannot promise that: http.Transport dials
+// whenever a request finds no idle connection, even while an earlier
+// response's connection is on its way back to the pool, so a sync's
+// overlapping fetches could open one connection more than it has stores.
+type storeConns struct {
+	mu      sync.Mutex
+	clients []*http.Client
+	slot    map[string]int
+}
 
-// followerClient is HTTPSource's client when it has none. A follower
-// syncs every store of the primary at once, one request each, so its
-// idle pool keeps a connection per store; http.DefaultClient keeps two
-// per host, and a follower of a sharded primary re-dialed it on every
-// poll.
-var followerClient = func() *http.Client {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConns = 0 // no total cap: a follower talks to one primary
-	t.MaxIdleConnsPerHost = maxStoreConns
-	return &http.Client{Transport: t}
-}()
+// primaryConns maps HTTPSource.Base to its *storeConns.
+var primaryConns sync.Map
 
-func (h HTTPSource) client() *http.Client {
+func (h HTTPSource) conns() *storeConns {
+	c, ok := primaryConns.Load(h.Base)
+	if !ok {
+		c, _ = primaryConns.LoadOrStore(h.Base, &storeConns{slot: map[string]int{}})
+	}
+	return c.(*storeConns)
+}
+
+// clientFor returns the client for store's slot; the empty store (a
+// manifest or an ack) and a store no manifest has listed take slot 0.
+func (h HTTPSource) clientFor(store string) *http.Client {
 	if h.Client != nil {
 		return h.Client
 	}
-	return followerClient
+	c := h.conns()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := c.slot[store]
+	for len(c.clients) <= i {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxConnsPerHost, t.MaxIdleConnsPerHost = 1, 1
+		c.clients = append(c.clients, &http.Client{Transport: t})
+	}
+	return c.clients[i]
+}
+
+// learnSlots gives each store of m the slot of its position.
+func (h HTTPSource) learnSlots(m Manifest) {
+	if h.Client != nil {
+		return
+	}
+	c := h.conns()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, sm := range m.Stores {
+		c.slot[sm.Name] = i
+	}
 }
 
 // drainClose reads a response body to EOF (up to one fetch's worth)
@@ -130,7 +165,7 @@ func (h HTTPSource) Manifest(ctx context.Context) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, fmt.Errorf("replicate: %w", err)
 	}
-	resp, err := h.client().Do(req)
+	resp, err := h.clientFor("").Do(req)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("replicate: %w", err)
 	}
@@ -152,6 +187,7 @@ func (h HTTPSource) Manifest(ctx context.Context) (Manifest, error) {
 			}
 		}
 	}
+	h.learnSlots(m)
 	return m, nil
 }
 
@@ -165,7 +201,7 @@ func (h HTTPSource) Fetch(ctx context.Context, store, file string, offset, max i
 	if err != nil {
 		return nil, fmt.Errorf("replicate: %w", err)
 	}
-	resp, err := h.client().Do(req)
+	resp, err := h.clientFor(store).Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("replicate: %w", err)
 	}
@@ -191,7 +227,7 @@ func (h HTTPSource) Ack(ctx context.Context, applied map[string]int64) error {
 		return fmt.Errorf("replicate: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := h.client().Do(req)
+	resp, err := h.clientFor("").Do(req)
 	if err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}

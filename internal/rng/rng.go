@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"durability/internal/vmath"
 )
 
 // Source is a deterministic xoshiro256** generator. It is not safe for
@@ -198,6 +200,44 @@ func (s *Source) Norm() float64 {
 	s.normValue = r * sin
 	s.normCached = true
 	return r * cos
+}
+
+// LaneChunk is the most lanes one NormLanes call fills: the width of its
+// stack scratch, and the lane kernel's frontier.
+const LaneChunk = 64
+
+// NormLanes sets dst[k] to src[lanes[k]].Norm() for the first
+// n = min(len(lanes), len(dst), LaneChunk) lanes and returns n. Each
+// source advances exactly as its Norm call would: a cached second
+// variate is returned first; otherwise Float64Open then Float64 feed
+// one Box–Muller transform, whose sine half is cached. The transforms
+// of every lane that needs one run together through vmath.BoxMuller,
+// which returns Norm's bits, so dst and every source end bit for bit
+// where per-lane Norm calls leave them. Lanes must be distinct.
+func NormLanes(dst []float64, lanes []int, src []*Source) int {
+	n := min(len(lanes), len(dst), LaneChunk)
+	var u1, u2 [LaneChunk]float64 // the uniforms, then in place the variates
+	var fresh [LaneChunk]uint8    // dst index of each transform
+	m := 0
+	for k, l := range lanes[:n] {
+		s := src[l]
+		if s.normCached {
+			s.normCached = false
+			dst[k] = s.normValue
+			continue
+		}
+		u1[m] = s.Float64Open()
+		u2[m] = s.Float64()
+		fresh[m] = uint8(k)
+		m++
+	}
+	vmath.BoxMuller(u1[:m], u2[:m], u1[:m], u2[:m])
+	for j, k := range fresh[:m] {
+		s := src[lanes[k]]
+		s.normValue, s.normCached = u2[j], true
+		dst[k] = u1[j]
+	}
+	return n
 }
 
 // NormMS returns a normal variate with the given mean and standard

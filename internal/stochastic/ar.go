@@ -111,17 +111,23 @@ func (a *AR) Step(s State, _ int, src *rng.Source) {
 func (a *AR) NewStateVec(lanes int) StateVec { return newARVec(len(a.Phi), lanes) }
 
 // StepVec implements BulkProcess: Step's recurrence per lane, lag terms
-// accumulated in the same order so the sum is bit-identical.
+// accumulated in the same order so the sum is bit-identical, its
+// normals drawn rng.LaneChunk lanes at a time (rng.NormLanes).
 func (a *AR) StepVec(sv StateVec, lanes []int, _ []int, src []*rng.Source) {
 	av := sv.(*arVec)
 	m := len(a.Phi)
-	for _, l := range lanes {
-		as := &av.lane[l]
-		v := a.Sigma * src[l].Norm()
-		for i := 0; i < m; i++ {
-			v += a.Phi[i] * as.hist[(as.head-i+m)%m]
+	var eps [rng.LaneChunk]float64
+	for len(lanes) > 0 {
+		n := rng.NormLanes(eps[:], lanes, src)
+		for k, l := range lanes[:n] {
+			as := &av.lane[l]
+			v := a.Sigma * eps[k]
+			for i := 0; i < m; i++ {
+				v += a.Phi[i] * as.hist[(as.head-i+m)%m]
+			}
+			as.head = (as.head + 1) % m
+			as.hist[as.head] = v
 		}
-		as.head = (as.head + 1) % m
-		as.hist[as.head] = v
+		lanes = lanes[n:]
 	}
 }

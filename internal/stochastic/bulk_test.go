@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"durability/internal/rng"
+	"durability/internal/vmath"
 )
 
 // bulkModels returns every built-in BulkProcess alongside an observer,
@@ -57,43 +58,58 @@ func bulkModels(t *testing.T) map[string]struct {
 
 // TestStepVecMatchesStep drives several lanes through StepVec and the
 // same substreams through scalar Step, asserting the observed
-// trajectories are bit-for-bit equal. This is the bulk contract at its
-// smallest scope: one lane, one step, one source.
+// trajectories and the sources are bit-for-bit equal. This is the bulk
+// contract at its smallest scope: one lane, one step, one source. 67
+// lanes span more than one rng.LaneChunk and end mid-block of vmath's
+// four-lane kernels; this test runs vmath's vector path where the CPU
+// has it, TestStepVecMatchesStepScalarMath its scalar loops.
 func TestStepVecMatchesStep(t *testing.T) {
-	const lanes, steps = 7, 64
 	for name, m := range bulkModels(t) {
-		t.Run(name, func(t *testing.T) {
-			vec := m.proc.NewStateVec(lanes)
-			if got := vec.Lanes(); got != lanes {
-				t.Fatalf("Lanes() = %d, want %d", got, lanes)
+		t.Run(name, func(t *testing.T) { checkStepVecMatchesStep(t, m.proc, m.obs) })
+	}
+}
+
+func TestStepVecMatchesStepScalarMath(t *testing.T) {
+	defer vmath.ForceScalar(true)()
+	for name, m := range bulkModels(t) {
+		t.Run(name, func(t *testing.T) { checkStepVecMatchesStep(t, m.proc, m.obs) })
+	}
+}
+
+func checkStepVecMatchesStep(t *testing.T, proc BulkProcess, obs Observer) {
+	const lanes, steps = 67, 64
+	vec := proc.NewStateVec(lanes)
+	if got := vec.Lanes(); got != lanes {
+		t.Fatalf("Lanes() = %d, want %d", got, lanes)
+	}
+	views := vec.Views()
+	srcs := make([]rng.Source, lanes)
+	srcPtr := make([]*rng.Source, lanes)
+	active := make([]int, lanes)
+	ts := make([]int, lanes)
+	scalarStates := make([]State, lanes)
+	scalarSrc := make([]*rng.Source, lanes)
+	for i := 0; i < lanes; i++ {
+		srcs[i].SeedStream(99, uint64(i))
+		srcPtr[i] = &srcs[i]
+		active[i] = i
+		ts[i] = 1
+		scalarStates[i] = proc.Initial()
+		scalarSrc[i] = rng.NewStream(99, uint64(i))
+		vec.Load(i, proc.Initial())
+	}
+	for step := 0; step < steps; step++ {
+		proc.StepVec(vec, active, ts, srcPtr)
+		for i := 0; i < lanes; i++ {
+			proc.Step(scalarStates[i], ts[i], scalarSrc[i])
+			if got, want := obs(views[i]), obs(scalarStates[i]); got != want {
+				t.Fatalf("lane %d step %d: bulk %v != scalar %v", i, step, got, want)
 			}
-			views := vec.Views()
-			srcs := make([]rng.Source, lanes)
-			srcPtr := make([]*rng.Source, lanes)
-			active := make([]int, lanes)
-			ts := make([]int, lanes)
-			scalarStates := make([]State, lanes)
-			scalarSrc := make([]*rng.Source, lanes)
-			for i := 0; i < lanes; i++ {
-				srcs[i].SeedStream(99, uint64(i))
-				srcPtr[i] = &srcs[i]
-				active[i] = i
-				ts[i] = 1
-				scalarStates[i] = m.proc.Initial()
-				scalarSrc[i] = rng.NewStream(99, uint64(i))
-				vec.Load(i, m.proc.Initial())
+			if srcs[i] != *scalarSrc[i] {
+				t.Fatalf("lane %d step %d: bulk and scalar sources differ", i, step)
 			}
-			for step := 0; step < steps; step++ {
-				m.proc.StepVec(vec, active, ts, srcPtr)
-				for i := 0; i < lanes; i++ {
-					m.proc.Step(scalarStates[i], ts[i], scalarSrc[i])
-					if got, want := m.obs(views[i]), m.obs(scalarStates[i]); got != want {
-						t.Fatalf("lane %d step %d: bulk %v != scalar %v", i, step, got, want)
-					}
-					ts[i]++
-				}
-			}
-		})
+			ts[i]++
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"durability/internal/rng"
+	"durability/internal/vmath"
 )
 
 // GBM is geometric Brownian motion observed at unit time steps:
@@ -37,11 +38,22 @@ func (g *GBM) NewStateVec(lanes int) StateVec { return newScalarVec(lanes) }
 
 // StepVec implements BulkProcess: per lane, the same expression Step
 // evaluates (same association, so the floating-point result is
-// bit-identical), drawn from that lane's own source.
+// bit-identical), drawn from that lane's own source. The normals and
+// the exps of up to rng.LaneChunk lanes are evaluated together
+// (rng.NormLanes, vmath.Exp), with Norm's and math.Exp's bits.
 func (g *GBM) StepVec(v StateVec, lanes []int, _ []int, src []*rng.Source) {
 	sv := v.(*scalarVec)
-	for _, i := range lanes {
-		sv.lane[i].V *= math.Exp(g.Mu - g.Sigma*g.Sigma/2 + g.Sigma*src[i].Norm())
+	var x [rng.LaneChunk]float64
+	for len(lanes) > 0 {
+		n := rng.NormLanes(x[:], lanes, src)
+		for k, eps := range x[:n] {
+			x[k] = g.Mu - g.Sigma*g.Sigma/2 + g.Sigma*eps
+		}
+		vmath.Exp(x[:n])
+		for k, i := range lanes[:n] {
+			sv.lane[i].V *= x[k]
+		}
+		lanes = lanes[n:]
 	}
 }
 

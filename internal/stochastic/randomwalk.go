@@ -31,10 +31,16 @@ func (w *RandomWalk) Step(s State, _ int, src *rng.Source) {
 // NewStateVec implements BulkProcess.
 func (w *RandomWalk) NewStateVec(lanes int) StateVec { return newScalarVec(lanes) }
 
-// StepVec implements BulkProcess: Step's arithmetic per lane.
+// StepVec implements BulkProcess: Step's arithmetic per lane, its
+// normals drawn rng.LaneChunk lanes at a time (rng.NormLanes).
 func (w *RandomWalk) StepVec(v StateVec, lanes []int, _ []int, src []*rng.Source) {
 	sv := v.(*scalarVec)
-	for _, i := range lanes {
-		sv.lane[i].V += w.Drift + w.Sigma*src[i].Norm()
+	var eps [rng.LaneChunk]float64
+	for len(lanes) > 0 {
+		n := rng.NormLanes(eps[:], lanes, src)
+		for k, i := range lanes[:n] {
+			sv.lane[i].V += w.Drift + w.Sigma*eps[k]
+		}
+		lanes = lanes[n:]
 	}
 }
