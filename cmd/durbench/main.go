@@ -612,6 +612,15 @@ func runSharded(ctx context.Context, n, ticks int, re float64, seed uint64) (ben
 	}, nil
 }
 
+// gbmModels registers the scenarios' market model as "gbm".
+func gbmModels() cluster.Registry {
+	return cluster.Registry{
+		"gbm": func() (stochastic.Process, map[string]stochastic.Observer, error) {
+			return &stochastic.GBM{S0: s0, Mu: mu, Sigma: sigma}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
+		},
+	}
+}
+
 // checkAttribution is the step-attribution exactness drill: a traced
 // serve.Server answers a handful of one-shot queries and one batch
 // ladder, then the steps booked on the tracer's plan-search and exec
@@ -620,13 +629,8 @@ func runSharded(ctx context.Context, n, ticks int, re float64, seed uint64) (ben
 // regression allowance because plans legitimately shift; attribution
 // has no such excuse, since both sides count the same events.
 func checkAttribution(ctx context.Context, re float64, seed uint64) error {
-	reg := serve.Registry{
-		"gbm": func() (stochastic.Process, map[string]stochastic.Observer, error) {
-			return &stochastic.GBM{S0: s0, Mu: mu, Sigma: sigma}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
-		},
-	}
 	tracer := telemetry.NewTracer(nil)
-	srv := serve.NewServer(reg, serve.Config{PoolWorkers: 2, Seed: seed, DefaultRelErr: re, Tracer: tracer})
+	srv := serve.NewServer(gbmModels(), serve.Config{PoolWorkers: 2, Seed: seed, DefaultRelErr: re, Tracer: tracer})
 	defer srv.Close()
 
 	for _, b := range []float64{120, 126, 130} {

@@ -99,14 +99,10 @@ func runPlanQuality(ctx context.Context, re float64, seed uint64) (benchReport, 
 // booking.
 func checkPlanObservation(ctx context.Context, re float64, seed uint64) error {
 	betas := []float64{120, 126, 130}
+	reg := gbmModels()
 
 	run := func(backend exec.Executor) ([]planstats.Snapshot, int64, int64, error) {
 		ledger := planstats.NewLedger()
-		reg := serve.Registry{
-			"gbm": func() (stochastic.Process, map[string]stochastic.Observer, error) {
-				return &stochastic.GBM{S0: s0, Mu: mu, Sigma: sigma}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
-			},
-		}
 		srv := serve.NewServer(reg, serve.Config{PoolWorkers: 2, Seed: seed, DefaultRelErr: re, Executor: backend, Ledger: ledger})
 		defer srv.Close()
 		var roots, steps int64
@@ -150,11 +146,7 @@ func checkPlanObservation(ctx context.Context, re float64, seed uint64) error {
 
 	// The cluster side: the coordinator books the deltas it folded out of
 	// shard replies, so the same `==` must hold behind the rpc seam.
-	addrs, stop, err := cluster.ServeLocal(cluster.Registry{
-		"gbm": func() (stochastic.Process, map[string]stochastic.Observer, error) {
-			return &stochastic.GBM{S0: s0, Mu: mu, Sigma: sigma}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
-		},
-	}, 2, 2)
+	addrs, stop, err := cluster.ServeLocal(reg, 2, 2)
 	if err != nil {
 		return err
 	}

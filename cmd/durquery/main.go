@@ -15,20 +15,29 @@
 //
 //	# A trained LSTM-MDN stock model (see cmd/trainrnn):
 //	durquery -model rnn -weights model.gob -s0 1000 -beta 1550 -horizon 200
+//
+//	# The same rare queue query sharded over two durserve -worker
+//	# processes started with the same model flags (§3.1); every line but
+//	# the wall time matches the run without -peers:
+//	durquery -model queue -beta 58 -horizon 500 -re 0.1 -peers host1:7070,host2:7070
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"durability"
+	"durability/internal/exec"
+	"durability/internal/experiments"
+	"durability/internal/mc"
+	"durability/internal/serve"
 )
 
 func main() {
 	var (
-		model   = flag.String("model", "queue", "model: queue | cpp | walk | gbm | rnn")
+		model   = flag.String("model", "queue", "model: queue | volatile-queue | cpp | volatile-cpp | walk | gbm | rnn")
 		beta    = flag.Float64("beta", 26, "threshold: query is P(value >= beta before horizon)")
 		horizon = flag.Int("horizon", 500, "time horizon s")
 		method  = flag.String("method", "g-mlss", "sampler: g-mlss | s-mlss | srs")
@@ -38,68 +47,74 @@ func main() {
 		ratio   = flag.Int("ratio", 3, "MLSS splitting ratio")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		workers = flag.Int("workers", 1, "ceiling on the kernels one sampling round steps at once (only idle CPUs join)")
-
-		// queue parameters
-		lambda = flag.Float64("lambda", 0.5, "queue: arrival rate")
-		mu1    = flag.Float64("mu1", 2, "queue: mean service time, stage 1")
-		mu2    = flag.Float64("mu2", 2, "queue: mean service time, stage 2")
-		// cpp parameters
-		u0       = flag.Float64("u", 15, "cpp: initial surplus")
-		premium  = flag.Float64("c", 6.0, "cpp: per-step premium")
-		claimLam = flag.Float64("claim-rate", 0.8, "cpp: claim rate")
-		claimLo  = flag.Float64("claim-lo", 5, "cpp: claim size lower bound")
-		claimHi  = flag.Float64("claim-hi", 10, "cpp: claim size upper bound")
-		// walk / gbm parameters
-		start = flag.Float64("start", 0, "walk: start value")
-		drift = flag.Float64("drift", 0, "walk: per-step drift")
-		sigma = flag.Float64("sigma", 1, "walk/gbm: per-step volatility")
-		s0    = flag.Float64("s0", 1000, "gbm/rnn: initial price")
-		// rnn parameters
-		weights = flag.String("weights", "", "rnn: weights file from cmd/trainrnn")
+		weights = flag.String("weights", "", "rnn: weights file from cmd/trainrnn (the price starts at -s0)")
+		peers   = flag.String("peers", "", "comma-separated shard-worker addresses (durserve -worker, same model flags); g-MLSS simulation is distributed across them, s-mlss and srs stay in-process")
+		params  = experiments.ModelFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	proc, obs, err := buildModel(*model, modelParams{
-		lambda: *lambda, mu1: *mu1, mu2: *mu2,
-		u0: *u0, premium: *premium, claimLam: *claimLam, claimLo: *claimLo, claimHi: *claimHi,
-		start: *start, drift: *drift, sigma: *sigma, s0: *s0, weights: *weights,
-	})
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "durquery:", err)
 		os.Exit(1)
 	}
-
-	opts := []durability.Option{
-		durability.WithSeed(*seed),
-		durability.WithWorkers(*workers),
-		durability.WithSplitRatio(*ratio),
+	proc, obs, err := buildModel(registry(*params, *weights), *model)
+	if err != nil {
+		fail(err)
 	}
-	switch *method {
-	case "g-mlss":
-		opts = append(opts, durability.WithMethod(durability.GMLSS))
-	case "s-mlss":
-		opts = append(opts, durability.WithMethod(durability.SMLSS))
-	case "srs":
-		opts = append(opts, durability.WithMethod(durability.SRS))
-	default:
-		fmt.Fprintf(os.Stderr, "durquery: unknown method %q\n", *method)
-		os.Exit(1)
+	methods := map[string]serve.Method{"g-mlss": serve.GMLSS, "s-mlss": serve.SMLSS, "srs": serve.SRS}
+	m, ok := methods[*method]
+	if !ok {
+		fail(fmt.Errorf("unknown method %q", *method))
 	}
+	if *workers < 1 {
+		fail(fmt.Errorf("-workers %d must be >= 1", *workers))
+	}
+	var stop mc.Any
 	if *re > 0 {
-		opts = append(opts, durability.WithRelativeErrorTarget(*re))
+		stop = append(stop, mc.RETarget{Target: *re})
 	}
 	if *ci > 0 {
-		opts = append(opts, durability.WithCITarget(*ci, 0.95, true))
+		stop = append(stop, mc.CITarget{Half: *ci, Confidence: 0.95, Relative: true})
 	}
 	if *budget > 0 {
-		opts = append(opts, durability.WithBudget(*budget))
+		stop = append(stop, mc.Budget{Steps: *budget})
 	}
+	if len(stop) == 0 {
+		stop = append(stop, mc.RETarget{Target: 0.10})
+	}
+	stop = append(stop, mc.Budget{Steps: 2_000_000_000}) // the library's safety cap on unreachable targets
 
-	res, err := durability.Run(context.Background(),
-		proc, durability.Query{Z: obs, Beta: *beta, Horizon: *horizon}, opts...)
+	// No plan cache: the query pays its own level search, as the
+	// library's Run does. -peers only swaps the execution backend.
+	runner := &serve.Runner{}
+	if *peers != "" {
+		if *model == "rnn" {
+			fail(errors.New("-peers: shard workers build from the built-in table, which has no rnn"))
+		}
+		addrs, err := exec.ParseAddrs("peers", *peers)
+		if err != nil {
+			fail(err)
+		}
+		backend := exec.NewCluster(addrs...)
+		defer backend.Close()
+		runner.Exec = backend
+	}
+	res, _, err := runner.Run(context.Background(), serve.Spec{
+		Proc:       proc,
+		Obs:        obs,
+		ModelID:    *model,
+		ObserverID: "value",
+		Beta:       *beta,
+		Horizon:    *horizon,
+		Method:     m,
+		PlanMode:   serve.PlanAuto,
+		Ratio:      *ratio,
+		Seed:       *seed,
+		SimWorkers: *workers,
+		Stop:       stop,
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "durquery:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("P(hit %v within %d) = %.6g\n", *beta, *horizon, res.P)
 	fmt.Printf("95%% CI            = %v\n", res.CI(0.95))

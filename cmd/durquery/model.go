@@ -1,47 +1,53 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 
-	"durability"
+	"durability/internal/cluster"
+	"durability/internal/experiments"
+	"durability/internal/neural"
+	"durability/internal/stochastic"
 )
 
-// modelParams carries every model flag; buildModel picks what it needs.
-type modelParams struct {
-	lambda, mu1, mu2                        float64
-	u0, premium, claimLam, claimLo, claimHi float64
-	start, drift, sigma, s0                 float64
-	weights                                 string
+// registry is the built-in model table, plus rnn when weights names a
+// trained LSTM-MDN model (cmd/trainrnn) whose price starts at p.S0.
+func registry(p experiments.ModelParams, weights string) cluster.Registry {
+	reg := experiments.Models(p)
+	if weights != "" {
+		reg["rnn"] = func() (stochastic.Process, map[string]stochastic.Observer, error) {
+			f, err := os.Open(weights)
+			if err != nil {
+				return nil, nil, err
+			}
+			defer f.Close()
+			model, err := neural.Load(f)
+			if err != nil {
+				return nil, nil, err
+			}
+			return neural.NewStockProcess(model, p.S0, 50), map[string]stochastic.Observer{"value": neural.Price}, nil
+		}
+	}
+	return reg
 }
 
-// buildModel constructs the requested simulation model and its observer.
-func buildModel(kind string, p modelParams) (durability.Process, durability.Observer, error) {
-	switch kind {
-	case "queue":
-		return durability.NewTandemQueue(p.lambda, p.mu1, p.mu2), durability.Queue2Len, nil
-	case "cpp":
-		return durability.NewCompoundPoisson(p.u0, p.premium, p.claimLam, p.claimLo, p.claimHi),
-			durability.ScalarValue, nil
-	case "walk":
-		return &durability.RandomWalk{Start: p.start, Drift: p.drift, Sigma: p.sigma},
-			durability.ScalarValue, nil
-	case "gbm":
-		return &durability.GBM{S0: p.s0, Mu: p.drift, Sigma: p.sigma}, durability.ScalarValue, nil
-	case "rnn":
-		if p.weights == "" {
-			return nil, nil, fmt.Errorf("rnn model needs -weights (train one with cmd/trainrnn)")
+// buildModel builds the named model and returns it with its "value"
+// observer.
+func buildModel(reg cluster.Registry, name string) (stochastic.Process, stochastic.Observer, error) {
+	factory, ok := reg[name]
+	if !ok {
+		if name == "rnn" {
+			return nil, nil, errors.New("rnn model needs -weights (train one with cmd/trainrnn)")
 		}
-		f, err := os.Open(p.weights)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		model, err := durability.LoadStockModel(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		return durability.NewStockProcess(model, p.s0, 50), durability.StockPrice, nil
+		return nil, nil, fmt.Errorf("unknown model %q (want %s, or rnn with -weights)", name, strings.Join(slices.Sorted(maps.Keys(reg)), ", "))
 	}
-	return nil, nil, fmt.Errorf("unknown model %q (want queue, cpp, walk, gbm or rnn)", kind)
+	proc, observers, err := factory()
+	if err != nil {
+		return nil, nil, err
+	}
+	return proc, observers["value"], nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"durability/internal/experiments"
 	"durability/internal/serve"
 )
 
@@ -117,11 +118,7 @@ func TestShardedBatchMatchesLocal(t *testing.T) {
 // monotone within its ladder (exact within one shared run). Run under
 // -race in CI.
 func TestBatchConcurrentWithQueriesAndTicks(t *testing.T) {
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{
 		PoolWorkers: 4, Seed: 1, CoalesceWindow: 10 * time.Millisecond, QueueDepth: 256,

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"durability/internal/experiments"
 	"durability/internal/serve"
 )
 
@@ -17,11 +18,7 @@ import (
 // Budgets and the horizon cap keep a fuzz-crafted "valid" body from
 // turning into an expensive simulation.
 var fuzzTS = sync.OnceValue(func() *httptest.Server {
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	srv := serve.NewServer(registry, serve.Config{
 		PoolWorkers:   2,
 		QueueDepth:    64,

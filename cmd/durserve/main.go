@@ -94,6 +94,7 @@ import (
 
 	"durability/internal/cluster"
 	"durability/internal/exec"
+	"durability/internal/experiments"
 	"durability/internal/persist"
 	"durability/internal/planstats"
 	"durability/internal/replicate"
@@ -127,41 +128,22 @@ func main() {
 		workers    = flag.String("workers", "", "comma-separated shard-worker addresses; g-MLSS simulation is distributed across them")
 		worker     = flag.String("worker", "", "run as a shard worker on this address instead of serving HTTP")
 		localSim   = flag.Int("worker-sim", 0, "worker mode: ceiling on the kernels one shard steps at once; a shard borrows only idle CPUs, up to it (0 = GOMAXPROCS)")
-
-		// queue parameters
-		lambda = flag.Float64("lambda", 0.5, "queue: arrival rate")
-		mu1    = flag.Float64("mu1", 2, "queue: mean service time, stage 1")
-		mu2    = flag.Float64("mu2", 2, "queue: mean service time, stage 2")
-		// cpp parameters
-		u0       = flag.Float64("u", 15, "cpp: initial surplus")
-		premium  = flag.Float64("c", 6.0, "cpp: per-step premium")
-		claimLam = flag.Float64("claim-rate", 0.8, "cpp: claim rate")
-		claimLo  = flag.Float64("claim-lo", 5, "cpp: claim size lower bound")
-		claimHi  = flag.Float64("claim-hi", 10, "cpp: claim size upper bound")
-		// walk / gbm parameters
-		start = flag.Float64("start", 0, "walk: start value")
-		drift = flag.Float64("drift", 0, "walk/gbm: per-step drift")
-		sigma = flag.Float64("sigma", 1, "walk/gbm: per-step volatility")
-		s0    = flag.Float64("s0", 1000, "gbm: initial price")
+		params     = experiments.ModelFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	registry := buildRegistry(modelParams{
-		lambda: *lambda, mu1: *mu1, mu2: *mu2,
-		u0: *u0, premium: *premium, claimLam: *claimLam, claimLo: *claimLo, claimHi: *claimHi,
-		start: *start, drift: *drift, sigma: *sigma, s0: *s0,
-	})
+	registry := experiments.Models(*params)
 
 	if *worker != "" {
 		// Shard-worker mode: serve root-path ranges over rpc for a
-		// durserve (or durcluster) coordinator. The registry is the same
-		// one the HTTP daemon queries, so a fleet started with identical
-		// model flags simulates identical dynamics.
+		// durserve -workers or durquery -peers coordinator. Both build
+		// from the same model table and flags, so a fleet started with
+		// identical model flags simulates identical dynamics.
 		ln, err := net.Listen("tcp", *worker)
 		if err != nil {
 			log.Fatalf("durserve: %v", err)
 		}
-		addr := cluster.Serve(cluster.NewWorker(clusterRegistry(registry), *localSim), ln)
+		addr := cluster.Serve(cluster.NewWorker(registry, *localSim), ln)
 		log.Printf("durserve: shard worker serving on %s (at most %d kernels per shard; 0 = GOMAXPROCS)", addr, *localSim)
 		stop := make(chan os.Signal, 1)
 		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -172,7 +154,11 @@ func main() {
 	tel := newTelemetry()
 	var backend exec.Executor
 	if *workers != "" {
-		cl := exec.NewCluster(strings.Split(*workers, ",")...)
+		addrs, err := exec.ParseAddrs("workers", *workers)
+		if err != nil {
+			log.Fatalf("durserve: %v", err)
+		}
+		cl := exec.NewCluster(addrs...)
 		cl.Metrics = tel.workers
 		defer cl.Close()
 		backend = cl

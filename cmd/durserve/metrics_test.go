@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"durability/internal/experiments"
 	"durability/internal/serve"
 )
 
@@ -188,11 +189,7 @@ func TestMetricsScrapeConcurrentWithTraffic(t *testing.T) {
 // against a gated mux: serving endpoints 503 until ready while liveness
 // and observability stay reachable throughout.
 func TestReadinessGate(t *testing.T) {
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"durability/internal/experiments"
 	"durability/internal/persist"
 	"durability/internal/serve"
 )
@@ -19,11 +20,7 @@ import (
 // real restart would.
 func durableServer(t *testing.T, dir string) (*httptest.Server, *streamHub) {
 	t.Helper()
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)

@@ -12,6 +12,7 @@ import (
 
 	"durability/internal/cluster"
 	"durability/internal/exec"
+	"durability/internal/experiments"
 	"durability/internal/planstats"
 	"durability/internal/replicate"
 	"durability/internal/serve"
@@ -22,11 +23,7 @@ import (
 // execution backend (nil = in-process local sampling).
 func planServer(t *testing.T, backend exec.Executor) *httptest.Server {
 	t.Helper()
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
 	ledger := planstats.NewLedger()
 	tel.bindPlanLedger(ledger, 0.05)
@@ -69,12 +66,8 @@ func drivePlans(t *testing.T, ts *httptest.Server) {
 // their absolute counts differ, but each is deterministic — so the
 // pairing is checked on both.
 func TestPlansByteIdenticalAcrossServers(t *testing.T) {
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
-	addrs, stop, err := cluster.ServeLocal(clusterRegistry(registry), 2, 2)
+	registry := experiments.Models(experiments.DefaultModelParams())
+	addrs, stop, err := cluster.ServeLocal(registry, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

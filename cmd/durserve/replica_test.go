@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"durability/internal/experiments"
 	"durability/internal/persist"
 	"durability/internal/replicate"
 	"durability/internal/serve"
@@ -31,11 +32,7 @@ type replicaStack struct {
 
 func durableSharded(t *testing.T, dir string, shards int) *replicaStack {
 	t.Helper()
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
@@ -69,11 +66,7 @@ type followerStack struct {
 
 func startTestFollower(t *testing.T, primaryURL, dir string, shards int) *followerStack {
 	t.Helper()
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
@@ -184,11 +177,7 @@ func TestFinalShutdownCoversAllShards(t *testing.T) {
 	}
 	// The restart's own attachStores reports the replay count through the
 	// recovery path; re-derive it directly to assert the zero.
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	defer srv.Close()

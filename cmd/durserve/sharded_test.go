@@ -9,6 +9,7 @@ import (
 
 	"durability/internal/cluster"
 	"durability/internal/exec"
+	"durability/internal/experiments"
 	"durability/internal/serve"
 )
 
@@ -17,13 +18,9 @@ import (
 // query server and the stream hub on the cluster backend.
 func shardedServer(t *testing.T, nWorkers int) (*httptest.Server, *httptest.Server) {
 	t.Helper()
-	registry := buildRegistry(modelParams{
-		lambda: 0.5, mu1: 2, mu2: 2,
-		u0: 15, premium: 6, claimLam: 0.8, claimLo: 5, claimHi: 10,
-		sigma: 1, s0: 1000,
-	})
+	registry := experiments.Models(experiments.DefaultModelParams())
 
-	addrs, stop, err := cluster.ServeLocal(clusterRegistry(registry), nWorkers, 2)
+	addrs, stop, err := cluster.ServeLocal(registry, nWorkers, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

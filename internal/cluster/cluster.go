@@ -7,9 +7,9 @@
 // accuracy level."
 //
 // A Worker serves shard requests over net/rpc (stdlib, gob-encoded): it
-// rebuilds the model locally from a registered factory, optionally pins it
-// to a shipped live-state snapshot, simulates a range of root paths with
-// g-MLSS bookkeeping, and returns the counters. The coordination side —
+// builds each model once, locally, from a registered factory, optionally
+// pins it to a shipped live-state snapshot, simulates a range of root
+// paths with g-MLSS bookkeeping, and returns the counters. The coordination side —
 // fanning root ranges out, retrying dead workers, merging counters and
 // stopping at the quality target — lives in internal/exec as the cluster
 // execution backend, behind the same Executor seam the in-process backend
@@ -30,15 +30,6 @@ import (
 	"durability/internal/stochastic"
 	"durability/internal/telemetry"
 )
-
-// ModelFactory rebuilds a model and its named observers on a worker. The
-// shape matches internal/serve's registry: processes are not serialisable
-// (they may hold neural networks), so only names travel over the wire.
-type ModelFactory func() (stochastic.Process, map[string]stochastic.Observer, error)
-
-// Registry maps model names to factories. Workers must register every
-// model a coordinator will reference.
-type Registry map[string]ModelFactory
 
 // ShardRequest asks a worker to simulate root paths [RootLo, RootHi).
 //
@@ -86,32 +77,28 @@ type ShardReply struct {
 
 // Worker is the rpc service running on each machine.
 type Worker struct {
-	registry Registry
-	workers  int // ceiling on the kernels one shard round steps at once
+	models  *Models
+	workers int // ceiling on the kernels one shard round steps at once
 }
 
 // NewWorker builds a worker whose shards step at most localWorkers
 // kernels at once (<= 0: GOMAXPROCS); each shard borrows only the idle
 // CPUs of the worker's process, so concurrent shards share its cores.
 func NewWorker(registry Registry, localWorkers int) *Worker {
-	return &Worker{registry: registry, workers: localWorkers}
+	return &Worker{models: NewModels(registry), workers: localWorkers}
 }
 
 // Run answers one shard request. The method shape follows net/rpc.
 func (w *Worker) Run(req ShardRequest, reply *ShardReply) error {
-	factory, ok := w.registry[req.Model]
-	if !ok {
-		return fmt.Errorf("cluster: worker has no model %q", req.Model)
-	}
-	proc, observers, err := factory()
+	m, err := w.models.Get(req.Model)
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: worker: %w", err)
 	}
 	obsName := req.Observer
 	if obsName == "" {
 		obsName = "value"
 	}
-	obs, ok := observers[obsName]
+	obs, ok := m.Observers[obsName]
 	if !ok {
 		return fmt.Errorf("cluster: model %q has no observer %q", req.Model, obsName)
 	}
@@ -123,7 +110,7 @@ func (w *Worker) Run(req ShardRequest, reply *ShardReply) error {
 		return fmt.Errorf("cluster: shard request GroupRoots %d must be >= 1", req.GroupRoots)
 	}
 	g := &core.GMLSS{
-		Proc:    proc,
+		Proc:    m.Proc,
 		Start:   req.Start,
 		Query:   core.Query{Z: obs, Beta: req.Beta, Horizon: req.Horizon},
 		Plan:    plan,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"time"
 
@@ -64,6 +65,20 @@ type Cluster struct {
 	mu        sync.Mutex
 	clients   []*rpc.Client
 	deadSince []time.Time // zero = in rotation
+}
+
+// ParseAddrs splits a comma-separated worker address list, as a command
+// line gives it, trimming blanks around each address. An empty list or an
+// empty entry is an error naming flag: an address that never dials would
+// otherwise be retired silently and leave the fleet short.
+func ParseAddrs(flag, list string) ([]string, error) {
+	addrs := strings.Split(list, ",")
+	for i, a := range addrs {
+		if addrs[i] = strings.TrimSpace(a); addrs[i] == "" {
+			return nil, fmt.Errorf("-%s %q: address %d is empty", flag, list, i+1)
+		}
+	}
+	return addrs, nil
 }
 
 // NewCluster builds the distributed backend over the given worker

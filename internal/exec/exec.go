@@ -7,7 +7,7 @@
 // a root-path range [lo, hi) with g-MLSS bookkeeping and returns
 // mergeable counters. Everything above the seam — the one-shot query
 // runner (internal/serve), the standing-query maintenance engine
-// (internal/stream), the durcluster coordinator — is written against the
+// (internal/stream), durquery's -peers coordinator — is written against the
 // contract and cannot tell a laptop from a cluster; everything below it
 // is a placement decision.
 //

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -436,5 +438,37 @@ func TestClusterBackendRejectsUntransportableState(t *testing.T) {
 	}
 	if _, err := backend.RunRoots(context.Background(), chainTask(), 0, 64, 16); err != nil {
 		t.Fatalf("fleet unusable after rejected task: %v", err)
+	}
+}
+
+func TestParseAddrs(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want []string // nil: refused
+	}{
+		{"127.0.0.1:7070", []string{"127.0.0.1:7070"}},
+		{"a:1,b:2", []string{"a:1", "b:2"}},
+		{" a:1 , b:2 ", []string{"a:1", "b:2"}},
+		{"a:1,\tb:2", []string{"a:1", "b:2"}},
+		{"", nil},
+		{"  ", nil},
+		{",", nil},
+		{"a:1,", nil},
+		{",a:1", nil},
+		{"a:1,,b:2", nil},
+		{"a:1, ,b:2", nil},
+	} {
+		got, err := ParseAddrs("peers", tc.list)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseAddrs(%q) = %q, want an error", tc.list, got)
+			} else if !strings.Contains(err.Error(), "-peers") {
+				t.Errorf("ParseAddrs(%q) error %q does not name the flag", tc.list, err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseAddrs(%q) = %q, %v; want %q", tc.list, got, err, tc.want)
+		}
 	}
 }

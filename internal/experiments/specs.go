@@ -1,7 +1,9 @@
 // Package experiments defines the paper's evaluation workloads (§6) and
 // the runners that regenerate every table and figure. It is shared by
 // cmd/experiments (full-scale runs, EXPERIMENTS.md data) and the
-// repository-root benchmarks (scaled-down testing.B harnesses).
+// repository-root benchmarks (scaled-down testing.B harnesses). Its
+// built-in model table (Models, ModelFlags) is the one durserve, its
+// shard workers and durquery build from.
 //
 // Query settings follow Table 2 of the paper with thresholds recalibrated
 // to this repository's model dynamics so that each query class lands in
@@ -102,17 +104,12 @@ func CPPSpec() *Spec {
 	}
 }
 
-// VolatileQueueSpec adds impulse jumps (+15 customers with probability
-// 0.015 per step once t > 0.8s) so sample paths skip levels — §6.2's
-// Volatile Queue. The impulse is large relative to the level gaps of the
-// balanced plans below (15/beta > 0.14), which is what makes s-MLSS lose
-// paths.
+// VolatileQueueSpec adds impulse jumps to the queue so sample paths skip
+// levels — §6.2's Volatile Queue (see withQueueImpulses).
 func VolatileQueueSpec() *Spec {
-	q := stochastic.NewTandemQueue(0.5, 2, 2)
-	q.ImpulseProb, q.ImpulseSize, q.ImpulseAfter = 0.015, 15, 400
 	return &Spec{
 		Name: "volatile-queue",
-		Proc: q,
+		Proc: withQueueImpulses(stochastic.NewTandemQueue(0.5, 2, 2)),
 		Obs:  stochastic.Queue2Len,
 		Settings: []Setting{
 			{Class: Tiny, Horizon: 500, Beta: 85, TauPrior: 2.1e-2, Levels: 6},
@@ -121,20 +118,34 @@ func VolatileQueueSpec() *Spec {
 	}
 }
 
-// VolatileCPPSpec adds impulse jumps (+200 with probability 0.005 per step
-// once t > 0.8s) — §6.2's Volatile CPP.
+// VolatileCPPSpec adds impulse jumps to the surplus — §6.2's Volatile
+// CPP (see withCPPImpulses).
 func VolatileCPPSpec() *Spec {
-	c := stochastic.NewCompoundPoisson(15, 6.0, 0.8, 5, 10)
-	c.ImpulseProb, c.ImpulseSize, c.ImpulseAfter = 0.005, 200, 400
 	return &Spec{
 		Name: "volatile-cpp",
-		Proc: c,
+		Proc: withCPPImpulses(stochastic.NewCompoundPoisson(15, 6.0, 0.8, 5, 10)),
 		Obs:  stochastic.ScalarValue,
 		Settings: []Setting{
 			{Class: Tiny, Horizon: 500, Beta: 700, TauPrior: 9.5e-3, Levels: 4},
 			{Class: Rare, Horizon: 500, Beta: 1000, TauPrior: 4.5e-4, Levels: 5},
 		},
 	}
+}
+
+// withQueueImpulses gives a tandem queue the Volatile Queue's impulse
+// jumps: +15 customers with probability 0.015 per step once t > 0.8s.
+// The impulse is large relative to the level gaps of the balanced plans
+// above (15/beta > 0.14), which is what makes s-MLSS lose paths.
+func withQueueImpulses(q *stochastic.TandemQueue) *stochastic.TandemQueue {
+	q.ImpulseProb, q.ImpulseSize, q.ImpulseAfter = 0.015, 15, 400
+	return q
+}
+
+// withCPPImpulses gives a surplus process the Volatile CPP's impulse
+// jumps: +200 with probability 0.005 per step once t > 0.8s.
+func withCPPImpulses(c *stochastic.CompoundPoisson) *stochastic.CompoundPoisson {
+	c.ImpulseProb, c.ImpulseSize, c.ImpulseAfter = 0.005, 200, 400
+	return c
 }
 
 var (

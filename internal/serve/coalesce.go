@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"durability/internal/mc"
 	"durability/internal/telemetry"
 )
 
@@ -223,33 +222,12 @@ func (g *batchGather) deliverError(err error) {
 // batchSpec lowers a closed gather onto a runnable BatchSpec over the
 // union of its callers' thresholds.
 func (s *Server) batchSpec(key batchKey, betas []float64) (BatchSpec, error) {
-	m, err := s.model(key.model)
+	m, obs, stop, err := s.resolve(key.model, key.observer, key.horizon, key.relErr, key.budget)
 	if err != nil {
 		return BatchSpec{}, err
 	}
-	obs, ok := m.observers[key.observer]
-	if !ok {
-		return BatchSpec{}, fmt.Errorf("serve: model %q has no observer %q", key.model, key.observer)
-	}
-	if s.cfg.MaxHorizon > 0 && key.horizon > s.cfg.MaxHorizon {
-		return BatchSpec{}, fmt.Errorf("serve: horizon %d exceeds the server's cap %d", key.horizon, s.cfg.MaxHorizon)
-	}
-
-	var stop mc.Any
-	if key.relErr > 0 {
-		stop = append(stop, mc.RETarget{Target: key.relErr})
-	}
-	budget := s.cfg.MaxBudget
-	if key.budget > 0 && key.budget < budget {
-		budget = key.budget
-	}
-	if len(stop) == 0 && key.budget <= 0 {
-		stop = append(stop, mc.RETarget{Target: s.cfg.DefaultRelErr})
-	}
-	stop = append(stop, mc.Budget{Steps: budget})
-
 	return BatchSpec{
-		Proc:       m.proc,
+		Proc:       m.Proc,
 		Obs:        obs,
 		ModelID:    key.model,
 		ObserverID: key.observer,

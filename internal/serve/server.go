@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"durability/internal/cluster"
 	"durability/internal/exec"
 	"durability/internal/mc"
 	"durability/internal/planstats"
@@ -15,14 +16,10 @@ import (
 	"durability/internal/telemetry"
 )
 
-// ModelFactory rebuilds a model and its named observers, reusing the
-// registry idiom of internal/cluster: processes are not serialisable (they
-// may hold neural networks), so only names travel over the wire and every
-// server constructs models locally from registered factories.
-type ModelFactory func() (stochastic.Process, map[string]stochastic.Observer, error)
-
-// Registry maps model names to factories.
-type Registry map[string]ModelFactory
+// Registry is cluster.Registry, the one model-table type: a server, its
+// shard workers and a coordinator build their models from the same
+// factories.
+type Registry = cluster.Registry
 
 // Request is one durability query as a front end submits it.
 type Request struct {
@@ -153,20 +150,6 @@ var ErrClosed = errors.New("serve: server is closed")
 // 5xx instead of blaming the client's request.
 var ErrInternal = errors.New("serve: internal error")
 
-// builtModel is a lazily constructed model shared by all queries; Process
-// implementations are safe for concurrent Step calls on distinct states
-// (the samplers already rely on this for their own parallelism). The
-// factory runs under the entry's own once, never under the server lock —
-// a heavy build (the factory may load a neural network) must not stall
-// admission or unrelated models.
-type builtModel struct {
-	factory   ModelFactory
-	once      sync.Once
-	proc      stochastic.Process
-	observers map[string]stochastic.Observer
-	err       error
-}
-
 // job is one admitted unit of work waiting for a pool worker: a single
 // query, or a coalesced batch occupying one pool slot for all its callers.
 type job struct {
@@ -189,12 +172,11 @@ type outcome struct {
 // the embeddable core of the durserve daemon, but has no network
 // dependency of its own.
 type Server struct {
-	cfg      Config
-	registry Registry
-	runner   *Runner
+	cfg    Config
+	models *cluster.Models // each model built once, shared by all queries
+	runner *Runner
 
 	mu      sync.Mutex
-	models  map[string]*builtModel
 	closed  bool
 	pending map[batchKey]*batchGather // batch gathers holding their coalescing window open
 
@@ -213,12 +195,11 @@ func NewServer(registry Registry, cfg Config) *Server {
 		cap = DefaultPlanCacheCap
 	}
 	s := &Server{
-		cfg:      cfg,
-		registry: registry,
-		runner:   &Runner{Cache: NewPlanCache(cfg.BetaBucketWidth, WithCacheCapacity(cap)), Exec: cfg.Executor, Trace: cfg.Tracer, Ledger: cfg.Ledger},
-		models:   make(map[string]*builtModel),
-		pending:  make(map[batchKey]*batchGather),
-		queue:    make(chan *job, cfg.QueueDepth),
+		cfg:     cfg,
+		models:  cluster.NewModels(registry),
+		runner:  &Runner{Cache: NewPlanCache(cfg.BetaBucketWidth, WithCacheCapacity(cap)), Exec: cfg.Executor, Trace: cfg.Tracer, Ledger: cfg.Ledger},
+		pending: make(map[batchKey]*batchGather),
+		queue:   make(chan *job, cfg.QueueDepth),
 	}
 	for w := 0; w < cfg.PoolWorkers; w++ {
 		s.wg.Add(1)
@@ -291,62 +272,49 @@ func (s *Server) Do(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// model returns the lazily built model for name. The server lock covers
-// only the map lookup; the build itself is deduplicated by the entry's
-// once, and a failed build is evicted so a later request can retry.
-func (s *Server) model(name string) (*builtModel, error) {
-	s.mu.Lock()
-	m, ok := s.models[name]
+// resolve is the lowering single queries and batches share: it looks up
+// the model (an unknown name is the client's error, a model that fails to
+// build the server's: ErrInternal) and observer, holds the horizon to the
+// server's cap and assembles the stopping rules — the relative-error
+// target, else the server's default when no budget is given either,
+// always under the server's budget cap.
+func (s *Server) resolve(model, observer string, horizon int, relErr float64, budget int64) (cluster.Model, stochastic.Observer, mc.Any, error) {
+	m, err := s.models.Get(model)
+	if errors.Is(err, cluster.ErrUnknownModel) {
+		return m, nil, nil, fmt.Errorf("serve: %w", err)
+	}
+	if err != nil {
+		return m, nil, nil, fmt.Errorf("%w: %v", ErrInternal, err)
+	}
+	obs, ok := m.Observers[observer]
 	if !ok {
-		factory, known := s.registry[name]
-		if !known {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("serve: unknown model %q", name)
-		}
-		m = &builtModel{factory: factory}
-		s.models[name] = m
+		return m, nil, nil, fmt.Errorf("serve: model %q has no observer %q", model, observer)
 	}
-	s.mu.Unlock()
-
-	m.once.Do(func() {
-		proc, observers, err := m.factory()
-		if err != nil {
-			m.err = fmt.Errorf("%w: building model %q: %v", ErrInternal, name, err)
-			return
-		}
-		if len(observers) == 0 {
-			m.err = fmt.Errorf("%w: model %q registered no observers", ErrInternal, name)
-			return
-		}
-		m.proc, m.observers = proc, observers
-	})
-	if m.err != nil {
-		s.mu.Lock()
-		if s.models[name] == m {
-			delete(s.models, name)
-		}
-		s.mu.Unlock()
-		return nil, m.err
+	if s.cfg.MaxHorizon > 0 && horizon > s.cfg.MaxHorizon {
+		return m, nil, nil, fmt.Errorf("serve: horizon %d exceeds the server's cap %d", horizon, s.cfg.MaxHorizon)
 	}
-	return m, nil
+	var stop mc.Any
+	if relErr > 0 {
+		stop = append(stop, mc.RETarget{Target: relErr})
+	}
+	capped := s.cfg.MaxBudget
+	if budget > 0 && budget < capped {
+		capped = budget
+	}
+	if len(stop) == 0 && budget <= 0 {
+		stop = append(stop, mc.RETarget{Target: s.cfg.DefaultRelErr})
+	}
+	return m, obs, append(stop, mc.Budget{Steps: capped}), nil
 }
 
 // spec translates a request into a runnable Spec.
 func (s *Server) spec(req Request) (Spec, error) {
-	m, err := s.model(req.Model)
+	if req.Observer == "" {
+		req.Observer = "value"
+	}
+	m, obs, stop, err := s.resolve(req.Model, req.Observer, req.Horizon, req.RelErr, req.Budget)
 	if err != nil {
 		return Spec{}, err
-	}
-	obsName := req.Observer
-	if obsName == "" {
-		obsName = "value"
-	}
-	obs, ok := m.observers[obsName]
-	if !ok {
-		return Spec{}, fmt.Errorf("serve: model %q has no observer %q", req.Model, obsName)
-	}
-	if s.cfg.MaxHorizon > 0 && req.Horizon > s.cfg.MaxHorizon {
-		return Spec{}, fmt.Errorf("serve: horizon %d exceeds the server's cap %d", req.Horizon, s.cfg.MaxHorizon)
 	}
 
 	var method Method
@@ -370,24 +338,11 @@ func (s *Server) spec(req Request) (Spec, error) {
 		seed = s.cfg.Seed
 	}
 
-	var stop mc.Any
-	if req.RelErr > 0 {
-		stop = append(stop, mc.RETarget{Target: req.RelErr})
-	}
-	budget := s.cfg.MaxBudget
-	if req.Budget > 0 && req.Budget < budget {
-		budget = req.Budget
-	}
-	if len(stop) == 0 && req.Budget <= 0 {
-		stop = append(stop, mc.RETarget{Target: s.cfg.DefaultRelErr})
-	}
-	stop = append(stop, mc.Budget{Steps: budget})
-
 	return Spec{
-		Proc:       m.proc,
+		Proc:       m.Proc,
 		Obs:        obs,
 		ModelID:    req.Model,
-		ObserverID: obsName,
+		ObserverID: req.Observer,
 		Beta:       req.Beta,
 		Horizon:    req.Horizon,
 		Method:     method,
