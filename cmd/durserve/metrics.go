@@ -56,6 +56,10 @@ type telemetrySet struct {
 	lagsFn func() map[string]replicate.Lag
 }
 
+// walAppendBuckets resolve a WAL append, which takes microseconds:
+// powers of two from 1µs to about 0.5s.
+var walAppendBuckets = telemetry.ExpBuckets(1e-6, 2, 20)
+
 // lifecycleStages is every span stage the serving path can book.
 // newTelemetry pre-creates all of them so the exposed metric set is a
 // function of the build, not of which code paths traffic happened to
@@ -225,11 +229,19 @@ func (t *telemetrySet) bind(srv *serve.Server, hub *streamHub) {
 		engineStats(func(s streamStats) int64 { return s.Engine.Replans }))
 	reg.CounterFunc("durserve_stream_dropped_roots_total", "Root trees discarded by drift, age or replanning.",
 		engineStats(func(s streamStats) int64 { return s.Engine.DroppedRoots }))
+	hub.timing = journalTiming{append: map[string]*telemetry.Histogram{}, checkpoint: map[string]*telemetry.Histogram{}}
 	for _, name := range storeNames(hub.engine.Shards()) {
 		name := name
+		l := telemetry.Label{Name: "store", Value: name}
 		reg.CounterFunc("durserve_wal_bytes_total",
 			"Write-ahead log record bytes appended, per store (0 without -data-dir, and on a follower until promotion).",
-			func() int64 { return hub.walBytes(name) }, telemetry.Label{Name: "store", Value: name})
+			func() int64 { return hub.walBytes(name) }, l)
+		hub.timing.append[name] = reg.Histogram("durserve_wal_append_seconds",
+			"Wall time per write-ahead log append (encode, frame, write), per store.",
+			walAppendBuckets, l)
+		hub.timing.checkpoint[name] = reg.Histogram("durserve_checkpoint_duration_seconds",
+			"Wall time per checkpoint (rotate, snapshot, publish, compact), per store.",
+			telemetry.DurationBuckets, l)
 	}
 }
 

@@ -259,11 +259,15 @@ func TestRecoveryMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestJournalMetrics covers the two series that price journaling refresh
+// TestJournalMetrics covers the series that price journaling refresh
 // outcomes. durserve_wal_bytes_total counts record frame bytes, which are
-// deterministic: two identically driven durable servers still expose
-// identical values on every series but the durations. And a follower
-// times every record it applies into durserve_follower_apply_seconds.
+// deterministic for one sequence of requests and checkpoints (a
+// segment's first record of each type carries its gob descriptors): two
+// identically driven durable servers still expose
+// identical values on every series but the durations, among them the
+// per-store durserve_wal_append_seconds and
+// durserve_checkpoint_duration_seconds. And a follower times every
+// record it applies into durserve_follower_apply_seconds.
 func TestJournalMetrics(t *testing.T) {
 	const shards = 2
 	a := durableSharded(t, t.TempDir(), shards)
@@ -279,9 +283,14 @@ func TestJournalMetrics(t *testing.T) {
 		t.Errorf("non-duration metric values diverged across identically-driven durable servers:\n%s\n----\n%s", x, y)
 	}
 	for _, name := range storeNames(shards) {
-		series := fmt.Sprintf("durserve_wal_bytes_total{store=%q}", name)
-		if got := metricValue(t, bodyA, series); got <= 0 {
-			t.Errorf("%s = %d after journaled traffic, want > 0", series, got)
+		for _, series := range []string{
+			fmt.Sprintf("durserve_wal_bytes_total{store=%q}", name),
+			fmt.Sprintf("durserve_wal_append_seconds_count{store=%q}", name),
+			fmt.Sprintf("durserve_checkpoint_duration_seconds_count{store=%q}", name),
+		} {
+			if got := metricValue(t, bodyA, series); got <= 0 {
+				t.Errorf("%s = %d after journaled traffic, want > 0", series, got)
+			}
 		}
 	}
 	if got := metricValue(t, bodyA, "durserve_follower_apply_seconds_count"); got != 0 {

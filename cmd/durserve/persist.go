@@ -15,6 +15,7 @@ import (
 	"durability/internal/serve"
 	"durability/internal/stochastic"
 	"durability/internal/stream"
+	"durability/internal/telemetry"
 )
 
 // Durable serving state for the HTTP daemon, partitioned by lineage.
@@ -594,10 +595,44 @@ func (h *streamHub) attachStores(hs *hubStores) (replayed int, err error) {
 	h.mu.Lock()
 	h.stores = hs
 	h.mu.Unlock()
-	for i, st := range hs.shards {
-		h.engine.Shard(i).SetJournal(persist.EngineJournal{Store: st})
-	}
+	h.attachJournals(hs)
 	return replayed, h.checkpoint()
+}
+
+// journalTiming holds the per-store journal timings on /metrics: wall
+// time per WAL append and per checkpoint, keyed by store name. They are
+// durations only and never reach deterministic state.
+type journalTiming struct {
+	append, checkpoint map[string]*telemetry.Histogram
+}
+
+// timedJournal is a shard engine's journal, timing each record's append.
+type timedJournal struct {
+	persist.EngineJournal
+	seconds *telemetry.Histogram
+}
+
+// Record implements stream.Journal.
+func (j timedJournal) Record(ev stream.JournalEvent) (int64, error) {
+	began := telemetry.Now()
+	lsn, err := j.EngineJournal.Record(ev)
+	j.seconds.ObserveDuration(telemetry.Since(began))
+	return lsn, err
+}
+
+// attachJournals makes each shard engine journal to its own store.
+func (h *streamHub) attachJournals(hs *hubStores) {
+	for i, st := range hs.shards {
+		h.engine.Shard(i).SetJournal(timedJournal{persist.EngineJournal{Store: st}, h.timing.append[shardStoreName(i)]})
+	}
+}
+
+// timedCheckpoint checkpoints one store, timing it.
+func (h *streamHub) timedCheckpoint(name string, st *persist.Store, assemble func() (any, error)) error {
+	began := telemetry.Now()
+	err := st.Checkpoint(assemble)
+	h.timing.checkpoint[name].ObserveDuration(telemetry.Since(began))
+	return err
 }
 
 // checkpoint writes one snapshot generation per lineage — every shard,
@@ -618,14 +653,14 @@ func (h *streamHub) checkpoint() error {
 		if err := st.Err(); err != nil {
 			return err
 		}
-		if err := st.Checkpoint(func() (any, error) { return h.engine.Shard(i).Snapshot(), nil }); err != nil {
+		if err := h.timedCheckpoint(shardStoreName(i), st, func() (any, error) { return h.engine.Shard(i).Snapshot(), nil }); err != nil {
 			return fmt.Errorf("checkpointing %s: %w", shardStoreName(i), err)
 		}
 	}
 	if err := hs.hub.Err(); err != nil {
 		return err
 	}
-	if err := hs.hub.Checkpoint(func() (any, error) { return h.snapshot() }); err != nil {
+	if err := h.timedCheckpoint(hubStoreName, hs.hub, func() (any, error) { return h.snapshot() }); err != nil {
 		return fmt.Errorf("checkpointing %s: %w", hubStoreName, err)
 	}
 	return nil
@@ -657,7 +692,10 @@ func (h *streamHub) append(ev any) (int64, error) {
 	if h.stores == nil {
 		return 0, nil
 	}
-	return h.stores.hub.Append(ev)
+	began := telemetry.Now()
+	lsn, err := h.stores.hub.Append(ev)
+	h.timing.append[hubStoreName].ObserveDuration(telemetry.Since(began))
+	return lsn, err
 }
 
 // handleNumber extracts N from a "sub-N" handle (0 when malformed).

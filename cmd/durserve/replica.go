@@ -384,9 +384,7 @@ func (fr *followerRun) promoteOnce() error {
 	h.mu.Lock()
 	h.stores = hs
 	h.mu.Unlock()
-	for i, st := range hs.shards {
-		h.engine.Shard(i).SetJournal(persist.EngineJournal{Store: st})
-	}
+	h.attachJournals(hs)
 	if err := h.checkpoint(); err != nil {
 		return fmt.Errorf("promote: sealing checkpoint: %w", err)
 	}

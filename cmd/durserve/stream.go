@@ -44,6 +44,7 @@ type streamHub struct {
 	// separately).
 	stores *hubStores
 	ckptMu sync.Mutex
+	timing journalTiming // set once by telemetrySet.bind, before serving
 
 	// down closes when the server begins shutting down, resolving every
 	// in-flight long poll with 204 instead of dropping it mid-wait.

@@ -19,10 +19,13 @@
 // Each WAL record is independently framed (length, CRC, sequence number,
 // gob payload) so a torn final record — the normal shape of a crash mid-
 // write — is detected and the log cleanly truncated to the last complete
-// entry. Snapshots are written to a temp file and atomically renamed, and
-// are CRC-guarded, so a crash mid-checkpoint can never leave a half
-// snapshot as the latest: recovery falls back to the previous generation,
-// whose WAL is only compacted away after the next snapshot is durable.
+// entry. A segment's payloads continue one gob stream, so each type's
+// descriptors are written once per segment rather than once per record
+// (see wal.go). Snapshots are written to a temp file and atomically
+// renamed, and are CRC-guarded, so a crash mid-checkpoint can never leave
+// a half snapshot as the latest: recovery falls back to the previous
+// generation, whose WAL is only compacted away after the next snapshot is
+// durable.
 //
 // Concurrency contract with the serving layers: appends may race a
 // checkpoint. Checkpoint rotates the log *before* assembling the
@@ -35,6 +38,7 @@ package persist
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,7 +46,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -66,8 +70,9 @@ const (
 const maxRecordBytes = 1 << 30
 
 var (
-	walMagic  = []byte("DURWAL1\n")
-	snapMagic = []byte("DURSNP1\n")
+	walMagic   = []byte("DURWAL2\n") // the payloads of a segment continue one gob stream
+	walMagicV1 = []byte("DURWAL1\n") // every payload its own gob stream; read, never written
+	snapMagic  = []byte("DURSNP1\n")
 )
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
@@ -114,11 +119,34 @@ type Store struct {
 	snapSeq   uint64 // latest durable snapshot generation (0 = none)
 	nextLSN   int64
 	wal       File
+	enc       *segmentEncoder // the live segment's gob stream; nil when the next Append must start a fresh segment
 	walBytes  int64
 	walSince  time.Time // when the live segment took its first record
 	walDirty  bool      // live segment holds at least one record
 	appended  int64     // record frame bytes appended since Open
 	sticky    error     // first append/IO failure; surfaced by Append and Checkpoint
+
+	// snaps and wals are the snapshot and segment files on disk, in
+	// sequence order. Recover lists the directory once; publish,
+	// rotation and compaction keep them current, so Listing never scans
+	// it. The live segment's entry lags its appends; walBytes is current.
+	snaps, wals []storeFile
+}
+
+// storeFile is one snapshot or segment file on disk.
+type storeFile struct {
+	seq uint64
+	FileInfo
+}
+
+// noteFile records a file and its size in a sequence-ordered list.
+func noteFile(list []storeFile, seq uint64, name string, size int64) []storeFile {
+	i, found := slices.BinarySearchFunc(list, seq, func(f storeFile, seq uint64) int { return cmp.Compare(f.seq, seq) })
+	if found {
+		list[i].Size = size
+		return list
+	}
+	return slices.Insert(list, i, storeFile{seq, FileInfo{Name: name, Size: size}})
 }
 
 // Open prepares the directory (creating it if needed). No file is read
@@ -134,31 +162,39 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{dir: dir, opts: opts, fs: opts.FS}, nil
 }
 
-func (s *Store) snapPath(seq uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("snap-%016d", seq))
-}
+func snapName(seq uint64) string { return fmt.Sprintf("snap-%016d", seq) }
+func walName(seq uint64) string  { return fmt.Sprintf("wal-%016d", seq) }
 
-func (s *Store) walPath(seq uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("wal-%016d", seq))
-}
+func (s *Store) snapPath(seq uint64) string { return filepath.Join(s.dir, snapName(seq)) }
+func (s *Store) walPath(seq uint64) string  { return filepath.Join(s.dir, walName(seq)) }
 
-// scan lists the snapshot and segment sequence numbers present on disk.
-func (s *Store) scan() (snaps, wals []uint64, err error) {
+// diskFiles scans the directory for snapshot and segment files, each
+// list in sequence order, with their sizes: the one scan Recover makes,
+// which the store's own bookkeeping stands in for afterwards.
+func (s *Store) diskFiles() (snaps, wals []storeFile, err error) {
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
 	for _, e := range entries {
 		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), "snap-%d", &seq); n == 1 && e.Name() == fmt.Sprintf("snap-%016d", seq) {
-			snaps = append(snaps, seq)
+		var list *[]storeFile
+		if n, _ := fmt.Sscanf(e.Name(), "snap-%d", &seq); n == 1 && e.Name() == snapName(seq) {
+			list = &snaps
+		} else if n, _ := fmt.Sscanf(e.Name(), "wal-%d", &seq); n == 1 && e.Name() == walName(seq) {
+			list = &wals
+		} else {
+			continue
 		}
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%d", &seq); n == 1 && e.Name() == fmt.Sprintf("wal-%016d", seq) {
-			wals = append(wals, seq)
+		st, err := s.fs.Stat(filepath.Join(s.dir, e.Name()))
+		if err != nil {
+			continue // removed between scan and stat
 		}
+		*list = append(*list, storeFile{seq, FileInfo{Name: e.Name(), Size: st.Size()}})
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	sort.Slice(wals, func(i, j int) bool { return wals[i] < wals[j] })
+	bySeq := func(a, b storeFile) int { return cmp.Compare(a.seq, b.seq) }
+	slices.SortFunc(snaps, bySeq)
+	slices.SortFunc(wals, bySeq)
 	return snaps, wals, nil
 }
 
@@ -183,7 +219,7 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 		return false, 0, errors.New("persist: Recover called twice")
 	}
 
-	snaps, wals, err := s.scan()
+	snaps, wals, err := s.diskFiles()
 	if err != nil {
 		return false, 0, err
 	}
@@ -192,13 +228,13 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 	// fallback when the newest write never completed its rename or its
 	// payload fails the checksum.
 	for i := len(snaps) - 1; i >= 0; i-- {
-		ok, derr := readSnapshot(s.fs, s.snapPath(snaps[i]), snap)
+		ok, derr := readSnapshot(s.fs, s.snapPath(snaps[i].seq), snap)
 		if derr != nil {
 			return false, 0, derr
 		}
 		if ok {
 			found = true
-			s.snapSeq = snaps[i]
+			s.snapSeq = snaps[i].seq
 			break
 		}
 	}
@@ -213,12 +249,12 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 	// without snap-(N+1); recovery then starts from snap-N and must walk
 	// both segments.)
 	s.nextLSN = 1
-	for wi, seq := range wals {
-		if seq < s.snapSeq {
+	for wi, w := range wals {
+		if w.seq < s.snapSeq {
 			continue
 		}
 		last := wi == len(wals)-1
-		n, next, err := s.replaySegment(seq, last, apply)
+		n, next, err := s.replaySegment(w.seq, last, apply)
 		if err != nil {
 			return found, replayed, err
 		}
@@ -229,14 +265,17 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 	}
 
 	// Append into the newest existing segment, or open the first one.
-	s.seq = s.snapSeq
-	if len(wals) > 0 && wals[len(wals)-1] > s.seq {
-		s.seq = wals[len(wals)-1]
+	// Only that segment can have changed size since the scan (truncated,
+	// or created), and opening it lists it afresh.
+	s.snaps, s.wals = snaps, wals
+	seq := s.snapSeq
+	if len(wals) > 0 && wals[len(wals)-1].seq > seq {
+		seq = wals[len(wals)-1].seq
 	}
-	if s.seq == 0 {
-		s.seq = 1
+	if seq == 0 {
+		seq = 1
 	}
-	if err := s.openSegmentLocked(s.seq); err != nil {
+	if err := s.openSegmentLocked(seq); err != nil {
 		return found, replayed, err
 	}
 	s.recovered = true
@@ -244,9 +283,10 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 }
 
 // replaySegment reads one WAL segment, calling apply per record. Only the
-// final segment may end in a torn record, which is truncated; it returns
-// the record count and the LSN following the last applied record (0 when
-// the segment is empty).
+// final segment may end torn — in its header (a crash during rotation,
+// before the segment took a record) or in a record — and is truncated to
+// its last complete record; it returns the record count and the LSN
+// following the last applied record (0 when the header is torn).
 func (s *Store) replaySegment(seq uint64, last bool, apply func(lsn int64, ev any) error) (n int, nextLSN int64, err error) {
 	path := s.walPath(seq)
 	f, err := s.fs.OpenFile(path, os.O_RDWR, 0)
@@ -255,119 +295,109 @@ func (s *Store) replaySegment(seq uint64, last bool, apply func(lsn int64, ev an
 	}
 	defer f.Close()
 
-	header := make([]byte, len(walMagic)+8)
-	if _, err := io.ReadFull(f, header); err != nil {
-		// A crash during rotation can tear the 16-byte header itself,
-		// leaving a short final segment that never took a record. That is
-		// a normal crash footprint: truncate it to empty and let
-		// openSegmentLocked rewrite the header. A short header anywhere
-		// but the final segment is lost history.
-		if last && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-			if terr := f.Truncate(0); terr != nil {
-				return 0, 0, fmt.Errorf("persist: truncating torn header of %s: %w", path, terr)
-			}
-			return 0, 0, nil
-		}
-		return 0, 0, fmt.Errorf("persist: %s: reading segment header: %w", path, err)
+	seg, err := readSegment(f, path, apply)
+	if err != nil {
+		return seg.n, 0, err
 	}
-	if !bytes.Equal(header[:len(walMagic)], walMagic) {
-		return 0, 0, fmt.Errorf("persist: %s is not a WAL segment", path)
+	if seg.torn {
+		// The expected crash footprint at the end of the final segment;
+		// anywhere else it is lost history.
+		if !last {
+			return seg.n, 0, fmt.Errorf("persist: %s: torn record %d in a non-final segment — history is incomplete", path, seg.n)
+		}
+		if err := f.Truncate(seg.end); err != nil {
+			return seg.n, 0, fmt.Errorf("persist: truncating torn tail of %s: %w", path, err)
+		}
 	}
-	lsn := int64(binary.LittleEndian.Uint64(header[len(walMagic):]))
-	offset := int64(len(header))
-
-	r := &countingReader{r: f}
-	for {
-		ev, status, err := readRecord(r, lsn)
-		if err != nil {
-			return n, 0, fmt.Errorf("persist: %s: record %d (lsn %d): %w", path, n, lsn, err)
-		}
-		if status == readEOF {
-			break
-		}
-		if status == readTorn {
-			// A torn record at the end of the final segment is the
-			// expected crash footprint: truncate to the last complete
-			// record and carry on. Anywhere else it is lost history.
-			if !last {
-				return n, 0, fmt.Errorf("persist: %s: torn record %d in a non-final segment — history is incomplete", path, n)
-			}
-			if err := f.Truncate(offset); err != nil {
-				return n, 0, fmt.Errorf("persist: truncating torn tail of %s: %w", path, err)
-			}
-			break
-		}
-		if apply != nil {
-			if err := apply(lsn, ev); err != nil {
-				return n, 0, fmt.Errorf("persist: applying lsn %d: %w", lsn, err)
-			}
-		}
-		n++
-		lsn++
-		offset += r.n
-		r.n = 0
-	}
-	return n, lsn, nil
+	return seg.n, seg.next, nil
 }
 
-// countingReader tracks bytes consumed, so truncation lands exactly after
-// the last complete record.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// openSegmentLocked opens (or creates, with a header carrying the next
-// LSN) the given segment for appending and primes the trigger bookkeeping.
+// openSegmentLocked makes seq the live segment: it opens the file, or
+// creates it with a header carrying the next LSN, and primes the trigger
+// bookkeeping. A segment that holds no records starts a fresh gob
+// stream. One that already does (recovered from disk), or that an
+// earlier build wrote as DURWAL1, leaves enc nil, so the next Append
+// starts a fresh segment: an encoder cannot continue a stream it did not
+// write.
 func (s *Store) openSegmentLocked(seq uint64) error {
-	path := s.walPath(seq)
-	f, err := s.fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := s.fs.OpenFile(s.walPath(seq), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	st, err := f.Stat()
+	size, fresh, err := s.prepareSegment(f)
 	if err != nil {
-		f.Close()
-		return fmt.Errorf("persist: %w", err)
-	}
-	size := st.Size()
-	if size > 0 && size < int64(len(walMagic)+8) {
-		// A crash tore the header write of a segment that never took a
-		// record (Recover truncates this shape to 0 for the final
-		// segment); start it over rather than appending after garbage.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return fmt.Errorf("persist: %w", err)
+		// The file exists now, whatever it holds; list it as it is.
+		if st, serr := f.Stat(); serr == nil {
+			s.wals = noteFile(s.wals, seq, walName(seq), st.Size())
 		}
-		size = 0
-	}
-	if size == 0 {
-		header := make([]byte, len(walMagic)+8)
-		copy(header, walMagic)
-		binary.LittleEndian.PutUint64(header[len(walMagic):], uint64(s.nextLSN))
-		if _, err := f.Write(header); err != nil {
-			f.Close()
-			return fmt.Errorf("persist: %w", err)
-		}
-		size = int64(len(header))
-	} else if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return fmt.Errorf("persist: %w", err)
 	}
 	if s.wal != nil {
+		s.wals = noteFile(s.wals, s.seq, walName(s.seq), s.walBytes)
 		s.wal.Close()
 	}
-	s.wal = f
+	s.wal, s.seq = f, seq
+	s.wals = noteFile(s.wals, seq, walName(seq), size)
+	s.enc = nil
+	if fresh {
+		s.enc = newSegmentEncoder()
+	}
 	s.walBytes = size
 	s.walDirty = size > int64(len(walMagic)+8)
 	s.walSince = time.Now()
 	return nil
+}
+
+// prepareSegment readies an opened segment for appending: it writes the
+// header of an empty segment, or positions at the end of an existing
+// one. It reports the segment's size and whether it can take a fresh gob
+// stream (a DURWAL2 header and no records).
+func (s *Store) prepareSegment(f File) (size int64, fresh bool, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
+	size = st.Size()
+	headerLen := int64(len(walMagic) + 8)
+	if size > 0 && size < headerLen {
+		// A crash tore the header write of a segment that never took a
+		// record (Recover truncates this shape to 0 for the final
+		// segment); start it over rather than appending after garbage.
+		if err := f.Truncate(0); err != nil {
+			return 0, false, err
+		}
+		size = 0
+	}
+	if size == 0 {
+		header := make([]byte, headerLen)
+		copy(header, walMagic)
+		binary.LittleEndian.PutUint64(header[len(walMagic):], uint64(s.nextLSN))
+		if _, err := f.Write(header); err != nil {
+			return 0, false, err
+		}
+		return headerLen, true, nil
+	}
+	if size == headerLen {
+		magic := make([]byte, len(walMagic))
+		if _, err := io.ReadFull(f, magic); err != nil {
+			return 0, false, err
+		}
+		fresh = bytes.Equal(magic, walMagic)
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		return 0, false, err
+	}
+	return size, fresh, nil
+}
+
+// rotateLocked seals the live segment, synced so that no crash can lose
+// records the next segment's history follows, and starts the next one.
+func (s *Store) rotateLocked() error {
+	if err := s.wal.Sync(); err != nil {
+		return fmt.Errorf("persist: syncing %s: %w", s.wal.Name(), err)
+	}
+	return s.openSegmentLocked(s.seq + 1)
 }
 
 // Append journals one event and returns its log sequence number. The
@@ -385,9 +415,19 @@ func (s *Store) Append(ev any) (int64, error) {
 	if s.sticky != nil {
 		return 0, s.sticky
 	}
+	if s.enc == nil {
+		// The live segment's stream is not this encoder's to continue
+		// (see openSegmentLocked), or a failed encode broke it.
+		if err := s.rotateLocked(); err != nil {
+			return 0, err
+		}
+	}
 	lsn := s.nextLSN
-	frame, err := encodeRecord(lsn, ev)
+	frame, err := s.enc.frame(lsn, ev)
 	if err != nil {
+		// The stream may have marked descriptors as sent that no
+		// record carries: the next record starts a fresh segment.
+		s.enc = nil
 		return 0, err
 	}
 	if _, err := s.wal.Write(frame); err != nil {
@@ -460,16 +500,11 @@ func (s *Store) Checkpoint(assemble func() (any, error)) error {
 		s.mu.Unlock()
 		return err
 	}
-	if err := s.wal.Sync(); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("persist: syncing %s: %w", s.wal.Name(), err)
-	}
-	newSeq := s.seq + 1
-	if err := s.openSegmentLocked(newSeq); err != nil {
+	if err := s.rotateLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.seq = newSeq
+	newSeq := s.seq
 	s.mu.Unlock()
 
 	snap, err := assemble()
@@ -478,12 +513,14 @@ func (s *Store) Checkpoint(assemble func() (any, error)) error {
 		// segments still replay to the live state.
 		return fmt.Errorf("persist: assembling snapshot: %w", err)
 	}
-	if err := writeSnapshot(s.fs, s.snapPath(newSeq), snap); err != nil {
+	size, err := writeSnapshot(s.fs, s.snapPath(newSeq), snap)
+	if err != nil {
 		return err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.snaps = noteFile(s.snaps, newSeq, snapName(newSeq), size)
 	s.snapSeq = newSeq
 	s.compactLocked()
 	return nil
@@ -493,30 +530,31 @@ func (s *Store) Checkpoint(assemble func() (any, error)) error {
 // segment is deleted only when a strictly newer durable snapshot exists,
 // so recovery never needs a file compaction removed.
 func (s *Store) compactLocked() {
-	snaps, wals, err := s.scan()
-	if err != nil {
-		return // compaction is best-effort; stale files only cost disk
-	}
-	var floor uint64
-	if n := len(snaps); n > s.opts.Keep {
-		floor = snaps[n-s.opts.Keep]
-	} else if n > 0 {
-		floor = snaps[0]
-	} else {
+	n := len(s.snaps)
+	if n == 0 {
 		return
 	}
-	for _, seq := range snaps {
-		if seq < floor {
-			s.fs.Remove(s.snapPath(seq))
+	floor := s.snaps[max(n-s.opts.Keep, 0)].seq
+	s.snaps = s.removeBelow(s.snaps, floor, s.snapPath)
+	// wal-N holds the events after snap-N; it is dead once a newer
+	// snapshot is durable.
+	s.wals = s.removeBelow(s.wals, min(floor, s.snapSeq), s.walPath)
+}
+
+// removeBelow deletes the files of list below sequence floor and returns
+// those still on disk. Compaction is best-effort: a file whose Remove
+// failed stays listed, costs only disk, and is retried next time.
+func (s *Store) removeBelow(list []storeFile, floor uint64, path func(uint64) string) []storeFile {
+	kept := list[:0]
+	for _, f := range list {
+		if f.seq < floor {
+			if err := s.fs.Remove(path(f.seq)); err == nil || errors.Is(err, os.ErrNotExist) {
+				continue
+			}
 		}
+		kept = append(kept, f)
 	}
-	for _, seq := range wals {
-		// wal-N holds the events after snap-N; it is dead once a newer
-		// snapshot is durable.
-		if seq < floor && seq < s.snapSeq {
-			s.fs.Remove(s.walPath(seq))
-		}
-	}
+	return kept
 }
 
 // Close syncs and closes the live segment. The store is not usable after.

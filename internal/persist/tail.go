@@ -1,15 +1,12 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 )
 
 // This file is the replication surface of the store: a consistent listing
@@ -31,43 +28,24 @@ type Listing struct {
 	NextLSN int64 // LSN the next Append will take; NextLSN-1 is the last durable record
 }
 
-// Listing scans the directory under the store lock. It is only valid
-// after Recover.
+// Listing reads the store's own file bookkeeping under the store lock;
+// it touches no file. It is only valid after Recover.
 func (s *Store) Listing() (Listing, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.recovered {
 		return Listing{}, errors.New("persist: Listing before Recover")
 	}
-	snaps, wals, err := s.scan()
-	if err != nil {
-		return Listing{}, err
+	out := Listing{NextLSN: s.nextLSN, Files: make([]FileInfo, 0, len(s.snaps)+len(s.wals))}
+	for _, f := range s.snaps {
+		out.Files = append(out.Files, f.FileInfo)
 	}
-	var out Listing
-	out.NextLSN = s.nextLSN
-	add := func(name string, size int64) {
-		out.Files = append(out.Files, FileInfo{Name: name, Size: size})
-	}
-	for _, seq := range snaps {
-		st, err := s.fs.Stat(s.snapPath(seq))
-		if err != nil {
-			continue // compacted between scan and stat
+	for _, f := range s.wals {
+		if f.seq == s.seq {
+			f.Size = s.walBytes // live segment: walBytes is maintained at frame boundaries
 		}
-		add(fmt.Sprintf("snap-%016d", seq), st.Size())
+		out.Files = append(out.Files, f.FileInfo)
 	}
-	for _, seq := range wals {
-		if seq == s.seq {
-			// Live segment: walBytes is maintained at frame boundaries.
-			add(fmt.Sprintf("wal-%016d", seq), s.walBytes)
-			continue
-		}
-		st, err := s.fs.Stat(s.walPath(seq))
-		if err != nil {
-			continue
-		}
-		add(fmt.Sprintf("wal-%016d", seq), st.Size())
-	}
-	sort.Slice(out.Files, func(i, j int) bool { return out.Files[i].Name < out.Files[j].Name })
 	return out, nil
 }
 
@@ -91,8 +69,9 @@ func ReadSnapshotFile(fsys FS, path string, snap any) (ok bool, err error) {
 }
 
 // Tailer incrementally parses records out of one WAL segment file that
-// another process (a shipper) is appending to. Next returns records as
-// they become complete; an incomplete tail is "not ready yet", never an
+// another process (a shipper) is appending to, from the segment's first
+// record, as a DURWAL2 segment's gob stream requires. Next returns
+// records as they become complete; an incomplete tail is "not ready yet", never an
 // error, because more bytes may still arrive. Bytes already parsed are
 // immutable by the append-only contract, so a checksum failure on a
 // complete frame is real corruption.
@@ -101,9 +80,9 @@ type Tailer struct {
 	path string
 	f    File
 
-	headerDone bool
-	next       int64 // LSN expected at off
-	off        int64 // committed frame-boundary offset
+	dec  *segmentDecoder // set once the segment header is parsed
+	next int64           // LSN expected at off
+	off  int64           // committed frame-boundary offset
 }
 
 // OpenTailer opens a segment for tailing. The file must exist; it may
@@ -148,7 +127,7 @@ func (t *Tailer) Next() (lsn int64, ev any, ok bool, err error) {
 	if err != nil {
 		return 0, nil, false, err
 	}
-	if !t.headerDone {
+	if t.dec == nil {
 		headerLen := int64(len(walMagic) + 8)
 		if size < headerLen {
 			return 0, nil, false, nil
@@ -157,12 +136,13 @@ func (t *Tailer) Next() (lsn int64, ev any, ok bool, err error) {
 		if err := t.readAt(header, 0); err != nil {
 			return 0, nil, false, err
 		}
-		if !bytes.Equal(header[:len(walMagic)], walMagic) {
-			return 0, nil, false, fmt.Errorf("persist: %s is not a WAL segment", t.path)
+		dec, err := segmentFormat(t.path, header[:len(walMagic)])
+		if err != nil {
+			return 0, nil, false, err
 		}
+		t.dec = dec
 		t.next = int64(binary.LittleEndian.Uint64(header[len(walMagic):]))
 		t.off = headerLen
-		t.headerDone = true
 	}
 	if size < t.off {
 		return 0, nil, false, fmt.Errorf("persist: %s shrank below parsed offset %d — replicated history rewritten", t.path, t.off)
@@ -194,13 +174,13 @@ func (t *Tailer) Next() (lsn int64, ev any, ok bool, err error) {
 	if lsn != t.next {
 		return 0, nil, false, fmt.Errorf("persist: %s: record carries lsn %d, expected %d", t.path, lsn, t.next)
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
+	ev, err = t.dec.decode(payload)
+	if err != nil {
 		return 0, nil, false, fmt.Errorf("persist: %s: decoding record lsn %d: %w", t.path, lsn, err)
 	}
 	t.off += frameHeaderLen + int64(length)
 	t.next++
-	return lsn, env.E, true, nil
+	return lsn, ev, true, nil
 }
 
 // Offset returns the committed frame-boundary offset reached so far.

@@ -24,10 +24,12 @@ func bothPaths(t *testing.T, f func(t *testing.T)) {
 }
 
 // normTwins holds each lane's source twice: one for NormLanes, one for
-// per-lane Norm calls.
+// per-lane Norm calls, and one NormScratch reused by every round, as a
+// lane kernel reuses its own.
 type normTwins struct {
 	batch, ref []Source
 	ptr        []*Source
+	w          NormScratch
 }
 
 func newNormTwins(lanes int, seed uint64) *normTwins {
@@ -47,7 +49,7 @@ func (tw *normTwins) round(t *testing.T, lanes []int) {
 	t.Helper()
 	dst := make([]float64, len(lanes))
 	for done := 0; done < len(lanes); {
-		n := NormLanes(dst[done:], lanes[done:], tw.ptr)
+		n := tw.w.NormLanes(dst[done:], lanes[done:], tw.ptr)
 		if want := min(len(lanes)-done, LaneChunk); n != want {
 			t.Fatalf("NormLanes did %d lanes of %d, want %d", n, len(lanes)-done, want)
 		}
@@ -109,7 +111,7 @@ func TestNormLanesCounts(t *testing.T) {
 		}
 		tw := newNormTwins(10, 1)
 		lanes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-		if n := NormLanes(make([]float64, 3), lanes, tw.ptr); n != 3 {
+		if n := tw.w.NormLanes(make([]float64, 3), lanes, tw.ptr); n != 3 {
 			t.Fatalf("NormLanes with room for 3 did %d lanes", n)
 		}
 		for i := range 3 {
@@ -183,7 +185,7 @@ func BenchmarkNormLanes(b *testing.B) {
 	var dst [LaneChunk]float64
 	b.Run("lanes", func(b *testing.B) {
 		for b.Loop() {
-			NormLanes(dst[:], lanes, tw.ptr)
+			tw.w.NormLanes(dst[:], lanes, tw.ptr)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*LaneChunk), "ns/normal")
 	})

@@ -203,8 +203,17 @@ func (s *Source) Norm() float64 {
 }
 
 // LaneChunk is the most lanes one NormLanes call fills: the width of its
-// stack scratch, and the lane kernel's frontier.
+// scratch, and the lane kernel's frontier.
 const LaneChunk = 64
+
+// NormScratch is NormLanes' working space: the uniforms, then in place
+// the variates, and the dst index of each transform. Lane kernels keep
+// one in their lane state, so a call does not clear a fresh 1 KB of
+// stack; NormLanes writes every entry it later reads.
+type NormScratch struct {
+	u1, u2 [LaneChunk]float64
+	fresh  [LaneChunk]uint8
+}
 
 // NormLanes sets dst[k] to src[lanes[k]].Norm() for the first
 // n = min(len(lanes), len(dst), LaneChunk) lanes and returns n. Each
@@ -214,10 +223,9 @@ const LaneChunk = 64
 // of every lane that needs one run together through vmath.BoxMuller,
 // which returns Norm's bits, so dst and every source end bit for bit
 // where per-lane Norm calls leave them. Lanes must be distinct.
-func NormLanes(dst []float64, lanes []int, src []*Source) int {
+func (w *NormScratch) NormLanes(dst []float64, lanes []int, src []*Source) int {
 	n := min(len(lanes), len(dst), LaneChunk)
-	var u1, u2 [LaneChunk]float64 // the uniforms, then in place the variates
-	var fresh [LaneChunk]uint8    // dst index of each transform
+	u1, u2, fresh := &w.u1, &w.u2, &w.fresh
 	m := 0
 	for k, l := range lanes[:n] {
 		s := src[l]

@@ -112,13 +112,13 @@ func (a *AR) NewStateVec(lanes int) StateVec { return newARVec(len(a.Phi), lanes
 
 // StepVec implements BulkProcess: Step's recurrence per lane, lag terms
 // accumulated in the same order so the sum is bit-identical, its
-// normals drawn rng.LaneChunk lanes at a time (rng.NormLanes).
+// normals drawn rng.LaneChunk lanes at a time (rng.NormScratch.NormLanes).
 func (a *AR) StepVec(sv StateVec, lanes []int, _ []int, src []*rng.Source) {
 	av := sv.(*arVec)
 	m := len(a.Phi)
-	var eps [rng.LaneChunk]float64
+	eps := &av.draw.eps
 	for len(lanes) > 0 {
-		n := rng.NormLanes(eps[:], lanes, src)
+		n := av.draw.NormLanes(eps[:], lanes, src)
 		for k, l := range lanes[:n] {
 			as := &av.lane[l]
 			v := a.Sigma * eps[k]

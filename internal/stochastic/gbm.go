@@ -40,12 +40,12 @@ func (g *GBM) NewStateVec(lanes int) StateVec { return newScalarVec(lanes) }
 // evaluates (same association, so the floating-point result is
 // bit-identical), drawn from that lane's own source. The normals and
 // the exps of up to rng.LaneChunk lanes are evaluated together
-// (rng.NormLanes, vmath.Exp), with Norm's and math.Exp's bits.
+// (rng.NormScratch.NormLanes, vmath.Exp), with Norm's and math.Exp's bits.
 func (g *GBM) StepVec(v StateVec, lanes []int, _ []int, src []*rng.Source) {
 	sv := v.(*scalarVec)
-	var x [rng.LaneChunk]float64
+	x := &sv.draw.eps
 	for len(lanes) > 0 {
-		n := rng.NormLanes(x[:], lanes, src)
+		n := sv.draw.NormLanes(x[:], lanes, src)
 		for k, eps := range x[:n] {
 			x[k] = g.Mu - g.Sigma*g.Sigma/2 + g.Sigma*eps
 		}

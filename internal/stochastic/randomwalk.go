@@ -32,12 +32,12 @@ func (w *RandomWalk) Step(s State, _ int, src *rng.Source) {
 func (w *RandomWalk) NewStateVec(lanes int) StateVec { return newScalarVec(lanes) }
 
 // StepVec implements BulkProcess: Step's arithmetic per lane, its
-// normals drawn rng.LaneChunk lanes at a time (rng.NormLanes).
+// normals drawn rng.LaneChunk lanes at a time (rng.NormScratch.NormLanes).
 func (w *RandomWalk) StepVec(v StateVec, lanes []int, _ []int, src []*rng.Source) {
 	sv := v.(*scalarVec)
-	var eps [rng.LaneChunk]float64
+	eps := &sv.draw.eps
 	for len(lanes) > 0 {
-		n := rng.NormLanes(eps[:], lanes, src)
+		n := sv.draw.NormLanes(eps[:], lanes, src)
 		for k, i := range lanes[:n] {
 			sv.lane[i].V += w.Drift + w.Sigma*eps[k]
 		}

@@ -93,19 +93,19 @@ func (r *RegimeSwitching) NewStateVec(lanes int) StateVec { return newRegimeVec(
 
 // StepVec implements BulkProcess: Step's draw order per lane — the
 // regime transition first, then the Gaussian increment. The increments
-// of up to rng.LaneChunk lanes are drawn together (rng.NormLanes) after
+// of up to rng.LaneChunk lanes are drawn together (rng.NormScratch.NormLanes) after
 // their transitions; each lane draws from its own source, so its
 // sequence is Step's.
 func (r *RegimeSwitching) StepVec(v StateVec, lanes []int, _ []int, src []*rng.Source) {
 	rv := v.(*regimeVec)
-	var eps [rng.LaneChunk]float64
+	eps := &rv.draw.eps
 	for len(lanes) > 0 {
 		chunk := lanes[:min(len(lanes), rng.LaneChunk)]
 		for _, i := range chunk {
 			rs := &rv.lane[i]
 			rs.Regime = src[i].Categorical(r.Switch[rs.Regime])
 		}
-		rng.NormLanes(eps[:], chunk, src)
+		rv.draw.NormLanes(eps[:], chunk, src)
 		for k, i := range chunk {
 			rs := &rv.lane[i]
 			rs.V += r.Drift[rs.Regime] + r.Sigma[rs.Regime]*eps[k]

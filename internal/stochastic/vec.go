@@ -1,5 +1,7 @@
 package stochastic
 
+import "durability/internal/rng"
+
 // Lane-vector storage for the built-in models. Every vec follows the
 // same shape: lane states in one flat backing slice (so a batch of
 // lanes is contiguous in memory and per-lane access is an index, not a
@@ -22,6 +24,16 @@ type plainVec[S any, PS interface {
 	views []State
 	spill []S
 	free  []int
+	draw  normalDraws
+}
+
+// normalDraws is the scratch of a StepVec that draws its lanes' normals
+// rng.LaneChunk at a time: the variates and NormLanes' working space.
+// It lives in the lane vector, built once per kernel, so a call does not
+// clear 1.5 KB of stack; every entry is written before it is read.
+type normalDraws struct {
+	eps [rng.LaneChunk]float64
+	rng.NormScratch
 }
 
 func newPlainVec[S any, PS interface {
@@ -84,6 +96,7 @@ type arVec struct {
 	views []State
 	spill []ARState // each slot owns its own m-float history
 	free  []int
+	draw  normalDraws
 }
 
 func newARVec(m, lanes int) *arVec {
