@@ -253,7 +253,7 @@ func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (ben
 		FailoverSteps:           failoverSteps,
 		FailoverMillis:          informational(failoverMillis),
 		P99TickMillis:           informational(percentile(latencies, 0.99)),
-		IncrementalStepsPerTick: float64(tickSteps) / float64(ticks),
+		IncrementalStepsPerTick: stepAverage(tickSteps) / stepAverage(ticks),
 		Speedup:                 float64(rebuildSteps) / float64(failoverSteps),
 		StepsHistogram:          histJSON(stepHist),
 		TickMillisHistogram:     tickMillis(latencies),

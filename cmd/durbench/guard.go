@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 )
 
@@ -31,14 +32,20 @@ func loadBaseline(path string) ([]benchReport, error) {
 	return base, nil
 }
 
+// stepAverage is a deterministic mean of step counts (steps per tick,
+// steps per query): a float the guard may compare, unlike the other
+// float fields (speedups, targets, root averages).
+type stepAverage float64
+
 // stepCounter resolves one of benchReport's deterministic step counters
 // by its JSON tag. Resolving reflectively is what lets the guard refuse
 // wrong fields by construction rather than by reviewer vigilance: a
 // *wallClock or *wallClockHistogram field is informational
 // (machine-dependent wall time) and guarding it would flake on every
 // slow CI runner, so asking for one is an error — not a skip — and the
-// same goes for any field that is not an int64 step count.
-func stepCounter(r benchReport, jsonTag string) (int64, error) {
+// same goes for any field that is neither an int64 step count nor a
+// stepAverage.
+func stepCounter(r benchReport, jsonTag string) (float64, error) {
 	v := reflect.ValueOf(r)
 	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
@@ -47,14 +54,15 @@ func stepCounter(r benchReport, jsonTag string) (int64, error) {
 			continue
 		}
 		f := v.Field(i)
-		switch f.Interface().(type) {
+		switch c := f.Interface().(type) {
 		case *wallClock, *wallClockHistogram:
 			return 0, fmt.Errorf("durbench: %q is an informational wall-clock reading — refusing to guard it", jsonTag)
+		case int64:
+			return float64(c), nil
+		case stepAverage:
+			return float64(c), nil
 		}
-		if f.Kind() != reflect.Int64 {
-			return 0, fmt.Errorf("durbench: %q is %s, not an int64 step counter — refusing to guard it", jsonTag, f.Kind())
-		}
-		return f.Int(), nil
+		return 0, fmt.Errorf("durbench: %q is %s, not a step counter — refusing to guard it", jsonTag, f.Type())
 	}
 	return 0, fmt.Errorf("durbench: benchReport has no field %q", jsonTag)
 }
@@ -77,14 +85,34 @@ func checkStepRegression(base []benchReport, fresh benchReport, name, jsonTag st
 		if oldSteps <= 0 || old.Scenario != fresh.Scenario || (matchRE && old.RelErr != fresh.RelErr) {
 			continue
 		}
-		if float64(freshSteps) > guardBudget*float64(oldSteps) {
-			return fmt.Errorf("durbench: %s scenario regressed: %d steps vs committed %d (+%.1f%%, >%.0f%% budget)",
-				name, freshSteps, oldSteps,
-				100*(float64(freshSteps)/float64(oldSteps)-1), 100*(guardBudget-1))
+		if freshSteps > guardBudget*oldSteps {
+			return fmt.Errorf("durbench: %s scenario regressed: %s steps vs committed %s (+%.1f%%, >%.0f%% budget)",
+				name, steps(freshSteps), steps(oldSteps), 100*(freshSteps/oldSteps-1), 100*(guardBudget-1))
 		}
-		fmt.Printf("durbench: %s guard ok: %d steps vs committed %d\n", name, freshSteps, oldSteps)
+		fmt.Printf("durbench: %s guard ok: %s steps vs committed %s\n", name, steps(freshSteps), steps(oldSteps))
 	}
 	return nil
+}
+
+// steps formats a step count or average without exponent or padding.
+func steps(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// checkStreamRegression guards a standing-query scenario's cold steps per
+// query and incremental steps per tick. Both are averages over the run,
+// so they compare only with a baseline of the same backend, tick count
+// and cold-run count (the cold-run interval itself is not recorded).
+func checkStreamRegression(base []benchReport, fresh benchReport) error {
+	var same []benchReport
+	for _, old := range base {
+		if old.Backend == fresh.Backend && old.Ticks == fresh.Ticks && old.ColdRuns == fresh.ColdRuns {
+			same = append(same, old)
+		}
+	}
+	name := "stream(" + fresh.Backend + ")"
+	if err := checkStepRegression(same, fresh, name+" cold", "coldStepsPerQuery", true); err != nil {
+		return err
+	}
+	return checkStepRegression(same, fresh, name+" incremental", "incrementalStepsPerTick", true)
 }
 
 // checkBatchRegression guards the batch scenario's total steps — the CI

@@ -94,8 +94,8 @@ func TestGuardMatchesScenarioAndTarget(t *testing.T) {
 
 // TestGuardRefusesInformationalFields pins the refusal: wall-clock
 // readings are typed *wallClock, and asking the guard to compare one is
-// an error — not a silent skip — as is naming any field that is not an
-// int64 step counter. The refusal is structural (the field's type), so
+// an error — not a silent skip — as is naming any field that is neither
+// an int64 step counter nor a stepAverage. The refusal is structural (the field's type), so
 // no future scenario can accidentally put a machine-dependent number
 // under the regression gate.
 func TestGuardRefusesInformationalFields(t *testing.T) {
@@ -112,11 +112,79 @@ func TestGuardRefusesInformationalFields(t *testing.T) {
 	if err := checkStepRegression(nil, fresh, "failover", "speedup", false); err == nil {
 		t.Fatal("guard agreed to compare a float field")
 	}
+	if err := checkStepRegression(nil, fresh, "failover", "relErrTarget", false); err == nil {
+		t.Fatal("guard agreed to compare the relative-error target")
+	}
 	if err := checkStepRegression(nil, fresh, "failover", "noSuchField", false); err == nil {
 		t.Fatal("guard agreed to compare a nonexistent field")
 	}
 	if err := checkStepRegression(nil, fresh, "failover", "failoverSteps", false); err != nil {
 		t.Fatalf("guard refused a legitimate step counter: %v", err)
+	}
+}
+
+const streamBaseline = `[
+  {"scenario": "gbm", "backend": "local", "ticks": 200, "relErrTarget": 0.1,
+   "coldRuns": 5, "coldStepsPerQuery": 1000000.5, "incrementalStepsPerTick": 40000.25, "speedup": 25},
+  {"scenario": "gbm", "backend": "cluster(2 workers)", "ticks": 200, "relErrTarget": 0.1,
+   "incrementalStepsPerTick": 40000.25, "speedup": 25}
+]`
+
+// TestStreamGuardTrips: the standing-query scenario's two step averages
+// are guarded like the integer counters, per backend, and only against
+// a baseline of the same tick and cold-run counts.
+func TestStreamGuardTrips(t *testing.T) {
+	base := writeBaseline(t, streamBaseline)
+	local := benchReport{Scenario: "gbm", Backend: "local", Ticks: 200, RelErr: 0.1, ColdRuns: 5,
+		ColdStepsPerQuery: 1000000.5, IncrementalStepsPerTick: 40000.25}
+	cluster := benchReport{Scenario: "gbm", Backend: "cluster(2 workers)", Ticks: 200, RelErr: 0.1,
+		IncrementalStepsPerTick: 40000.25}
+	for _, r := range []benchReport{local, cluster} {
+		if err := checkStreamRegression(base, r); err != nil {
+			t.Fatalf("%s: guard tripped on the baseline's own figures: %v", r.Backend, err)
+		}
+	}
+
+	cold := local
+	cold.ColdStepsPerQuery *= 1.101
+	if err := checkStreamRegression(base, cold); err == nil || !strings.Contains(err.Error(), "cold") {
+		t.Fatalf("guard did not trip on cold steps/query at +10.1%%: %v", err)
+	}
+	for _, r := range []benchReport{local, cluster} {
+		inc := r
+		inc.IncrementalStepsPerTick *= 1.101
+		if err := checkStreamRegression(base, inc); err == nil || !strings.Contains(err.Error(), "incremental") {
+			t.Fatalf("%s: guard did not trip on incremental steps/tick at +10.1%%: %v", r.Backend, err)
+		}
+		inc.IncrementalStepsPerTick = r.IncrementalStepsPerTick * 1.09
+		if err := checkStreamRegression(base, inc); err != nil {
+			t.Fatalf("%s: guard tripped inside the 10%% budget: %v", r.Backend, err)
+		}
+	}
+
+	// Averages over another run length are not comparable.
+	longer := local
+	longer.Ticks, longer.ColdRuns = 500, 10
+	longer.ColdStepsPerQuery *= 2
+	longer.IncrementalStepsPerTick *= 2
+	if err := checkStreamRegression(base, longer); err != nil {
+		t.Fatalf("guard matched a baseline of another tick count: %v", err)
+	}
+}
+
+// TestGuardAcceptsStepAverages: the step averages are the one kind of
+// float the guard compares; the other float fields stay refused.
+func TestGuardAcceptsStepAverages(t *testing.T) {
+	fresh := benchReport{Scenario: "gbm", ColdStepsPerQuery: 3, IncrementalStepsPerTick: 2, FreshRootsPerTick: 1, Speedup: 1.5}
+	for _, tag := range []string{"coldStepsPerQuery", "incrementalStepsPerTick"} {
+		if err := checkStepRegression(nil, fresh, "stream", tag, true); err != nil {
+			t.Fatalf("guard refused the step average %q: %v", tag, err)
+		}
+	}
+	for _, tag := range []string{"speedup", "relErrTarget", "freshRootsPerTick"} {
+		if err := checkStepRegression(nil, fresh, "stream", tag, true); err == nil {
+			t.Fatalf("guard agreed to compare %q", tag)
+		}
 	}
 }
 

@@ -79,13 +79,13 @@ type benchReport struct {
 	RelErr   float64 `json:"relErrTarget"`
 
 	// Cold path: durability.Run at sampled ticks (local scenario only).
-	ColdRuns          int     `json:"coldRuns,omitempty"`
-	ColdStepsPerQuery float64 `json:"coldStepsPerQuery,omitempty"`
+	ColdRuns          int         `json:"coldRuns,omitempty"`
+	ColdStepsPerQuery stepAverage `json:"coldStepsPerQuery,omitempty"`
 
 	// Incremental path: standing-query maintenance.
-	IncrementalStepsPerTick float64 `json:"incrementalStepsPerTick,omitempty"`
-	FreshRootsPerTick       float64 `json:"freshRootsPerTick,omitempty"`
-	Replans                 int64   `json:"replans,omitempty"`
+	IncrementalStepsPerTick stepAverage `json:"incrementalStepsPerTick,omitempty"`
+	FreshRootsPerTick       float64     `json:"freshRootsPerTick,omitempty"`
+	Replans                 int64       `json:"replans,omitempty"`
 
 	// Batch path: one shared splitting run answering a threshold ladder
 	// (the batch scenario only). BatchSteps is deterministic at a fixed
@@ -164,7 +164,7 @@ func main() {
 		re        = flag.Float64("re", 0.10, "relative-error target for both paths")
 		seed      = flag.Uint64("seed", 42, "base random seed")
 		workers   = flag.Int("workers", 2, "in-process shard workers for the sharded scenario (0 = skip)")
-		baseline  = flag.String("baseline", "", "committed BENCH_serve.json to guard against: fail if the batch scenario's steps regress >10%")
+		baseline  = flag.String("baseline", "", "committed BENCH_serve.json to guard against: fail if a guarded step counter regresses >10%")
 
 		failoverSubs   = flag.Int("failover-subs", 100_000, "failover scenario: standing subscriptions on the sharded engine (0 = skip the scenario)")
 		failoverShards = flag.Int("failover-shards", 4, "failover scenario: engine shards")
@@ -246,14 +246,17 @@ func main() {
 		Ticks:                   *ticks,
 		RelErr:                  *re,
 		ColdRuns:                coldRuns,
-		ColdStepsPerQuery:       float64(coldSteps) / float64(coldRuns),
-		IncrementalStepsPerTick: float64(incSteps) / float64(*ticks),
+		ColdStepsPerQuery:       stepAverage(coldSteps) / stepAverage(coldRuns),
+		IncrementalStepsPerTick: stepAverage(incSteps) / stepAverage(*ticks),
 		FreshRootsPerTick:       float64(freshRoots) / float64(*ticks),
 		Replans:                 session.StreamStats().Replans,
 		StepsHistogram:          histJSON(tickHist),
 	}
-	local.Speedup = local.ColdStepsPerQuery / local.IncrementalStepsPerTick
+	local.Speedup = float64(local.ColdStepsPerQuery / local.IncrementalStepsPerTick)
 	reports := []benchReport{local}
+	if err := checkStreamRegression(base, local); err != nil {
+		log.Fatal(err)
+	}
 
 	if *workers > 0 {
 		sharded, err := runSharded(ctx, *workers, *ticks, *re, *seed)
@@ -261,18 +264,21 @@ func main() {
 			log.Fatal(err)
 		}
 		sharded.ColdRuns = 0
-		sharded.Speedup = local.ColdStepsPerQuery / sharded.IncrementalStepsPerTick
+		sharded.Speedup = float64(local.ColdStepsPerQuery / sharded.IncrementalStepsPerTick)
 		// The two scenarios resolve their subscription settings through
 		// different paths (the public Session options vs a hand-built
 		// stream.SubSpec in runSharded); the headline claim is that equal
 		// settings make the backends' costs bit-for-bit equal, so if the
-		// paths ever drift apart the comparison must announce itself as
-		// broken rather than quietly compare two configurations.
+		// paths ever drift apart the run fails rather than quietly
+		// compare two configurations.
 		if sharded.IncrementalStepsPerTick != local.IncrementalStepsPerTick {
-			log.Printf("durbench: WARNING: sharded scenario diverged from local (%.3f vs %.3f steps/tick) — runSharded's SubSpec no longer mirrors the Session defaults",
+			log.Fatalf("durbench: sharded scenario diverged from local (%.3f vs %.3f steps/tick) — runSharded's SubSpec no longer mirrors the Session defaults, or the backends are no longer bit-for-bit equal",
 				sharded.IncrementalStepsPerTick, local.IncrementalStepsPerTick)
 		}
 		reports = append(reports, sharded)
+		if err := checkStreamRegression(base, sharded); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	batch, err := runBatchLadder(ctx, *re, *seed)
@@ -605,7 +611,7 @@ func runSharded(ctx context.Context, n, ticks int, re float64, seed uint64) (ben
 		Backend:                 fmt.Sprintf("cluster(%d workers)", n),
 		Ticks:                   ticks,
 		RelErr:                  re,
-		IncrementalStepsPerTick: float64(incSteps) / float64(ticks),
+		IncrementalStepsPerTick: stepAverage(incSteps) / stepAverage(ticks),
 		FreshRootsPerTick:       float64(freshRoots) / float64(ticks),
 		Replans:                 eng.Stats().Replans,
 		StepsHistogram:          histJSON(tickHist),

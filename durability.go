@@ -427,7 +427,7 @@ func AutoPlan(ctx context.Context, proc Process, q Query, ratio int, seed uint64
 		Ratio: ratio,
 		Seed:  seed,
 	}
-	g, err := opt.Greedy(ctx, problem, opt.GreedyOptions{})
+	g, err := opt.Greedy(ctx, problem)
 	if err != nil {
 		return Plan{}, 0, err
 	}

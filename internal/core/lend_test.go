@@ -100,7 +100,7 @@ func TestLendingKeepsGreedyPlan(t *testing.T) {
 	atWidths(t, func(workers int) (opt.GreedyResult, error) {
 		res, err := opt.Greedy(context.Background(), &opt.Problem{
 			Proc: lendChain(), Query: lendQuery, Ratio: 3, Seed: 11, Workers: workers,
-		}, opt.GreedyOptions{})
+		})
 		for i := range res.Trials {
 			res.Trials[i].Result = stripWall(res.Trials[i].Result)
 		}

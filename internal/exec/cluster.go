@@ -17,16 +17,16 @@ import (
 	"durability/internal/telemetry"
 )
 
-// Default fault-handling knobs for a Cluster.
+// A Cluster's fault-handling timers.
 const (
-	// DefaultDialTimeout bounds one connection attempt to a worker.
-	DefaultDialTimeout = 5 * time.Second
-	// DefaultRetryDead is how long a failed worker sits out before the
+	// dialTimeout bounds one connection attempt to a worker.
+	dialTimeout = 5 * time.Second
+	// retryDead is how long a failed worker sits out before the
 	// executor tries it again. A Cluster lives as long as the daemon
 	// mounting it, so retirement must not be permanent: a worker blip
 	// (deploy restart, one connection reset) costs one cool-down, not
 	// the fleet member forever.
-	DefaultRetryDead = 30 * time.Second
+	retryDead = 30 * time.Second
 	// abandonedClientGrace is how long an orphaned connection (one whose
 	// caller's context ended mid-call) lives before it is reaped. Sibling
 	// calls multiplexed on it finish normally well within the grace; a
@@ -40,7 +40,7 @@ const (
 // marked dead and its chunk is retried on the survivors; because root
 // ranges travel with the request, a retried chunk simulates exactly the
 // substreams the dead worker was assigned and the merged result is
-// unchanged. Dead workers re-enter the rotation after RetryDead — worker
+// unchanged. Dead workers re-enter the rotation after retryDead — worker
 // membership affects only placement, never numerics, so the roster can
 // flap freely without moving an answer.
 //
@@ -49,13 +49,6 @@ const (
 // rpc.Client multiplexes concurrent calls over one connection.
 type Cluster struct {
 	addrs []string
-
-	// DialTimeout bounds each connection attempt (default
-	// DefaultDialTimeout); RetryDead is the dead-worker cool-down
-	// (default DefaultRetryDead; negative retires failed workers for the
-	// executor's lifetime). Set them before first use.
-	DialTimeout time.Duration
-	RetryDead   time.Duration
 
 	// Metrics, when non-nil, receives per-worker shard attribution: one
 	// Record per chunk call, keyed by worker address. Telemetry only —
@@ -86,11 +79,9 @@ func ParseAddrs(flag, list string) ([]string, error) {
 // cannot be dialed is treated like one that died mid-call.
 func NewCluster(addrs ...string) *Cluster {
 	return &Cluster{
-		addrs:       append([]string(nil), addrs...),
-		DialTimeout: DefaultDialTimeout,
-		RetryDead:   DefaultRetryDead,
-		clients:     make([]*rpc.Client, len(addrs)),
-		deadSince:   make([]time.Time, len(addrs)),
+		addrs:     append([]string(nil), addrs...),
+		clients:   make([]*rpc.Client, len(addrs)),
+		deadSince: make([]time.Time, len(addrs)),
 	}
 }
 
@@ -117,7 +108,7 @@ func (c *Cluster) alive() []int {
 	var out []int
 	for i := range c.addrs {
 		if !c.deadSince[i].IsZero() {
-			if c.RetryDead < 0 || telemetry.Since(c.deadSince[i]) < c.RetryDead {
+			if telemetry.Since(c.deadSince[i]) < retryDead {
 				continue
 			}
 			c.deadSince[i] = time.Time{} // cool-down over: back in rotation
@@ -129,7 +120,7 @@ func (c *Cluster) alive() []int {
 
 // client returns the connection to worker idx, dialing outside the lock
 // so one black-holed address cannot stall calls to healthy workers. The
-// dial respects both DialTimeout and the caller's context, so a query
+// dial respects both dialTimeout and the caller's context, so a query
 // already past its deadline never waits out a connection attempt.
 func (c *Cluster) client(ctx context.Context, idx int) (*rpc.Client, error) {
 	c.mu.Lock()
@@ -139,7 +130,7 @@ func (c *Cluster) client(ctx context.Context, idx int) (*rpc.Client, error) {
 	}
 	c.mu.Unlock()
 
-	dialer := net.Dialer{Timeout: c.DialTimeout}
+	dialer := net.Dialer{Timeout: dialTimeout}
 	conn, err := dialer.DialContext(ctx, "tcp", c.addrs[idx])
 	if err != nil {
 		return nil, err

@@ -338,7 +338,6 @@ func TestClusterBackendDeadWorkerRevives(t *testing.T) {
 	ln.Close()
 
 	backend := NewCluster(downAddr, healthy[0])
-	backend.RetryDead = time.Millisecond
 	defer backend.Close()
 	task := chainTask()
 
@@ -353,15 +352,18 @@ func TestClusterBackendDeadWorkerRevives(t *testing.T) {
 		t.Fatal("undialable worker was not retired")
 	}
 
-	// The machine comes back on the same address; after the cool-down it
-	// must rejoin the rotation.
+	// The machine comes back on the same address; once its cool-down has
+	// passed (rewound here rather than waited out) it must rejoin the
+	// rotation.
 	ln2, err := net.Listen("tcp", downAddr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", downAddr, err)
 	}
 	t.Cleanup(func() { ln2.Close() })
 	cluster.Serve(cluster.NewWorker(reg, 1), ln2)
-	time.Sleep(5 * time.Millisecond)
+	backend.mu.Lock()
+	backend.deadSince[0] = backend.deadSince[0].Add(-retryDead)
+	backend.mu.Unlock()
 
 	second, err := backend.RunRoots(context.Background(), task, 0, 128, 16)
 	if err != nil {

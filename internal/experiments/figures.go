@@ -371,7 +371,7 @@ func GreedyFigure(ctx context.Context, spec *Spec, classes []Class, general bool
 			Seed:    o.Seed + 55,
 			Workers: o.Workers,
 		}
-		greedy, err := opt.Greedy(ctx, prob, opt.GreedyOptions{})
+		greedy, err := opt.Greedy(ctx, prob)
 		if err != nil {
 			return rep, err
 		}

@@ -10,58 +10,19 @@ import (
 	"durability/internal/rng"
 )
 
-// CoverOptions tunes the covering-plan construction.
-type CoverOptions struct {
-	// RatioCap bounds the per-level splitting ratio the design may assign
-	// (default 8). It doubles as the hardness threshold for boundary
-	// insertion: a gap whose advancement probability is below 1/RatioCap
-	// cannot be balanced by splitting alone and gets a midpoint boundary.
-	RatioCap int
-	// MaxExtra caps the boundaries inserted beyond the required set
-	// (default 16).
-	MaxExtra int
-	// MaxEscalations bounds the probe-budget escalation for rare ladders:
-	// when a probe sees too few top-level reaches to estimate advancement,
-	// its step budget quadruples and it retries, up to this many times
-	// (default 4 — the same 256x worst case as Greedy's trial escalation).
-	MaxEscalations int
-}
-
-func (o CoverOptions) ratioCap() int {
-	if o.RatioCap <= 0 {
-		return 8
-	}
-	return o.RatioCap
-}
-
-func (o CoverOptions) maxExtra() int {
-	if o.MaxExtra <= 0 {
-		return 16
-	}
-	return o.MaxExtra
-}
-
-func (o CoverOptions) maxEscalations() int {
-	if o.MaxEscalations <= 0 {
-		return 4
-	}
-	return o.MaxEscalations
-}
-
-// CoverResult is the output of the covering-plan construction.
-type CoverResult struct {
-	// Plan contains every required boundary (plus any inserted ones) and
-	// the designed per-level splitting ratios.
-	Plan core.Plan
-	// SearchSteps is the simulator invocations all probes consumed.
-	SearchSteps int64
-	// Probes counts probe rounds performed.
-	Probes int
-	// Adv is the final probe's conditional advancement estimate per level
-	// (Adv[i] ~= P(reach beta_{i+2} | reach beta_{i+1}), with Adv[0]
-	// conditioned on the start); -1 marks levels the probe never reached.
-	Adv []float64
-}
+// The covering construction's fixed shape. CoverRatioCap bounds the
+// per-level splitting ratio the design may assign. It doubles as the
+// hardness threshold for boundary insertion: a gap whose advancement
+// probability is below 1/CoverRatioCap cannot be balanced by splitting
+// alone and gets a midpoint boundary. maxExtra caps the boundaries
+// inserted beyond the required set. A probe that sees too few top-level
+// reaches to estimate advancement quadruples its step budget and
+// retries, up to maxEscalations times — the same 256x worst case as
+// Greedy's trial escalation.
+const (
+	CoverRatioCap = 8
+	maxExtra      = 16
+)
 
 // Cover builds a covering level plan: a partition whose boundaries include
 // every value in required — so one shared g-MLSS run can read an unbiased
@@ -77,8 +38,8 @@ type CoverResult struct {
 // prescription of §5.1 applied level-locally) — essential for dense
 // ladders, where advancement at most boundaries is near 1 and any uniform
 // ratio > 1 would grow the splitting tree geometrically. And gaps too hard
-// for the ratio cap (p_i < 1/RatioCap) receive midpoint boundaries, the
-// covering analog of Algorithm 1's obstacle-level refinement.
+// for the ratio cap (p_i < 1/CoverRatioCap) receive midpoint boundaries,
+// the covering analog of Algorithm 1's obstacle-level refinement.
 //
 // Advancement is measured with unsplit probe paths that track the maximum
 // level reached — deliberately not the s-MLSS landing trials Greedy
@@ -86,22 +47,26 @@ type CoverResult struct {
 // gap width skips landing windows almost surely, which would read as
 // "nothing ever advances". Plan choice affects only cost, never
 // unbiasedness, so probe error is benign.
-func Cover(ctx context.Context, p *Problem, required []float64, opts CoverOptions) (CoverResult, error) {
+//
+// The returned plan contains every required boundary (plus any inserted
+// ones) and the designed per-level splitting ratios; the returned cost is
+// the number of simulator invocations all probes consumed.
+func Cover(ctx context.Context, p *Problem, required []float64) (core.Plan, int64, error) {
 	if err := p.validate(); err != nil {
-		return CoverResult{}, err
+		return core.Plan{}, 0, err
 	}
 	for _, r := range required {
 		if r <= 0 || r >= 1 {
-			return CoverResult{}, fmt.Errorf("opt: required boundary %v outside (0,1)", r)
+			return core.Plan{}, 0, fmt.Errorf("opt: required boundary %v outside (0,1)", r)
 		}
 	}
 	plan, err := core.NewPlan(dedupSorted(required)...)
 	if err != nil {
-		return CoverResult{}, err
+		return core.Plan{}, 0, err
 	}
 
-	out := CoverResult{}
-	rcap := opts.ratioCap()
+	var cost int64
+	probes := 0
 	budget := p.trialSteps()
 	escalations := 0
 	// minReach is the evidence floor: with fewer top-level reaches the
@@ -113,17 +78,17 @@ func Cover(ctx context.Context, p *Problem, required []float64, opts CoverOption
 	var initLevel int
 	for {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return core.Plan{}, cost, err
 		}
 		var steps int64
-		reach, initLevel, roots, steps, err = probeReach(ctx, p, plan, budget, uint64(out.Probes))
-		out.Probes++
-		out.SearchSteps += steps
+		reach, initLevel, roots, steps, err = probeReach(ctx, p, plan, budget, uint64(probes))
+		probes++
+		cost += steps
 		if err != nil {
-			return out, err
+			return core.Plan{}, cost, err
 		}
 		m := plan.M()
-		if reach[m] < minReach && escalations < opts.maxEscalations() {
+		if reach[m] < minReach && escalations < maxEscalations {
 			escalations++
 			budget *= 4
 			continue
@@ -142,8 +107,7 @@ func Cover(ctx context.Context, p *Problem, required []float64, opts CoverOption
 				worst, worstAdv = i, a
 			}
 		}
-		if worst < 0 || worstAdv*float64(rcap) >= 1 || len(plan.Boundaries)-len(required) >= opts.maxExtra() {
-			out.Adv = adv[initLevel:]
+		if worst < 0 || worstAdv*CoverRatioCap >= 1 || len(plan.Boundaries)-len(required) >= maxExtra {
 			break
 		}
 		lo := 0.0
@@ -154,16 +118,13 @@ func Cover(ctx context.Context, p *Problem, required []float64, opts CoverOption
 		mid := lo + (hi-lo)/2
 		refined, err := core.NewPlan(append(append([]float64(nil), plan.Boundaries...), mid)...)
 		if err != nil {
-			// The gap is too narrow to split further; accept the plan.
-			out.Adv = adv[initLevel:]
-			break
+			break // the gap is too narrow to split further; accept the plan
 		}
 		plan = refined
 	}
 
-	plan.Ratios = designRatios(plan, reach, initLevel, roots, p.Ratio, rcap)
-	out.Plan = plan
-	return out, nil
+	plan.Ratios = designRatios(plan, reach, initLevel, roots, p.Ratio)
+	return plan, cost, nil
 }
 
 // probeReach simulates unsplit root paths until the step budget is spent
@@ -171,7 +132,7 @@ func Cover(ctx context.Context, p *Problem, required []float64, opts CoverOption
 // deterministic) and counts, per level, how many reached it: reach[i] =
 // paths whose maximum value-level was >= i. Probe path j of round probeID
 // draws its own deterministic substream, so the whole construction is a
-// pure function of (problem, required, options).
+// pure function of (problem, required).
 func probeReach(ctx context.Context, p *Problem, plan core.Plan, stepBudget int64, probeID uint64) (reach []int64, initLevel int, roots, steps int64, err error) {
 	m := plan.M()
 	initLevel = plan.LevelOf(p.Query.ValueOf(p.Proc.Initial()))
@@ -221,10 +182,10 @@ func advFromReach(reach []int64, initLevel int, roots int64) []float64 {
 }
 
 // designRatios assigns each splittable level the balanced-growth ratio
-// round(1/p_i), clamped to [1, cap]. Levels without advancement evidence
-// fall back to the problem's base ratio (clamped) — they are reached too
-// rarely for their ratio to dominate cost either way.
-func designRatios(plan core.Plan, reach []int64, initLevel int, roots int64, base, cap int) []int {
+// round(1/p_i), clamped to [1, CoverRatioCap]. Levels without
+// advancement evidence fall back to the problem's base ratio (clamped) —
+// they are reached too rarely for their ratio to dominate cost either way.
+func designRatios(plan core.Plan, reach []int64, initLevel int, roots int64, base int) []int {
 	m := plan.M()
 	adv := advFromReach(reach, initLevel, roots)
 	ratios := make([]int, m-1)
@@ -236,8 +197,8 @@ func designRatios(plan core.Plan, reach []int64, initLevel int, roots int64, bas
 		if r < 1 {
 			r = 1
 		}
-		if r > cap {
-			r = cap
+		if r > CoverRatioCap {
+			r = CoverRatioCap
 		}
 		ratios[j-1] = r
 	}

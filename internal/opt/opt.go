@@ -122,47 +122,25 @@ type GreedyResult struct {
 	Trials      []Trial   // every candidate evaluation, for diagnostics
 }
 
-// GreedyOptions tunes Algorithm 1.
-type GreedyOptions struct {
-	// Candidates per round (Line 5 of Algorithm 1); they are placed
-	// uniformly inside the interval under refinement. Default 5.
-	Candidates int
-	// MaxBoundaries caps the number of rounds as a safety net. Default 10.
-	MaxBoundaries int
-	// MaxEscalations bounds the trial-budget escalation for rare queries:
-	// when a whole round of candidates produces no usable estimate (no
-	// trial reached the target), the budget quadruples and the round
-	// retries, up to this many times. Default 4 (256x the base budget).
-	MaxEscalations int
-}
-
-func (o GreedyOptions) candidates() int {
-	if o.Candidates <= 0 {
-		return 5
-	}
-	return o.Candidates
-}
-
-func (o GreedyOptions) maxBoundaries() int {
-	if o.MaxBoundaries <= 0 {
-		return 10
-	}
-	return o.MaxBoundaries
-}
-
-func (o GreedyOptions) maxEscalations() int {
-	if o.MaxEscalations <= 0 {
-		return 4
-	}
-	return o.MaxEscalations
-}
+// Algorithm 1's fixed search shape. Candidates are placed uniformly
+// inside the interval under refinement (Line 5); maxBoundaries caps the
+// rounds as a safety net; maxEscalations bounds the trial-budget
+// escalation for rare queries: when a whole round of candidates produces
+// no usable estimate (no trial reached the target), the budget quadruples
+// and the round retries, up to maxEscalations times (256x the base
+// budget).
+const (
+	candidates     = 5
+	maxBoundaries  = 10
+	maxEscalations = 4
+)
 
 // Greedy runs the adaptive greedy partition strategy (Algorithm 1 of §5.2):
 // starting from the whole interval (0,1) it places one boundary per round,
 // keeping a candidate only if it improves eval(B), and always refines next
 // the level with the smallest advancement probability — the "obstacle"
 // level. It stops the first time no candidate improves the metric.
-func Greedy(ctx context.Context, p *Problem, opts GreedyOptions) (GreedyResult, error) {
+func Greedy(ctx context.Context, p *Problem) (GreedyResult, error) {
 	if err := p.validate(); err != nil {
 		return GreedyResult{}, err
 	}
@@ -176,13 +154,12 @@ func Greedy(ctx context.Context, p *Problem, opts GreedyOptions) (GreedyResult, 
 	prob := *p
 	escalations := 0
 
-	for round := 0; round < opts.maxBoundaries(); round++ {
-		k := opts.candidates()
+	for round := 0; round < maxBoundaries; round++ {
 		improved := false
 		sawEstimate := false
 		var roundBest Trial
-		for c := 1; c <= k; c++ {
-			v := vlo + (vhi-vlo)*float64(c)/float64(k+1)
+		for c := 1; c <= candidates; c++ {
+			v := vlo + (vhi-vlo)*float64(c)/float64(candidates+1)
 			plan, err := core.NewPlan(append(append([]float64(nil), best.Plan.Boundaries...), v)...)
 			if err != nil {
 				continue // candidate collided with an existing boundary
@@ -208,7 +185,7 @@ func Greedy(ctx context.Context, p *Problem, opts GreedyOptions) (GreedyResult, 
 			// the target, the budget was simply too small to see a hit —
 			// quadruple it and retry the round rather than settling for a
 			// blind plan.
-			if !sawEstimate && !haveBest && escalations < opts.maxEscalations() {
+			if !sawEstimate && !haveBest && escalations < maxEscalations {
 				escalations++
 				prob.TrialSteps = prob.trialSteps() * 4
 				round--

@@ -104,7 +104,7 @@ func TestAdvancement(t *testing.T) {
 
 func TestGreedyFindsMultiLevelPlan(t *testing.T) {
 	p := problem(t)
-	res, err := Greedy(context.Background(), p, GreedyOptions{})
+	res, err := Greedy(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestGreedyFindsMultiLevelPlan(t *testing.T) {
 func TestGreedyEscalatesTrialBudget(t *testing.T) {
 	p := problem(t)
 	p.TrialSteps = 500 // far too small to see the ~1e-3 event
-	res, err := Greedy(context.Background(), p, GreedyOptions{})
+	res, err := Greedy(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +151,24 @@ func TestGreedyEscalatesTrialBudget(t *testing.T) {
 
 func TestGreedyRespectsMaxBoundaries(t *testing.T) {
 	p := problem(t)
-	res, err := Greedy(context.Background(), p, GreedyOptions{MaxBoundaries: 2, Candidates: 3})
+	res, err := Greedy(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Plan.Boundaries) > 2 {
-		t.Fatalf("greedy placed %d boundaries, cap was 2", len(res.Plan.Boundaries))
+	if len(res.Plan.Boundaries) > maxBoundaries || res.Rounds > maxBoundaries {
+		t.Fatalf("greedy placed %d boundaries in %d rounds, cap is %d", len(res.Plan.Boundaries), res.Rounds, maxBoundaries)
+	}
+	// One boundary per kept round: the cap on rounds is the cap on
+	// boundaries.
+	if len(res.Plan.Boundaries) != res.Rounds {
+		t.Fatalf("greedy placed %d boundaries in %d rounds", len(res.Plan.Boundaries), res.Rounds)
 	}
 }
 
 func TestGreedyPlanIsUsable(t *testing.T) {
 	chain, q, want := hardChain()
 	p := problem(t)
-	res, err := Greedy(context.Background(), p, GreedyOptions{})
+	res, err := Greedy(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,8 @@ func walName(seq uint64) string  { return fmt.Sprintf("wal-%016d", seq) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016d", seq) }
 
 // syncStore runs one store's round: ship missing bytes, restore once a
-// snapshot is fully local, pump complete records into the hooks.
+// snapshot is fully local, pump complete records into the hooks, prune
+// what the primary has compacted away.
 func (f *Follower) syncStore(ctx context.Context, fs *followerStore, sm StoreManifest) (progressed bool, lag Lag, err error) {
 	if !fs.inited {
 		if err := f.initStore(fs); err != nil {
@@ -337,8 +338,34 @@ func (f *Follower) syncStore(ctx context.Context, fs *followerStore, sm StoreMan
 			return progressed, Lag{}, err
 		}
 		progressed = progressed || applied
+		if err := f.prune(fs, sm); err != nil {
+			return progressed, Lag{}, err
+		}
 	}
 	return progressed, f.lagOf(fs, sm), nil
+}
+
+// prune deletes the mirrored files the primary has compacted away: those
+// the manifest no longer lists whose sequence is below the segment being
+// tailed. Every record in them is applied, and the primary itself can no
+// longer recover from them, so a promotion from the mirror never needs
+// them either.
+func (f *Follower) prune(fs *followerStore, sm StoreManifest) error {
+	listed := make(map[string]bool, len(sm.Files))
+	for _, file := range sm.Files {
+		listed[file.Name] = true
+	}
+	//durlint:ignore maporder removal order is irrelevant
+	for name := range fs.copied {
+		if listed[name] || fileSeq(name) >= fs.tailSeq {
+			continue
+		}
+		if err := f.cfg.FS.Remove(filepath.Join(fs.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("replicate: %w", err)
+		}
+		delete(fs.copied, name)
+	}
+	return nil
 }
 
 // initStore prepares the local mirror directory and, after a follower

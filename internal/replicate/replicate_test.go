@@ -536,3 +536,125 @@ func TestDrainConvergesOnTornTail(t *testing.T) {
 		t.Fatalf("promoted store Append = (%d, %v), want lsn 4", lsn, err)
 	}
 }
+
+// keepAllFS is a mirror filesystem that never deletes: a follower over
+// it keeps every file it ever shipped, the unpruned control.
+type keepAllFS struct{ persist.FS }
+
+func (keepAllFS) Remove(string) error { return nil }
+
+// promote opens a mirror store as a promoted primary would and returns
+// the state its recovery reaches.
+func promote(t *testing.T, dir string) (int64, []int) {
+	t.Helper()
+	st, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var snap repSnap
+	var vals []int
+	if _, _, err := st.Recover(&snap, func(bool) error {
+		vals = append(vals, snap.Vals...)
+		return nil
+	}, func(lsn int64, ev any) error {
+		if lsn > snap.LSN {
+			vals = append(vals, ev.(repEv).N)
+			snap.LSN = lsn
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return snap.LSN, vals
+}
+
+// mirrorFiles lists a mirror store's snap-/wal- files.
+func mirrorFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, e := range entries {
+		if fileNameRe.MatchString(e.Name()) {
+			out[e.Name()] = true
+		}
+	}
+	return out
+}
+
+// A follower drops what the primary's compaction drops: after many
+// checkpoints of a primary that keeps two generations, the mirror holds
+// exactly the manifest's files, and a promotion from it recovers what a
+// promotion from an unpruned mirror recovers.
+func TestFollowerPrunesCompactedFiles(t *testing.T) {
+	ctx := context.Background()
+	root, mirror, control := t.TempDir(), t.TempDir(), t.TempDir()
+	st, err := persist.Open(filepath.Join(root, "main"), persist.Options{Keep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Recover(&repSnap{}, func(bool) error { return nil },
+		func(int64, any) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	p := &primaryStore{st: st}
+	defer st.Close()
+
+	src := DirSource{Root: root, Stores: []string{"main"}}
+	pruned := NewFollower(Config{Source: src, Dir: mirror,
+		Hooks: hooksFor(map[string]*intLog{"main": {}})})
+	defer pruned.Close()
+	unpruned := NewFollower(Config{Source: src, Dir: control, FS: keepAllFS{persist.OSFS},
+		Hooks: hooksFor(map[string]*intLog{"main": {}})})
+	defer unpruned.Close()
+	for i := 0; i < 8; i++ {
+		p.append(t, 3*i, 3*i+1)
+		for _, f := range []*Follower{pruned, unpruned} {
+			if _, err := f.syncOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.checkpoint(t)
+		p.append(t, 3*i+2)
+		for _, f := range []*Follower{pruned, unpruned} {
+			if _, err := f.syncOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	m, err := src.Manifest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, file := range m.Stores[0].Files {
+		want[file.Name] = true
+	}
+	got := mirrorFiles(t, filepath.Join(mirror, "main"))
+	if len(got) != len(want) {
+		t.Fatalf("mirror holds %v, manifest lists %v", got, want)
+	}
+	for name := range want {
+		if !got[name] {
+			t.Fatalf("mirror holds %v, manifest lists %v", got, want)
+		}
+	}
+	if kept := mirrorFiles(t, filepath.Join(control, "main")); len(kept) <= len(want) {
+		t.Fatalf("unpruned control holds %d files, manifest %d: the drill compacted nothing", len(kept), len(want))
+	}
+
+	pruned.Close()
+	unpruned.Close()
+	lsn, vals := promote(t, filepath.Join(mirror, "main"))
+	clsn, cvals := promote(t, filepath.Join(control, "main"))
+	if lsn != clsn || !equalInts(vals, cvals) {
+		t.Fatalf("promoted from pruned mirror: lsn=%d vals=%v; from unpruned: lsn=%d vals=%v", lsn, vals, clsn, cvals)
+	}
+	if lsn != p.lsn || !equalInts(vals, p.vals) {
+		t.Fatalf("promoted lsn=%d vals=%v, primary lsn=%d vals=%v", lsn, vals, p.lsn, p.vals)
+	}
+}

@@ -16,10 +16,6 @@ import (
 	"durability/internal/telemetry"
 )
 
-// DefaultRatioCap bounds the per-level splitting ratio a covering plan may
-// assign (see opt.CoverOptions.RatioCap).
-const DefaultRatioCap = 8
-
 // MaxBatchThresholds bounds one batch's distinct thresholds — the covering
 // plan carries one boundary per threshold, and an unbounded lattice would
 // let one request allocate an arbitrarily deep level structure.
@@ -37,7 +33,6 @@ type BatchSpec struct {
 	Horizon int
 
 	Ratio      int // base splitting ratio (probe fallback; default levels)
-	RatioCap   int // per-level ratio bound (0 = DefaultRatioCap)
 	Seed       uint64
 	SimWorkers int
 
@@ -76,13 +71,6 @@ func (s *BatchSpec) validate() error {
 		return errors.New("serve: batch spec has no stopping rule")
 	}
 	return nil
-}
-
-func (s *BatchSpec) ratioCap() int {
-	if s.RatioCap <= 0 {
-		return DefaultRatioCap
-	}
-	return s.RatioCap
 }
 
 // BatchMeta reports how a batch was executed.
@@ -152,8 +140,7 @@ func (s *BatchSpec) coverSearchFunc(beta float64, required []float64, seed uint6
 			Seed:    seed,
 			Workers: s.SimWorkers,
 		}
-		res, err := opt.Cover(ctx, problem, required, opt.CoverOptions{RatioCap: s.ratioCap()})
-		return res.Plan, res.SearchSteps, err
+		return opt.Cover(ctx, problem, required)
 	}
 }
 
@@ -198,7 +185,7 @@ func (r *Runner) RunBatch(ctx context.Context, s BatchSpec) ([]mc.Result, BatchM
 		}
 		plan = p
 	} else {
-		key := r.Cache.Key(s.ModelID, s.ObserverID, betaMax, s.Horizon, s.Ratio, fmt.Sprintf("cover(%d)", s.ratioCap()), 0)
+		key := r.Cache.Key(s.ModelID, s.ObserverID, betaMax, s.Horizon, s.Ratio, fmt.Sprintf("cover(%d)", opt.CoverRatioCap), 0)
 		key.Set = ratioSetTag(required)
 		began := telemetry.Now()
 		p, steps, hit, err := r.Cache.GetOrSearch(ctx, key, s.coverSearchFunc(r.Cache.RepresentativeBeta(betaMax), required, planSeed(key)))

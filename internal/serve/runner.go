@@ -237,7 +237,7 @@ func (s *Spec) searchFunc(beta float64, seed uint64) SearchFunc {
 		if s.PlanMode == PlanBalanced {
 			return opt.BalancedPlan(ctx, problem, s.BalTau, s.BalLevels, 500)
 		}
-		g, err := opt.Greedy(ctx, problem, opt.GreedyOptions{})
+		g, err := opt.Greedy(ctx, problem)
 		if err != nil {
 			return core.Plan{}, g.SearchSteps, err
 		}

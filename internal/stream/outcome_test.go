@@ -97,7 +97,7 @@ func TestRefreshRejectsGroupedUnits(t *testing.T) {
 // would otherwise have completed.
 func TestReplayInstallsOutcomesWithoutSimulating(t *testing.T) {
 	env := newChainEnv()
-	cfg := Config{MaxRefreshSteps: 20_000, RefreshWorkers: 2}
+	cfg := Config{MaxRefreshSteps: 20_000}
 	faulty := &faultyExec{seed: 11, lo: 6 * DefaultTopUpRoots}
 	ptrace := telemetry.NewTracer(nil)
 	pcfg := cfg

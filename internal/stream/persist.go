@@ -129,14 +129,15 @@ type StreamState struct {
 // refresh along a different trajectory, so Restore refuses the mismatch
 // instead of silently breaking the determinism guarantee.
 type ConfigState struct {
+	// DriftTol, StartBucketWidth, TopUpRoots and MaxAgeTicks are always
+	// the engine's constants (DefaultDriftTol, DefaultStartBucketWidth,
+	// DefaultTopUpRoots, DefaultMaxAgeTicks). They stay so older
+	// snapshots decode and one taken under other values is refused.
 	DriftTol         float64
 	StartBucketWidth float64
-	// TopUpRoots is always DefaultTopUpRoots, the constant round size.
-	// It stays so older snapshots decode and one taken under another
-	// round size is refused.
-	TopUpRoots      int
-	MaxAgeTicks     int64
-	MaxRefreshSteps int64
+	TopUpRoots       int
+	MaxAgeTicks      int64
+	MaxRefreshSteps  int64
 	// GroupRoots and BootstrapReps are non-zero only in snapshots written
 	// while refreshes bootstrapped their variance: those batches carry
 	// bootstrap groups of GroupRoots roots, not the per-root moments the
@@ -147,14 +148,15 @@ type ConfigState struct {
 }
 
 // configState extracts the numerics-relevant settings of a (defaulted)
-// Config. RefreshWorkers and the execution backend are deliberately
-// absent: both only decide placement and scheduling, never numerics.
+// Config, with the engine's fixed maintenance constants. The execution
+// backend is deliberately absent: it only decides placement, never
+// numerics.
 func configState(c Config) ConfigState {
 	return ConfigState{
-		DriftTol:         c.DriftTol,
-		StartBucketWidth: c.StartBucketWidth,
+		DriftTol:         DefaultDriftTol,
+		StartBucketWidth: DefaultStartBucketWidth,
 		TopUpRoots:       DefaultTopUpRoots,
-		MaxAgeTicks:      c.MaxAgeTicks,
+		MaxAgeTicks:      DefaultMaxAgeTicks,
 		MaxRefreshSteps:  c.MaxRefreshSteps,
 	}
 }

@@ -213,18 +213,33 @@ func TestRecoveryReplaysClose(t *testing.T) {
 }
 
 // Restore must refuse a snapshot maintained under different engine
-// numerics instead of silently replaying a different trajectory.
+// numerics instead of silently replaying a different trajectory. Every
+// ConfigState field counts: the engine constants a snapshot echoes and
+// the one settable cap.
 func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	env := newChainEnv()
 	eng := NewEngine(Config{})
 	if err := eng.Register("chain", env.proc, &stochastic.ChainState{I: 0}); err != nil {
 		t.Fatal(err)
 	}
-	snap := eng.Snapshot()
-
-	other := NewEngine(Config{DriftTol: 2 * DefaultDriftTol})
-	if err := other.Restore(snap, chainResolver); err == nil {
-		t.Fatal("Restore accepted a snapshot from different engine settings")
+	for _, tc := range []struct {
+		field string
+		edit  func(*ConfigState)
+	}{
+		{"TopUpRoots", func(c *ConfigState) { c.TopUpRoots *= 2 }},
+		{"DriftTol", func(c *ConfigState) { c.DriftTol *= 2 }},
+		{"StartBucketWidth", func(c *ConfigState) { c.StartBucketWidth *= 2 }},
+		{"MaxAgeTicks", func(c *ConfigState) { c.MaxAgeTicks *= 2 }},
+		{"MaxRefreshSteps", func(c *ConfigState) { c.MaxRefreshSteps *= 2 }},
+	} {
+		snap := eng.Snapshot()
+		tc.edit(&snap.Config)
+		if err := NewEngine(Config{}).Restore(snap, chainResolver); err == nil {
+			t.Errorf("Restore accepted a snapshot with another %s", tc.field)
+		}
+	}
+	if err := NewEngine(Config{}).Restore(eng.Snapshot(), chainResolver); err != nil {
+		t.Fatalf("Restore refused an unedited snapshot: %v", err)
 	}
 }
 

@@ -36,13 +36,14 @@
 //     error), instead of restarting the sampler from zero.
 //
 // The answer over a surviving pool mixes root trees whose start states
-// differ by at most DriftTol·beta in observed value (and at most
-// MaxAgeTicks in age), so a maintained answer is an estimate for a small
-// neighborhood of the current state rather than its exact point value —
-// the staleness is bounded and configurable, and both knobs trade
-// per-tick cost against it. MLSS unbiasedness under any level plan
-// (§3.2, §4.1 of the paper) means plan reuse itself never affects
-// correctness, only efficiency.
+// differ by at most DriftTol·beta in observed value (and at most MaxAge
+// ticks in age; both per subscription, DefaultDriftTol and
+// DefaultMaxAgeTicks unless set), so a maintained answer is an estimate
+// for a small neighborhood of the current state rather than its exact
+// point value — the staleness is bounded and configurable, and both
+// knobs trade per-tick cost against it. MLSS unbiasedness under any
+// level plan (§3.2, §4.1 of the paper) means plan reuse itself never
+// affects correctness, only efficiency.
 package stream
 
 import (
@@ -65,7 +66,8 @@ import (
 // root survival.
 const DefaultTopUpRoots = 64
 
-// Defaults for Config fields left zero.
+// The engine's fixed maintenance shape, and the default for Config's
+// refresh cap.
 const (
 	// DefaultDriftTol is the survival tolerance: a batch of root trees
 	// contributes to the answer while the live state's normalized value
@@ -113,14 +115,7 @@ type Config struct {
 	// journal recorded.
 	Exec exec.Executor
 
-	DriftTol         float64 // batch survival tolerance on |Δf0| (default DefaultDriftTol)
-	StartBucketWidth float64 // plan-key bucket width on f0 (default DefaultStartBucketWidth)
-	MaxAgeTicks      int64   // batch age cap in ticks (default DefaultMaxAgeTicks)
-	MaxRefreshSteps  int64   // per-refresh fresh-simulation cap (default DefaultMaxRefreshSteps)
-
-	// RefreshWorkers bounds how many subscriptions of one stream are
-	// refreshed concurrently per update (default GOMAXPROCS).
-	RefreshWorkers int
+	MaxRefreshSteps int64 // per-refresh fresh-simulation cap (default DefaultMaxRefreshSteps)
 
 	// Metrics, when non-nil, receives per-tick refresh telemetry (tick and
 	// refresh durations, subscriptions refreshed and roots topped up per
@@ -136,20 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.Exec == nil {
 		c.Exec = exec.Local{}
 	}
-	if c.DriftTol <= 0 {
-		c.DriftTol = DefaultDriftTol
-	}
-	if c.StartBucketWidth <= 0 {
-		c.StartBucketWidth = DefaultStartBucketWidth
-	}
-	if c.MaxAgeTicks <= 0 {
-		c.MaxAgeTicks = DefaultMaxAgeTicks
-	}
 	if c.MaxRefreshSteps <= 0 {
 		c.MaxRefreshSteps = DefaultMaxRefreshSteps
-	}
-	if c.RefreshWorkers <= 0 {
-		c.RefreshWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -334,7 +317,7 @@ func (e *Engine) stream(name string) (*liveState, error) {
 
 // Update publishes a new snapshot of the named live state (cloned) and
 // refreshes every subscription on it incrementally, fanning the refreshes
-// out over at most RefreshWorkers goroutines. It returns one Refresh per
+// out over at most GOMAXPROCS goroutines. It returns one Refresh per
 // subscription, ordered by subscription ID. Updates to the same stream
 // serialize; a context cancellation mid-update leaves each subscription
 // with its last completed answer.
@@ -398,7 +381,7 @@ func (e *Engine) refreshLocked(ctx context.Context, ls *liveState) ([]*Subscript
 		ans, r, err := subs[i].refresh(ctx, ls.proc, ls.state, ls.tick, nil, seed)
 		out[i], done[i] = Refresh{SubID: subs[i].id, Answer: ans, Err: err}, r
 	}
-	workers := e.cfg.RefreshWorkers
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(subs) {
 		workers = len(subs)
 	}

@@ -446,7 +446,7 @@ func TestValidationErrors(t *testing.T) {
 // subscriptions on one stream refresh in parallel and all land answers.
 func TestManySubscriptionsOneUpdate(t *testing.T) {
 	env := newChainEnv()
-	eng := NewEngine(Config{RefreshWorkers: 4})
+	eng := NewEngine(Config{})
 	if err := eng.Register("chain", env.proc, &stochastic.ChainState{I: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,10 @@ type SubSpec struct {
 	SimWorkers int    // parallel simulation workers per refresh (default 1)
 
 	// DriftTol and MaxAge override the engine's survival tolerance and
-	// age cap for this subscription (0 keeps the engine default). They
-	// are the staleness/cost dial: a wider tolerance keeps root paths
-	// alive longer and makes ticks cheaper, but lets the answer lag a
-	// faster-moving state further.
+	// age cap for this subscription (0 keeps DefaultDriftTol and
+	// DefaultMaxAgeTicks). They are the staleness/cost dial: a wider
+	// tolerance keeps root paths alive longer and makes ticks cheaper,
+	// but lets the answer lag a faster-moving state further.
 	DriftTol float64
 	MaxAge   int64
 
@@ -51,19 +51,19 @@ type SubSpec struct {
 }
 
 // driftTol resolves the subscription's survival tolerance.
-func (s SubSpec) driftTol(cfg Config) float64 {
+func (s SubSpec) driftTol() float64 {
 	if s.DriftTol > 0 {
 		return s.DriftTol
 	}
-	return cfg.DriftTol
+	return DefaultDriftTol
 }
 
 // maxAge resolves the subscription's batch age cap.
-func (s SubSpec) maxAge(cfg Config) int64 {
+func (s SubSpec) maxAge() int64 {
 	if s.MaxAge > 0 {
 		return s.MaxAge
 	}
-	return cfg.MaxAgeTicks
+	return DefaultMaxAgeTicks
 }
 
 func (s SubSpec) withDefaults() (SubSpec, error) {
@@ -439,7 +439,7 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 		return ans, refreshed{publish: true}, nil
 	}
 
-	bucket := int(math.Floor(math.Max(f0, 0) / cfg.StartBucketWidth))
+	bucket := int(math.Floor(math.Max(f0, 0) / DefaultStartBucketWidth))
 	sspec := serve.Spec{
 		Obs:        s.spec.Obs,
 		ModelID:    s.ls.name,
@@ -509,7 +509,7 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	// split under the current plan, start from the current level, and its
 	// start value is within the drift tolerance of the new state. The
 	// contributing batches, merged in pool order, seed the answer's pool.
-	tol := s.spec.driftTol(cfg)
+	tol := s.spec.driftTol()
 	var revived int64
 	pool := core.NewPoolOn(seed, m, initLevel)
 	for _, b := range s.batches {
@@ -648,10 +648,10 @@ func (s *Subscription) refresh(ctx context.Context, proc stochastic.Process, sta
 	return ans, refreshed{out: out, publish: true}, err
 }
 
-// expire deletes batches older than MaxAgeTicks, booking their roots into
+// expire deletes batches older than the subscription's age cap, booking their roots into
 // the answer's drop accounting. The caller holds ls.mu.
 func (s *Subscription) expire(tick int64, ans *Answer) {
-	maxAge := s.spec.maxAge(s.engine.cfg)
+	maxAge := s.spec.maxAge()
 	kept := s.batches[:0]
 	for _, b := range s.batches {
 		if tick-b.tick > maxAge {
