@@ -88,6 +88,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -423,6 +424,9 @@ func newMux(srv *serve.Server, hub *streamHub, tel *telemetrySet, rep *replicaSe
 			httpError(w, queryStatus(err), err)
 			return
 		}
+		// -1 marks "no estimate" (a zero-hit answer's relative error is
+		// infinite), as on standing answers.
+		resp.StdErr, resp.RelErr = finiteOr(resp.StdErr, -1), finiteOr(resp.RelErr, -1)
 		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
@@ -435,6 +439,10 @@ func newMux(srv *serve.Server, hub *streamHub, tel *telemetrySet, rep *replicaSe
 		if err != nil {
 			httpError(w, queryStatus(err), err)
 			return
+		}
+		for i := range resp.Answers {
+			a := &resp.Answers[i]
+			a.StdErr, a.RelErr = finiteOr(a.StdErr, -1), finiteOr(a.RelErr, -1)
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -463,7 +471,9 @@ func newMux(srv *serve.Server, hub *streamHub, tel *telemetrySet, rep *replicaSe
 			httpError(w, queryStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeRendered(w, tel.encodeSeconds[routeSubscribe], func(b []byte) ([]byte, error) {
+			return appendSubscribe(b, &resp)
+		})
 	})
 	mux.HandleFunc("DELETE /subscribe", func(w http.ResponseWriter, r *http.Request) {
 		id := r.URL.Query().Get("id")
@@ -473,19 +483,23 @@ func newMux(srv *serve.Server, hub *streamHub, tel *telemetrySet, rep *replicaSe
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("GET /updates", hub.handleUpdates)
+	mux.HandleFunc("GET /updates", func(w http.ResponseWriter, r *http.Request) {
+		hub.handleUpdates(w, r, tel.encodeSeconds[routeUpdates])
+	})
 	mux.HandleFunc("POST /tick", func(w http.ResponseWriter, r *http.Request) {
 		var req tickRequest
 		if err := decodeJSON(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		resp, err := hub.tick(r.Context(), req)
+		tick, refreshes, err := hub.tick(r.Context(), req)
 		if err != nil {
 			httpError(w, queryStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeRendered(w, tel.encodeSeconds[routeTick], func(b []byte) ([]byte, error) {
+			return appendTick(b, req.Stream, tick, refreshes)
+		})
 	})
 	mux.HandleFunc("GET /streams", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, hub.statsDetailed())
@@ -493,11 +507,28 @@ func newMux(srv *serve.Server, hub *streamHub, tel *telemetrySet, rep *replicaSe
 	return mux
 }
 
+// writeJSON encodes v with encoding/json before committing the status,
+// so a value that does not encode answers 500 with the JSON error rather
+// than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		log.Printf("durserve: encoding response: %v", err)
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()}) // a string map always encodes
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody commits status and writes a rendered JSON body (with
+// Encoder.Encode's trailing newline) under its Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("durserve: writing response: %v", err)
 	}
 }
 

@@ -44,6 +44,10 @@ type telemetrySet struct {
 	recoverySeconds *telemetry.Histogram
 	followerApply   *telemetry.Histogram // per applied WAL record, on a follower
 
+	// encodeSeconds times each standing-query route's render plus write,
+	// keyed by route (encodeRoutes).
+	encodeSeconds map[string]*telemetry.Histogram
+
 	// Plan-quality introspection sources (see plans.go): the ledger and
 	// threshold installed by bindPlanLedger, the cache installed by bind.
 	// All written once during wiring, before the listener serves.
@@ -56,9 +60,9 @@ type telemetrySet struct {
 	lagsFn func() map[string]replicate.Lag
 }
 
-// walAppendBuckets resolve a WAL append, which takes microseconds:
-// powers of two from 1µs to about 0.5s.
-var walAppendBuckets = telemetry.ExpBuckets(1e-6, 2, 20)
+// fineBuckets resolve work that takes microseconds (a WAL append, a
+// response render): powers of two from 1µs to about 0.5s.
+var fineBuckets = telemetry.ExpBuckets(1e-6, 2, 20)
 
 // lifecycleStages is every span stage the serving path can book.
 // newTelemetry pre-creates all of them so the exposed metric set is a
@@ -152,6 +156,12 @@ func newTelemetry() *telemetrySet {
 	t.followerApply = reg.Histogram("durserve_follower_apply_seconds",
 		"Wall time per replicated WAL record a follower applied into its warm engines.",
 		telemetry.DurationBuckets)
+	t.encodeSeconds = make(map[string]*telemetry.Histogram, len(encodeRoutes))
+	for _, route := range encodeRoutes {
+		t.encodeSeconds[route] = reg.Histogram("durserve_encode_seconds",
+			"Wall time rendering and writing a standing-query response body, per route.",
+			fineBuckets, telemetry.Label{Name: "route", Value: route})
+	}
 	reg.GaugeFunc("durserve_ready",
 		"1 once recovery has finished and the serving endpoints accept requests.",
 		func() float64 {
@@ -238,7 +248,7 @@ func (t *telemetrySet) bind(srv *serve.Server, hub *streamHub) {
 			func() int64 { return hub.walBytes(name) }, l)
 		hub.timing.append[name] = reg.Histogram("durserve_wal_append_seconds",
 			"Wall time per write-ahead log append (encode, frame, write), per store.",
-			walAppendBuckets, l)
+			fineBuckets, l)
 		hub.timing.checkpoint[name] = reg.Histogram("durserve_checkpoint_duration_seconds",
 			"Wall time per checkpoint (rotate, snapshot, publish, compact), per store.",
 			telemetry.DurationBuckets, l)

@@ -78,6 +78,9 @@ func TestMetricsGoldenAcrossServers(t *testing.T) {
 		"durserve_batch_runs_total",
 		"durserve_stream_ticks_total 3",
 		"durserve_tick_refreshed_subscriptions_count 3",
+		`durserve_encode_seconds_count{route="tick"} 3`,
+		`durserve_encode_seconds_count{route="subscribe"} 2`,
+		`durserve_encode_seconds_count{route="updates"} 0`,
 		"durserve_recoveries_total 0",
 		"durserve_ready 1",
 	} {

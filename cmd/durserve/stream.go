@@ -121,7 +121,9 @@ type subscribeRequest struct {
 	MaxAge   int64   `json:"maxAge,omitempty"`   // batch age cap in ticks (0 = engine default)
 }
 
-// answerJSON is the wire form of a maintained answer.
+// answerJSON is the wire form of a maintained answer. The wire structs
+// here document the standing-query bodies; render.go's appenders produce
+// their encoding/json bytes without reflection.
 type answerJSON struct {
 	Tick      int64   `json:"tick"`
 	P         float64 `json:"p"`
@@ -147,7 +149,7 @@ type answerJSON struct {
 // finiteOr replaces non-finite values (an empty or hitless pool has
 // infinite variance and relative error) with a JSON-encodable fallback:
 // encoding/json rejects ±Inf and NaN outright, which would otherwise
-// truncate a 200 response mid-body.
+// turn an answer into a 500.
 func finiteOr(v, fallback float64) float64 {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return fallback
@@ -353,7 +355,8 @@ type refreshJSON struct {
 }
 
 // tickResponse answers POST /tick: the stream's new tick and the last
-// step's refresh outcomes.
+// step's refresh outcomes. appendTick renders it straight from the
+// engine's refreshes.
 type tickResponse struct {
 	Stream    string        `json:"stream"`
 	Tick      int64         `json:"tick"`
@@ -362,20 +365,22 @@ type tickResponse struct {
 
 // tick advances the named live state by stepping its model's dynamics,
 // publishing each new state to the engine (which refreshes every
-// subscription incrementally).
-func (h *streamHub) tick(ctx context.Context, req tickRequest) (tickResponse, error) {
+// subscription incrementally). It returns the stream's new tick and the
+// last step's refresh outcomes, which the handler renders as a
+// tickResponse.
+func (h *streamHub) tick(ctx context.Context, req tickRequest) (int64, []stream.Refresh, error) {
 	steps := req.Steps
 	if steps <= 0 {
 		steps = 1
 	}
 	if steps > 10_000 {
-		return tickResponse{}, fmt.Errorf("steps %d exceeds the per-request cap of 10000", steps)
+		return 0, nil, fmt.Errorf("steps %d exceeds the per-request cap of 10000", steps)
 	}
 	h.mu.Lock()
 	f, ok := h.feeds[req.Stream]
 	h.mu.Unlock()
 	if !ok {
-		return tickResponse{}, fmt.Errorf("unknown stream %q (streams are created by /subscribe)", req.Stream)
+		return 0, nil, fmt.Errorf("unknown stream %q (streams are created by /subscribe)", req.Stream)
 	}
 
 	// The feed lock serializes concurrent tickers (the -tick auto-ticker
@@ -390,7 +395,7 @@ func (h *streamHub) tick(ctx context.Context, req tickRequest) (tickResponse, er
 		// with the published states.
 		lsn, jerr := h.append(hubFeedStep{Stream: req.Stream})
 		if jerr != nil {
-			return tickResponse{}, fmt.Errorf("%w: journaling tick: %v", serve.ErrInternal, jerr)
+			return 0, nil, fmt.Errorf("%w: journaling tick: %v", serve.ErrInternal, jerr)
 		}
 		f.steps++
 		f.proc.Step(f.state, f.steps, f.src)
@@ -399,19 +404,11 @@ func (h *streamHub) tick(ctx context.Context, req tickRequest) (tickResponse, er
 		}
 		refreshes, err = h.engine.Update(ctx, req.Stream, f.state)
 		if err != nil {
-			return tickResponse{}, err
+			return 0, nil, err
 		}
 	}
 	tick, _ := h.engine.Tick(req.Stream)
-	out := tickResponse{Stream: req.Stream, Tick: tick}
-	for _, r := range refreshes {
-		rj := refreshJSON{SubID: r.SubID, Answer: toAnswerJSON(r.Answer)}
-		if r.Err != nil {
-			rj.Error = r.Err.Error()
-		}
-		out.Refreshes = append(out.Refreshes, rj)
-	}
-	return out, nil
+	return tick, refreshes, nil
 }
 
 // autoTick advances every known stream once; the -tick flag drives it on
@@ -429,7 +426,7 @@ func (h *streamHub) autoTick(ctx context.Context) {
 	// sequence every pass, making multi-stream traces unreproducible.
 	sort.Strings(names)
 	for _, name := range names {
-		if _, err := h.tick(ctx, tickRequest{Stream: name, Steps: 1}); err != nil {
+		if _, _, err := h.tick(ctx, tickRequest{Stream: name, Steps: 1}); err != nil {
 			h.mu.Lock()
 			h.tickErrs[name]++
 			h.mu.Unlock()
@@ -440,8 +437,8 @@ func (h *streamHub) autoTick(ctx context.Context) {
 // handleUpdates serves the long-poll GET /updates?id=&since=&timeoutSec=:
 // it blocks until the subscription's answer moves past the given tick,
 // then returns it; an expired wait returns 204 No Content so clients can
-// simply re-arm.
-func (h *streamHub) handleUpdates(w http.ResponseWriter, r *http.Request) {
+// simply re-arm. encodeSeconds times the answer's render and write.
+func (h *streamHub) handleUpdates(w http.ResponseWriter, r *http.Request, encodeSeconds *telemetry.Histogram) {
 	id := r.URL.Query().Get("id")
 	sub, ok := h.lookup(id)
 	if !ok {
@@ -483,7 +480,8 @@ func (h *streamHub) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	ans, err := sub.Wait(ctx, since)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, toAnswerJSON(ans))
+		a := toAnswerJSON(ans)
+		writeRendered(w, encodeSeconds, func(b []byte) ([]byte, error) { return appendAnswer(b, &a) })
 	case errors.Is(err, stream.ErrSubscriptionClosed):
 		httpError(w, http.StatusGone, err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

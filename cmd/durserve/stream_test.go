@@ -347,7 +347,7 @@ func TestUpdatesAbortedLongPollIs204(t *testing.T) {
 	ctx, cancel := context.WithCancel(req.Context())
 	cancel() // the client has already gone away
 	rec := httptest.NewRecorder()
-	hub.handleUpdates(rec, req.WithContext(ctx))
+	hub.handleUpdates(rec, req.WithContext(ctx), nil)
 	if rec.Code != http.StatusNoContent {
 		t.Fatalf("aborted long poll: status %d, want 204", rec.Code)
 	}

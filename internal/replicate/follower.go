@@ -379,7 +379,7 @@ func (f *Follower) initStore(fs *followerStore) error {
 		return fmt.Errorf("replicate: %w", err)
 	}
 	for _, e := range entries {
-		if !fileNameRe.MatchString(e.Name()) {
+		if !validFileName(e.Name()) {
 			continue
 		}
 		st, err := f.cfg.FS.Stat(filepath.Join(fs.dir, e.Name()))

@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,21 +71,52 @@ type Acker interface {
 	Ack(ctx context.Context, applied map[string]int64) error
 }
 
-var (
-	storeNameRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
-	fileNameRe  = regexp.MustCompile(`^(snap|wal)-[0-9]{16}$`)
-)
-
 // validNames rejects store or file names that could escape the mirror
 // root — both ends validate, so neither trusts the wire.
 func validNames(store, file string) error {
-	if !storeNameRe.MatchString(store) {
+	if !validStoreName(store) {
 		return fmt.Errorf("replicate: invalid store name %q", store)
 	}
-	if file != "" && !fileNameRe.MatchString(file) {
+	if file != "" && !validFileName(file) {
 		return fmt.Errorf("replicate: invalid file name %q", file)
 	}
 	return nil
+}
+
+// validStoreName reports whether s matches ^[A-Za-z0-9][A-Za-z0-9._-]*$.
+func validStoreName(s string) bool {
+	if s == "" || !isAlnum(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if c := s[i]; !isAlnum(c) && c != '.' && c != '_' && c != '-' {
+			return false
+		}
+	}
+	return true
+}
+
+// validFileName reports whether s matches ^(snap|wal)-[0-9]{16}$.
+func validFileName(s string) bool {
+	digits, ok := strings.CutPrefix(s, "snap-")
+	if !ok {
+		if digits, ok = strings.CutPrefix(s, "wal-"); !ok {
+			return false
+		}
+	}
+	if len(digits) != 16 {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+func isAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 // fileSeq extracts the generation number of a snap-/wal- file name.
@@ -140,7 +170,7 @@ func (d DirSource) Manifest(ctx context.Context) (Manifest, error) {
 		}
 		for _, e := range entries {
 			name := e.Name()
-			if !fileNameRe.MatchString(name) {
+			if !validFileName(name) {
 				continue
 			}
 			st, err := d.fs().Stat(filepath.Join(d.Root, store, name))

@@ -578,7 +578,7 @@ func mirrorFiles(t *testing.T, dir string) map[string]bool {
 	}
 	out := map[string]bool{}
 	for _, e := range entries {
-		if fileNameRe.MatchString(e.Name()) {
+		if validFileName(e.Name()) {
 			out[e.Name()] = true
 		}
 	}
