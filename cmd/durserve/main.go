@@ -62,11 +62,12 @@
 // single-machine daemon would; a worker dying mid-query costs a retry,
 // not the answer.
 //
-// With -data-dir the serving state is durable: every mutation is written
-// ahead to a log, checkpoints capture the standing-query engine, the
-// warm plan cache, the live feeds and the subscription handle table, and
-// a restarted daemon recovers all of it — answering every subsequent
-// tick bit-for-bit as the uninterrupted daemon would:
+// With -data-dir the serving state is durable: every engine shard writes
+// its mutations ahead to its own log, checkpoints capture the shards and
+// the warm plan cache, and a restarted daemon recovers all of it —
+// handles ("sub-" and the subscription ID) keep working, and the live
+// feeds are recomputed from the seed, so every subsequent tick answers
+// bit-for-bit as the uninterrupted daemon would:
 //
 //	durserve -addr :8077 -data-dir /var/lib/durserve
 //
@@ -189,9 +190,9 @@ func main() {
 	})
 	defer srv.Close()
 	// A follower adopts the primary's shard layout instead of trusting
-	// -shards: the engines must partition exactly as the replicated hub
-	// snapshot records, or restore refuses. Discovery happens before the
-	// hub is built because the shard count is baked into its engines.
+	// -shards: the engines must partition exactly as the primary's do.
+	// Discovery happens before the hub is built because the shard count
+	// is baked into its engines.
 	shardCount := *shards
 	var followSource replicate.HTTPSource
 	if *follow != "" {
@@ -207,6 +208,9 @@ func main() {
 			log.Printf("durserve: adopting the primary's %d-shard layout (local -shards %d ignored)", n, shardCount)
 		}
 		shardCount = n
+		if err := checkDataDir(*dataDir, shardCount); err != nil {
+			log.Fatalf("durserve: %v", err)
+		}
 	}
 	hub := newStreamHub(srv, registry, *defaultRE, *maxBudget, *seed, backend, tel.engine, shardCount)
 	tel.bind(srv, hub)

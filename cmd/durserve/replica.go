@@ -14,22 +14,21 @@ import (
 
 	"durability/internal/persist"
 	"durability/internal/replicate"
-	"durability/internal/stream"
 	"durability/internal/telemetry"
 )
 
 // WAL-follower replication for the HTTP daemon. A primary started with
-// -data-dir exposes its store set (the hub lineage plus one per engine
-// shard) through the /replicate endpoints of internal/replicate; a
-// second durserve started with -follow pointed at it mirrors those
-// bytes, applies complete records into warm engines as they arrive, and
-// answers /readyz with "following" until it is promoted — by POST
-// /promote, or automatically when the primary's lease (a successful
-// manifest fetch within -lease-ttl) expires. Promotion reconciles shard
-// tick divergence exactly like crash recovery does, attaches journals
-// over the mirrored stores and seals them with a checkpoint; from that
-// point the promoted follower serves bit-for-bit the answers the dead
-// primary would have.
+// -data-dir exposes its store set (one lineage per engine shard) through
+// the /replicate endpoints of internal/replicate; a second durserve
+// started with -follow pointed at it mirrors those bytes, applies
+// complete records into warm engines as they arrive, and answers /readyz
+// with "following" until it is promoted — by POST /promote, or
+// automatically when the primary's lease (a successful manifest fetch
+// within -lease-ttl) expires. Promotion rebuilds the feeds and reconciles
+// shard tick divergence exactly like crash recovery does, attaches
+// journals over the mirrored stores and seals them with a checkpoint;
+// from that point the promoted follower serves bit-for-bit the answers
+// the dead primary would have, under the same handles.
 
 // ackTable is the primary-side record of follower progress: the highest
 // applied LSN each follower acknowledged per store. SIGTERM waits for
@@ -164,11 +163,9 @@ func (r *replicaSet) handlePromote(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]string{"state": "promoting"})
 }
 
-// followerHooks wires mirrored stores into the hub: the hub lineage
-// restores and applies hub events (handle binds deferred until
-// promotion), each shard lineage restores and applies engine events on
-// its own warm shard engine. Every applied record's wall time is
-// observed into applied.
+// followerHooks wires mirrored stores into the hub: each shard lineage
+// restores and applies engine events on its own warm shard engine. Every
+// applied record's wall time is observed into applied.
 func followerHooks(h *streamHub, applied *telemetry.Histogram) func(store string) (replicate.StoreHooks, bool) {
 	lineage := lineageHooks(h)
 	return func(store string) (replicate.StoreHooks, bool) {
@@ -186,42 +183,20 @@ func followerHooks(h *streamHub, applied *telemetry.Histogram) func(store string
 	}
 }
 
-// lineageHooks restores and applies one mirrored store's lineage.
+// lineageHooks restores and applies one mirrored shard lineage.
 func lineageHooks(h *streamHub) func(store string) (replicate.StoreHooks, bool) {
 	ctx := context.Background()
 	return func(store string) (replicate.StoreHooks, bool) {
-		if store == hubStoreName {
-			return replicate.StoreHooks{
-				Restore: func(snapPath string, found bool) error {
-					if !found {
-						return nil
-					}
-					var snap hubSnapshot
-					ok, err := persist.ReadSnapshotFile(nil, snapPath, &snap)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						return fmt.Errorf("chosen snapshot %s unreadable", snapPath)
-					}
-					return h.restore(&snap)
-				},
-				Apply: func(lsn int64, ev any) error {
-					return h.apply(ctx, lsn, ev)
-				},
-			}, true
-		}
 		var idx int
 		if _, err := fmt.Sscanf(store, "shard-%04d", &idx); err != nil || idx < 0 || idx >= h.engine.Shards() {
 			return replicate.StoreHooks{}, false
 		}
-		eng := h.engine.Shard(idx)
 		return replicate.StoreHooks{
 			Restore: func(snapPath string, found bool) error {
 				if !found {
 					return nil // EvRegistered replay rebuilds the stream
 				}
-				var snap stream.EngineSnapshot
+				var snap persist.ServingSnapshot
 				ok, err := persist.ReadSnapshotFile(nil, snapPath, &snap)
 				if err != nil {
 					return err
@@ -229,15 +204,9 @@ func lineageHooks(h *streamHub) func(store string) (replicate.StoreHooks, bool) 
 				if !ok {
 					return fmt.Errorf("chosen snapshot %s unreadable", snapPath)
 				}
-				return eng.Restore(snap, h.resolver)
+				return h.restoreShard(idx, &snap)
 			},
-			Apply: func(lsn int64, ev any) error {
-				jev, ok := ev.(stream.JournalEvent)
-				if !ok {
-					return fmt.Errorf("record lsn %d is %T, not an engine event", lsn, ev)
-				}
-				return eng.Apply(ctx, lsn, jev, h.resolver)
-			},
+			Apply: func(lsn int64, ev any) error { return h.applyShard(ctx, idx, lsn, ev) },
 		}, true
 	}
 }
@@ -263,9 +232,9 @@ type followerRun struct {
 // elapses. A follower adopts the primary's layout rather than trusting
 // a local -shards flag: a mirror tracking fewer lineages than the
 // primary ships would drain every lag gauge to zero while silently
-// missing subscriptions, and then be refused at promotion by the hub
-// snapshot's shard-count check. Discovering the count up front turns
-// that late, confusing failure into a correct follower.
+// missing subscriptions. A primary that still ships a hub lineage runs
+// an older build whose handles need not equal subscription IDs; it is
+// refused by name.
 func discoverShardCount(source replicate.Source, wait time.Duration) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
@@ -274,18 +243,17 @@ func discoverShardCount(source replicate.Source, wait time.Duration) (int, error
 	for {
 		man, err := source.Manifest(ctx)
 		if err == nil {
-			hub := false
 			n := 0
 			for _, sm := range man.Stores {
 				switch {
-				case sm.Name == hubStoreName:
-					hub = true
+				case sm.Name == "hub":
+					return 0, errors.New("primary manifest lists a hub lineage: the primary runs an older durserve, whose handles need not equal subscription IDs; drain it or move its data directory aside before following it")
 				case strings.HasPrefix(sm.Name, "shard-"):
 					n++
 				}
 			}
-			if !hub || n == 0 {
-				return 0, fmt.Errorf("primary manifest lists no hub+shard layout (%d stores)", len(man.Stores))
+			if n == 0 {
+				return 0, fmt.Errorf("primary manifest lists no shard lineage (%d stores)", len(man.Stores))
 			}
 			return n, nil
 		}
@@ -332,11 +300,12 @@ func (fr *followerRun) stop() {
 }
 
 // promote turns the warm standby into the serving primary, once. The
-// replication loop is stopped, lineage divergence is reconciled exactly
-// like crash recovery (SyncNextSub, alignStreams, resolveBinds, orphan
-// reap), and the mirrored stores — valid persist data directories by
-// construction — are opened, repaired of any torn tails the dead
-// primary shipped, attached as journals and sealed with a checkpoint.
+// replication loop is stopped, the feeds are rebuilt and lineage
+// divergence reconciled exactly like crash recovery (SyncNextSub,
+// rebuildFeeds), and the mirrored stores — valid persist data
+// directories by construction — are opened, repaired of any torn tails
+// the dead primary shipped, attached as journals and sealed with a
+// checkpoint.
 // It returns the attached store set so the caller can serve /replicate
 // onward and gate its own shutdown.
 func (fr *followerRun) promote() (*hubStores, error) {
@@ -355,11 +324,9 @@ func (fr *followerRun) promoteOnce() error {
 	ctx := context.Background()
 	h := fr.hub
 	h.engine.SyncNextSub()
-	if err := h.alignStreams(ctx); err != nil {
-		return fmt.Errorf("promote: aligning lineages: %w", err)
+	if err := h.rebuildFeeds(ctx); err != nil {
+		return fmt.Errorf("promote: rebuilding feeds: %w", err)
 	}
-	h.resolveBinds()
-	h.reapOrphans()
 	// The engines are already warm — Recover here only repairs torn
 	// tails and positions each store's next LSN; the replayed events are
 	// discarded, not re-applied.
@@ -368,18 +335,12 @@ func (fr *followerRun) promoteOnce() error {
 		return fmt.Errorf("promote: opening mirror: %w", err)
 	}
 	for i, st := range hs.shards {
-		if _, _, err := st.Recover(&stream.EngineSnapshot{},
+		if _, _, err := st.Recover(&persist.ServingSnapshot{},
 			func(bool) error { return nil },
 			func(int64, any) error { return nil }); err != nil {
 			hs.Close()
 			return fmt.Errorf("promote: positioning %s: %w", shardStoreName(i), err)
 		}
-	}
-	if _, _, err := hs.hub.Recover(&hubSnapshot{},
-		func(bool) error { return nil },
-		func(int64, any) error { return nil }); err != nil {
-		hs.Close()
-		return fmt.Errorf("promote: positioning %s: %w", hubStoreName, err)
 	}
 	h.mu.Lock()
 	h.stores = hs

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,7 +147,7 @@ func TestDurserveShardCountInvariant(t *testing.T) {
 }
 
 // TestFinalShutdownCoversAllShards is the SIGTERM regression: the final
-// checkpoint must capture every lineage — the hub and each shard — so a
+// checkpoint must capture every shard lineage, so a
 // clean restart replays zero WAL events. Before the fix only a single
 // store was checkpointed, stranding shard tails in the WAL.
 func TestFinalShutdownCoversAllShards(t *testing.T) {
@@ -204,7 +205,7 @@ func TestFinalShutdownCoversAllShards(t *testing.T) {
 // timeout, and one whose follower catches up proceeds as soon as the
 // acks cover the final LSNs.
 func TestWaitForAcks(t *testing.T) {
-	final := map[string]int64{"hub": 5, "shard-0000": 9}
+	final := map[string]int64{"shard-0000": 9, "shard-0001": 5}
 
 	t.Run("no-follower", func(t *testing.T) {
 		at := newAckTable(nil)
@@ -219,7 +220,7 @@ func TestWaitForAcks(t *testing.T) {
 
 	t.Run("lagging-follower-times-out", func(t *testing.T) {
 		at := newAckTable(nil)
-		at.record(map[string]int64{"hub": 5, "shard-0000": 7})
+		at.record(map[string]int64{"shard-0000": 7, "shard-0001": 5})
 		if waitForAcks(at, final, 150*time.Millisecond) {
 			t.Fatal("ack wait reported covered while shard-0000 lagged")
 		}
@@ -227,7 +228,7 @@ func TestWaitForAcks(t *testing.T) {
 
 	t.Run("follower-catches-up", func(t *testing.T) {
 		at := newAckTable(nil)
-		at.record(map[string]int64{"hub": 5, "shard-0000": 7})
+		at.record(map[string]int64{"shard-0000": 7, "shard-0001": 5})
 		go func() {
 			time.Sleep(120 * time.Millisecond)
 			at.record(map[string]int64{"shard-0000": 9})
@@ -336,7 +337,8 @@ func TestFollowerPromoteServesIdenticalAnswers(t *testing.T) {
 
 // TestOpenHubStoresRefusesLayoutDrift: the partitioned layout refuses a
 // pre-sharding data directory and a shard-count change — both would
-// silently re-home state.
+// silently re-home state — and a directory holding an older build's hub
+// lineage, whose handles need not equal subscription IDs.
 func TestOpenHubStoresRefusesLayoutDrift(t *testing.T) {
 	t.Run("legacy-single-store", func(t *testing.T) {
 		dir := t.TempDir()
@@ -345,6 +347,18 @@ func TestOpenHubStoresRefusesLayoutDrift(t *testing.T) {
 		}
 		if _, err := openHubStores(dir, persist.Options{}, 1); err == nil {
 			t.Fatal("openHubStores accepted a pre-sharding layout")
+		}
+	})
+	t.Run("hub-lineage", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range []string{"hub", shardStoreName(0)} {
+			if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := openHubStores(dir, persist.Options{}, 1)
+		if err == nil || !strings.Contains(err.Error(), "hub/") {
+			t.Fatalf("openHubStores on a directory holding hub/: err %v, want a refusal naming hub/", err)
 		}
 	})
 	t.Run("shard-count-change", func(t *testing.T) {
@@ -412,19 +426,23 @@ func (s *manifestOnlySource) Fetch(ctx context.Context, store, file string, offs
 
 // TestDiscoverShardCount pins the follower's layout adoption: the shard
 // count comes from the primary's manifest (retrying through startup
-// races), and a manifest without the hub+shard layout is refused rather
-// than guessed at.
+// races), a manifest without shard lineages is refused rather than
+// guessed at, and so, by name, is one listing an older build's hub.
 func TestDiscoverShardCount(t *testing.T) {
 	n, err := discoverShardCount(&manifestOnlySource{names: storeNames(4)}, time.Second)
 	if err != nil || n != 4 {
-		t.Fatalf("discoverShardCount(hub+4 shards) = %d, %v; want 4, nil", n, err)
+		t.Fatalf("discoverShardCount(4 shards) = %d, %v; want 4, nil", n, err)
 	}
 	n, err = discoverShardCount(&manifestOnlySource{names: storeNames(1), failures: 2}, 5*time.Second)
 	if err != nil || n != 1 {
 		t.Fatalf("discoverShardCount with startup races = %d, %v; want 1, nil", n, err)
 	}
-	if _, err := discoverShardCount(&manifestOnlySource{names: []string{"hub"}}, time.Second); err == nil {
+	if _, err := discoverShardCount(&manifestOnlySource{names: []string{"other"}}, time.Second); err == nil {
 		t.Fatal("discoverShardCount accepted a manifest with no shard stores")
+	}
+	_, err = discoverShardCount(&manifestOnlySource{names: append([]string{"hub"}, storeNames(2)...)}, time.Second)
+	if err == nil || !strings.Contains(err.Error(), "hub") {
+		t.Fatalf("discoverShardCount on a manifest listing hub: err %v, want a refusal naming hub", err)
 	}
 	if _, err := discoverShardCount(&manifestOnlySource{failures: 1 << 30}, 300*time.Millisecond); err == nil {
 		t.Fatal("discoverShardCount returned without a reachable primary")

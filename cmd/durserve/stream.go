@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"durability/internal/planstats"
 	"durability/internal/rng"
 	"durability/internal/serve"
+	"durability/internal/stats"
 	"durability/internal/stochastic"
 	"durability/internal/stream"
 	"durability/internal/telemetry"
@@ -37,11 +39,8 @@ type streamHub struct {
 	maxBudget     int64
 	seed          uint64
 
-	// Durable serving state (-data-dir): the hub's own checkpoint+WAL
-	// store (each engine shard journals to its own store — see
-	// hubStores), the checkpoint serializer, and the hub's last-applied
-	// log sequence number (each shard and each feed track theirs
-	// separately).
+	// Durable serving state (-data-dir): one checkpoint+WAL store per
+	// engine shard (see hubStores) and the checkpoint serializer.
 	stores *hubStores
 	ckptMu sync.Mutex
 	timing journalTiming // set once by telemetrySet.bind, before serving
@@ -52,18 +51,16 @@ type streamHub struct {
 	downOnce sync.Once
 
 	mu       sync.Mutex
-	lsn      int64
-	nextID   int64
-	subs     map[string]*stream.Subscription
-	binds    map[string]uint64 // recovery/follow only: handle binds awaiting resolveBinds
 	feeds    map[string]*feed
-	tickErrs map[string]int64 // auto-tick failures per stream
+	tickErrs map[string]int64 // auto-tick failures per stream, since process start
 }
 
 // feed is the live state the hub advances for one stream: the model's own
 // dynamics driven by a dedicated random source. Real deployments publish
 // externally observed states; the hub's feed makes the demo (and tests)
-// self-contained. mu serializes ticks on this feed (the auto-ticker and
+// self-contained. It is never journaled: its state at tick k is a pure
+// function of (seed, stream, k), which recovery recomputes (see
+// rebuildFeeds). mu serializes ticks on this feed (the auto-ticker and
 // concurrent POST /tick requests both advance it).
 type feed struct {
 	model     string
@@ -74,7 +71,6 @@ type feed struct {
 	state stochastic.State
 	src   *rng.Source
 	steps int
-	lsn   int64 // last journaled mutation applied to this feed
 }
 
 func newStreamHub(srv *serve.Server, registry serve.Registry, defaultRelErr float64, maxBudget int64, seed uint64, backend exec.Executor, metrics *telemetry.EngineMetrics, shards int) *streamHub {
@@ -98,8 +94,6 @@ func newStreamHub(srv *serve.Server, registry serve.Registry, defaultRelErr floa
 		maxBudget:     maxBudget,
 		seed:          seed,
 		down:          make(chan struct{}),
-		subs:          make(map[string]*stream.Subscription),
-		binds:         make(map[string]uint64),
 		feeds:         make(map[string]*feed),
 		tickErrs:      make(map[string]int64),
 	}
@@ -157,17 +151,23 @@ func finiteOr(v, fallback float64) float64 {
 	return v
 }
 
+// z95 is the standard-normal critical value of a 95% interval, the
+// constant Result.CI(0.95) would recompute for every answer.
+var z95 = stats.ZCritical(0.95)
+
 func toAnswerJSON(a stream.Answer) answerJSON {
-	ci := a.Result.CI(0.95)
+	// The interval is Result.CI(0.95)'s arithmetic: P ± z·StdErr.
+	se := a.Result.StdErr()
+	half := z95 * se
 	return answerJSON{
 		Tick: a.Tick,
 		P:    a.Result.P,
 		// -1 marks "no estimate yet" (zero hits in the pool); the CI
 		// collapses onto the answer's probability range.
-		StdErr:        finiteOr(a.Result.StdErr(), -1),
+		StdErr:        finiteOr(se, -1),
 		RelErr:        finiteOr(a.Result.RelErr(), -1),
-		CILo:          math.Max(finiteOr(ci.Lo, 0), 0),
-		CIHi:          math.Min(finiteOr(ci.Hi, 1), 1),
+		CILo:          math.Max(finiteOr(a.Result.P-half, 0), 0),
+		CIHi:          math.Min(finiteOr(a.Result.P+half, 1), 1),
 		Satisfied:     a.Satisfied,
 		PoolPaths:     a.Result.Paths,
 		PoolSteps:     a.Result.Steps,
@@ -182,9 +182,9 @@ func toAnswerJSON(a stream.Answer) answerJSON {
 	}
 }
 
-// subscribeResponse answers POST /subscribe. ID is the hub handle for
-// /updates and DELETE /subscribe; SubID is the engine's subscription ID,
-// the value /tick refreshes report, so clients can correlate the two.
+// subscribeResponse answers POST /subscribe. ID is the handle for
+// /updates and DELETE /subscribe, "sub-" followed by SubID, the engine's
+// subscription ID that /tick refreshes report.
 type subscribeResponse struct {
 	ID     string     `json:"id"`
 	SubID  uint64     `json:"subId"`
@@ -216,17 +216,13 @@ func (h *streamHub) ensureFeed(streamName, model string) (*feed, error) {
 	state := proc.Initial()
 	// The model name rides along as the stream's registry identity, so a
 	// distributed execution backend can rebuild the model on its workers
-	// (and the persist layer can rebuild it on recovery).
+	// (and recovery can rebuild the feed).
 	if err := h.engine.RegisterModel(streamName, model, proc, state); err != nil {
 		return nil, err
 	}
-	lsn, err := h.append(hubFeedCreate{Stream: streamName, Model: model})
-	if err != nil {
-		return nil, fmt.Errorf("%w: journaling feed %q: %v", serve.ErrInternal, streamName, err)
-	}
 	f := &feed{
 		model: model, proc: proc, observers: observers,
-		state: state, src: feedSource(h.seed, streamName), lsn: lsn,
+		state: state, src: feedSource(h.seed, streamName),
 	}
 	h.feeds[streamName] = f
 	return f, nil
@@ -295,50 +291,34 @@ func (h *streamHub) subscribe(ctx context.Context, req subscribeRequest) (subscr
 	if err != nil {
 		return subscribeResponse{}, err
 	}
-	h.mu.Lock()
-	h.nextID++
-	id := "sub-" + strconv.FormatInt(h.nextID, 10)
-	if lsn, jerr := h.append(hubBind{Handle: id, SubID: sub.ID()}); jerr != nil {
-		h.mu.Unlock()
-		sub.Close()
-		return subscribeResponse{}, fmt.Errorf("%w: journaling subscription: %v", serve.ErrInternal, jerr)
-	} else if lsn > h.lsn {
-		h.lsn = lsn
-	}
-	h.subs[id] = sub
-	h.mu.Unlock()
-	return subscribeResponse{ID: id, SubID: sub.ID(), Stream: streamName, Answer: toAnswerJSON(sub.Answer())}, nil
+	return subscribeResponse{ID: handle(sub.ID()), SubID: sub.ID(), Stream: streamName, Answer: toAnswerJSON(sub.Answer())}, nil
 }
 
-// lookup finds a subscription by its handle.
+// handle is a subscription's HTTP handle: "sub-" and its engine ID.
+func handle(id uint64) string { return "sub-" + strconv.FormatUint(id, 10) }
+
+// lookup finds a live subscription by its handle. Only the canonical
+// form is accepted ("sub-7", never "sub-007"), so one subscription has
+// one handle.
 func (h *streamHub) lookup(id string) (*stream.Subscription, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sub, ok := h.subs[id]
-	return sub, ok
+	digits, ok := strings.CutPrefix(id, "sub-")
+	if !ok {
+		return nil, false
+	}
+	n, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil || handle(n) != id {
+		return nil, false
+	}
+	return h.engine.Subscription(n)
 }
 
-// unsubscribe closes and forgets a subscription. The engine journals the
-// close itself (inside sub.Close), and only then does the hub journal
-// the handle's removal: a crash between the two records recovers a
-// *closed* subscription with a dangling handle — /updates answers it
-// with 410 Gone, consistent from the client's view — never a live,
-// unaddressable subscription burning refresh cost forever.
+// unsubscribe closes a subscription; the engine journals the close.
 func (h *streamHub) unsubscribe(id string) bool {
-	h.mu.Lock()
-	sub, ok := h.subs[id]
-	delete(h.subs, id)
-	h.mu.Unlock()
-	if !ok {
-		return false
+	sub, ok := h.lookup(id)
+	if ok {
+		sub.Close()
 	}
-	sub.Close()
-	h.mu.Lock()
-	if lsn, err := h.append(hubUnbind{Handle: id}); err == nil && lsn > h.lsn {
-		h.lsn = lsn
-	}
-	h.mu.Unlock()
-	return true
+	return ok
 }
 
 // tickRequest advances a live state.
@@ -390,18 +370,8 @@ func (h *streamHub) tick(ctx context.Context, req tickRequest) (int64, []stream.
 	var refreshes []stream.Refresh
 	var err error
 	for i := 0; i < steps; i++ {
-		// The feed step is journaled before the engine's own update
-		// record, so replay advances the feed's random source in lockstep
-		// with the published states.
-		lsn, jerr := h.append(hubFeedStep{Stream: req.Stream})
-		if jerr != nil {
-			return 0, nil, fmt.Errorf("%w: journaling tick: %v", serve.ErrInternal, jerr)
-		}
 		f.steps++
 		f.proc.Step(f.state, f.steps, f.src)
-		if lsn > f.lsn {
-			f.lsn = lsn
-		}
 		refreshes, err = h.engine.Update(ctx, req.Stream, f.state)
 		if err != nil {
 			return 0, nil, err
@@ -503,7 +473,7 @@ type streamStats struct {
 	// failing stream no longer stops the sweep, so these are the only
 	// trace it leaves.
 	TickErrors map[string]int64 `json:"tickErrors,omitempty"`
-	// Plans is the per-subscription plan detail, sorted by handle; only
+	// Plans is the per-subscription plan detail, in ID order; only
 	// statsDetailed (the GET /streams handler) fills it — the metric
 	// gauges read the cheap stats() and skip it.
 	Plans []subPlanJSON `json:"plans,omitempty"`
@@ -537,8 +507,8 @@ type subCrossingJSON struct {
 }
 
 func (h *streamHub) stats() streamStats {
+	es := h.engine.Stats()
 	h.mu.Lock()
-	n := len(h.subs)
 	var tickErrs map[string]int64
 	if len(h.tickErrs) > 0 {
 		tickErrs = make(map[string]int64, len(h.tickErrs))
@@ -547,33 +517,20 @@ func (h *streamHub) stats() streamStats {
 		}
 	}
 	h.mu.Unlock()
-	return streamStats{Engine: h.engine.Stats(), Subscriptions: n, TickErrors: tickErrs}
+	return streamStats{Engine: es, Subscriptions: es.Subscriptions, TickErrors: tickErrs}
 }
 
 // statsDetailed is stats() plus the per-subscription plan listing. Only
-// the GET /streams handler pays for it; PlanInfo takes each live state's
-// lock, so the subscription slice is collected first and the hub lock
-// released before any plan is read.
+// the GET /streams handler pays for it.
 func (h *streamHub) statsDetailed() streamStats {
 	out := h.stats()
-	h.mu.Lock()
-	handles := make([]string, 0, len(h.subs))
-	for id := range h.subs {
-		handles = append(handles, id)
-	}
-	sort.Strings(handles)
-	subs := make([]*stream.Subscription, len(handles))
-	for i, id := range handles {
-		subs[i] = h.subs[id]
-	}
-	h.mu.Unlock()
-	for i, sub := range subs {
+	for _, sub := range h.engine.Subscriptions() {
 		info, ok := sub.PlanInfo()
 		if !ok {
 			continue
 		}
 		pj := subPlanJSON{
-			ID:          handles[i],
+			ID:          handle(sub.ID()),
 			SubID:       sub.ID(),
 			Stream:      sub.Stream(),
 			DriftBucket: info.Bucket,

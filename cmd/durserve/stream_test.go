@@ -301,7 +301,7 @@ func TestAutoTickContinuesPastFailingStream(t *testing.T) {
 	ts, hub := testServerHub(t)
 	subscribe(t, ts, `{"model":"walk","beta":15,"horizon":100,"re":0.2}`)
 
-	// Inject broken feeds: they exist in the hub's sweep but were never
+	// Inject broken feeds: they exist in the auto-tick sweep but were never
 	// registered with the engine, so every tick of them fails. Three of
 	// them make "the healthy stream happened to sort first every sweep"
 	// vanishingly unlikely under the old early-return behavior.

@@ -7,8 +7,10 @@ import (
 
 // ServingSnapshot is the snapshot payload shared by every serving front
 // end: the standing-query engine's full state plus the warm plan cache.
-// Front ends with extra state of their own (cmd/durserve persists its
-// HTTP handle table and live feeds) embed it in a wider struct.
+// A sharded front end writes one per engine shard and carries the plans
+// in one of them only (cmd/durserve: shard-0000's).
+//
+//durlint:gobroot
 type ServingSnapshot struct {
 	Engine stream.EngineSnapshot
 	Plans  []serve.WarmPlan

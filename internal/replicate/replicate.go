@@ -1,7 +1,7 @@
 // Package replicate ships persist store bytes from a primary to a warm
-// follower. The primary exposes its stores — the hub store and one store
-// per engine shard — through a Source: a consistent manifest of files
-// and sizes plus ranged byte fetches. The follower mirrors those bytes
+// follower. The primary exposes its stores — one per engine shard —
+// through a Source: a consistent manifest of files and sizes plus ranged
+// byte fetches. The follower mirrors those bytes
 // into a local directory laid out exactly like the primary's data dir,
 // and applies complete WAL records through a persist.Tailer as they
 // arrive, so its engines track the primary tick by tick. A shard record

@@ -647,8 +647,8 @@ func (e *Engine) Subscription(id uint64) (*Subscription, bool) {
 }
 
 // Subscriptions lists every live subscription, ordered by ID. Recovery
-// paths use it to re-attach to (or reap) standing queries whose owner
-// handles died with the previous process.
+// paths use it to re-attach to standing queries whose owner handles died
+// with the previous process.
 func (e *Engine) Subscriptions() []*Subscription {
 	e.mu.RLock()
 	streams := make([]*liveState, 0, len(e.streams))
