@@ -167,9 +167,9 @@ func TestRecoveryRefusesAnotherSeed(t *testing.T) {
 
 	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
-	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
+	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 2, Tracer: tel.tracer})
 	defer srv.Close()
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 2, nil, tel.engine, shards)
+	hub := newStreamHub(srv, registry, nil, tel.engine, shards)
 	tel.bind(srv, hub)
 	hs, err := openHubStores(dir, persist.Options{}, shards)
 	if err != nil {

@@ -111,7 +111,7 @@ func main() {
 		queueDepth = flag.Int("queue", 64, "admission queue depth")
 		timeout    = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 		maxBudget  = flag.Int64("max-budget", 0, "per-query simulator-invocation cap (0 = default)")
-		maxHorizon = flag.Int("max-horizon", 1_000_000, "reject queries with a longer horizon — budgets only bind between sampling rounds, so an absurd horizon could overshoot the budget by a whole round (0 = unlimited)")
+		maxHorizon = flag.Int("max-horizon", 1_000_000, "reject queries and subscriptions with a longer horizon — budgets only bind between sampling rounds, so an absurd horizon could overshoot the budget by a whole round (0 = unlimited)")
 		defaultRE  = flag.Float64("re", 0.10, "default relative-error target")
 		seed       = flag.Uint64("seed", 1, "base random seed")
 		bucket     = flag.Float64("bucket", serve.DefaultBetaBucketWidth, "plan-cache threshold bucket width (relative)")
@@ -212,7 +212,7 @@ func main() {
 			log.Fatalf("durserve: %v", err)
 		}
 	}
-	hub := newStreamHub(srv, registry, *defaultRE, *maxBudget, *seed, backend, tel.engine, shardCount)
+	hub := newStreamHub(srv, registry, backend, tel.engine, shardCount)
 	tel.bind(srv, hub)
 
 	opts := persist.Options{MaxWALBytes: *ckptBytes, MaxWALAge: *ckptAge}

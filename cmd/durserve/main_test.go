@@ -24,7 +24,7 @@ func testServerHub(t *testing.T) (*httptest.Server, *streamHub) {
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, 1)
+	hub := newStreamHub(srv, registry, nil, tel.engine, 1)
 	tel.bind(srv, hub)
 	tel.setState(stateReady)
 	ts := httptest.NewServer(newMux(srv, hub, tel, &replicaSet{}))

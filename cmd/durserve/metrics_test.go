@@ -196,7 +196,7 @@ func TestReadinessGate(t *testing.T) {
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, 1)
+	hub := newStreamHub(srv, registry, nil, tel.engine, 1)
 	tel.bind(srv, hub)
 	ts := httptest.NewServer(tel.gate(newMux(srv, hub, tel, &replicaSet{})))
 	t.Cleanup(ts.Close)
@@ -301,7 +301,7 @@ func TestJournalMetrics(t *testing.T) {
 	}
 
 	f := startTestFollower(t, a.ts.URL, t.TempDir(), shards)
-	waitCaughtUp(t, f, storeNames(shards))
+	waitCaughtUp(t, f, a.hs)
 	fsrv := httptest.NewServer(f.tel.opsMux())
 	defer fsrv.Close()
 	body := string(getBytes(t, fsrv, "/metrics"))

@@ -62,8 +62,9 @@ func checkDataDir(dir string, shards int) error {
 	existing := 0
 	for _, e := range entries {
 		name := e.Name()
+		_, _, storeFile := persist.ParseFileName(name)
 		switch {
-		case !e.IsDir() && (strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snap-")):
+		case !e.IsDir() && storeFile:
 			return fmt.Errorf("%s holds a pre-sharding single-store layout; move it aside (the partitioned layout keeps one lineage per shard under shard-NNNN/)", dir)
 		case e.IsDir() && name == "hub":
 			return fmt.Errorf("%s holds a hub/ lineage written by an older durserve, whose handles need not equal subscription IDs; drain it with that build or move the directory aside", dir)
@@ -239,7 +240,7 @@ func (h *streamHub) rebuildFeeds(ctx context.Context) error {
 }
 
 func (h *streamHub) rebuildFeed(ctx context.Context, name, model string, heads []map[string]stream.StreamState) (*feed, error) {
-	proc, observers, err := h.resolver(name, model)
+	proc, _, err := h.resolver(name, model)
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding stream %q: %w", name, err)
 	}
@@ -260,7 +261,7 @@ func (h *streamHub) rebuildFeed(ctx context.Context, name, model string, heads [
 			low = hd.Tick
 		}
 	}
-	src := feedSource(h.seed, name)
+	src := feedSource(h.srv.Seed(), name)
 	st := proc.Initial()
 	states := make(map[int64]stochastic.State)
 	for k := int64(1); k <= top.Tick; k++ {
@@ -274,7 +275,7 @@ func (h *streamHub) rebuildFeed(ctx context.Context, name, model string, heads [
 		return nil, fmt.Errorf("comparing stream %q at tick %d: %w", name, top.Tick, err)
 	}
 	if !same {
-		return nil, fmt.Errorf("stream %q: the feed recomputed under -seed %d differs from the state journaled at tick %d; restart with the -seed and model flags the data directory was written under", name, h.seed, top.Tick)
+		return nil, fmt.Errorf("stream %q: the feed recomputed under -seed %d differs from the state journaled at tick %d; restart with the -seed and model flags the data directory was written under", name, h.srv.Seed(), top.Tick)
 	}
 	err = h.engine.CatchUp(ctx, name, top.Tick, func(k int64) (stochastic.State, error) {
 		s, ok := states[k]
@@ -286,7 +287,7 @@ func (h *streamHub) rebuildFeed(ctx context.Context, name, model string, heads [
 	if err != nil {
 		return nil, err
 	}
-	return &feed{model: model, proc: proc, observers: observers, state: st, src: src, steps: int(top.Tick)}, nil
+	return &feed{model: model, proc: proc, state: st, src: src, steps: int(top.Tick)}, nil
 }
 
 // sameState reports whether two states are equal bit for bit: gob

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,11 +22,20 @@ import (
 // real restart would.
 func durableServer(t *testing.T, dir string) (*httptest.Server, *streamHub) {
 	t.Helper()
+	ts, hub, _ := durableServerConfig(t, dir, serve.Config{PoolWorkers: 2, Seed: 1})
+	return ts, hub
+}
+
+// durableServerConfig is durableServer under cfg; it also hands back the
+// store set.
+func durableServerConfig(t *testing.T, dir string, cfg serve.Config) (*httptest.Server, *streamHub, *hubStores) {
+	t.Helper()
 	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
-	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
+	cfg.Tracer = tel.tracer
+	srv := serve.NewServer(registry, cfg)
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, 1)
+	hub := newStreamHub(srv, registry, nil, tel.engine, 1)
 	tel.bind(srv, hub)
 	hs, err := openHubStores(dir, persist.Options{}, 1)
 	if err != nil {
@@ -43,7 +54,34 @@ func durableServer(t *testing.T, dir string) (*httptest.Server, *streamHub) {
 	tel.setState(stateReady)
 	ts := httptest.NewServer(newMux(srv, hub, tel, &replicaSet{}))
 	t.Cleanup(ts.Close)
-	return ts, hub
+	return ts, hub, hs
+}
+
+// POST /subscribe holds a horizon to -max-horizon as /query does: an
+// over-cap request answers 400 before it creates a stream, a
+// subscription or a WAL record, and one within the cap answers the body
+// an uncapped server answers.
+func TestSubscribeHonoursMaxHorizon(t *testing.T) {
+	ts, hub, hs := durableServerConfig(t, t.TempDir(), serve.Config{PoolWorkers: 2, Seed: 1, MaxHorizon: 200})
+	resp, raw := postJSON(t, ts, "/subscribe", `{"model":"walk","beta":15,"horizon":500,"re":0.2}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "exceeds the server's cap 200") {
+		t.Fatalf("over-cap subscribe: status %d (%s), want 400 naming the cap", resp.StatusCode, raw)
+	}
+	if st := hub.stats(); st.Engine.Streams != 0 || st.Subscriptions != 0 {
+		t.Fatalf("a refused subscribe left %d streams and %d subscriptions", st.Engine.Streams, st.Subscriptions)
+	}
+	if lsns := hs.lastLSNs(); lsns[shardStoreName(0)] != 0 {
+		t.Fatalf("a refused subscribe journaled records: last LSNs %v", lsns)
+	}
+
+	const body = `{"model":"walk","beta":15,"horizon":100,"re":0.2}`
+	resp, capped := postJSON(t, ts, "/subscribe", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-cap subscribe: status %d (%s)", resp.StatusCode, capped)
+	}
+	if _, uncapped := postJSON(t, testServer(t), "/subscribe", body); !bytes.Equal(capped, uncapped) {
+		t.Fatalf("capped server answered\n%s\nuncapped server\n%s", capped, uncapped)
+	}
 }
 
 // tickOnce advances a stream one step and returns the lone refresh.

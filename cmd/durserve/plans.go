@@ -70,7 +70,7 @@ func plansPayload(cache *serve.PlanCache, ledger *planstats.Ledger, threshold fl
 			Ratios:     cp.Plan.Ratios,
 		}
 		pj := planJSON{
-			Key:        serve.StatsKey(cp.Key),
+			Key:        cp.Key,
 			Boundaries: cp.Plan.Boundaries,
 			Ratio:      cp.Key.Ratio,
 			Ratios:     cp.Plan.Ratios,

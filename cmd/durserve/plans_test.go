@@ -29,7 +29,7 @@ func planServer(t *testing.T, backend exec.Executor) *httptest.Server {
 	tel.bindPlanLedger(ledger, 0.05)
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Executor: backend, Tracer: tel.tracer, Ledger: ledger})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, backend, tel.engine, 1)
+	hub := newStreamHub(srv, registry, backend, tel.engine, 1)
 	tel.bind(srv, hub)
 	tel.setState(stateReady)
 	ts := httptest.NewServer(newMux(srv, hub, tel, &replicaSet{}))

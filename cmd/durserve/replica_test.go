@@ -37,7 +37,7 @@ func durableSharded(t *testing.T, dir string, shards int) *replicaStack {
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, shards)
+	hub := newStreamHub(srv, registry, nil, tel.engine, shards)
 	tel.bind(srv, hub)
 	hs, err := openHubStores(dir, persist.Options{}, shards)
 	if err != nil {
@@ -71,7 +71,7 @@ func startTestFollower(t *testing.T, primaryURL, dir string, shards int) *follow
 	tel := newTelemetry()
 	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Tracer: tel.tracer})
 	t.Cleanup(srv.Close)
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, shards)
+	hub := newStreamHub(srv, registry, nil, tel.engine, shards)
 	tel.bind(srv, hub)
 	tel.setState(stateFollowing)
 	fr := startFollower(hub, replicate.HTTPSource{Base: primaryURL}, dir, persist.Options{},
@@ -80,17 +80,19 @@ func startTestFollower(t *testing.T, primaryURL, dir string, shards int) *follow
 	return &followerStack{hub: hub, srv: srv, tel: tel, fr: fr}
 }
 
-// waitCaughtUp polls the follower until every replicated store reports
-// zero byte lag behind the primary's manifest.
-func waitCaughtUp(t *testing.T, fs *followerStack, names []string) {
+// waitCaughtUp polls the follower until every store has applied the
+// primary store's last appended record. The follower's own lag gauges
+// measure against the last manifest it fetched, which can predate the
+// records written just before the call.
+func waitCaughtUp(t *testing.T, fs *followerStack, primary *hubStores) {
 	t.Helper()
+	want := primary.lastLSNs()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		lags := fs.fr.follower.Lags()
-		caught := len(lags) >= len(names)
-		for _, name := range names {
-			lag, ok := lags[name]
-			if !ok || lag.Bytes != 0 || lag.Records != 0 {
+		caught := true
+		for name, lsn := range want {
+			if lag, ok := lags[name]; !ok || lag.AppliedLSN < lsn {
 				caught = false
 			}
 		}
@@ -98,7 +100,7 @@ func waitCaughtUp(t *testing.T, fs *followerStack, names []string) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never caught up: lags %+v", lags)
+			t.Fatalf("follower never applied the primary's last LSNs %v: lags %+v", want, lags)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -184,7 +186,7 @@ func TestFinalShutdownCoversAllShards(t *testing.T) {
 	defer srv.Close()
 	restarted.ts.Close()
 	restarted.hub.closeStores()
-	hub := newStreamHub(srv, registry, 0.15, 50_000_000, 1, nil, tel.engine, shards)
+	hub := newStreamHub(srv, registry, nil, tel.engine, shards)
 	tel.bind(srv, hub)
 	hs, err := openHubStores(dir, persist.Options{}, shards)
 	if err != nil {
@@ -246,7 +248,6 @@ func TestWaitForAcks(t *testing.T) {
 // the primary would have kept serving — same handles, same answers.
 func TestFollowerPromoteServesIdenticalAnswers(t *testing.T) {
 	const shards, preTicks, postTicks = 2, 3, 4
-	names := storeNames(shards)
 
 	// Golden: one uninterrupted primary driven through the whole
 	// trajectory.
@@ -271,7 +272,7 @@ func TestFollowerPromoteServesIdenticalAnswers(t *testing.T) {
 			t.Fatalf("primary tick %d diverged from golden", i+1)
 		}
 	}
-	waitCaughtUp(t, fs, names)
+	waitCaughtUp(t, fs, primary.hs)
 
 	// SIGTERM handover: the final checkpoint covers every lineage and the
 	// follower acknowledges the final LSNs before the primary lets go.
@@ -284,7 +285,7 @@ func TestFollowerPromoteServesIdenticalAnswers(t *testing.T) {
 	if !primary.acks.covered(primary.hs.lastLSNs()) {
 		t.Fatal("primary exited before the follower acknowledged the final LSNs")
 	}
-	waitCaughtUp(t, fs, names)
+	waitCaughtUp(t, fs, primary.hs)
 	primary.ts.Close()
 	primary.hub.closeStores()
 

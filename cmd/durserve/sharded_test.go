@@ -35,7 +35,7 @@ func shardedServer(t *testing.T, nWorkers int) (*httptest.Server, *httptest.Serv
 	backend.Metrics = shardedTel.workers
 	shardedSrv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Executor: backend, Tracer: shardedTel.tracer})
 	t.Cleanup(shardedSrv.Close)
-	shardedHub := newStreamHub(shardedSrv, registry, 0.15, 50_000_000, 1, backend, shardedTel.engine, 1)
+	shardedHub := newStreamHub(shardedSrv, registry, backend, shardedTel.engine, 1)
 	shardedTel.bind(shardedSrv, shardedHub)
 	shardedTel.setState(stateReady)
 	sharded := httptest.NewServer(newMux(shardedSrv, shardedHub, shardedTel, &replicaSet{}))
@@ -44,7 +44,7 @@ func shardedServer(t *testing.T, nWorkers int) (*httptest.Server, *httptest.Serv
 	localTel := newTelemetry()
 	localSrv := serve.NewServer(registry, serve.Config{PoolWorkers: 2, Seed: 1, Executor: exec.Local{}, Tracer: localTel.tracer})
 	t.Cleanup(localSrv.Close)
-	localHub := newStreamHub(localSrv, registry, 0.15, 50_000_000, 1, exec.Local{}, localTel.engine, 1)
+	localHub := newStreamHub(localSrv, registry, exec.Local{}, localTel.engine, 1)
 	localTel.bind(localSrv, localHub)
 	localTel.setState(stateReady)
 	local := httptest.NewServer(newMux(localSrv, localHub, localTel, &replicaSet{}))

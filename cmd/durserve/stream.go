@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"durability/internal/exec"
-	"durability/internal/mc"
 	"durability/internal/planstats"
 	"durability/internal/rng"
 	"durability/internal/serve"
@@ -32,12 +31,9 @@ import (
 // plan cache as one-shot /query requests.
 type streamHub struct {
 	engine   *stream.ShardedEngine
+	srv      *serve.Server // lowers /subscribe requests and supplies the default seed
 	runner   *serve.Runner
 	registry serve.Registry
-
-	defaultRelErr float64
-	maxBudget     int64
-	seed          uint64
 
 	// Durable serving state (-data-dir): one checkpoint+WAL store per
 	// engine shard (see hubStores) and the checkpoint serializer.
@@ -63,9 +59,8 @@ type streamHub struct {
 // rebuildFeeds). mu serializes ticks on this feed (the auto-ticker and
 // concurrent POST /tick requests both advance it).
 type feed struct {
-	model     string
-	proc      stochastic.Process
-	observers map[string]stochastic.Observer
+	model string
+	proc  stochastic.Process
 
 	mu    sync.Mutex
 	state stochastic.State
@@ -73,29 +68,18 @@ type feed struct {
 	steps int
 }
 
-func newStreamHub(srv *serve.Server, registry serve.Registry, defaultRelErr float64, maxBudget int64, seed uint64, backend exec.Executor, metrics *telemetry.EngineMetrics, shards int) *streamHub {
-	if defaultRelErr <= 0 {
-		defaultRelErr = 0.10
-	}
-	if maxBudget <= 0 {
-		maxBudget = 200_000_000
-	}
-	if seed == 0 {
-		seed = 1
-	}
+func newStreamHub(srv *serve.Server, registry serve.Registry, backend exec.Executor, metrics *telemetry.EngineMetrics, shards int) *streamHub {
 	if shards < 1 {
 		shards = 1
 	}
 	return &streamHub{
-		engine:        stream.NewSharded(stream.Config{Runner: srv.Runner(), Exec: backend, Metrics: metrics}, shards, 0),
-		runner:        srv.Runner(),
-		registry:      registry,
-		defaultRelErr: defaultRelErr,
-		maxBudget:     maxBudget,
-		seed:          seed,
-		down:          make(chan struct{}),
-		feeds:         make(map[string]*feed),
-		tickErrs:      make(map[string]int64),
+		engine:   stream.NewSharded(stream.Config{Runner: srv.Runner(), Exec: backend, Metrics: metrics}, shards, 0),
+		srv:      srv,
+		runner:   srv.Runner(),
+		registry: registry,
+		down:     make(chan struct{}),
+		feeds:    make(map[string]*feed),
+		tickErrs: make(map[string]int64),
 	}
 }
 
@@ -209,7 +193,7 @@ func (h *streamHub) ensureFeed(streamName, model string) (*feed, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown model %q", model)
 	}
-	proc, observers, err := factory()
+	proc, _, err := factory()
 	if err != nil {
 		return nil, fmt.Errorf("%w: building model %q: %v", serve.ErrInternal, model, err)
 	}
@@ -221,8 +205,8 @@ func (h *streamHub) ensureFeed(streamName, model string) (*feed, error) {
 		return nil, err
 	}
 	f := &feed{
-		model: model, proc: proc, observers: observers,
-		state: state, src: feedSource(h.seed, streamName),
+		model: model, proc: proc,
+		state: state, src: feedSource(h.srv.Seed(), streamName),
 	}
 	h.feeds[streamName] = f
 	return f, nil
@@ -240,41 +224,29 @@ func feedSource(seed uint64, streamName string) *rng.Source {
 }
 
 // subscribe registers the standing query and returns its handle plus the
-// initial answer.
+// initial answer. The request is lowered by the query server's Resolve,
+// so its caps and defaults hold here as on /query, and a refused request
+// creates no stream, subscription or journal record.
 func (h *streamHub) subscribe(ctx context.Context, req subscribeRequest) (subscribeResponse, error) {
-	streamName := req.Stream
-	if streamName == "" {
-		streamName = req.Model
-	}
-	f, err := h.ensureFeed(streamName, req.Model)
-	if err != nil {
-		return subscribeResponse{}, err
-	}
 	obsName := req.Observer
 	if obsName == "" {
 		obsName = "value"
 	}
-	obs, ok := f.observers[obsName]
-	if !ok {
-		return subscribeResponse{}, fmt.Errorf("model %q has no observer %q", req.Model, obsName)
+	_, obs, stop, err := h.srv.Resolve(req.Model, obsName, req.Horizon, req.RelErr, req.Budget)
+	if err != nil {
+		return subscribeResponse{}, err
 	}
-
+	streamName := req.Stream
+	if streamName == "" {
+		streamName = req.Model
+	}
+	if _, err := h.ensureFeed(streamName, req.Model); err != nil {
+		return subscribeResponse{}, err
+	}
 	seed := req.Seed
 	if seed == 0 {
-		seed = h.seed
+		seed = h.srv.Seed()
 	}
-	var stop mc.Any
-	if req.RelErr > 0 {
-		stop = append(stop, mc.RETarget{Target: req.RelErr})
-	}
-	budget := h.maxBudget
-	if req.Budget > 0 && req.Budget < budget {
-		budget = req.Budget
-	}
-	if len(stop) == 0 && req.Budget <= 0 {
-		stop = append(stop, mc.RETarget{Target: h.defaultRelErr})
-	}
-	stop = append(stop, mc.Budget{Steps: budget})
 
 	sub, err := h.engine.Subscribe(ctx, stream.SubSpec{
 		Stream:     streamName,
@@ -538,7 +510,7 @@ func (h *streamHub) statsDetailed() streamStats {
 			Ratios:      info.Ratios,
 		}
 		if info.HaveKey {
-			key := serve.StatsKey(info.Key)
+			key := info.Key
 			pj.PlanKey = &key
 			if snap, ok := h.runner.Ledger.Snapshot(key); ok {
 				pj.Crossing = &subCrossingJSON{

@@ -12,7 +12,7 @@ func (s *Store) DiskListing() (Listing, error) {
 	}
 	out := Listing{NextLSN: s.nextLSN, Files: []FileInfo{}}
 	for _, f := range append(snaps, wals...) {
-		if f.Name == walName(s.seq) {
+		if f.Name == FileName(WALFile, s.seq) {
 			f.Size = s.walBytes
 		}
 		out.Files = append(out.Files, f.FileInfo)

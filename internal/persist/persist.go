@@ -162,39 +162,25 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{dir: dir, opts: opts, fs: opts.FS}, nil
 }
 
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%016d", seq) }
-func walName(seq uint64) string  { return fmt.Sprintf("wal-%016d", seq) }
+func (s *Store) snapPath(seq uint64) string { return filepath.Join(s.dir, FileName(SnapFile, seq)) }
+func (s *Store) walPath(seq uint64) string  { return filepath.Join(s.dir, FileName(WALFile, seq)) }
 
-func (s *Store) snapPath(seq uint64) string { return filepath.Join(s.dir, snapName(seq)) }
-func (s *Store) walPath(seq uint64) string  { return filepath.Join(s.dir, walName(seq)) }
-
-// diskFiles scans the directory for snapshot and segment files, each
-// list in sequence order, with their sizes: the one scan Recover makes,
-// which the store's own bookkeeping stands in for afterwards.
+// diskFiles lists the directory's snapshot and segment files, each list
+// in sequence order, with their sizes: the one scan Recover makes, which
+// the store's own bookkeeping stands in for afterwards.
 func (s *Store) diskFiles() (snaps, wals []storeFile, err error) {
-	entries, err := s.fs.ReadDir(s.dir)
+	files, err := ListDir(s.fs, s.dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: %w", err)
+		return nil, nil, err
 	}
-	for _, e := range entries {
-		var seq uint64
-		var list *[]storeFile
-		if n, _ := fmt.Sscanf(e.Name(), "snap-%d", &seq); n == 1 && e.Name() == snapName(seq) {
-			list = &snaps
-		} else if n, _ := fmt.Sscanf(e.Name(), "wal-%d", &seq); n == 1 && e.Name() == walName(seq) {
-			list = &wals
+	for _, f := range files {
+		kind, seq, _ := ParseFileName(f.Name)
+		if kind == SnapFile {
+			snaps = append(snaps, storeFile{seq, f})
 		} else {
-			continue
+			wals = append(wals, storeFile{seq, f})
 		}
-		st, err := s.fs.Stat(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue // removed between scan and stat
-		}
-		*list = append(*list, storeFile{seq, FileInfo{Name: e.Name(), Size: st.Size()}})
 	}
-	bySeq := func(a, b storeFile) int { return cmp.Compare(a.seq, b.seq) }
-	slices.SortFunc(snaps, bySeq)
-	slices.SortFunc(wals, bySeq)
 	return snaps, wals, nil
 }
 
@@ -254,7 +240,7 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 			continue
 		}
 		last := wi == len(wals)-1
-		n, next, err := s.replaySegment(w.seq, last, apply)
+		n, next, err := s.replaySegment(w, last, apply)
 		if err != nil {
 			return found, replayed, err
 		}
@@ -282,24 +268,25 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 	return found, replayed, nil
 }
 
-// replaySegment reads one WAL segment, calling apply per record. Only the
-// final segment may end torn — in its header (a crash during rotation,
-// before the segment took a record) or in a record — and is truncated to
-// its last complete record; it returns the record count and the LSN
-// following the last applied record (0 when the header is torn).
-func (s *Store) replaySegment(seq uint64, last bool, apply func(lsn int64, ev any) error) (n int, nextLSN int64, err error) {
-	path := s.walPath(seq)
+// replaySegment reads one WAL segment, of the size the directory scan
+// found, calling apply per record. Only the final segment may end torn —
+// in its header (a crash during rotation, before the segment took a
+// record) or in a record — and is truncated to its last complete record;
+// it returns the record count and the LSN following the last applied
+// record (0 when the header is torn).
+func (s *Store) replaySegment(w storeFile, last bool, apply func(lsn int64, ev any) error) (n int, nextLSN int64, err error) {
+	path := s.walPath(w.seq)
 	f, err := s.fs.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return 0, 0, fmt.Errorf("persist: %w", err)
 	}
 	defer f.Close()
 
-	seg, err := readSegment(f, path, apply)
+	seg, err := readSegment(f, w.Size, path, apply)
 	if err != nil {
 		return seg.n, 0, err
 	}
-	if seg.torn {
+	if seg.stop != frameOK {
 		// The expected crash footprint at the end of the final segment;
 		// anywhere else it is lost history.
 		if !last {
@@ -328,23 +315,23 @@ func (s *Store) openSegmentLocked(seq uint64) error {
 	if err != nil {
 		// The file exists now, whatever it holds; list it as it is.
 		if st, serr := f.Stat(); serr == nil {
-			s.wals = noteFile(s.wals, seq, walName(seq), st.Size())
+			s.wals = noteFile(s.wals, seq, FileName(WALFile, seq), st.Size())
 		}
 		f.Close()
 		return fmt.Errorf("persist: %w", err)
 	}
 	if s.wal != nil {
-		s.wals = noteFile(s.wals, s.seq, walName(s.seq), s.walBytes)
+		s.wals = noteFile(s.wals, s.seq, FileName(WALFile, s.seq), s.walBytes)
 		s.wal.Close()
 	}
 	s.wal, s.seq = f, seq
-	s.wals = noteFile(s.wals, seq, walName(seq), size)
+	s.wals = noteFile(s.wals, seq, FileName(WALFile, seq), size)
 	s.enc = nil
 	if fresh {
 		s.enc = newSegmentEncoder()
 	}
 	s.walBytes = size
-	s.walDirty = size > int64(len(walMagic)+8)
+	s.walDirty = size > segmentHeaderLen
 	s.walSince = time.Now()
 	return nil
 }
@@ -359,8 +346,7 @@ func (s *Store) prepareSegment(f File) (size int64, fresh bool, err error) {
 		return 0, false, err
 	}
 	size = st.Size()
-	headerLen := int64(len(walMagic) + 8)
-	if size > 0 && size < headerLen {
+	if size > 0 && size < segmentHeaderLen {
 		// A crash tore the header write of a segment that never took a
 		// record (Recover truncates this shape to 0 for the final
 		// segment); start it over rather than appending after garbage.
@@ -370,15 +356,15 @@ func (s *Store) prepareSegment(f File) (size int64, fresh bool, err error) {
 		size = 0
 	}
 	if size == 0 {
-		header := make([]byte, headerLen)
+		header := make([]byte, segmentHeaderLen)
 		copy(header, walMagic)
 		binary.LittleEndian.PutUint64(header[len(walMagic):], uint64(s.nextLSN))
 		if _, err := f.Write(header); err != nil {
 			return 0, false, err
 		}
-		return headerLen, true, nil
+		return segmentHeaderLen, true, nil
 	}
-	if size == headerLen {
+	if size == segmentHeaderLen {
 		magic := make([]byte, len(walMagic))
 		if _, err := io.ReadFull(f, magic); err != nil {
 			return 0, false, err
@@ -520,7 +506,7 @@ func (s *Store) Checkpoint(assemble func() (any, error)) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snaps = noteFile(s.snaps, newSeq, snapName(newSeq), size)
+	s.snaps = noteFile(s.snaps, newSeq, FileName(SnapFile, newSeq), size)
 	s.snapSeq = newSeq
 	s.compactLocked()
 	return nil

@@ -1,10 +1,8 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -12,12 +10,6 @@ import (
 // This file is the replication surface of the store: a consistent listing
 // of its files for a shipper to copy, and a Tailer that parses complete
 // records out of a segment as bytes arrive — the follower's read path.
-
-// FileInfo names one store file and its size.
-type FileInfo struct {
-	Name string
-	Size int64
-}
 
 // Listing is a point-in-time view of the store's snapshot and WAL files.
 // The live segment's size is reported at the last complete record
@@ -76,7 +68,6 @@ func ReadSnapshotFile(fsys FS, path string, snap any) (ok bool, err error) {
 // immutable by the append-only contract, so a checksum failure on a
 // complete frame is real corruption.
 type Tailer struct {
-	fsys FS
 	path string
 	f    File
 
@@ -95,90 +86,44 @@ func OpenTailer(fsys FS, path string) (*Tailer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return &Tailer{fsys: fsys, path: path, f: f}, nil
-}
-
-// size returns the current byte length of the underlying file.
-func (t *Tailer) size() (int64, error) {
-	st, err := t.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("persist: %w", err)
-	}
-	return st.Size(), nil
-}
-
-// readAt fills buf from the given offset.
-func (t *Tailer) readAt(buf []byte, off int64) error {
-	if _, err := t.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if _, err := io.ReadFull(t.f, buf); err != nil {
-		return fmt.Errorf("persist: %s: %w", t.path, err)
-	}
-	return nil
+	return &Tailer{path: path, f: f}, nil
 }
 
 // Next parses the next complete record. ok == false means the segment
 // currently ends mid-frame (or before its header): call again after more
 // bytes have been shipped. err reports genuine corruption — a bad magic,
-// a checksum failure on a complete frame, or a broken LSN chain.
+// a complete frame that fails its length cap or checksum, or a broken
+// LSN chain.
 func (t *Tailer) Next() (lsn int64, ev any, ok bool, err error) {
-	size, err := t.size()
+	st, err := t.f.Stat()
 	if err != nil {
-		return 0, nil, false, err
+		return 0, nil, false, fmt.Errorf("persist: %w", err)
 	}
-	if t.dec == nil {
-		headerLen := int64(len(walMagic) + 8)
-		if size < headerLen {
-			return 0, nil, false, nil
-		}
-		header := make([]byte, headerLen)
-		if err := t.readAt(header, 0); err != nil {
-			return 0, nil, false, err
-		}
-		dec, err := segmentFormat(t.path, header[:len(walMagic)])
-		if err != nil {
-			return 0, nil, false, err
-		}
-		t.dec = dec
-		t.next = int64(binary.LittleEndian.Uint64(header[len(walMagic):]))
-		t.off = headerLen
-	}
+	size := st.Size()
 	if size < t.off {
 		return 0, nil, false, fmt.Errorf("persist: %s shrank below parsed offset %d — replicated history rewritten", t.path, t.off)
 	}
-	if size < t.off+frameHeaderLen {
+	if _, err := t.f.Seek(t.off, io.SeekStart); err != nil {
+		return 0, nil, false, fmt.Errorf("persist: %w", err)
+	}
+	if t.dec == nil {
+		dec, first, ok, err := readSegmentHeader(t.f, size, t.path)
+		if !ok {
+			return 0, nil, false, err
+		}
+		t.dec, t.next, t.off = dec, first, segmentHeaderLen
+	}
+	ev, n, status, err := readRecord(t.f, size-t.off, t.next, t.dec)
+	switch {
+	case err != nil:
+		return 0, nil, false, fmt.Errorf("persist: %s: record at %d (lsn %d): %w", t.path, t.off, t.next, err)
+	case status == frameShort:
 		return 0, nil, false, nil
+	case status == frameBad:
+		return 0, nil, false, fmt.Errorf("persist: %s: the complete record at %d fails its length cap or checksum", t.path, t.off)
 	}
-	header := make([]byte, frameHeaderLen)
-	if err := t.readAt(header, t.off); err != nil {
-		return 0, nil, false, err
-	}
-	length := binary.LittleEndian.Uint32(header[0:])
-	if length > maxRecordBytes {
-		return 0, nil, false, fmt.Errorf("persist: %s: record at %d has impossible length %d", t.path, t.off, length)
-	}
-	if size < t.off+frameHeaderLen+int64(length) {
-		return 0, nil, false, nil
-	}
-	payload := make([]byte, length)
-	if err := t.readAt(payload, t.off+frameHeaderLen); err != nil {
-		return 0, nil, false, err
-	}
-	crc := crc32.Update(0, crcTable, header[8:])
-	crc = crc32.Update(crc, crcTable, payload)
-	if crc != binary.LittleEndian.Uint32(header[4:]) {
-		return 0, nil, false, fmt.Errorf("persist: %s: checksum failure on complete record at %d", t.path, t.off)
-	}
-	lsn = int64(binary.LittleEndian.Uint64(header[8:]))
-	if lsn != t.next {
-		return 0, nil, false, fmt.Errorf("persist: %s: record carries lsn %d, expected %d", t.path, lsn, t.next)
-	}
-	ev, err = t.dec.decode(payload)
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("persist: %s: decoding record lsn %d: %w", t.path, lsn, err)
-	}
-	t.off += frameHeaderLen + int64(length)
+	lsn = t.next
+	t.off += n
 	t.next++
 	return lsn, ev, true, nil
 }

@@ -32,7 +32,10 @@ type envelope struct {
 // written by earlier builds and still read, every payload is a
 // self-contained gob stream.
 
-const frameHeaderLen = 4 + 4 + 8
+const (
+	segmentHeaderLen = 8 + 8     // magic, then the LSN of the segment's first record
+	frameHeaderLen   = 4 + 4 + 8 // payload length, CRC32C, LSN
+)
 
 // keptRecordBuffer caps the frame buffer a segment encoder keeps
 // between records; a rare larger record is framed in a buffer that is
@@ -79,17 +82,32 @@ type segmentDecoder struct {
 	dec    *gob.Decoder
 }
 
-// segmentFormat reads a segment header's magic and returns the decoder
-// for its records.
-func segmentFormat(path string, magic []byte) (*segmentDecoder, error) {
-	switch {
-	case bytes.Equal(magic, walMagic):
-		return &segmentDecoder{stream: true}, nil
-	case bytes.Equal(magic, walMagicV1):
-		return &segmentDecoder{}, nil
+// readSegmentHeader reads a segment's header from r, which holds avail
+// more bytes, and returns the decoder for the segment's records and the
+// LSN of its first. ok == false with a nil error means the header is
+// incomplete; a magic this build does not know is an error naming it.
+// path names the segment in errors.
+func readSegmentHeader(r io.Reader, avail int64, path string) (dec *segmentDecoder, first int64, ok bool, err error) {
+	if avail < segmentHeaderLen {
+		return nil, 0, false, nil
 	}
-	return nil, fmt.Errorf("persist: %s: unknown WAL segment format %q (this build reads %q and %q)",
-		path, magic, walMagicV1, walMagic)
+	header := make([]byte, segmentHeaderLen)
+	if ok, err := readFull(r, header); !ok {
+		if err != nil {
+			err = fmt.Errorf("persist: %s: reading segment header: %w", path, err)
+		}
+		return nil, 0, false, err
+	}
+	switch magic := header[:len(walMagic)]; {
+	case bytes.Equal(magic, walMagic):
+		dec = &segmentDecoder{stream: true}
+	case bytes.Equal(magic, walMagicV1):
+		dec = &segmentDecoder{}
+	default:
+		return nil, 0, false, fmt.Errorf("persist: %s: unknown WAL segment format %q (this build reads %q and %q)",
+			path, magic, walMagicV1, walMagic)
+	}
+	return dec, int64(binary.LittleEndian.Uint64(header[len(walMagic):])), true, nil
 }
 
 func (d *segmentDecoder) decode(payload []byte) (any, error) {
@@ -113,98 +131,100 @@ func (d *segmentDecoder) decode(payload []byte) (any, error) {
 	return env.E, nil
 }
 
-// readStatus is the outcome of one frame read.
-type readStatus int
+// frameStatus is what one frame read found.
+type frameStatus int
 
 const (
-	readOK   readStatus = iota // a complete, valid record
-	readEOF                    // stream ended cleanly at a frame boundary
-	readTorn                   // incomplete or checksum-failed record: a crash footprint
+	frameOK    frameStatus = iota // a complete, valid frame
+	frameShort                    // an incomplete frame: it runs past the bytes available
+	frameBad                      // a complete frame that fails its length cap or checksum
 )
 
-// readRecord reads one frame. readEOF and readTorn end the stream; the
-// caller decides whether a torn record is acceptable (it is only at the
-// very end of the final segment). Only an EOF-shaped short read counts
-// as torn — a genuine I/O failure (EIO, a vanished file) is an error,
-// never a truncation point: mistaking one for a torn tail would
-// silently discard committed history. A record that checksums correctly
-// but will not decode, or whose sequence number breaks the chain, is
-// likewise corruption beyond a torn tail and reports an error.
-func readRecord(r io.Reader, wantLSN int64, dec *segmentDecoder) (ev any, status readStatus, err error) {
-	var header [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		switch err {
-		case io.EOF:
-			return nil, readEOF, nil
-		case io.ErrUnexpectedEOF:
-			return nil, readTorn, nil // short header
-		}
-		return nil, readTorn, fmt.Errorf("reading record header: %w", err)
+// readFull fills buf from r. ok == false with a nil error means r ended
+// first, which only an incomplete frame explains. Any other failure
+// (EIO, a vanished file) is an error, never a truncation point:
+// mistaking one for a torn tail would silently discard committed
+// history.
+func readFull(r io.Reader, buf []byte) (ok bool, err error) {
+	_, err = io.ReadFull(r, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// readRecord reads one frame from r, which holds avail more bytes, as
+// the record numbered wantLSN, and returns the frame's size with its
+// status: frameOK with the decoded record; frameShort when the frame
+// runs past avail (nothing past its header is read); frameBad when the
+// complete frame fails its length cap or checksum. Its two callers hold
+// different policies for the two failures — recovery truncates either
+// as a torn tail, a tailer waits on a short frame for more bytes and
+// reports a bad one as corruption — over one reading. A frame that
+// checksums correctly but breaks the LSN chain or will not decode is
+// corruption to both and returns an error, as an I/O failure does.
+func readRecord(r io.Reader, avail, wantLSN int64, dec *segmentDecoder) (ev any, size int64, status frameStatus, err error) {
+	if avail < frameHeaderLen {
+		return nil, 0, frameShort, nil
+	}
+	header := make([]byte, frameHeaderLen)
+	if ok, err := readFull(r, header); !ok {
+		return nil, 0, frameShort, err
 	}
 	length := binary.LittleEndian.Uint32(header[0:])
 	if length > maxRecordBytes {
-		return nil, readTorn, nil // garbage length
+		return nil, 0, frameBad, nil
+	}
+	size = frameHeaderLen + int64(length)
+	if avail < size {
+		return nil, 0, frameShort, nil
 	}
 	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, readTorn, nil // short payload
-		}
-		return nil, readTorn, fmt.Errorf("reading record payload: %w", err)
+	if ok, err := readFull(r, payload); !ok {
+		return nil, 0, frameShort, err
 	}
 	crc := crc32.Update(0, crcTable, header[8:])
 	crc = crc32.Update(crc, crcTable, payload)
 	if crc != binary.LittleEndian.Uint32(header[4:]) {
-		return nil, readTorn, nil // torn or bit-rotted record
+		return nil, size, frameBad, nil
 	}
-	lsn := int64(binary.LittleEndian.Uint64(header[8:]))
-	if lsn != wantLSN {
-		return nil, readTorn, fmt.Errorf("record carries lsn %d, expected %d", lsn, wantLSN)
+	if lsn := int64(binary.LittleEndian.Uint64(header[8:])); lsn != wantLSN {
+		return nil, size, frameOK, fmt.Errorf("record carries lsn %d, expected %d", lsn, wantLSN)
 	}
-	ev, err = dec.decode(payload)
-	if err != nil {
-		return nil, readTorn, fmt.Errorf("decoding record: %w", err)
+	if ev, err = dec.decode(payload); err != nil {
+		return nil, size, frameOK, fmt.Errorf("decoding record: %w", err)
 	}
-	return ev, readOK, nil
+	return ev, size, frameOK, nil
 }
 
 // segmentRead is how far readSegment got through one segment.
 type segmentRead struct {
-	n    int   // complete records applied
-	next int64 // LSN following the last one: the header's LSN when n == 0, 0 when the header itself is torn
-	end  int64 // byte offset after the last complete record (0 when the header is torn)
-	torn bool  // stopped at a torn header or record rather than a clean end
+	n    int         // complete records applied
+	next int64       // LSN following the last one: the header's LSN when n == 0, 0 when the header is incomplete
+	end  int64       // byte offset after the last complete record (0 when the header is incomplete)
+	stop frameStatus // frameOK at the segment's end, else the torn header or record it stopped at
 }
 
-// readSegment reads one WAL segment from its start, calling apply per
-// complete record, and stops at the clean end or at the first torn
-// record; the caller decides whether a torn stop is acceptable and
-// truncates at end. path names the segment in errors.
-func readSegment(r io.Reader, path string, apply func(lsn int64, ev any) error) (segmentRead, error) {
+// readSegment reads one WAL segment of size bytes from r's start,
+// calling apply per complete record, and stops at the segment's end or
+// at the first short or bad frame: a torn stop, which the caller
+// accepts only at the end of the final segment, truncating at end. path
+// names the segment in errors.
+func readSegment(r io.Reader, size int64, path string, apply func(lsn int64, ev any) error) (segmentRead, error) {
 	var seg segmentRead
-	header := make([]byte, len(walMagic)+8)
-	if _, err := io.ReadFull(r, header); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			seg.torn = true
-			return seg, nil
-		}
-		return seg, fmt.Errorf("persist: %s: reading segment header: %w", path, err)
-	}
-	dec, err := segmentFormat(path, header[:len(walMagic)])
-	if err != nil {
+	dec, first, ok, err := readSegmentHeader(r, size, path)
+	if !ok {
+		seg.stop = frameShort
 		return seg, err
 	}
-	seg.next = int64(binary.LittleEndian.Uint64(header[len(walMagic):]))
-	seg.end = int64(len(header))
-
-	cr := &countingReader{r: r}
-	for {
-		ev, status, err := readRecord(cr, seg.next, dec)
+	seg.next, seg.end = first, segmentHeaderLen
+	for seg.end < size {
+		ev, n, status, err := readRecord(r, size-seg.end, seg.next, dec)
 		if err != nil {
 			return seg, fmt.Errorf("persist: %s: record %d (lsn %d): %w", path, seg.n, seg.next, err)
 		}
-		if status != readOK {
-			seg.torn = status == readTorn
+		if status != frameOK {
+			seg.stop = status
 			return seg, nil
 		}
 		if apply != nil {
@@ -214,22 +234,9 @@ func readSegment(r io.Reader, path string, apply func(lsn int64, ev any) error) 
 		}
 		seg.n++
 		seg.next++
-		seg.end += cr.n
-		cr.n = 0
+		seg.end += n
 	}
-}
-
-// countingReader tracks bytes consumed, so truncation lands exactly after
-// the last complete record.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return seg, nil
 }
 
 // Snapshot file layout:

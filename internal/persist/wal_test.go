@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testTag is a second registered event type, so a segment's stream
@@ -31,7 +33,7 @@ func init() {
 // segmentMagic reads the format magic of a store's segment.
 func segmentMagic(t *testing.T, dir string, seq uint64) string {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(dir, walName(seq)))
+	blob, err := os.ReadFile(filepath.Join(dir, FileName(WALFile, seq)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func recoverEvents(t *testing.T, dir string) (*Store, testSnap, []any) {
 // tailAll reads every complete record of a segment through a Tailer.
 func tailAll(t *testing.T, dir string, seq uint64) []any {
 	t.Helper()
-	tl, err := OpenTailer(nil, filepath.Join(dir, walName(seq)))
+	tl, err := OpenTailer(nil, filepath.Join(dir, FileName(WALFile, seq)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestTornStreamTailStartsFreshSegment(t *testing.T) {
 	mustAppend(t, st, testEvent{N: 1}, testTag{Label: "a", Vals: []float64{1.5}}, testEvent{N: 2}, testEvent{N: 3})
 	st.Close()
 
-	path := filepath.Join(dir, walName(1))
+	path := filepath.Join(dir, FileName(WALFile, 1))
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +114,7 @@ func TestTornStreamTailStartsFreshSegment(t *testing.T) {
 	}
 	mustAppend(t, st2, testTag{Label: "b"})
 	st2.Close()
-	if _, err := os.Stat(filepath.Join(dir, walName(2))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, FileName(WALFile, 2))); err != nil {
 		t.Fatalf("the append after a recovered stream did not start a fresh segment: %v", err)
 	}
 	if m := segmentMagic(t, dir, 2); m != string(walMagic) {
@@ -178,7 +180,7 @@ func TestTailerOpenedAfterRecords(t *testing.T) {
 	}
 	mustAppend(t, st, want...)
 
-	tl, err := OpenTailer(nil, filepath.Join(dir, walName(1)))
+	tl, err := OpenTailer(nil, filepath.Join(dir, FileName(WALFile, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +213,67 @@ func TestTailerOpenedAfterRecords(t *testing.T) {
 	}
 }
 
+// opCounts tallies the calls a Tailer makes on its file.
+type opCounts struct{ stat, seek, read int }
+
+type countingFS struct {
+	FS
+	n *opCounts
+}
+
+func (c countingFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	return countingFile{f, c.n}, err
+}
+
+type countingFile struct {
+	File
+	n *opCounts
+}
+
+func (f countingFile) Stat() (os.FileInfo, error) { f.n.stat++; return f.File.Stat() }
+func (f countingFile) Read(p []byte) (int, error) { f.n.read++; return f.File.Read(p) }
+func (f countingFile) Seek(off int64, whence int) (int64, error) {
+	f.n.seek++
+	return f.File.Seek(off, whence)
+}
+
+// A Tailer reads a record with one Stat, one Seek and two Reads (the
+// frame header, then the payload); the segment header costs one more
+// Read, and a call that finds no new frame a Stat and a Seek.
+func TestTailerFileOpsPerRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, _, _ := recoverEvents(t, dir)
+	defer st.Close()
+	const records = 20
+	for i := 1; i <= records; i++ {
+		mustAppend(t, st, testEvent{N: i})
+	}
+	var n opCounts
+	tl, err := OpenTailer(countingFS{OSFS, &n}, filepath.Join(dir, FileName(WALFile, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	got := 0
+	for {
+		_, _, ok, err := tl.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got++
+	}
+	if got != records {
+		t.Fatalf("tailed %d records, want %d", got, records)
+	}
+	if want := (opCounts{stat: records + 1, seek: records + 1, read: 2*records + 1}); n != want {
+		t.Fatalf("tailing %d records took %+v, want %+v", records, n, want)
+	}
+}
+
 // copyDir copies a flat directory of fixture files.
 func copyDir(t *testing.T, from, to string) {
 	t.Helper()
@@ -239,7 +302,7 @@ func TestRecoverDURWAL1Store(t *testing.T) {
 	if m := segmentMagic(t, dir, 2); m != string(walMagicV1) {
 		t.Fatalf("fixture segment has magic %q, want %q", m, walMagicV1)
 	}
-	v1, err := os.ReadFile(filepath.Join(dir, walName(2)))
+	v1, err := os.ReadFile(filepath.Join(dir, FileName(WALFile, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +324,7 @@ func TestRecoverDURWAL1Store(t *testing.T) {
 	if m := segmentMagic(t, dir, 3); m != string(walMagic) {
 		t.Fatalf("appends landed in a segment with magic %q, want %q", m, walMagic)
 	}
-	if after, err := os.ReadFile(filepath.Join(dir, walName(2))); err != nil || !bytes.Equal(after, v1) {
+	if after, err := os.ReadFile(filepath.Join(dir, FileName(WALFile, 2))); err != nil || !bytes.Equal(after, v1) {
 		t.Fatalf("the DURWAL1 segment changed (err %v)", err)
 	}
 	st2, snap2, got2 := recoverEvents(t, dir)
@@ -276,10 +339,10 @@ func TestRecoverDURWAL1Store(t *testing.T) {
 // recovery and by a tailer alike.
 func TestUnknownSegmentFormatRefused(t *testing.T) {
 	dir := t.TempDir()
-	header := make([]byte, len(walMagic)+8)
+	header := make([]byte, segmentHeaderLen)
 	copy(header, "DURWAL3\n")
 	binary.LittleEndian.PutUint64(header[len(walMagic):], 1)
-	if err := os.WriteFile(filepath.Join(dir, walName(1)), header, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, FileName(WALFile, 1)), header, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := openStore(t, dir, Options{})
@@ -288,7 +351,7 @@ func TestUnknownSegmentFormatRefused(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"DURWAL3\n"`) || !strings.Contains(err.Error(), "format") {
 		t.Fatalf("Recover of a DURWAL3 segment: %v, want an error naming the format", err)
 	}
-	tl, err := OpenTailer(nil, filepath.Join(dir, walName(1)))
+	tl, err := OpenTailer(nil, filepath.Join(dir, FileName(WALFile, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +373,7 @@ var fuzzEvents = []any{
 // streamSegment builds a DURWAL2 segment holding evs from lsn 1.
 func streamSegment(tb testing.TB, evs []any) []byte {
 	tb.Helper()
-	seg := make([]byte, len(walMagic)+8)
+	seg := make([]byte, segmentHeaderLen)
 	copy(seg, walMagic)
 	binary.LittleEndian.PutUint64(seg[len(walMagic):], 1)
 	enc := newSegmentEncoder()
@@ -324,27 +387,97 @@ func streamSegment(tb testing.TB, evs []any) []byte {
 	return seg
 }
 
+// growingFS serves one segment file whose visible length the test
+// raises, as a shipper appending to a follower's mirror does.
+type growingFS struct {
+	FS   // nil: a Tailer calls only OpenFile
+	data []byte
+	n    int // bytes shipped so far
+}
+
+func (g *growingFS) OpenFile(string, int, os.FileMode) (File, error) {
+	return &growingFile{fs: g}, nil
+}
+
+type growingFile struct {
+	File // nil: a Tailer calls only Stat, Seek, Read and Close
+	fs   *growingFS
+	off  int64
+}
+
+func (f *growingFile) Read(p []byte) (int, error) {
+	if f.off >= int64(f.fs.n) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.fs.data[f.off:f.fs.n])
+	f.off += int64(n)
+	return n, nil
+}
+
+func (f *growingFile) Seek(off int64, _ int) (int64, error) { f.off = off; return off, nil }
+func (f *growingFile) Stat() (os.FileInfo, error)           { return sizeInfo(f.fs.n), nil }
+func (f *growingFile) Close() error                         { return nil }
+
+type sizeInfo int64
+
+func (sizeInfo) Name() string       { return "fuzz" }
+func (s sizeInfo) Size() int64      { return int64(s) }
+func (sizeInfo) Mode() os.FileMode  { return 0 }
+func (sizeInfo) ModTime() time.Time { return time.Time{} }
+func (sizeInfo) IsDir() bool        { return false }
+func (sizeInfo) Sys() any           { return nil }
+
+// tailSegment ships seg to a Tailer inc bytes at a time, draining the
+// tailer after each increment, and returns the records it yields and
+// the error that stopped it.
+func tailSegment(t *testing.T, seg []byte, inc int) (evs []any, err error) {
+	g := &growingFS{data: seg}
+	tl, err := OpenTailer(g, "fuzz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		for {
+			_, ev, ok, err := tl.Next()
+			if err != nil {
+				return evs, err
+			}
+			if !ok {
+				break
+			}
+			evs = append(evs, ev)
+		}
+		if g.n == len(seg) {
+			return evs, nil
+		}
+		g.n = min(g.n+inc, len(seg))
+	}
+}
+
 // FuzzReplaySegment cuts a DURWAL2 segment short and flips one of its
 // bytes: reading it must yield a prefix of the appended events, ended
 // cleanly or by an error — never a panic, and never an event that was
-// not appended at that position.
+// not appended at that position. A Tailer fed the same bytes, whole and
+// step+1 bytes at a time, must yield exactly recovery's records, wait
+// where recovery stops at a short frame, and fail where recovery stops
+// at a complete bad frame or fails itself.
 func FuzzReplaySegment(f *testing.F) {
 	seg := streamSegment(f, fuzzEvents)
-	f.Add(uint16(len(seg)), uint16(0), byte(0))
-	for _, cut := range []int{0, 7, 16, 17, 40, len(seg) / 2, len(seg) - 1} {
-		f.Add(uint16(cut), uint16(0), byte(0))
+	f.Add(uint16(len(seg)), uint16(0), byte(0), byte(0))
+	for i, cut := range []int{0, 7, 16, 17, 40, len(seg) / 2, len(seg) - 1} {
+		f.Add(uint16(cut), uint16(0), byte(0), byte(i*5))
 	}
-	for _, at := range []int{0, 6, 8, 16, 20, 24, 40, len(seg) / 2, len(seg) - 1} {
-		f.Add(uint16(len(seg)), uint16(at), byte(0x01))
+	for i, at := range []int{0, 6, 8, 16, 20, 24, 40, len(seg) / 2, len(seg) - 1} {
+		f.Add(uint16(len(seg)), uint16(at), byte(0x01), byte(i*3))
 	}
-	f.Add(uint16(len(seg)), uint16(6), byte(0x03)) // DURWAL2 → DURWAL1
-	f.Fuzz(func(t *testing.T, cut, at uint16, flip byte) {
+	f.Add(uint16(len(seg)), uint16(6), byte(0x03), byte(15)) // DURWAL2 → DURWAL1
+	f.Fuzz(func(t *testing.T, cut, at uint16, flip, step byte) {
 		mut := append([]byte(nil), seg[:min(int(cut), len(seg))]...)
 		if len(mut) > 0 {
 			mut[int(at)%len(mut)] ^= flip
 		}
 		var got []any
-		read, err := readSegment(bytes.NewReader(mut), "fuzz", func(lsn int64, ev any) error {
+		read, err := readSegment(bytes.NewReader(mut), int64(len(mut)), "fuzz", func(lsn int64, ev any) error {
 			if i := len(got); lsn != int64(i+1) || i >= len(fuzzEvents) || !reflect.DeepEqual(ev, fuzzEvents[i]) {
 				t.Fatalf("record %d read as lsn %d %#v", i, lsn, ev)
 			}
@@ -354,11 +487,23 @@ func FuzzReplaySegment(f *testing.F) {
 		if read.n != len(got) {
 			t.Fatalf("readSegment counted %d records, applied %d", read.n, len(got))
 		}
-		if err == nil && !read.torn && len(got) != len(fuzzEvents) && len(mut) == len(seg) {
+		torn := read.stop != frameOK
+		if err == nil && !torn && len(got) != len(fuzzEvents) && len(mut) == len(seg) {
 			t.Fatalf("a whole segment read cleanly as %d of %d records", len(got), len(fuzzEvents))
 		}
-		if flip == 0 && len(mut) == len(seg) && (err != nil || read.torn || len(got) != len(fuzzEvents)) {
-			t.Fatalf("the intact segment read %d records, torn=%v, err %v", len(got), read.torn, err)
+		if flip == 0 && len(mut) == len(seg) && (err != nil || torn || len(got) != len(fuzzEvents)) {
+			t.Fatalf("the intact segment read %d records, stop %d, err %v", len(got), read.stop, err)
+		}
+
+		wantFail := err != nil || read.stop == frameBad
+		for _, inc := range []int{len(mut), int(step) + 1} {
+			tailed, terr := tailSegment(t, mut, inc)
+			if !reflect.DeepEqual(tailed, got) {
+				t.Fatalf("tailer fed %d bytes at a time read %v, recovery read %v", inc, tailed, got)
+			}
+			if (terr != nil) != wantFail {
+				t.Fatalf("tailer fed %d bytes at a time stopped with %v; recovery stopped with status %d, err %v", inc, terr, read.stop, err)
+			}
 		}
 	})
 }

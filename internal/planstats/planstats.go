@@ -42,18 +42,23 @@ import (
 	"sync/atomic"
 )
 
-// Key identifies one cached plan. It mirrors the serving layer's
-// plan-cache key field for field (serve.PlanKey), restated here because
-// serve sits above this package in the import order.
+// Key identifies a family of queries that can share a partition plan:
+// the plan cache's key (serve.PlanKey is this type) and the ledger's.
 type Key struct {
-	Model      string `json:"model"`
-	Observer   string `json:"observer"`
-	BetaBucket int    `json:"betaBucket"`
-	Horizon    int    `json:"horizon"`
-	Ratio      int    `json:"ratio"`
-	Search     string `json:"search"`
-	Start      int    `json:"start"`
-	Set        string `json:"set,omitempty"`
+	Model      string `json:"model"`      // model identity (the process being simulated)
+	Observer   string `json:"observer"`   // observer identity (which quantity is thresholded)
+	BetaBucket int    `json:"betaBucket"` // normalized threshold bucket (log scale)
+	Horizon    int    `json:"horizon"`    // query horizon
+	Ratio      int    `json:"ratio"`      // splitting ratio the plan was tuned for
+	Search     string `json:"search"`     // search strategy ("greedy", "balanced(tau,m)", ...)
+	Start      int    `json:"start"`      // start-state drift bucket (0 for canonical initial states)
+	// Set is the threshold-set bucket for batch covering plans: the
+	// canonical encoding of every requested threshold's ratio to the
+	// batch's top threshold. Two batches asking the same ladder shape
+	// (the common serving case — many users, one product's threshold
+	// lattice) share one covering plan; single-threshold queries leave it
+	// empty.
+	Set string `json:"set,omitempty"`
 }
 
 // String renders a compact deterministic label, stable enough to key
@@ -63,9 +68,9 @@ func (k Key) String() string {
 		k.Model, k.Observer, k.BetaBucket, k.Horizon, k.Ratio, k.Search, k.Start, k.Set)
 }
 
-// less orders keys lexicographically field by field, giving every
-// snapshot listing one canonical order.
-func (k Key) less(o Key) bool {
+// Less orders keys lexicographically field by field, giving every plan
+// and snapshot listing one canonical order.
+func (k Key) Less(o Key) bool {
 	if k.Model != o.Model {
 		return k.Model < o.Model
 	}
@@ -392,7 +397,7 @@ func (l *Ledger) Snapshots() []Snapshot {
 		keys = append(keys, k)
 	}
 	l.mu.RUnlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	out := make([]Snapshot, 0, len(keys))
 	for _, k := range keys {
 		if snap, ok := l.Snapshot(k); ok {

@@ -309,8 +309,20 @@ func (f *Follower) storeFor(name string) (*followerStore, bool) {
 	return fs, true
 }
 
-func walName(seq uint64) string  { return fmt.Sprintf("wal-%016d", seq) }
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%016d", seq) }
+// tailName is the name of the segment the store tails.
+func (fs *followerStore) tailName() string { return persist.FileName(persist.WALFile, fs.tailSeq) }
+
+// firstWAL returns the lowest segment sequence at or above min that sm
+// lists.
+func firstWAL(sm StoreManifest, min uint64) (seq uint64, ok bool) {
+	for _, file := range sm.Files {
+		kind, n, _ := persist.ParseFileName(file.Name)
+		if kind == persist.WALFile && n >= min && (!ok || n < seq) {
+			seq, ok = n, true
+		}
+	}
+	return seq, ok
+}
 
 // syncStore runs one store's round: ship missing bytes, restore once a
 // snapshot is fully local, pump complete records into the hooks, prune
@@ -357,7 +369,7 @@ func (f *Follower) prune(fs *followerStore, sm StoreManifest) error {
 	}
 	//durlint:ignore maporder removal order is irrelevant
 	for name := range fs.copied {
-		if listed[name] || fileSeq(name) >= fs.tailSeq {
+		if _, seq, _ := persist.ParseFileName(name); listed[name] || seq >= fs.tailSeq {
 			continue
 		}
 		if err := f.cfg.FS.Remove(filepath.Join(fs.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -374,19 +386,12 @@ func (f *Follower) initStore(fs *followerStore) error {
 	if err := f.cfg.FS.MkdirAll(fs.dir, 0o755); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	entries, err := f.cfg.FS.ReadDir(fs.dir)
+	files, err := persist.ListDir(f.cfg.FS, fs.dir)
 	if err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	for _, e := range entries {
-		if !validFileName(e.Name()) {
-			continue
-		}
-		st, err := f.cfg.FS.Stat(filepath.Join(fs.dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		fs.copied[e.Name()] = st.Size()
+	for _, file := range files {
+		fs.copied[file.Name] = file.Size
 	}
 	fs.inited = true
 	return nil
@@ -413,7 +418,7 @@ func (f *Follower) ship(ctx context.Context, fs *followerStore, sm StoreManifest
 		// verified boundary. The suffix is at most one partial frame,
 		// so in steady state this truncates and re-fetches nothing.
 		verified := local
-		if fs.tailer != nil && file.Name == walName(fs.tailSeq) && fs.tailer.Offset() < verified {
+		if fs.tailer != nil && file.Name == fs.tailName() && fs.tailer.Offset() < verified {
 			verified = fs.tailer.Offset()
 		}
 		if file.Size < verified {
@@ -513,8 +518,8 @@ func (f *Follower) restore(fs *followerStore, sm StoreManifest) error {
 	var bestSnap uint64
 	haveSnaps := false
 	for _, file := range sm.Files {
-		seq := fileSeq(file.Name)
-		if file.Name != snapName(seq) {
+		kind, seq, _ := persist.ParseFileName(file.Name)
+		if kind != persist.SnapFile {
 			continue
 		}
 		haveSnaps = true
@@ -522,34 +527,17 @@ func (f *Follower) restore(fs *followerStore, sm StoreManifest) error {
 			bestSnap = seq
 		}
 	}
-	tailFrom := func(min uint64) (uint64, bool) {
-		var best uint64
-		found := false
-		for _, file := range sm.Files {
-			seq := fileSeq(file.Name)
-			if file.Name != walName(seq) || seq < min {
-				continue
-			}
-			if !found || seq < best {
-				best, found = seq, true
-			}
-		}
-		return best, found
-	}
 	if haveSnaps && bestSnap == 0 {
 		return nil // snapshots exist but none fully shipped yet; wait
 	}
-	seq, ok := tailFrom(bestSnap)
+	seq, ok := firstWAL(sm, bestSnap)
 	if !ok {
-		if bestSnap > 0 {
-			// snap-N durable but wal-N not shipped in this manifest yet.
-			return nil
-		}
-		return nil // nothing at all yet
+		return nil // nothing at all yet, or snap-N durable but wal-N not listed yet
 	}
 	if bestSnap > 0 {
-		if err := fs.hooks.Restore(filepath.Join(fs.dir, snapName(bestSnap)), true); err != nil {
-			return fmt.Errorf("replicate: restoring %s: %w", snapName(bestSnap), err)
+		name := persist.FileName(persist.SnapFile, bestSnap)
+		if err := fs.hooks.Restore(filepath.Join(fs.dir, name), true); err != nil {
+			return fmt.Errorf("replicate: restoring %s: %w", name, err)
 		}
 	} else {
 		if err := fs.hooks.Restore("", false); err != nil {
@@ -576,26 +564,12 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 		}
 		return 0, false
 	}
-	nextSeq := func(after uint64) (uint64, bool) {
-		var best uint64
-		found := false
-		for _, file := range sm.Files {
-			seq := fileSeq(file.Name)
-			if file.Name != walName(seq) || seq <= after {
-				continue
-			}
-			if !found || seq < best {
-				best, found = seq, true
-			}
-		}
-		return best, found
-	}
 	for {
 		if fs.tailer == nil {
-			if _, ok := fs.copied[walName(fs.tailSeq)]; !ok {
+			if _, ok := fs.copied[fs.tailName()]; !ok {
 				return progressed, nil // not shipped yet
 			}
-			t, err := persist.OpenTailer(f.cfg.FS, filepath.Join(fs.dir, walName(fs.tailSeq)))
+			t, err := persist.OpenTailer(f.cfg.FS, filepath.Join(fs.dir, fs.tailName()))
 			if err != nil {
 				return progressed, err
 			}
@@ -613,7 +587,7 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 			if !fs.startChecked {
 				if fs.expectNext > 0 && lsn != fs.expectNext {
 					return progressed, fmt.Errorf("replicate: %s/%s starts at lsn %d, expected %d — fell behind the primary's compaction; restart the follower with a fresh mirror",
-						fs.name, walName(fs.tailSeq), lsn, fs.expectNext)
+						fs.name, fs.tailName(), lsn, fs.expectNext)
 				}
 				fs.startChecked = true
 			}
@@ -627,7 +601,7 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 		if !fs.startChecked && fs.tailer.NextLSN() > 0 {
 			if fs.expectNext > 0 && fs.tailer.NextLSN() != fs.expectNext {
 				return progressed, fmt.Errorf("replicate: %s/%s starts at lsn %d, expected %d — fell behind the primary's compaction; restart the follower with a fresh mirror",
-					fs.name, walName(fs.tailSeq), fs.tailer.NextLSN(), fs.expectNext)
+					fs.name, fs.tailName(), fs.tailer.NextLSN(), fs.expectNext)
 			}
 			fs.startChecked = true
 		}
@@ -636,12 +610,12 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 			// restored snapshot; count them as applied for lag purposes.
 			fs.applied = fs.tailer.NextLSN() - 1
 		}
-		next, ok := nextSeq(fs.tailSeq)
+		next, ok := firstWAL(sm, fs.tailSeq+1)
 		if !ok {
 			return progressed, nil // still on the live segment
 		}
-		msize, known := sizeOf(walName(fs.tailSeq))
-		if known && (fs.tailer.Offset() < msize || fs.copied[walName(fs.tailSeq)] < msize) {
+		msize, known := sizeOf(fs.tailName())
+		if known && (fs.tailer.Offset() < msize || fs.copied[fs.tailName()] < msize) {
 			return progressed, nil // current segment not fully shipped/parsed yet
 		}
 		if n := fs.tailer.NextLSN(); n > 0 {
@@ -657,8 +631,8 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 func (f *Follower) lagOf(fs *followerStore, sm StoreManifest) Lag {
 	lag := Lag{AppliedLSN: fs.applied, Restored: fs.restored}
 	for _, file := range sm.Files {
-		seq := fileSeq(file.Name)
-		if file.Name != walName(seq) {
+		kind, seq, _ := persist.ParseFileName(file.Name)
+		if kind != persist.WALFile {
 			continue
 		}
 		switch {

@@ -28,8 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 
 	"durability/internal/persist"
 )
@@ -71,13 +69,14 @@ type Acker interface {
 	Ack(ctx context.Context, applied map[string]int64) error
 }
 
-// validNames rejects store or file names that could escape the mirror
-// root — both ends validate, so neither trusts the wire.
+// validNames rejects store names that could escape the mirror root and
+// file names outside the store grammar (persist.ParseFileName) — both
+// ends validate, so neither trusts the wire.
 func validNames(store, file string) error {
 	if !validStoreName(store) {
 		return fmt.Errorf("replicate: invalid store name %q", store)
 	}
-	if file != "" && !validFileName(file) {
+	if _, _, ok := persist.ParseFileName(file); file != "" && !ok {
 		return fmt.Errorf("replicate: invalid file name %q", file)
 	}
 	return nil
@@ -96,40 +95,8 @@ func validStoreName(s string) bool {
 	return true
 }
 
-// validFileName reports whether s matches ^(snap|wal)-[0-9]{16}$.
-func validFileName(s string) bool {
-	digits, ok := strings.CutPrefix(s, "snap-")
-	if !ok {
-		if digits, ok = strings.CutPrefix(s, "wal-"); !ok {
-			return false
-		}
-	}
-	if len(digits) != 16 {
-		return false
-	}
-	for i := 0; i < len(digits); i++ {
-		if digits[i] < '0' || digits[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
 func isAlnum(c byte) bool {
 	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
-}
-
-// fileSeq extracts the generation number of a snap-/wal- file name.
-func fileSeq(name string) uint64 {
-	i := strings.IndexByte(name, '-')
-	if i < 0 {
-		return 0
-	}
-	n, err := strconv.ParseUint(name[i+1:], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
 }
 
 // DirSource reads a primary's data directory straight off the
@@ -151,36 +118,20 @@ func (d DirSource) fs() persist.FS {
 	return d.FS
 }
 
-// Manifest lists each configured store's snap-/wal- files. A store
-// whose directory does not exist yet is listed empty.
+// Manifest lists each configured store's files through
+// persist.ListDir. A store whose directory does not exist yet is listed
+// empty.
 func (d DirSource) Manifest(ctx context.Context) (Manifest, error) {
 	var m Manifest
 	for _, store := range d.Stores {
 		if err := validNames(store, ""); err != nil {
 			return Manifest{}, err
 		}
-		sm := StoreManifest{Name: store}
-		entries, err := d.fs().ReadDir(filepath.Join(d.Root, store))
+		files, err := persist.ListDir(d.fs(), filepath.Join(d.Root, store))
 		if err != nil {
-			if os.IsNotExist(err) {
-				m.Stores = append(m.Stores, sm)
-				continue
-			}
 			return Manifest{}, fmt.Errorf("replicate: listing %s: %w", store, err)
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if !validFileName(name) {
-				continue
-			}
-			st, err := d.fs().Stat(filepath.Join(d.Root, store, name))
-			if err != nil {
-				continue // removed between list and stat
-			}
-			sm.Files = append(sm.Files, persist.FileInfo{Name: name, Size: st.Size()})
-		}
-		sort.Slice(sm.Files, func(i, j int) bool { return sm.Files[i].Name < sm.Files[j].Name })
-		m.Stores = append(m.Stores, sm)
+		m.Stores = append(m.Stores, StoreManifest{Name: store, Files: files})
 	}
 	return m, nil
 }

@@ -572,15 +572,13 @@ func promote(t *testing.T, dir string) (int64, []int) {
 // mirrorFiles lists a mirror store's snap-/wal- files.
 func mirrorFiles(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	files, err := persist.ListDir(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]bool{}
-	for _, e := range entries {
-		if validFileName(e.Name()) {
-			out[e.Name()] = true
-		}
+	for _, f := range files {
+		out[f.Name] = true
 	}
 	return out
 }
@@ -656,5 +654,82 @@ func TestFollowerPrunesCompactedFiles(t *testing.T) {
 	}
 	if lsn != p.lsn || !equalInts(vals, p.vals) {
 		t.Fatalf("promoted lsn=%d vals=%v, primary lsn=%d vals=%v", lsn, vals, p.lsn, p.vals)
+	}
+}
+
+// Recovery's directory scan and DirSource list the same store files when
+// the directory also holds names just outside the store grammar: a
+// 17-digit sequence (here a copy of a real segment, which a scan that
+// accepted it would take for the newest), a signed sequence and temp
+// files.
+func TestRecoveryAndDirSourceListTheSameFiles(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "main")
+	st, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap repSnap
+	if _, _, err := st.Recover(&snap, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 5; n++ {
+		if _, err := st.Append(repEv{N: n}); err != nil {
+			t.Fatal(err)
+		}
+		if n == 3 {
+			if err := st.Checkpoint(func() (any, error) { return &repSnap{LSN: 3, Vals: []int{1, 2, 3}}, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st.Close()
+	live, err := os.ReadFile(filepath.Join(dir, persist.FileName(persist.WALFile, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := []string{"wal-12345678901234567", "snap-+000000000000003", "snap-0000000000000003.tmp", "wal-0000000000000002.tmp"}
+	for _, name := range edge {
+		if err := os.WriteFile(filepath.Join(dir, name), live, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err = persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	snap = repSnap{}
+	var replayed []int
+	if _, _, err := st.Recover(&snap, nil, func(lsn int64, ev any) error {
+		if lsn > snap.LSN {
+			replayed = append(replayed, ev.(repEv).N)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if snap.LSN != 3 || fmt.Sprint(replayed) != "[4 5]" {
+		t.Fatalf("recovered snapshot at lsn %d and replayed %v, want lsn 3 and [4 5]", snap.LSN, replayed)
+	}
+	l, err := st.Listing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DirSource{Root: root, Stores: []string{"main"}}.Manifest(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Stores) != 1 || fmt.Sprint(m.Stores[0].Files) != fmt.Sprint(l.Files) {
+		t.Fatalf("DirSource lists %+v, recovery's scan %+v", m.Stores, l.Files)
+	}
+	for _, f := range l.Files {
+		if _, _, ok := persist.ParseFileName(f.Name); !ok {
+			t.Fatalf("a listing holds %q, outside the store grammar", f.Name)
+		}
+	}
+	if len(l.Files) < 2 {
+		t.Fatalf("listing %+v lacks the snapshot and segment", l.Files)
 	}
 }

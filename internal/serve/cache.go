@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"durability/internal/core"
+	"durability/internal/planstats"
 )
 
 // DefaultBetaBucketWidth is the relative width of a normalized-threshold
@@ -44,22 +45,8 @@ const DefaultBetaBucketWidth = 0.10
 const DefaultPlanCacheCap = 1024
 
 // PlanKey identifies a family of queries that can share a partition plan.
-type PlanKey struct {
-	Model      string // model identity (the process being simulated)
-	Observer   string // observer identity (which quantity is thresholded)
-	BetaBucket int    // normalized threshold bucket (log scale)
-	Horizon    int    // query horizon
-	Ratio      int    // splitting ratio the plan was tuned for
-	Search     string // search strategy ("greedy", "balanced(tau,m)", ...)
-	Start      int    // start-state drift bucket (0 for canonical initial states)
-	// Set is the threshold-set bucket for batch covering plans: the
-	// canonical encoding of every requested threshold's ratio to the
-	// batch's top threshold. Two batches asking the same ladder shape
-	// (the common serving case — many users, one product's threshold
-	// lattice) share one covering plan; single-threshold queries leave it
-	// empty and key exactly as before.
-	Set string
-}
+// It is the plan ledger's key type, so booking a run needs no copy.
+type PlanKey = planstats.Key
 
 // SearchFunc runs a level search and returns the plan plus the simulator
 // invocations it consumed.
@@ -352,35 +339,8 @@ func (c *PlanCache) Entries() []CachedPlan {
 		out = append(out, CachedPlan{Key: key, Plan: ent.plan, Hits: ent.hits.Load(), Warmed: ent.warmed})
 	}
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.less(out[j].Key) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
 	return out
-}
-
-// less orders plan keys lexicographically field by field — the canonical
-// order of every plan listing.
-func (k PlanKey) less(o PlanKey) bool {
-	if k.Model != o.Model {
-		return k.Model < o.Model
-	}
-	if k.Observer != o.Observer {
-		return k.Observer < o.Observer
-	}
-	if k.BetaBucket != o.BetaBucket {
-		return k.BetaBucket < o.BetaBucket
-	}
-	if k.Horizon != o.Horizon {
-		return k.Horizon < o.Horizon
-	}
-	if k.Ratio != o.Ratio {
-		return k.Ratio < o.Ratio
-	}
-	if k.Search != o.Search {
-		return k.Search < o.Search
-	}
-	if k.Start != o.Start {
-		return k.Start < o.Start
-	}
-	return k.Set < o.Set
 }
 
 // Peek returns the cached plan for key without triggering a search. It

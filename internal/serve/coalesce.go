@@ -222,7 +222,7 @@ func (g *batchGather) deliverError(err error) {
 // batchSpec lowers a closed gather onto a runnable BatchSpec over the
 // union of its callers' thresholds.
 func (s *Server) batchSpec(key batchKey, betas []float64) (BatchSpec, error) {
-	m, obs, stop, err := s.resolve(key.model, key.observer, key.horizon, key.relErr, key.budget)
+	m, obs, stop, err := s.Resolve(key.model, key.observer, key.horizon, key.relErr, key.budget)
 	if err != nil {
 		return BatchSpec{}, err
 	}

@@ -143,22 +143,6 @@ type Runner struct {
 	Ledger *planstats.Ledger
 }
 
-// StatsKey mirrors a plan-cache key into the ledger's key type, field
-// for field (planstats sits below serve in the import order, so it
-// restates the key rather than importing it).
-func StatsKey(key PlanKey) planstats.Key {
-	return planstats.Key{
-		Model:      key.Model,
-		Observer:   key.Observer,
-		BetaBucket: key.BetaBucket,
-		Horizon:    key.Horizon,
-		Ratio:      key.Ratio,
-		Search:     key.Search,
-		Start:      key.Start,
-		Set:        key.Set,
-	}
-}
-
 // bookRun returns the ledger booking callback for one run executed under
 // key with the given plan shape, or nil when the runner has no ledger.
 // The signature matches both core.GMLSS.Observe and
@@ -168,7 +152,6 @@ func (r *Runner) bookRun(key PlanKey, plan core.Plan, ratio int) func(agg core.C
 	if r.Ledger == nil {
 		return nil
 	}
-	k := StatsKey(key)
 	shape := planstats.Shape{
 		Boundaries: append([]float64(nil), plan.Boundaries...),
 		Ratio:      ratio,
@@ -176,7 +159,7 @@ func (r *Runner) bookRun(key PlanKey, plan core.Plan, ratio int) func(agg core.C
 	}
 	ledger := r.Ledger
 	return func(agg core.Counters, roots, steps int64) {
-		ledger.Book(k, shape, planstats.Delta{
+		ledger.Book(key, shape, planstats.Delta{
 			Land:  agg.Land,
 			Skip:  agg.Skip,
 			Mu:    agg.Mu,

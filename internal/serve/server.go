@@ -239,6 +239,9 @@ func (s *Server) Close() {
 // the same cache the one-shot query path fills.
 func (s *Server) Runner() *Runner { return s.runner }
 
+// Seed returns the seed a request that names none runs under.
+func (s *Server) Seed() uint64 { return s.cfg.Seed }
+
 // Do submits a query and waits for its answer. Admission control is
 // immediate: a full queue rejects with ErrOverloaded instead of blocking,
 // and a context that expires while the query waits or runs returns the
@@ -272,13 +275,13 @@ func (s *Server) Do(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// resolve is the lowering single queries and batches share: it looks up
-// the model (an unknown name is the client's error, a model that fails to
-// build the server's: ErrInternal) and observer, holds the horizon to the
-// server's cap and assembles the stopping rules — the relative-error
-// target, else the server's default when no budget is given either,
-// always under the server's budget cap.
-func (s *Server) resolve(model, observer string, horizon int, relErr float64, budget int64) (cluster.Model, stochastic.Observer, mc.Any, error) {
+// Resolve is the lowering single queries, batches and front ends'
+// standing queries share: it looks up the model (an unknown name is the
+// client's error, a model that fails to build the server's: ErrInternal)
+// and observer, holds the horizon to the server's cap and assembles the
+// stopping rules — the relative-error target, else the server's default
+// when no budget is given either, always under the server's budget cap.
+func (s *Server) Resolve(model, observer string, horizon int, relErr float64, budget int64) (cluster.Model, stochastic.Observer, mc.Any, error) {
 	m, err := s.models.Get(model)
 	if errors.Is(err, cluster.ErrUnknownModel) {
 		return m, nil, nil, fmt.Errorf("serve: %w", err)
@@ -312,7 +315,7 @@ func (s *Server) spec(req Request) (Spec, error) {
 	if req.Observer == "" {
 		req.Observer = "value"
 	}
-	m, obs, stop, err := s.resolve(req.Model, req.Observer, req.Horizon, req.RelErr, req.Budget)
+	m, obs, stop, err := s.Resolve(req.Model, req.Observer, req.Horizon, req.RelErr, req.Budget)
 	if err != nil {
 		return Spec{}, err
 	}
