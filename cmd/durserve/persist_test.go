@@ -84,6 +84,28 @@ func TestSubscribeHonoursMaxHorizon(t *testing.T) {
 	}
 }
 
+// A subscribe the engine's spec check refuses leaves nothing behind: it
+// answers 400 before the stream is created, so /streams shows no stream
+// and no subscription and the journal holds no byte.
+func TestRefusedSubscribeLeavesNothing(t *testing.T) {
+	ts, _ := durableServer(t, t.TempDir())
+	resp, raw := postJSON(t, ts, "/subscribe", `{"model":"walk","beta":-1,"horizon":100}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "must be positive") {
+		t.Fatalf("negative-threshold subscribe: status %d (%s), want 400 naming the threshold", resp.StatusCode, raw)
+	}
+	var st streamStats
+	if err := json.Unmarshal(getBytes(t, ts, "/streams"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Engine.Streams != 0 || st.Subscriptions != 0 {
+		t.Fatalf("a refused subscribe left %d streams and %d subscriptions", st.Engine.Streams, st.Subscriptions)
+	}
+	body := string(getBytes(t, ts, "/metrics"))
+	if got := metricValue(t, body, `durserve_wal_bytes_total{store="shard-0000"}`); got != 0 {
+		t.Fatalf("a refused subscribe journaled %d WAL bytes", got)
+	}
+}
+
 // tickOnce advances a stream one step and returns the lone refresh.
 func tickOnce(t *testing.T, ts *httptest.Server, stream string) answerJSON {
 	t.Helper()

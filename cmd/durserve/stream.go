@@ -240,15 +240,11 @@ func (h *streamHub) subscribe(ctx context.Context, req subscribeRequest) (subscr
 	if streamName == "" {
 		streamName = req.Model
 	}
-	if _, err := h.ensureFeed(streamName, req.Model); err != nil {
-		return subscribeResponse{}, err
-	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = h.srv.Seed()
 	}
-
-	sub, err := h.engine.Subscribe(ctx, stream.SubSpec{
+	spec := stream.SubSpec{
 		Stream:     streamName,
 		Obs:        obs,
 		ObserverID: obsName,
@@ -259,7 +255,17 @@ func (h *streamHub) subscribe(ctx context.Context, req subscribeRequest) (subscr
 		DriftTol:   req.DriftTol,
 		MaxAge:     req.MaxAge,
 		Stop:       stop,
-	})
+	}
+	// ensureFeed creates and journals the stream, so only a spec the
+	// engine will accept may call it. The engine still sees a refused
+	// spec: it answers the error and burns the ID, as for any refused
+	// subscribe, and touches no stream.
+	if spec.Validate() == nil {
+		if _, err := h.ensureFeed(streamName, req.Model); err != nil {
+			return subscribeResponse{}, err
+		}
+	}
+	sub, err := h.engine.Subscribe(ctx, spec)
 	if err != nil {
 		return subscribeResponse{}, err
 	}

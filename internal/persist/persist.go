@@ -195,7 +195,8 @@ func (s *Store) diskFiles() (snaps, wals []storeFile, err error) {
 // A torn final record — the footprint of a crash mid-write — ends replay
 // cleanly at the last complete entry and is truncated away, so subsequent
 // appends extend a well-formed log. Corruption anywhere else (a torn
-// record *before* the end, a CRC mismatch mid-segment) is an error: it
+// record *before* the end, a CRC mismatch mid-segment, a segment that
+// does not start where the one before it ended) is an error: it
 // means history was lost, and serving from a silently gappy history would
 // break the determinism guarantee recovery exists to uphold.
 func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn int64, ev any) error) (found bool, replayed int, err error) {
@@ -234,19 +235,22 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 	// (A crash between rotation and snapshot write leaves wal-(N+1)
 	// without snap-(N+1); recovery then starts from snap-N and must walk
 	// both segments.)
+	// Each segment after the first replayed one must start where the
+	// one before it ended: a missing segment is lost history.
 	s.nextLSN = 1
+	want := int64(0)
 	for wi, w := range wals {
 		if w.seq < s.snapSeq {
 			continue
 		}
 		last := wi == len(wals)-1
-		n, next, err := s.replaySegment(w, last, apply)
+		n, next, err := s.replaySegment(w, last, want, apply)
 		if err != nil {
 			return found, replayed, err
 		}
 		replayed += n
 		if next > 0 {
-			s.nextLSN = next
+			s.nextLSN, want = next, next
 		}
 	}
 
@@ -273,8 +277,9 @@ func (s *Store) Recover(snap any, prepare func(found bool) error, apply func(lsn
 // in its header (a crash during rotation, before the segment took a
 // record) or in a record — and is truncated to its last complete record;
 // it returns the record count and the LSN following the last applied
-// record (0 when the header is torn).
-func (s *Store) replaySegment(w storeFile, last bool, apply func(lsn int64, ev any) error) (n int, nextLSN int64, err error) {
+// record (0 when the header is torn). A positive want is the LSN the
+// segment must start at.
+func (s *Store) replaySegment(w storeFile, last bool, want int64, apply func(lsn int64, ev any) error) (n int, nextLSN int64, err error) {
 	path := s.walPath(w.seq)
 	f, err := s.fs.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -282,7 +287,7 @@ func (s *Store) replaySegment(w storeFile, last bool, apply func(lsn int64, ev a
 	}
 	defer f.Close()
 
-	seg, err := readSegment(f, w.Size, path, apply)
+	seg, err := readSegment(f, w.Size, path, want, apply)
 	if err != nil {
 		return seg.n, 0, err
 	}

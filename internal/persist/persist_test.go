@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -243,6 +244,51 @@ func TestRecoverySpansSegmentsWhenSnapshotMissing(t *testing.T) {
 		t.Fatalf("replayed %v, want events from both segments", got)
 	}
 	st2.Close()
+}
+
+// A segment missing between two others is lost history: with lsn 1–6
+// over wal-1..3 and wal-2 deleted, recovery must refuse wal-3 by name
+// before applying any of its records, not replay [1 2 5 6].
+func TestRecoveryRefusesSegmentGap(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{})
+	if _, _, err := st.Recover(&testSnap{}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 6; n++ {
+		if _, err := st.Append(testEvent{N: n}); err != nil {
+			t.Fatal(err)
+		}
+		if n%2 == 0 && n < 6 {
+			// Rotate without a snapshot, so every segment stays on disk.
+			if err := st.Checkpoint(func() (any, error) { return nil, fmt.Errorf("no snapshot") }); err == nil {
+				t.Fatal("Checkpoint swallowed the assembly failure")
+			}
+		}
+	}
+	st.Close()
+	for seq := uint64(1); seq <= 3; seq++ {
+		if _, err := os.Stat(filepath.Join(dir, FileName(WALFile, seq))); err != nil {
+			t.Fatalf("segment %d: %v", seq, err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, FileName(WALFile, 2))); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir, Options{})
+	defer st2.Close()
+	var got []testEvent
+	_, _, err := st2.Recover(&testSnap{}, nil, replayInto(t, &got))
+	if err == nil {
+		t.Fatalf("recovery across a missing segment succeeded, replaying %v", got)
+	}
+	if name := FileName(WALFile, 3); !strings.Contains(err.Error(), name) {
+		t.Fatalf("error %q does not name %s", err, name)
+	}
+	if len(got) != 2 || got[0].N != 1 || got[1].N != 2 {
+		t.Fatalf("applied %v before refusing, want only wal-1's [1 2]", got)
+	}
 }
 
 // A corrupted newest snapshot falls back to the previous generation (when

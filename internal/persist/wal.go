@@ -209,13 +209,18 @@ type segmentRead struct {
 // calling apply per complete record, and stops at the segment's end or
 // at the first short or bad frame: a torn stop, which the caller
 // accepts only at the end of the final segment, truncating at end. path
-// names the segment in errors.
-func readSegment(r io.Reader, size int64, path string, apply func(lsn int64, ev any) error) (segmentRead, error) {
+// names the segment in errors. A positive want is the LSN the header must
+// carry, the one after the previous segment's last record: a segment that
+// starts elsewhere is refused before any of its records is applied.
+func readSegment(r io.Reader, size int64, path string, want int64, apply func(lsn int64, ev any) error) (segmentRead, error) {
 	var seg segmentRead
 	dec, first, ok, err := readSegmentHeader(r, size, path)
 	if !ok {
 		seg.stop = frameShort
 		return seg, err
+	}
+	if want > 0 && first != want {
+		return seg, fmt.Errorf("persist: %s: segment starts at lsn %d, but the segment before it ends at lsn %d — history is missing", path, first, want-1)
 	}
 	seg.next, seg.end = first, segmentHeaderLen
 	for seg.end < size {

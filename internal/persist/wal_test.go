@@ -477,7 +477,7 @@ func FuzzReplaySegment(f *testing.F) {
 			mut[int(at)%len(mut)] ^= flip
 		}
 		var got []any
-		read, err := readSegment(bytes.NewReader(mut), int64(len(mut)), "fuzz", func(lsn int64, ev any) error {
+		read, err := readSegment(bytes.NewReader(mut), int64(len(mut)), "fuzz", 0, func(lsn int64, ev any) error {
 			if i := len(got); lsn != int64(i+1) || i >= len(fuzzEvents) || !reflect.DeepEqual(ev, fuzzEvents[i]) {
 				t.Fatalf("record %d read as lsn %d %#v", i, lsn, ev)
 			}

@@ -140,9 +140,9 @@ func drawing(x1, x2 uint64) Source {
 		y := x * inv(9)
 		return (y>>7 | y<<57) * inv(5)
 	}
-	s := Source{s0: 0x243f6a8885a308d3, s1: s1For(x1), s3: 0x13198a2e03707344}
-	s.s2 = s.s1 ^ s.s0 ^ s1For(x2)
-	return s
+	g := Gen{s0: 0x243f6a8885a308d3, s1: s1For(x1), s3: 0x13198a2e03707344}
+	g.s2 = g.s1 ^ g.s0 ^ s1For(x2)
+	return Source{g: g}
 }
 
 // TestNormLanesEdgeDraws crafts sources whose Box–Muller uniforms are

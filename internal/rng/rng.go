@@ -25,14 +25,58 @@ import (
 	"durability/internal/vmath"
 )
 
+// Gen is one xoshiro256** state as a value: Next returns the advanced
+// state and the output. A hot loop holds a Gen in locals, where the
+// compiler keeps its four words in registers, and writes it back once
+// (Source.Gen, Source.SetGen); Source's own draws step through it, so the
+// generator step exists once.
+type Gen struct {
+	s0, s1, s2, s3 uint64
+}
+
+// Next returns the state after one xoshiro256** step and that step's
+// 64 uniformly random bits. Its form is tuned for the compiler: as
+// written it stays under the inlining budget, with the Source draws
+// built on it, and leaves no word to spill in NormLanes' lane loop.
+func (g Gen) Next() (next Gen, x uint64) {
+	x = bits.RotateLeft64(g.s1*5, 7) * 9
+	s2, s3 := g.s2^g.s0, g.s3^g.s1
+	return Gen{g.s0 ^ s3, g.s1 ^ s2, s2 ^ g.s1<<17, bits.RotateLeft64(s3, 45)}, x
+}
+
+// Float64 returns the advanced state and a uniform value in [0, 1) with
+// 53 bits of precision.
+func (g Gen) Float64() (Gen, float64) {
+	g, x := g.Next()
+	return g, float64(x>>11) / (1 << 53)
+}
+
+// Float64Open returns the advanced state and a uniform value in (0, 1),
+// never exactly zero: Float64's draws with the zeros skipped.
+func (g Gen) Float64Open() (Gen, float64) {
+	var x uint64
+	for x>>11 == 0 {
+		g, x = g.Next()
+	}
+	return g, float64(x>>11) / (1 << 53)
+}
+
 // Source is a deterministic xoshiro256** generator. It is not safe for
 // concurrent use; derive one Source per goroutine with NewStream or Split.
 type Source struct {
-	s0, s1, s2, s3 uint64
+	g Gen
 	// cached second normal variate from the Box-Muller transform
 	normCached bool
 	normValue  float64
 }
+
+// Gen returns the generator's state, leaving the Box-Muller cache aside.
+func (s *Source) Gen() Gen { return s.g }
+
+// SetGen sets the generator's state to g and keeps the Box-Muller cache:
+// Gen then SetGen of the advanced state continues s's sequence as s's own
+// draws would have.
+func (s *Source) SetGen(g Gen) { s.g = g }
 
 // splitmix64 advances a 64-bit state and returns a well-mixed output. It is
 // used only for seeding, as recommended by the xoshiro authors.
@@ -81,10 +125,10 @@ func (s *Source) SeedStream(seed, stream uint64) {
 // cached variates.
 func (s *Source) Reseed(seed uint64) {
 	state := seed
-	s.s0 = splitmix64(&state)
-	s.s1 = splitmix64(&state)
-	s.s2 = splitmix64(&state)
-	s.s3 = splitmix64(&state)
+	s.g.s0 = splitmix64(&state)
+	s.g.s1 = splitmix64(&state)
+	s.g.s2 = splitmix64(&state)
+	s.g.s3 = splitmix64(&state)
 	s.normCached = false
 	s.normValue = 0
 }
@@ -107,10 +151,10 @@ const sourceMarshalLen = 4*8 + 1 + 8
 // automatically.
 func (s *Source) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, sourceMarshalLen)
-	binary.LittleEndian.PutUint64(buf[0:], s.s0)
-	binary.LittleEndian.PutUint64(buf[8:], s.s1)
-	binary.LittleEndian.PutUint64(buf[16:], s.s2)
-	binary.LittleEndian.PutUint64(buf[24:], s.s3)
+	binary.LittleEndian.PutUint64(buf[0:], s.g.s0)
+	binary.LittleEndian.PutUint64(buf[8:], s.g.s1)
+	binary.LittleEndian.PutUint64(buf[16:], s.g.s2)
+	binary.LittleEndian.PutUint64(buf[24:], s.g.s3)
 	if s.normCached {
 		buf[32] = 1
 	}
@@ -124,42 +168,36 @@ func (s *Source) UnmarshalBinary(data []byte) error {
 	if len(data) != sourceMarshalLen {
 		return fmt.Errorf("rng: marshalled Source is %d bytes, want %d", len(data), sourceMarshalLen)
 	}
-	s.s0 = binary.LittleEndian.Uint64(data[0:])
-	s.s1 = binary.LittleEndian.Uint64(data[8:])
-	s.s2 = binary.LittleEndian.Uint64(data[16:])
-	s.s3 = binary.LittleEndian.Uint64(data[24:])
+	s.g.s0 = binary.LittleEndian.Uint64(data[0:])
+	s.g.s1 = binary.LittleEndian.Uint64(data[8:])
+	s.g.s2 = binary.LittleEndian.Uint64(data[16:])
+	s.g.s3 = binary.LittleEndian.Uint64(data[24:])
 	s.normCached = data[32] == 1
 	s.normValue = math.Float64frombits(binary.LittleEndian.Uint64(data[33:]))
 	return nil
 }
 
 // Uint64 returns the next 64 uniformly random bits.
-func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s1*5, 7) * 9
-	t := s.s1 << 17
-	s.s2 ^= s.s0
-	s.s3 ^= s.s1
-	s.s1 ^= s.s2
-	s.s0 ^= s.s3
-	s.s2 ^= t
-	s.s3 = bits.RotateLeft64(s.s3, 45)
-	return result
+func (s *Source) Uint64() (x uint64) {
+	s.g, x = s.g.Next()
+	return x
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
+// It and Float64Open repeat Gen's conversions over Uint64 rather than
+// call Gen's draws of the same name, which would put them over the
+// compiler's inlining budget.
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
 // Float64Open returns a uniform value in (0, 1), never exactly zero. Inverse
 // transforms (exponential sampling) need an open interval to avoid log(0).
-func (s *Source) Float64Open() float64 {
-	for {
-		v := s.Float64()
-		if v > 0 {
-			return v
-		}
+func (s *Source) Float64Open() (v float64) {
+	for v == 0 {
+		v = s.Float64()
 	}
+	return v
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -289,13 +327,16 @@ func (s *Source) Poisson(mean float64) int {
 // PoissonProduct is Poisson's product method for a mean in
 // (0, PoissonProductMax) given limit = exp(-mean): it multiplies uniforms
 // until the product falls to limit. A caller drawing many counts at one
-// mean computes the exp once and gets Poisson's draws bit for bit.
+// mean computes the exp once and gets Poisson's draws bit for bit. The
+// loop draws on the generator words held in locals.
 func (s *Source) PoissonProduct(limit float64) int {
-	k := 0
-	p := 1.0
+	g, k, p := s.g, 0, 1.0
 	for {
-		p *= s.Float64()
+		var u float64
+		g, u = g.Float64()
+		p *= u
 		if p <= limit {
+			s.g = g
 			return k
 		}
 		k++

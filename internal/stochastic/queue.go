@@ -108,12 +108,15 @@ func (q *TandemQueue) StepVec(v StateVec, lanes []int, t []int, src []*rng.Sourc
 
 // step is Step and StepVec's one lane step: the product clock, or the
 // log clock from the step's start when the product clock cannot decide,
-// then the impulse.
+// then the impulse. The clock runs on copies of the queue lengths and
+// the generator words, so those copies are the rollback snapshot, and
+// the lane is written once.
 func (q *TandemQueue) step(qs *QueueState, t int, src *rng.Source, c *queueClock) {
-	saved, start := *src, *qs
-	if !c.run(q, qs, src) {
-		*src, *qs = saved, start
-		q.gillespie(qs, src)
+	if next, g, ok := c.run(*qs, src.Gen()); ok {
+		*qs = next
+		src.SetGen(g)
+	} else {
+		c.gillespie(qs, src)
 	}
 	if q.ImpulseProb > 0 && t >= q.ImpulseAfter && src.Bernoulli(q.ImpulseProb) {
 		qs.Q2 += q.ImpulseSize
@@ -123,37 +126,40 @@ func (q *TandemQueue) step(qs *QueueState, t int, src *rng.Source, c *queueClock
 // gillespie is the log clock over one unit of time: draw the next
 // event's clock dt = -log(U)/rate, stop once it overshoots the time
 // remaining, else fire the event chosen proportionally to its rate.
-func (q *TandemQueue) gillespie(qs *QueueState, src *rng.Source) {
+func (c *queueClock) gillespie(qs *QueueState, src *rng.Source) {
 	remaining := 1.0
 	for {
-		rate := q.ArrivalRate
-		if qs.Q1 > 0 {
-			rate += q.ServiceRate1
-		}
-		if qs.Q2 > 0 {
-			rate += q.ServiceRate2
-		}
+		rate := c.rate[rateIndex(qs.Q1, qs.Q2)]
 		dt := src.Exp(rate)
 		if dt > remaining {
 			break
 		}
 		remaining -= dt
-		q.fire(qs, src.Float64()*rate)
+		qs.Q1, qs.Q2 = fire(qs.Q1, qs.Q2, src.Float64()*rate, c.rate[0], c.rate[1])
 	}
 }
 
-// fire applies the event selected by u, a uniform draw scaled by the
-// total rate.
-func (q *TandemQueue) fire(qs *QueueState, u float64) {
-	switch {
-	case u < q.ArrivalRate:
-		qs.Q1++
-	case qs.Q1 > 0 && u < q.ArrivalRate+q.ServiceRate1:
-		qs.Q1--
-		qs.Q2++
-	default:
-		qs.Q2--
+// fire returns the queue lengths after the event selected by u, a
+// uniform draw scaled by the total rate, with a the arrival rate and a1
+// the arrival plus queue 1's service rate: an arrival when u < a, else
+// queue 1's service when queue 1 is busy and u < a1, else queue 2's
+// service. The comparisons become 0/1 flags and the lengths move by
+// arithmetic on them, so the choice costs no branch a random draw could
+// mispredict.
+func fire(q1, q2 int, u, a, a1 float64) (int, int) {
+	arrive := b2i(u < a)
+	serve1 := b2i(u < a1) & b2i(q1 > 0) &^ arrive
+	return q1 + arrive - serve1, q2 + 2*serve1 + arrive - 1
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag
+// set, not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
 	}
+	return i
 }
 
 // The product-form clock. Inside a run of events at one total rate r,
@@ -210,8 +216,8 @@ type queueClock struct {
 }
 
 func (c *queueClock) init(q *TandemQueue) {
-	// The sums in gillespie's order, so the event choice sees the same
-	// rates bit for bit.
+	// Each total adds the rates in the log clock's order, arrivals then
+	// service 1 then service 2, so every choice sees its rates bit for bit.
 	c.rate = [4]float64{
 		q.ArrivalRate,
 		q.ArrivalRate + q.ServiceRate1,
@@ -220,17 +226,10 @@ func (c *queueClock) init(q *TandemQueue) {
 	}
 }
 
-// rateIndex selects qs's total rate: bit 0 when queue 1 is busy, bit 1
-// when queue 2 is.
-func rateIndex(qs *QueueState) int {
-	i := 0
-	if qs.Q1 > 0 {
-		i = 1
-	}
-	if qs.Q2 > 0 {
-		i |= 2
-	}
-	return i
+// rateIndex selects the total rate at queue lengths q1, q2: bit 0 when
+// queue 1 is busy, bit 1 when queue 2 is.
+func rateIndex(q1, q2 int) int {
+	return b2i(q1 > 0) | b2i(q2 > 0)<<1
 }
 
 // threshold returns the thresholds of a run at rate r with rem time
@@ -255,48 +254,60 @@ func threshold(r, rem, slack float64, k int) clockRun {
 	return clockRun{lo: T * (1 - 2*band), hi: T * (1 + 2*band)}
 }
 
-// run advances qs over one unit of time on the product clock and reports
-// false if a decision fell inside the guard band, leaving qs and src
-// part-way.
-func (c *queueClock) run(q *TandemQueue, qs *QueueState, src *rng.Source) bool {
-	idx := rateIndex(qs)
+// run advances the queue from s over one unit of time on the product
+// clock, drawing from g, and returns the new state and generator words.
+// It reports false, with no state, if a decision fell inside the guard
+// band; the caller then reruns the step from s and g on the log clock.
+// The inner loop fires one run's events and calls nothing, so the queue
+// lengths and the generator words stay in registers; fold's log and exp
+// are paid between runs.
+func (c *queueClock) run(s QueueState, g rng.Gen) (QueueState, rng.Gen, bool) {
+	q1, q2 := s.Q1, s.Q2
+	a, a1 := c.rate[0], c.rate[1]
+	idx := rateIndex(q1, q2)
 	if c.have&(1<<idx) == 0 {
 		c.start[idx] = threshold(c.rate[idx], 1, 0, 0)
 		c.have |= 1 << idx
 	}
 	rate, th := c.rate[idx], c.start[idx]
 	rem, slack := 1.0, 0.0
-	p, n, k := 1.0, 0, 0 // product, its factors, events this step
+	p, n, k := 1.0, 0, 0 // product, its factors, events of earlier runs
+	var u, v float64
+	g, u = g.Float64Open()
 	for {
-		u := src.Float64Open()
-		pu := p * u
-		for pu < th.hi {
-			if pu >= th.lo {
-				return false
+		for !(p*u < th.hi) {
+			p, n = p*u, n+1
+			g, v = g.Float64()
+			q1, q2 = fire(q1, q2, v*rate, a, a1)
+			g, u = g.Float64Open()
+			if rateIndex(q1, q2) != idx || n == clockRunEvents {
+				break
 			}
-			if !th.capped {
-				return true
-			}
-			rem, slack = fold(rem, slack, p, n, rate)
-			th = threshold(rate, rem, slack, k)
-			p, n, pu = 1, 0, u
 		}
-		p, n, k = pu, n+1, k+1
-		q.fire(qs, src.Float64()*rate)
-		if next := rateIndex(qs); next != idx || n == clockRunEvents {
-			rem, slack = fold(rem, slack, p, n, rate)
-			idx, rate = next, c.rate[next]
-			th = threshold(rate, rem, slack, k)
-			p, n = 1, 0
+		if next := rateIndex(q1, q2); next != idx || n == clockRunEvents {
+			idx = next
+		} else if p*u >= th.lo {
+			return QueueState{}, g, false
+		} else if !th.capped {
+			return QueueState{Q1: q1, Q2: q2}, g, true
 		}
+		// A new total rate or the run's clockRunEvents-th event ends the
+		// run, or, capped, P·U nears underflow and the run rebases at its
+		// rate; either way u is tested against the next run's thresholds.
+		k += n
+		next := c.rate[idx]
+		rem, slack, th = fold(rem, slack, p, n, rate, next, k)
+		rate, p, n = next, 1, 0
 	}
 }
 
-// fold closes a run at rate r whose n clock factors multiplied to p:
-// the time left shrinks by the run's clocks, -log(p)/r, and slack grows
-// by the error of that log (p's own rounding plus one ulp) and of the
-// division and the subtraction.
-func fold(rem, slack, p float64, n int, r float64) (float64, float64) {
+// fold closes a run at rate r whose n clock factors multiplied to p and
+// opens the next, at rate next after k events of the step: the time left
+// shrinks by the run's clocks, -log(p)/r, slack grows by the error of
+// that log (p's own rounding plus one ulp) and of the division and the
+// subtraction, and the next run's thresholds follow from both.
+func fold(rem, slack, p float64, n int, r, next float64, k int) (float64, float64, clockRun) {
 	lp := math.Log(p)
-	return rem + lp/r, slack + (float64(n)+2*math.Abs(lp))*clockEps/r + clockEps
+	rem, slack = rem+lp/r, slack+(float64(n)+2*math.Abs(lp))*clockEps/r+clockEps
+	return rem, slack, threshold(next, rem, slack, k)
 }

@@ -30,18 +30,67 @@ func oracleQueueStep(q *TandemQueue, s State, t int, src *rng.Source) {
 		remaining -= dt
 		// Choose which event fired, proportionally to its rate.
 		u := src.Float64() * rate
-		switch {
-		case u < q.ArrivalRate:
-			qs.Q1++
-		case qs.Q1 > 0 && u < q.ArrivalRate+q.ServiceRate1:
-			qs.Q1--
-			qs.Q2++
-		default:
-			qs.Q2--
-		}
+		qs.Q1, qs.Q2 = oracleFire(qs.Q1, qs.Q2, u, q.ArrivalRate, q.ArrivalRate+q.ServiceRate1)
 	}
 	if q.ImpulseProb > 0 && t >= q.ImpulseAfter && src.Bernoulli(q.ImpulseProb) {
 		qs.Q2 += q.ImpulseSize
+	}
+}
+
+// oracleFire is the event choice as a switch: an arrival below a, queue
+// 1's service below a1 when queue 1 is busy, else queue 2's service.
+func oracleFire(q1, q2 int, u, a, a1 float64) (int, int) {
+	switch {
+	case u < a:
+		q1++
+	case q1 > 0 && u < a1:
+		q1--
+		q2++
+	default:
+		q2--
+	}
+	return q1, q2
+}
+
+// TestFireMatchesSwitch checks the branch-free event choice and rate
+// index against the switch on every edge: u on and next to the arrival
+// rate and the arrival plus service-1 rate, at 0 and just below each
+// total rate, with each queue empty or busy. The rate index must pick
+// the total the log clock sums in its own order, bit for bit.
+func TestFireMatchesSwitch(t *testing.T) {
+	for _, q := range []*TandemQueue{
+		NewTandemQueue(0.5, 2, 2),
+		{ArrivalRate: 1, ServiceRate1: 3, ServiceRate2: 2},
+		{ArrivalRate: 0.5, ServiceRate1: 1e-12, ServiceRate2: 1e-12},
+		{ArrivalRate: 900, ServiceRate1: 900, ServiceRate2: 100},
+	} {
+		var c queueClock
+		c.init(q)
+		a, a1 := q.ArrivalRate, q.ArrivalRate+q.ServiceRate1
+		var us []float64
+		for _, x := range c.rate { // a and a1 first, then the other totals
+			us = append(us, math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1)))
+		}
+		us = append(us, 0)
+		for _, start := range []QueueState{{}, {Q1: 1}, {Q2: 1}, {Q1: 1, Q2: 1}, {Q1: 7, Q2: 20}} {
+			rate := q.ArrivalRate
+			if start.Q1 > 0 {
+				rate += q.ServiceRate1
+			}
+			if start.Q2 > 0 {
+				rate += q.ServiceRate2
+			}
+			if got := c.rate[rateIndex(start.Q1, start.Q2)]; got != rate {
+				t.Errorf("%+v at %+v: rate index picks %v, the log clock sums %v", *q, start, got, rate)
+			}
+			for _, u := range us {
+				g1, g2 := fire(start.Q1, start.Q2, u, a, a1)
+				w1, w2 := oracleFire(start.Q1, start.Q2, u, a, a1)
+				if g1 != w1 || g2 != w2 {
+					t.Errorf("%+v at %+v, u=%v: fire gives (%d, %d), the switch (%d, %d)", *q, start, u, g1, g2, w1, w2)
+				}
+			}
+		}
 	}
 }
 
@@ -188,7 +237,7 @@ func TestQueueClockGuardBand(t *testing.T) {
 	} {
 		var c queueClock
 		c.init(cfg.q)
-		T := math.Exp(-c.rate[rateIndex(&cfg.start)])
+		T := math.Exp(-c.rate[rateIndex(cfg.start.Q1, cfg.start.Q2)])
 		center := uint64(T * (1 << 53))
 		for _, d := range []int64{-2, -1, 0, 1, 2} {
 			k := uint64(int64(center) + d)
@@ -196,7 +245,7 @@ func TestQueueClockGuardBand(t *testing.T) {
 			qs, src := cfg.start, sourceYielding(t, k)
 			var probe queueClock
 			probe.init(cfg.q)
-			if probe.run(cfg.q, &qs, cloneSource(src)) {
+			if _, _, ok := probe.run(qs, src.Gen()); ok {
 				t.Errorf("%s: draw %v next to threshold %v was decided by the product clock", name, float64(k)/(1<<53), T)
 			}
 			got, want := cfg.start, cfg.start
@@ -213,7 +262,7 @@ func TestQueueClockGuardBand(t *testing.T) {
 			var probe queueClock
 			probe.init(cfg.q)
 			before := qs
-			decided := probe.run(cfg.q, &qs, sourceYielding(t, k))
+			_, _, decided := probe.run(qs, sourceYielding(t, k).Gen())
 			if !decided && math.Abs(float64(k)/(1<<53)/T-1) > 1e-10 {
 				t.Errorf("%+v from %+v: draw %v, a relative 1e-9 from the threshold, fell in the guard band", *cfg.q, before, float64(k)/(1<<53))
 			}
@@ -233,4 +282,34 @@ func TestQueueClockZeroRate(t *testing.T) {
 		}
 	}()
 	q.Step(&QueueState{}, 1, rng.New(1))
+}
+
+// BenchmarkQueueStepVec steps 64 lanes of the paper's queue through
+// StepVec without the kernel around them, restarting every lane from
+// empty every 500 steps (the query horizon) as BenchmarkQueueStep does.
+// ns/step is per lane-step, the unit of BenchmarkGMLSSCold.
+func BenchmarkQueueStepVec(b *testing.B) {
+	const lanes, horizon = 64, 500
+	q := NewTandemQueue(0.5, 2, 2)
+	vec := q.NewStateVec(lanes).(*queueVec)
+	srcs := make([]rng.Source, lanes)
+	srcPtr := make([]*rng.Source, lanes)
+	active := make([]int, lanes)
+	ts := make([]int, lanes)
+	for i := range active {
+		active[i] = i
+		srcs[i].SeedStream(1, uint64(i))
+		srcPtr[i] = &srcs[i]
+	}
+	for i := 0; b.Loop(); i++ {
+		tick := i%horizon + 1
+		if tick == 1 {
+			clear(vec.lane)
+		}
+		for l := range ts {
+			ts[l] = tick
+		}
+		q.StepVec(vec, active, ts, srcPtr)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/step")
 }

@@ -66,18 +66,29 @@ func (s SubSpec) maxAge() int64 {
 	return DefaultMaxAgeTicks
 }
 
-func (s SubSpec) withDefaults() (SubSpec, error) {
+// Validate reports the error Subscribe would refuse s with, if any: a
+// missing stream or observer, a non-positive threshold or horizon. It
+// has no side effect, so a caller that must create the stream first can
+// refuse a bad spec before creating anything.
+func (s SubSpec) Validate() error {
 	if s.Stream == "" {
-		return s, errors.New("stream: subscription names no stream")
+		return errors.New("stream: subscription names no stream")
 	}
 	if s.Obs == nil {
-		return s, errors.New("stream: subscription has no observer")
+		return errors.New("stream: subscription has no observer")
 	}
 	if s.Beta <= 0 {
-		return s, fmt.Errorf("stream: threshold %v must be positive", s.Beta)
+		return fmt.Errorf("stream: threshold %v must be positive", s.Beta)
 	}
 	if s.Horizon <= 0 {
-		return s, fmt.Errorf("stream: horizon %d must be positive", s.Horizon)
+		return fmt.Errorf("stream: horizon %d must be positive", s.Horizon)
+	}
+	return nil
+}
+
+func (s SubSpec) withDefaults() (SubSpec, error) {
+	if err := s.Validate(); err != nil {
+		return s, err
 	}
 	if s.Ratio <= 0 {
 		s.Ratio = 3
