@@ -122,26 +122,25 @@ func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (ben
 	}
 	rebuildSteps := statsSum(eng) // what a from-scratch standby would pay
 
+	// Each shard journals through the lineage durserve keeps, so the
+	// snapshots shipped and restored are the daemon's ServingSnapshot.
+	// No lineage carries plans: these engines keep private plan caches.
 	names := make([]string, shards)
-	stores := make([]*persist.Store, shards)
-	for i := range stores {
-		names[i] = fmt.Sprintf("shard-%04d", i)
+	for i := range names {
+		names[i] = persist.ShardStoreName(i)
 		st, err := persist.Open(filepath.Join(primaryDir, names[i]), persist.Options{Keep: 2})
 		if err != nil {
 			return benchReport{}, err
 		}
 		defer st.Close()
-		stores[i] = st
+		l := &persist.Lineage{Store: st, Engine: eng.Shard(i), Resolve: resolver}
 		// A fresh store still runs Recover: it positions the WAL cursor
 		// (there is nothing to replay in a new directory).
-		if _, _, err := st.Recover(&stream.EngineSnapshot{},
-			func(bool) error { return nil },
-			func(int64, any) error { return nil }); err != nil {
+		if _, err := l.Recover(); err != nil {
 			return benchReport{}, err
 		}
 		eng.Shard(i).SetJournal(persist.EngineJournal{Store: st})
-		i := i
-		if err := st.Checkpoint(func() (any, error) { return eng.Shard(i).Snapshot(), nil }); err != nil {
+		if err := l.Checkpoint(); err != nil {
 			return benchReport{}, err
 		}
 	}
@@ -151,34 +150,12 @@ func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (ben
 	// stream registration (via the resolver) along with every pool.
 	standby := stream.NewSharded(stream.Config{}, shards, 0)
 	hooks := func(store string) (replicate.StoreHooks, bool) {
-		var idx int
-		if _, err := fmt.Sscanf(store, "shard-%04d", &idx); err != nil || idx < 0 || idx >= shards {
+		i, ok := persist.ParseShardStoreName(store)
+		if !ok || i >= shards {
 			return replicate.StoreHooks{}, false
 		}
-		sh := standby.Shard(idx)
-		return replicate.StoreHooks{
-			Restore: func(snapPath string, found bool) error {
-				if !found {
-					return nil
-				}
-				var snap stream.EngineSnapshot
-				ok, err := persist.ReadSnapshotFile(nil, snapPath, &snap)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("snapshot %s unreadable", snapPath)
-				}
-				return sh.Restore(snap, resolver)
-			},
-			Apply: func(lsn int64, ev any) error {
-				jev, ok := ev.(stream.JournalEvent)
-				if !ok {
-					return fmt.Errorf("lsn %d is %T, not an engine event", lsn, ev)
-				}
-				return sh.Apply(ctx, lsn, jev, resolver)
-			},
-		}, true
+		l := &persist.Lineage{Engine: standby.Shard(i), Resolve: resolver}
+		return replicate.StoreHooks{Restore: l.RestoreFile, Apply: l.Apply}, true
 	}
 	follower := replicate.NewFollower(replicate.Config{
 		Source:   replicate.DirSource{Root: primaryDir, Stores: names},

@@ -208,7 +208,7 @@ func TestRecoveryCatchesUpTornShard(t *testing.T) {
 	stack.ts.Close()
 	stack.hub.closeStores()
 
-	wals, err := filepath.Glob(filepath.Join(dir, shardStoreName(1), "wal-*"))
+	wals, err := filepath.Glob(filepath.Join(dir, persist.ShardStoreName(1), "wal-*"))
 	if err != nil || len(wals) == 0 {
 		t.Fatalf("no wal segments (%v)", err)
 	}

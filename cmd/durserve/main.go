@@ -233,7 +233,7 @@ func main() {
 	if *follow != "" {
 		tel.setState(stateFollowing)
 		fr = startFollower(hub, followSource, *dataDir, opts, *followPoll, *leaseTTL, tel.followerApply, func() {
-			tel.replica.IncLeaseExpiry()
+			tel.leaseExpiries.Inc()
 			requestPromotion("primary lease expired")
 		})
 		tel.bindFollowerMetrics(fr.follower, storeNames(shardCount))
@@ -247,7 +247,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("durserve: %v", err)
 		}
-		acks = newAckTable(tel.replica)
+		acks = newAckTable(tel.ackRounds)
 		rep.enablePrimary(hs, acks)
 		tel.bindAckMetrics(acks, storeNames(shardCount))
 	}
@@ -341,10 +341,10 @@ loop:
 				log.Fatalf("durserve: promotion failed: %v", err)
 			}
 			hs = phs
-			acks = newAckTable(tel.replica)
+			acks = newAckTable(tel.ackRounds)
 			rep.enablePrimary(hs, acks)
 			tel.bindAckMetrics(acks, storeNames(shardCount))
-			tel.replica.IncPromotion()
+			tel.promotions.Inc()
 			tel.setState(stateReady)
 			st := hub.stats()
 			log.Printf("durserve: promoted; serving %d subscriptions across %d streams from %s",

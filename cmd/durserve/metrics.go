@@ -35,9 +35,14 @@ type telemetrySet struct {
 	tracer   *telemetry.Tracer
 	engine   *telemetry.EngineMetrics
 	workers  *telemetry.WorkerMetrics
-	replica  *telemetry.ReplicaMetrics
 
 	state atomic.Value // readiness: starting → replaying-wal → ready
+
+	// Replication: promotions taken, lease expiries observed (both on a
+	// follower) and ack rounds received from followers (on a primary).
+	promotions    *telemetry.Counter
+	leaseExpiries *telemetry.Counter
+	ackRounds     *telemetry.Counter
 
 	recoveries      *telemetry.Counter
 	walReplayed     *telemetry.Counter
@@ -138,13 +143,12 @@ func newTelemetry() *telemetrySet {
 			"Worker-reported per-chunk simulation time.", ws.Remote, l)
 	})
 
-	t.replica = &telemetry.ReplicaMetrics{}
-	reg.CounterFunc("durserve_promotions_total",
-		"Follower promotions performed (lease expiry or POST /promote).", t.replica.Promotions)
-	reg.CounterFunc("durserve_lease_expiries_total",
-		"Primary-lease expiries observed while following.", t.replica.LeaseExpiries)
-	reg.CounterFunc("durserve_follower_ack_rounds_total",
-		"Replication acknowledgement rounds received from a follower.", t.replica.AckRounds)
+	t.promotions = reg.Counter("durserve_promotions_total",
+		"Follower promotions performed (lease expiry or POST /promote).")
+	t.leaseExpiries = reg.Counter("durserve_lease_expiries_total",
+		"Primary-lease expiries observed while following.")
+	t.ackRounds = reg.Counter("durserve_follower_ack_rounds_total",
+		"Replication acknowledgement rounds received from a follower.")
 
 	t.recoveries = reg.Counter("durserve_recoveries_total",
 		"Recoveries performed from the checkpoint + write-ahead log store.")

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"durability/internal/persist"
 	"durability/internal/stochastic"
@@ -35,15 +34,12 @@ type hubStores struct {
 	shards []*persist.Store
 }
 
-// shardStoreName is a shard's -data-dir subdirectory (and replication
-// store) name.
-func shardStoreName(i int) string { return fmt.Sprintf("shard-%04d", i) }
-
-// storeNames lists every replicated store of a shards-wide daemon.
+// storeNames lists every replicated store of a shards-wide daemon; each
+// is also its shard's -data-dir subdirectory.
 func storeNames(shards int) []string {
 	names := make([]string, shards)
 	for i := range names {
-		names[i] = shardStoreName(i)
+		names[i] = persist.ShardStoreName(i)
 	}
 	return names
 }
@@ -52,14 +48,15 @@ func storeNames(shards int) []string {
 // layout this build cannot serve from: the pre-sharding single-store
 // layout, the hub/ lineage older builds kept beside the shards — their
 // handles need not equal subscription IDs, so reusing the shards under
-// ID handles could address the wrong subscription — and a shard count
-// other than the requested one. A missing directory is fine.
+// ID handles could address the wrong subscription — a shard layout other
+// than exactly shard-0000…shard-(n-1) (see persist.ShardCount), and a
+// shard count other than the requested one. A missing directory is fine.
 func checkDataDir(dir string, shards int) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	existing := 0
+	var subdirs []string
 	for _, e := range entries {
 		name := e.Name()
 		_, _, storeFile := persist.ParseFileName(name)
@@ -68,9 +65,13 @@ func checkDataDir(dir string, shards int) error {
 			return fmt.Errorf("%s holds a pre-sharding single-store layout; move it aside (the partitioned layout keeps one lineage per shard under shard-NNNN/)", dir)
 		case e.IsDir() && name == "hub":
 			return fmt.Errorf("%s holds a hub/ lineage written by an older durserve, whose handles need not equal subscription IDs; drain it with that build or move the directory aside", dir)
-		case e.IsDir() && strings.HasPrefix(name, "shard-"):
-			existing++
+		case e.IsDir():
+			subdirs = append(subdirs, name)
 		}
+	}
+	existing, err := persist.ShardCount(subdirs)
+	if err != nil {
+		return fmt.Errorf("%s: %w", dir, err)
 	}
 	if existing > 0 && existing != shards {
 		return fmt.Errorf("%s was created with %d shards, refusing to open with %d — subscription placement is a function of the shard count", dir, existing, shards)
@@ -95,7 +96,7 @@ func openHubStores(dir string, opts persist.Options, shards int) (*hubStores, er
 	}
 	hs := &hubStores{}
 	for i := 0; i < shards; i++ {
-		st, err := persist.Open(filepath.Join(dir, shardStoreName(i)), opts)
+		st, err := persist.Open(filepath.Join(dir, persist.ShardStoreName(i)), opts)
 		if err != nil {
 			hs.Close()
 			return nil, err
@@ -109,7 +110,7 @@ func openHubStores(dir string, opts persist.Options, shards int) (*hubStores, er
 func (hs *hubStores) byName() map[string]*persist.Store {
 	m := make(map[string]*persist.Store, len(hs.shards))
 	for i, st := range hs.shards {
-		m[shardStoreName(i)] = st
+		m[persist.ShardStoreName(i)] = st
 	}
 	return m
 }
@@ -134,7 +135,7 @@ func (h *streamHub) walBytes(name string) int64 {
 func (hs *hubStores) lastLSNs() map[string]int64 {
 	out := make(map[string]int64, len(hs.shards))
 	for i, st := range hs.shards {
-		out[shardStoreName(i)] = st.LastLSN()
+		out[persist.ShardStoreName(i)] = st.LastLSN()
 	}
 	return out
 }
@@ -170,32 +171,15 @@ func (h *streamHub) resolver(streamName, modelID string) (stochastic.Process, ma
 	return factory()
 }
 
-// shardSnapshot is shard i's checkpoint payload; only shard 0 carries
-// the warm plan cache.
-func (h *streamHub) shardSnapshot(i int) *persist.ServingSnapshot {
-	snap := &persist.ServingSnapshot{Engine: h.engine.Shard(i).Snapshot()}
+// lineage is shard i's durable lineage over st (nil on a follower,
+// whose lineages only restore and apply); only shard 0 carries the warm
+// plan cache.
+func (h *streamHub) lineage(i int, st *persist.Store) *persist.Lineage {
+	l := &persist.Lineage{Store: st, Engine: h.engine.Shard(i), Resolve: h.resolver}
 	if i == 0 {
-		snap.Plans = h.runner.Cache.Export()
+		l.Plans = h.runner.Cache
 	}
-	return snap
-}
-
-// restoreShard loads one shard's checkpoint: its warm plans, then its
-// engine state.
-func (h *streamHub) restoreShard(i int, snap *persist.ServingSnapshot) error {
-	for _, wp := range snap.Plans {
-		h.runner.Cache.Warm(wp.Key, wp.Plan)
-	}
-	return h.engine.Shard(i).Restore(snap.Engine, h.resolver)
-}
-
-// applyShard replays one of shard i's WAL records into its engine.
-func (h *streamHub) applyShard(ctx context.Context, i int, lsn int64, ev any) error {
-	jev, ok := ev.(stream.JournalEvent)
-	if !ok {
-		return fmt.Errorf("%s record lsn %d is %T, not an engine event", shardStoreName(i), lsn, ev)
-	}
-	return h.engine.Shard(i).Apply(ctx, lsn, jev, h.resolver)
+	return l
 }
 
 // rebuildFeeds recreates the live feed of every stream any shard has
@@ -252,7 +236,7 @@ func (h *streamHub) rebuildFeed(ctx context.Context, name, model string, heads [
 		if !ok {
 			// A torn registration: finish it at the initial state.
 			if err := h.engine.Shard(i).RegisterModel(name, model, proc, proc.Initial()); err != nil {
-				return nil, fmt.Errorf("finishing the registration of stream %q on %s: %w", name, shardStoreName(i), err)
+				return nil, fmt.Errorf("finishing the registration of stream %q on %s: %w", name, persist.ShardStoreName(i), err)
 			}
 		} else if hd.Tick > top.Tick {
 			top = hd
@@ -308,25 +292,15 @@ func sameState(a, b stochastic.State) (bool, error) {
 // is logged, and writes a fresh checkpoint truncating the replayed
 // tails. It reports how many events were replayed across all lineages.
 func (h *streamHub) attachStores(hs *hubStores) (replayed int, err error) {
-	ctx := context.Background()
 	for i, st := range hs.shards {
-		var snap persist.ServingSnapshot
-		_, n, err := st.Recover(&snap,
-			func(found bool) error {
-				if !found {
-					return nil
-				}
-				return h.restoreShard(i, &snap)
-			},
-			func(lsn int64, ev any) error { return h.applyShard(ctx, i, lsn, ev) },
-		)
+		n, err := h.lineage(i, st).Recover()
 		replayed += n
 		if err != nil {
-			return replayed, fmt.Errorf("recovering %s: %w", shardStoreName(i), err)
+			return replayed, fmt.Errorf("recovering %s: %w", persist.ShardStoreName(i), err)
 		}
 	}
 	h.engine.SyncNextSub()
-	if err := h.rebuildFeeds(ctx); err != nil {
+	if err := h.rebuildFeeds(context.Background()); err != nil {
 		return replayed, err
 	}
 	h.mu.Lock()
@@ -360,7 +334,7 @@ func (j timedJournal) Record(ev stream.JournalEvent) (int64, error) {
 // attachJournals makes each shard engine journal to its own store.
 func (h *streamHub) attachJournals(hs *hubStores) {
 	for i, st := range hs.shards {
-		h.engine.Shard(i).SetJournal(timedJournal{persist.EngineJournal{Store: st}, h.timing.append[shardStoreName(i)]})
+		h.engine.Shard(i).SetJournal(timedJournal{persist.EngineJournal{Store: st}, h.timing.append[persist.ShardStoreName(i)]})
 	}
 }
 
@@ -376,12 +350,9 @@ func (h *streamHub) checkpoint() error {
 	h.ckptMu.Lock()
 	defer h.ckptMu.Unlock()
 	for i, st := range hs.shards {
-		if err := st.Err(); err != nil {
-			return err
-		}
-		name := shardStoreName(i)
+		name := persist.ShardStoreName(i)
 		began := telemetry.Now()
-		err := st.Checkpoint(func() (any, error) { return h.shardSnapshot(i), nil })
+		err := h.lineage(i, st).Checkpoint()
 		h.timing.checkpoint[name].ObserveDuration(telemetry.Since(began))
 		if err != nil {
 			return fmt.Errorf("checkpointing %s: %w", name, err)

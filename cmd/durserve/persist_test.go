@@ -70,7 +70,7 @@ func TestSubscribeHonoursMaxHorizon(t *testing.T) {
 	if st := hub.stats(); st.Engine.Streams != 0 || st.Subscriptions != 0 {
 		t.Fatalf("a refused subscribe left %d streams and %d subscriptions", st.Engine.Streams, st.Subscriptions)
 	}
-	if lsns := hs.lastLSNs(); lsns[shardStoreName(0)] != 0 {
+	if lsns := hs.lastLSNs(); lsns[persist.ShardStoreName(0)] != 0 {
 		t.Fatalf("a refused subscribe journaled records: last LSNs %v", lsns)
 	}
 
@@ -175,7 +175,7 @@ func TestDurserveCrashRestartMatchesUninterrupted(t *testing.T) {
 				// Tear the engine shard's newest segment mid-record: the
 				// shard loses the last tick, and with it the daemon does.
 				resume--
-				wals, err := filepath.Glob(filepath.Join(dir, shardStoreName(0), "wal-*"))
+				wals, err := filepath.Glob(filepath.Join(dir, persist.ShardStoreName(0), "wal-*"))
 				if err != nil || len(wals) == 0 {
 					t.Fatalf("no wal segments (%v)", err)
 				}

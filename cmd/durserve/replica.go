@@ -38,11 +38,11 @@ type ackTable struct {
 	mu      sync.Mutex
 	applied map[string]int64
 	seen    bool
-	metrics *telemetry.ReplicaMetrics
+	rounds  *telemetry.Counter // ack rounds received; nil counts nothing
 }
 
-func newAckTable(m *telemetry.ReplicaMetrics) *ackTable {
-	return &ackTable{applied: make(map[string]int64), metrics: m}
+func newAckTable(rounds *telemetry.Counter) *ackTable {
+	return &ackTable{applied: make(map[string]int64), rounds: rounds}
 }
 
 // record merges one follower ack round (monotonic per store).
@@ -50,7 +50,7 @@ func (a *ackTable) record(applied map[string]int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.seen = true
-	a.metrics.IncAckRound()
+	a.rounds.Inc()
 	//durlint:ignore maporder merged into a keyed table, order-free
 	for store, lsn := range applied {
 		if lsn > a.applied[store] {
@@ -163,50 +163,25 @@ func (r *replicaSet) handlePromote(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]string{"state": "promoting"})
 }
 
-// followerHooks wires mirrored stores into the hub: each shard lineage
-// restores and applies engine events on its own warm shard engine. Every
-// applied record's wall time is observed into applied.
+// followerHooks wires mirrored stores into the hub: each shard store
+// restores and applies through its shard's lineage, on its own warm
+// shard engine. Every applied record's wall time is observed into
+// applied.
 func followerHooks(h *streamHub, applied *telemetry.Histogram) func(store string) (replicate.StoreHooks, bool) {
-	lineage := lineageHooks(h)
 	return func(store string) (replicate.StoreHooks, bool) {
-		hooks, ok := lineage(store)
-		if ok {
-			apply := hooks.Apply
-			hooks.Apply = func(lsn int64, ev any) error {
-				began := telemetry.Now()
-				err := apply(lsn, ev)
-				applied.ObserveDuration(telemetry.Since(began))
-				return err
-			}
-		}
-		return hooks, ok
-	}
-}
-
-// lineageHooks restores and applies one mirrored shard lineage.
-func lineageHooks(h *streamHub) func(store string) (replicate.StoreHooks, bool) {
-	ctx := context.Background()
-	return func(store string) (replicate.StoreHooks, bool) {
-		var idx int
-		if _, err := fmt.Sscanf(store, "shard-%04d", &idx); err != nil || idx < 0 || idx >= h.engine.Shards() {
+		i, ok := persist.ParseShardStoreName(store)
+		if !ok || i >= h.engine.Shards() {
 			return replicate.StoreHooks{}, false
 		}
+		l := h.lineage(i, nil)
 		return replicate.StoreHooks{
-			Restore: func(snapPath string, found bool) error {
-				if !found {
-					return nil // EvRegistered replay rebuilds the stream
-				}
-				var snap persist.ServingSnapshot
-				ok, err := persist.ReadSnapshotFile(nil, snapPath, &snap)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("chosen snapshot %s unreadable", snapPath)
-				}
-				return h.restoreShard(idx, &snap)
+			Restore: l.RestoreFile,
+			Apply: func(lsn int64, ev any) error {
+				began := telemetry.Now()
+				err := l.Apply(lsn, ev)
+				applied.ObserveDuration(telemetry.Since(began))
+				return err
 			},
-			Apply: func(lsn int64, ev any) error { return h.applyShard(ctx, idx, lsn, ev) },
 		}, true
 	}
 }
@@ -233,8 +208,10 @@ type followerRun struct {
 // a local -shards flag: a mirror tracking fewer lineages than the
 // primary ships would drain every lag gauge to zero while silently
 // missing subscriptions. A primary that still ships a hub lineage runs
-// an older build whose handles need not equal subscription IDs; it is
-// refused by name.
+// an older build whose handles need not equal subscription IDs, and one
+// whose shard stores are not exactly shard-0000…shard-(n-1) has no
+// layout a follower can adopt (see persist.ShardCount); both are refused
+// by name.
 func discoverShardCount(source replicate.Source, wait time.Duration) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
@@ -243,14 +220,16 @@ func discoverShardCount(source replicate.Source, wait time.Duration) (int, error
 	for {
 		man, err := source.Manifest(ctx)
 		if err == nil {
-			n := 0
-			for _, sm := range man.Stores {
-				switch {
-				case sm.Name == "hub":
+			names := make([]string, len(man.Stores))
+			for i, sm := range man.Stores {
+				if sm.Name == "hub" {
 					return 0, errors.New("primary manifest lists a hub lineage: the primary runs an older durserve, whose handles need not equal subscription IDs; drain it or move its data directory aside before following it")
-				case strings.HasPrefix(sm.Name, "shard-"):
-					n++
 				}
+				names[i] = sm.Name
+			}
+			n, err := persist.ShardCount(names)
+			if err != nil {
+				return 0, fmt.Errorf("primary manifest: %w", err)
 			}
 			if n == 0 {
 				return 0, fmt.Errorf("primary manifest lists no shard lineage (%d stores)", len(man.Stores))
@@ -339,7 +318,7 @@ func (fr *followerRun) promoteOnce() error {
 			func(bool) error { return nil },
 			func(int64, any) error { return nil }); err != nil {
 			hs.Close()
-			return fmt.Errorf("promote: positioning %s: %w", shardStoreName(i), err)
+			return fmt.Errorf("promote: positioning %s: %w", persist.ShardStoreName(i), err)
 		}
 	}
 	h.mu.Lock()

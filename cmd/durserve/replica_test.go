@@ -47,7 +47,7 @@ func durableSharded(t *testing.T, dir string, shards int) *replicaStack {
 	if _, err := hub.attachStores(hs); err != nil {
 		t.Fatalf("recovering %s: %v", dir, err)
 	}
-	acks := newAckTable(tel.replica)
+	acks := newAckTable(tel.ackRounds)
 	rep := &replicaSet{}
 	rep.enablePrimary(hs, acks)
 	tel.setState(stateReady)
@@ -352,7 +352,7 @@ func TestOpenHubStoresRefusesLayoutDrift(t *testing.T) {
 	})
 	t.Run("hub-lineage", func(t *testing.T) {
 		dir := t.TempDir()
-		for _, name := range []string{"hub", shardStoreName(0)} {
+		for _, name := range []string{"hub", persist.ShardStoreName(0)} {
 			if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -447,5 +447,41 @@ func TestDiscoverShardCount(t *testing.T) {
 	}
 	if _, err := discoverShardCount(&manifestOnlySource{failures: 1 << 30}, 300*time.Millisecond); err == nil {
 		t.Fatal("discoverShardCount returned without a reachable primary")
+	}
+}
+
+// TestShardNamesHaveOneForm pins the shard store grammar at every place
+// durserve reads a layout: shard-0000 and shard-00000 would both parse
+// as shard 0 under a lenient reading, so a manifest or data directory
+// listing both is refused by the non-canonical name instead of being
+// counted as two shards, and the follower mirrors no store by it.
+func TestShardNamesHaveOneForm(t *testing.T) {
+	names := []string{persist.ShardStoreName(0), "shard-00000"}
+	_, err := discoverShardCount(&manifestOnlySource{names: names}, time.Second)
+	if err == nil || !strings.Contains(err.Error(), `"shard-00000"`) {
+		t.Fatalf("discoverShardCount(%q): err %v, want a refusal naming shard-00000", names, err)
+	}
+	dir := t.TempDir()
+	for _, name := range names {
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkDataDir(dir, 2); err == nil || !strings.Contains(err.Error(), `"shard-00000"`) {
+		t.Fatalf("checkDataDir over %q: err %v, want a refusal naming shard-00000", names, err)
+	}
+	registry := experiments.Models(experiments.DefaultModelParams())
+	srv := serve.NewServer(registry, serve.Config{PoolWorkers: 1, Seed: 1})
+	t.Cleanup(srv.Close)
+	hooks := followerHooks(newStreamHub(srv, registry, nil, nil, 2), nil)
+	for _, name := range []string{"shard-00000", "shard-1", "shard-+001", "shard-0001junk", persist.ShardStoreName(2)} {
+		if _, ok := hooks(name); ok {
+			t.Errorf("the follower mirrors store %q", name)
+		}
+	}
+	for _, name := range storeNames(2) {
+		if _, ok := hooks(name); !ok {
+			t.Errorf("the follower skips store %q", name)
+		}
 	}
 }

@@ -463,10 +463,10 @@ type Session struct {
 	streamOnce sync.Once
 	stream     *stream.Engine
 
-	// Durable sessions (OpenSession) carry the checkpoint+WAL store and
-	// the named observers persisted subscriptions are rebuilt from; both
-	// are nil on a plain NewSession.
-	store     *persist.Store
+	// Durable sessions (OpenSession) carry the lineage over their
+	// checkpoint+WAL store and the named observers persisted
+	// subscriptions are rebuilt from; both are nil on a plain NewSession.
+	lineage   *persist.Lineage
 	observers map[string]Observer
 
 	queries     atomic.Int64

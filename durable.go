@@ -1,13 +1,11 @@
 package durability
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"durability/internal/persist"
 	"durability/internal/stochastic"
-	"durability/internal/stream"
 )
 
 // OpenSession opens a session whose standing-query state survives process
@@ -42,7 +40,6 @@ func OpenSession(proc Process, dir string, observers map[string]Observer, opts .
 	if err != nil {
 		return nil, err
 	}
-	s.store = store
 	s.observers = make(map[string]Observer, len(observers))
 	for name, obs := range observers {
 		if obs == nil {
@@ -52,34 +49,19 @@ func OpenSession(proc Process, dir string, observers map[string]Observer, opts .
 		s.observers[name] = obs
 	}
 
-	eng := s.engine()
-	resolve := func(streamName, modelID string) (stochastic.Process, map[string]stochastic.Observer, error) {
-		return s.proc, s.observers, nil
+	s.lineage = &persist.Lineage{
+		Store:  store,
+		Engine: s.engine(),
+		Plans:  s.runner.Cache,
+		Resolve: func(streamName, modelID string) (stochastic.Process, map[string]stochastic.Observer, error) {
+			return s.proc, s.observers, nil
+		},
 	}
-	var snap persist.ServingSnapshot
-	_, _, err = store.Recover(&snap,
-		func(found bool) error {
-			if !found {
-				return nil
-			}
-			for _, wp := range snap.Plans {
-				s.runner.Cache.Warm(wp.Key, wp.Plan)
-			}
-			return eng.Restore(snap.Engine, resolve)
-		},
-		func(lsn int64, ev any) error {
-			sev, ok := ev.(stream.JournalEvent)
-			if !ok {
-				return fmt.Errorf("durability: unexpected WAL event %T", ev)
-			}
-			return eng.Apply(context.Background(), lsn, sev, resolve)
-		},
-	)
-	if err != nil {
+	if _, err := s.lineage.Recover(); err != nil {
 		store.Close()
 		return nil, fmt.Errorf("durability: recovering %s: %w", dir, err)
 	}
-	eng.SetJournal(persist.EngineJournal{Store: store})
+	s.lineage.Engine.SetJournal(persist.EngineJournal{Store: store})
 
 	// An immediate checkpoint truncates the replayed tail, so the next
 	// recovery starts from here instead of re-replaying it.
@@ -106,29 +88,21 @@ func (s *Session) Subscriptions() []*Subscription {
 // left behind. A non-durable session (NewSession) has nothing to
 // checkpoint and reports an error.
 func (s *Session) Checkpoint() error {
-	if s.store == nil {
+	if s.lineage == nil {
 		return errors.New("durability: session has no data directory (open it with OpenSession)")
 	}
-	if err := s.store.Err(); err != nil {
-		return err
-	}
-	return s.store.Checkpoint(func() (any, error) {
-		return &persist.ServingSnapshot{
-			Engine: s.engine().Snapshot(),
-			Plans:  s.runner.Cache.Export(),
-		}, nil
-	})
+	return s.lineage.Checkpoint()
 }
 
 // Close ends a durable session: a final checkpoint, then the store is
 // released. On a non-durable session it is a no-op. The session must not
 // be used afterwards.
 func (s *Session) Close() error {
-	if s.store == nil {
+	if s.lineage == nil {
 		return nil
 	}
 	err := s.Checkpoint()
-	if cerr := s.store.Close(); err == nil {
+	if cerr := s.lineage.Store.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -137,7 +111,7 @@ func (s *Session) Close() error {
 // maybeCheckpoint runs a checkpoint when the store's size or age trigger
 // has fired. Called after mutations, outside every engine lock.
 func (s *Session) maybeCheckpoint() error {
-	if s.store == nil || !s.store.NeedCheckpoint() {
+	if s.lineage == nil || !s.lineage.Store.NeedCheckpoint() {
 		return nil
 	}
 	return s.Checkpoint()

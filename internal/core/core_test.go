@@ -350,13 +350,12 @@ func TestBootstrapVarianceShrinksWithData(t *testing.T) {
 
 func TestSMLSSLevelEntryCounts(t *testing.T) {
 	chain, q, plan, _ := noSkipChain()
-	s := &SMLSS{Proc: chain, Query: q, Plan: plan, Ratio: 3,
-		Stop: mc.Budget{Steps: 1}, Seed: 10}
-	counts, steps, err := s.LevelEntryCounts(context.Background(), 2000)
+	s := &SMLSS{Proc: chain, Query: q, Plan: plan, Ratio: 3, Seed: 10}
+	res, counts, err := s.Trial(context.Background(), 320_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps <= 0 {
+	if res.Steps <= 0 {
 		t.Fatal("no steps recorded")
 	}
 	// Landings must decrease with the level (fewer paths reach higher

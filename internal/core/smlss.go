@@ -133,27 +133,3 @@ func (s *SMLSS) run(ctx context.Context, stop mc.StopRule, simulate smlssSimFunc
 		}
 	}
 }
-
-// LevelEntryCounts runs nRoots full splitting trees and returns the
-// aggregate first-landing counts per level (index 1..m-1; index m is the
-// target). The optimiser uses these to estimate level-advancement
-// probabilities without re-implementing the tree walk.
-func (s *SMLSS) LevelEntryCounts(ctx context.Context, nRoots int64) ([]int64, int64, error) {
-	if err := s.validate(); err != nil {
-		return nil, 0, err
-	}
-	ctx, release := occupy(ctx)
-	defer release()
-	proto := s.Proc.Initial()
-	initLevel := s.Plan.LevelOf(s.Query.ValueOf(proto))
-	roots, err := kernelSMLSS(s, width(s.Workers), proto, initLevel)(ctx, 0, nRoots)
-	counts := make([]int64, s.Plan.M()+1)
-	var steps int64
-	for _, r := range roots {
-		steps += r.steps
-		for i, c := range r.entries {
-			counts[i] += c
-		}
-	}
-	return counts, steps, err
-}

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -55,6 +56,63 @@ func ParseFileName(name string) (kind FileKind, seq uint64, ok bool) {
 		return k, seq, true
 	}
 	return 0, 0, false
+}
+
+// A sharded front end keeps one store per engine shard, named
+// shard-NNNN: the index zero-padded to four digits, wider only when it
+// needs more. Data-directory checks, replication manifests and follower
+// hooks read shard indexes through ShardStoreName and
+// ParseShardStoreName, so every store has one index and every index one
+// name.
+
+const shardPrefix = "shard-"
+
+// ShardStoreName names shard i's store (i >= 0).
+func ShardStoreName(i int) string {
+	return shardPrefix + fmt.Sprintf("%04d", i)
+}
+
+// ParseShardStoreName is ShardStoreName's inverse: ok only for a name
+// that ShardStoreName renders exactly, so no sign, suffix or other
+// padding names a shard.
+func ParseShardStoreName(name string) (i int, ok bool) {
+	digits, found := strings.CutPrefix(name, shardPrefix)
+	if !found {
+		return 0, false
+	}
+	i, err := strconv.Atoi(digits)
+	if err != nil || i < 0 || ShardStoreName(i) != name {
+		return 0, false
+	}
+	return i, true
+}
+
+// ShardCount reads a sharded layout from store names (a data
+// directory's subdirectories, a replication manifest's stores): the
+// number of shard stores, which must be exactly ShardStoreName(0) …
+// ShardStoreName(n-1). A name that begins like a shard store without
+// being one, a repeated shard and a missing shard are each refused by
+// name; names of any other shape are not shard stores and are skipped.
+func ShardCount(names []string) (int, error) {
+	var idx []int
+	for _, name := range names {
+		i, ok := ParseShardStoreName(name)
+		if ok {
+			idx = append(idx, i)
+		} else if strings.HasPrefix(name, shardPrefix) {
+			return 0, fmt.Errorf("persist: %q is not a shard store name (those are %s, %s, …)", name, ShardStoreName(0), ShardStoreName(1))
+		}
+	}
+	slices.Sort(idx)
+	for want, i := range idx {
+		switch {
+		case i < want:
+			return 0, fmt.Errorf("persist: shard store %q is listed twice", ShardStoreName(i))
+		case i > want:
+			return 0, fmt.Errorf("persist: shard store %q is missing below %q", ShardStoreName(want), ShardStoreName(i))
+		}
+	}
+	return len(idx), nil
 }
 
 // FileInfo names one store file and its size.

@@ -2,6 +2,8 @@ package persist
 
 import (
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -78,4 +80,87 @@ func FuzzNameChecks(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(checkNameAgainstRegexps)
+}
+
+// shardNameRe is the canonical shard store name: four digits, or more
+// without a leading zero.
+var shardNameRe = regexp.MustCompile(`^shard-([0-9]{4}|[1-9][0-9]{4,})$`)
+
+// checkShardName holds ParseShardStoreName to the round trip, and to
+// refusing every name outside the canonical grammar. Digit runs too
+// long for an int are refused as well.
+func checkShardName(t *testing.T, s string) {
+	t.Helper()
+	i, ok := ParseShardStoreName(s)
+	if ok && (i < 0 || ShardStoreName(i) != s) {
+		t.Fatalf("ParseShardStoreName(%q) = %d, which ShardStoreName names %q", s, i, ShardStoreName(i))
+	}
+	canonical := shardNameRe.MatchString(s)
+	if ok && !canonical {
+		t.Fatalf("ParseShardStoreName accepted the non-canonical %q as shard %d", s, i)
+	}
+	if !ok && canonical && len(s) <= len("shard-")+18 {
+		t.Fatalf("ParseShardStoreName refused the canonical %q", s)
+	}
+}
+
+func TestShardStoreNames(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		i    int
+		ok   bool
+	}{
+		{"shard-0000", 0, true}, {"shard-0001", 1, true}, {"shard-9999", 9999, true}, {"shard-10000", 10000, true},
+		{"shard-1", 0, false}, {"shard-+001", 0, false}, {"shard-0001junk", 0, false}, {"shard-00000", 0, false},
+		{"shard--001", 0, false}, {"shard-", 0, false}, {"shard-01000", 0, false}, {"shard-0x10", 0, false},
+		{"shard-0001\n", 0, false}, {"Shard-0001", 0, false}, {"hub", 0, false}, {"shard-99999999999999999999", 0, false},
+	} {
+		checkShardName(t, c.name)
+		if i, ok := ParseShardStoreName(c.name); i != c.i || ok != c.ok {
+			t.Errorf("ParseShardStoreName(%q) = %d, %v; want %d, %v", c.name, i, ok, c.i, c.ok)
+		}
+	}
+	for _, i := range []int{0, 7, 42, 9999, 10000, 123456} {
+		if got, ok := ParseShardStoreName(ShardStoreName(i)); !ok || got != i {
+			t.Errorf("ParseShardStoreName(ShardStoreName(%d)) = %d, %v", i, got, ok)
+		}
+	}
+}
+
+// A shard layout is exactly shard-0000…shard-(n-1); anything else is
+// refused by the offending name.
+func TestShardCount(t *testing.T) {
+	for _, c := range []struct {
+		names   []string
+		n       int
+		refuses string
+	}{
+		{nil, 0, ""},
+		{[]string{"other", "hub"}, 0, ""},
+		{[]string{"shard-0001", "x", "shard-0000"}, 2, ""},
+		{[]string{"shard-0000", "shard-00000"}, 0, "shard-00000"},
+		{[]string{"shard-0000", "shard-0000"}, 0, "shard-0000"},
+		{[]string{"shard-0000", "shard-0002"}, 0, "shard-0001"},
+		{[]string{"shard-0001"}, 0, "shard-0000"},
+		{[]string{"shard-1"}, 0, "shard-1"},
+	} {
+		n, err := ShardCount(c.names)
+		if c.refuses == "" {
+			if err != nil || n != c.n {
+				t.Errorf("ShardCount(%q) = %d, %v; want %d", c.names, n, err, c.n)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.refuses)) {
+			t.Errorf("ShardCount(%q) = %d, %v; want a refusal naming %s", c.names, n, err, c.refuses)
+		}
+	}
+}
+
+func FuzzShardStoreName(f *testing.F) {
+	for _, s := range []string{"shard-0000", "shard-0001", "shard-10000", "shard-1", "shard-+001", "shard-0001junk",
+		"shard-00000", "shard--001", "shard-", "shard-9223372036854775807", "shard-99999999999999999999", "é", "\xff"} {
+		f.Add(s)
+	}
+	f.Fuzz(checkShardName)
 }

@@ -26,11 +26,10 @@ import (
 // follower drains what the dead primary left on disk into warm engines,
 // reconciles shard tick divergence, promotes, and must then answer
 // bit-for-bit like an engine that never died, for every standing query,
-// on both execution backends.
+// on both execution backends. Primary and follower restore, replay and
+// checkpoint through persist.Lineage, the protocol durserve runs.
 
 const drillShards = 4
-
-func drillStoreName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
 // chainResolver rebuilds the drill chain the way a recovery would.
 func chainResolver(streamName, modelID string) (stochastic.Process, map[string]stochastic.Observer, error) {
@@ -59,11 +58,6 @@ func canon(a stream.Answer) stream.Answer {
 	a.PlanCached = false
 	return a
 }
-
-// storeJournal adapts a persist store to the engine's journal seam.
-type storeJournal struct{ st *persist.Store }
-
-func (j storeJournal) Record(ev stream.JournalEvent) (int64, error) { return j.st.Append(ev) }
 
 // startChainWorkers spins n in-process rpc shard workers that rebuild
 // the drill chain by name.
@@ -183,18 +177,17 @@ func runFailoverDrill(t *testing.T, backend exec.Executor, point string) {
 	// through the fault-injecting filesystem.
 	pdir := t.TempDir()
 	primary := stream.NewSharded(pcfg, drillShards, 0)
-	stores := make([]*persist.Store, drillShards)
+	lineages := make([]*persist.Lineage, drillShards)
 	for i := 0; i < drillShards; i++ {
-		st, err := persist.Open(filepath.Join(pdir, drillStoreName(i)), persist.Options{FS: ffs, Keep: 2})
+		st, err := persist.Open(filepath.Join(pdir, persist.ShardStoreName(i)), persist.Options{FS: ffs, Keep: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := st.Recover(&stream.EngineSnapshot{}, func(bool) error { return nil },
-			func(int64, any) error { return nil }); err != nil {
+		lineages[i] = &persist.Lineage{Store: st, Engine: primary.Shard(i), Resolve: chainResolver}
+		if _, err := lineages[i].Recover(); err != nil {
 			t.Fatal(err)
 		}
-		stores[i] = st
-		primary.Shard(i).SetJournal(storeJournal{st})
+		primary.Shard(i).SetJournal(persist.EngineJournal{Store: st})
 	}
 	if err := primary.Register("chain", stochastic.BirthDeathChain(10, 0.45, 0), &stochastic.ChainState{I: 0}); err != nil {
 		t.Fatal(err)
@@ -246,11 +239,8 @@ drive:
 			break
 		}
 		if k == checkpointTick {
-			for i := 0; i < drillShards; i++ {
-				i := i
-				if err := stores[i].Checkpoint(func() (any, error) {
-					return primary.Shard(i).Snapshot(), nil
-				}); err != nil {
+			for _, l := range lineages {
+				if err := l.Checkpoint(); err != nil {
 					crashTick = k
 					break drive
 				}
@@ -275,40 +265,18 @@ drive:
 	// delayed — shipping latency must change nothing but wall time.
 	names := make([]string, drillShards)
 	for i := range names {
-		names[i] = drillStoreName(i)
+		names[i] = persist.ShardStoreName(i)
 	}
 	shipFS := faultfs.Wrap(nil, &faultfs.Rule{Op: faultfs.OpRead, Path: "shard-0001/wal-", Nth: 2, Delay: 20 * time.Millisecond})
 	fdir := t.TempDir()
 	foll := stream.NewSharded(cfg, drillShards, 0)
 	hooks := func(store string) (StoreHooks, bool) {
-		var idx int
-		if _, err := fmt.Sscanf(store, "shard-%04d", &idx); err != nil || idx < 0 || idx >= drillShards {
+		i, ok := persist.ParseShardStoreName(store)
+		if !ok || i >= drillShards {
 			return StoreHooks{}, false
 		}
-		eng := foll.Shard(idx)
-		return StoreHooks{
-			Restore: func(snapPath string, found bool) error {
-				if !found {
-					return nil // EvRegistered replay rebuilds the stream
-				}
-				var snap stream.EngineSnapshot
-				ok, err := persist.ReadSnapshotFile(nil, snapPath, &snap)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("chosen snapshot %s unreadable", snapPath)
-				}
-				return eng.Restore(snap, chainResolver)
-			},
-			Apply: func(lsn int64, ev any) error {
-				jev, ok := ev.(stream.JournalEvent)
-				if !ok {
-					return fmt.Errorf("record lsn %d is %T, not a journal event", lsn, ev)
-				}
-				return eng.Apply(ctx, lsn, jev, chainResolver)
-			},
-		}, true
+		l := &persist.Lineage{Engine: foll.Shard(i), Resolve: chainResolver}
+		return StoreHooks{Restore: l.RestoreFile, Apply: l.Apply}, true
 	}
 	f := NewFollower(Config{
 		Source: DirSource{Root: pdir, Stores: names, FS: shipFS},
@@ -365,18 +333,21 @@ drive:
 	// The mirror is a full data directory: attach journals over it and
 	// seal the promotion with a checkpoint, like a real takeover does.
 	for i := 0; i < drillShards; i++ {
-		st, err := persist.Open(filepath.Join(fdir, drillStoreName(i)), persist.Options{Keep: 2})
+		name := persist.ShardStoreName(i)
+		st, err := persist.Open(filepath.Join(fdir, name), persist.Options{Keep: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := st.Recover(&stream.EngineSnapshot{}, func(bool) error { return nil },
+		// The engines are warm: Recover here only repairs torn tails and
+		// positions the store, as durserve's promotion does.
+		if _, _, err := st.Recover(&persist.ServingSnapshot{}, func(bool) error { return nil },
 			func(int64, any) error { return nil }); err != nil {
-			t.Fatalf("promoting mirror of %s: %v", drillStoreName(i), err)
+			t.Fatalf("promoting mirror of %s: %v", name, err)
 		}
-		i := i
-		foll.Shard(i).SetJournal(storeJournal{st})
-		if err := st.Checkpoint(func() (any, error) { return foll.Shard(i).Snapshot(), nil }); err != nil {
-			t.Fatalf("sealing promotion of %s: %v", drillStoreName(i), err)
+		foll.Shard(i).SetJournal(persist.EngineJournal{Store: st})
+		l := &persist.Lineage{Store: st, Engine: foll.Shard(i), Resolve: chainResolver}
+		if err := l.Checkpoint(); err != nil {
+			t.Fatalf("sealing promotion of %s: %v", name, err)
 		}
 		defer st.Close()
 	}

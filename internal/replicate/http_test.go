@@ -2,7 +2,6 @@ package replicate
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +22,7 @@ func TestHTTPSourceReusesConnections(t *testing.T) {
 	stores := map[string]*persist.Store{}
 	logs := map[string]*intLog{}
 	for i := range nStores {
-		name := fmt.Sprintf("shard-%04d", i)
+		name := persist.ShardStoreName(i)
 		p := openPrimary(t, root, name)
 		p.append(t, 1)
 		p.checkpoint(t)

@@ -184,63 +184,3 @@ func (m *WorkerMetrics) Worker(addr string) *WorkerStats {
 	m.mu.Unlock()
 	return ws
 }
-
-// ReplicaMetrics books WAL-follower replication telemetry: promotions
-// taken, lease expiries observed and ack rounds received from followers.
-// Like every bundle here it lives outside the deterministic core — the
-// follower's apply path never reads it — and a nil *ReplicaMetrics
-// ignores every call, so replication code is instrumented without
-// caring whether a registry is attached.
-type ReplicaMetrics struct {
-	promotions    atomic.Int64
-	leaseExpiries atomic.Int64
-	ackRounds     atomic.Int64
-}
-
-// IncPromotion books one follower promotion (manual or lease-driven).
-func (m *ReplicaMetrics) IncPromotion() {
-	if m == nil {
-		return
-	}
-	m.promotions.Add(1)
-}
-
-// Promotions reports promotions taken.
-func (m *ReplicaMetrics) Promotions() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.promotions.Load()
-}
-
-// IncLeaseExpiry books one primary-lease expiry.
-func (m *ReplicaMetrics) IncLeaseExpiry() {
-	if m == nil {
-		return
-	}
-	m.leaseExpiries.Add(1)
-}
-
-// LeaseExpiries reports primary-lease expiries observed.
-func (m *ReplicaMetrics) LeaseExpiries() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.leaseExpiries.Load()
-}
-
-// IncAckRound books one applied-LSN ack received from a follower.
-func (m *ReplicaMetrics) IncAckRound() {
-	if m == nil {
-		return
-	}
-	m.ackRounds.Add(1)
-}
-
-// AckRounds reports follower ack rounds received.
-func (m *ReplicaMetrics) AckRounds() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.ackRounds.Load()
-}

@@ -9,7 +9,7 @@
 // in this package is reachable from persisted state, and no deterministic
 // computation reads a histogram or span back. The one deliberate
 // exception to "deterministic packages never touch the wall clock" is
-// the Clock seam below: Now and Since are the sanctioned sink for
+// the clock seam below: Now and Since are the sanctioned sink for
 // wall-clock reads, and durlint's detsource pass recognizes calls routed
 // through this package while still flagging raw time.Now in
 // internal/{core,exec,opt,stream,rng}. That turns "every timing site
@@ -27,11 +27,6 @@ package telemetry
 
 import "time"
 
-// Clock is the wall-clock seam. The package-level Now/Since calls are
-// the ones deterministic packages route through; Clock exists so tests
-// can substitute a fake without touching the global.
-type Clock struct{}
-
 // Now reads the wall clock. This is the single sanctioned wall-clock
 // read for deterministic packages: route timing telemetry through here
 // (durlint's detsource pass whitelists it) instead of calling time.Now
@@ -42,9 +37,3 @@ func Now() time.Time { return time.Now() }
 // Since reports the wall time elapsed since t; the Since half of the
 // clock seam.
 func Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Now on a Clock mirrors the package function.
-func (Clock) Now() time.Time { return time.Now() }
-
-// Since on a Clock mirrors the package function.
-func (Clock) Since(t time.Time) time.Duration { return time.Since(t) }

@@ -92,7 +92,7 @@ func (s *Session) Watch(ctx context.Context, name string, q Query, opts ...Optio
 		return nil, errors.New("durability: standing queries use automatic level search; WithPlan and WithBalancedLevels are not supported")
 	}
 	obs := q.Z
-	if s.store != nil {
+	if s.lineage != nil {
 		// Durable subscriptions are rebuilt after a restart by observer
 		// name; an identity the session cannot resolve would make the
 		// snapshot unrecoverable, so refuse it now rather than at the
