@@ -137,13 +137,13 @@ func TestHandlesAreSubscriptionIDs(t *testing.T) {
 		}
 		primary.ts.Close()
 		primary.hub.closeStores()
-		phs, err := fs.fr.promote()
+		promoted, err := fs.fr.promote()
 		if err != nil {
 			t.Fatalf("promote: %v", err)
 		}
 		fs.tel.setState(stateReady)
 		rep := &replicaSet{}
-		rep.enablePrimary(phs, newAckTable(nil))
+		rep.enablePrimary(promoted, newAckTable(nil))
 		ts := httptest.NewServer(newMux(fs.srv, fs.hub, fs.tel, rep))
 		defer ts.Close()
 		check(t, ts, a, b, gone)
@@ -171,12 +171,12 @@ func TestRecoveryRefusesAnotherSeed(t *testing.T) {
 	defer srv.Close()
 	hub := newStreamHub(srv, registry, nil, tel.engine, shards)
 	tel.bind(srv, hub)
-	hs, err := openHubStores(dir, persist.Options{}, shards)
+	stores, err := openStores(dir, persist.Options{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = hub.attachStores(hs)
-	hs.Close()
+	_, err = hub.takeOver(stores, (*persist.Lineage).Recover)
+	closeAll(stores)
 	if err == nil || !strings.Contains(err.Error(), `stream "walk"`) || !strings.Contains(err.Error(), "-seed") {
 		t.Fatalf("recovery under another -seed: err %v, want a refusal naming the stream and -seed", err)
 	}

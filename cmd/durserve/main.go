@@ -71,10 +71,12 @@
 //
 //	durserve -addr :8077 -data-dir /var/lib/durserve
 //
-// Checkpoints are written at boot, when the log outgrows
-// -checkpoint-bytes or -checkpoint-age, and on SIGTERM — after which
-// in-flight GET /updates long-polls resolve with 204 (shutting down)
-// instead of being dropped mid-wait.
+// Checkpoints are written at boot, on SIGTERM and, per shard, after a
+// tick that leaves the shard's log past -checkpoint-bytes or older than
+// -checkpoint-age: the triggers are checked once each tick's appends are
+// done, so an idle daemon's age trigger fires at its next tick or at
+// SIGTERM. After SIGTERM's checkpoint, in-flight GET /updates long-polls
+// resolve with 204 (shutting down) instead of being dropped mid-wait.
 package main
 
 import (
@@ -120,7 +122,7 @@ func main() {
 		tick       = flag.Duration("tick", 0, "auto-advance every live stream on this interval (0 = ticks only via POST /tick)")
 		dataDir    = flag.String("data-dir", "", "durable serving state: checkpoint + write-ahead log directory (empty = in-memory only; a restart forgets every subscription)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint when a write-ahead log outgrows this many bytes (0 = 4 MiB default)")
-		ckptAge    = flag.Duration("checkpoint-age", 0, "checkpoint when a write-ahead log has been collecting this long (0 = 5m default)")
+		ckptAge    = flag.Duration("checkpoint-age", 0, "checkpoint when a write-ahead log has been collecting this long (0 = 5m default); checked after each tick, so an idle daemon's fires at its next tick or at SIGTERM")
 		shards     = flag.Int("shards", 1, "standing-query engine shards; subscriptions partition across them by consistent hash and each shard keeps its own checkpoint+WAL lineage under -data-dir")
 		follow     = flag.String("follow", "", "run as a warm follower of the primary durserve at this base URL (e.g. http://primary:8077); requires -data-dir for the mirror, serves once promoted")
 		followPoll = flag.Duration("follow-poll", 200*time.Millisecond, "follower: replication poll interval")
@@ -218,7 +220,7 @@ func main() {
 	opts := persist.Options{MaxWALBytes: *ckptBytes, MaxWALAge: *ckptAge}
 	rep := &replicaSet{}
 	var acks *ackTable
-	var hs *hubStores
+	var stores []*persist.Store
 	var fr *followerRun
 	// promoteReq carries at most one promotion trigger (lease expiry or
 	// POST /promote) to the main loop, which owns the takeover.
@@ -243,12 +245,12 @@ func main() {
 		// Opening the store set is cheap; the slow part (replay) happens
 		// below, after the listener is up.
 		var err error
-		hs, err = openHubStores(*dataDir, opts, shardCount)
+		stores, err = openStores(*dataDir, opts, shardCount)
 		if err != nil {
 			log.Fatalf("durserve: %v", err)
 		}
 		acks = newAckTable(tel.ackRounds)
-		rep.enablePrimary(hs, acks)
+		rep.enablePrimary(stores, acks)
 		tel.bindAckMetrics(acks, storeNames(shardCount))
 	}
 
@@ -274,10 +276,10 @@ func main() {
 		}()
 	}
 
-	if hs != nil {
+	if stores != nil {
 		tel.setState(stateReplaying)
 		began := time.Now()
-		replayed, err := hub.attachStores(hs)
+		replayed, err := hub.takeOver(stores, (*persist.Lineage).Recover)
 		if err != nil {
 			log.Fatalf("durserve: recovering %s: %v", *dataDir, err)
 		}
@@ -285,27 +287,6 @@ func main() {
 		st := hub.stats()
 		log.Printf("durserve: recovered %d subscriptions across %d streams and %d shard lineages from %s (%d WAL events replayed)",
 			st.Subscriptions, st.Engine.Streams, shardCount, *dataDir, replayed)
-	}
-	if *dataDir != "" {
-		// The trigger poller turns each store's size/age thresholds into
-		// actual checkpoints; SIGTERM below writes the final one. On a
-		// follower it idles (no stores attached) until promotion.
-		pollDone := make(chan struct{})
-		defer close(pollDone)
-		go func() {
-			ticker := time.NewTicker(time.Second)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					if err := hub.maybeCheckpoint(); err != nil {
-						log.Printf("durserve: checkpoint: %v", err)
-					}
-				case <-pollDone:
-					return
-				}
-			}
-		}()
 	}
 	if fr == nil {
 		tel.setState(stateReady)
@@ -336,13 +317,12 @@ loop:
 				continue
 			}
 			log.Printf("durserve: promoting: %s", reason)
-			phs, err := fr.promote()
+			promoted, err := fr.promote()
 			if err != nil {
 				log.Fatalf("durserve: promotion failed: %v", err)
 			}
-			hs = phs
 			acks = newAckTable(tel.ackRounds)
-			rep.enablePrimary(hs, acks)
+			rep.enablePrimary(promoted, acks)
 			tel.bindAckMetrics(acks, storeNames(shardCount))
 			tel.promotions.Inc()
 			tel.setState(stateReady)
@@ -414,7 +394,7 @@ func newMux(srv *serve.Server, hub *streamHub, tel *telemetrySet, rep *replicaSe
 	// Replication feed (primary) and promotion trigger (follower). Both
 	// are allowlisted through the readiness gate: a follower accepts
 	// /promote before it is ready, and a primary ships WAL segments even
-	// while a checkpoint poller is mid-replay.
+	// while it is still replaying its log.
 	mux.Handle("/replicate/", http.HandlerFunc(rep.serveReplicate))
 	mux.HandleFunc("POST /promote", rep.handlePromote)
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {

@@ -244,12 +244,12 @@ func (t *telemetrySet) bind(srv *serve.Server, hub *streamHub) {
 	reg.CounterFunc("durserve_stream_dropped_roots_total", "Root trees discarded by drift, age or replanning.",
 		engineStats(func(s streamStats) int64 { return s.Engine.DroppedRoots }))
 	hub.timing = journalTiming{append: map[string]*telemetry.Histogram{}, checkpoint: map[string]*telemetry.Histogram{}}
-	for _, name := range storeNames(hub.engine.Shards()) {
-		name := name
+	for i, name := range storeNames(hub.engine.Shards()) {
+		i, name := i, name
 		l := telemetry.Label{Name: "store", Value: name}
 		reg.CounterFunc("durserve_wal_bytes_total",
 			"Write-ahead log record bytes appended, per store (0 without -data-dir, and on a follower until promotion).",
-			func() int64 { return hub.walBytes(name) }, l)
+			func() int64 { return hub.walBytes(i) }, l)
 		hub.timing.append[name] = reg.Histogram("durserve_wal_append_seconds",
 			"Wall time per write-ahead log append (encode, frame, write), per store.",
 			fineBuckets, l)

@@ -301,7 +301,7 @@ func TestJournalMetrics(t *testing.T) {
 	}
 
 	f := startTestFollower(t, a.ts.URL, t.TempDir(), shards)
-	waitCaughtUp(t, f, a.hs)
+	waitCaughtUp(t, f, a.hub)
 	fsrv := httptest.NewServer(f.tel.opsMux())
 	defer fsrv.Close()
 	body := string(getBytes(t, fsrv, "/metrics"))

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,12 +29,6 @@ import (
 // any shard journaled (rebuildFeeds), catching lagging shards forward on
 // the way — the engine's determinism makes that refresh bit-for-bit the
 // one the dead process would have served.
-
-// hubStores is the daemon's store set: one per engine shard, all
-// subdirectories of one -data-dir.
-type hubStores struct {
-	shards []*persist.Store
-}
 
 // storeNames lists every replicated store of a shards-wide daemon; each
 // is also its shard's -data-dir subdirectory.
@@ -79,9 +75,9 @@ func checkDataDir(dir string, shards int) error {
 	return nil
 }
 
-// openHubStores opens (creating if absent) the partitioned store layout
-// under dir, after checkDataDir has vetted it.
-func openHubStores(dir string, opts persist.Options, shards int) (*hubStores, error) {
+// openStores opens (creating if absent) the partitioned store layout
+// under dir, one store per shard, after checkDataDir has vetted it.
+func openStores(dir string, opts persist.Options, shards int) ([]*persist.Store, error) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -94,71 +90,60 @@ func openHubStores(dir string, opts persist.Options, shards int) (*hubStores, er
 	if opts.Keep < 2 {
 		opts.Keep = 2
 	}
-	hs := &hubStores{}
+	stores := make([]*persist.Store, 0, shards)
 	for i := 0; i < shards; i++ {
 		st, err := persist.Open(filepath.Join(dir, persist.ShardStoreName(i)), opts)
 		if err != nil {
-			hs.Close()
+			closeAll(stores)
 			return nil, err
 		}
-		hs.shards = append(hs.shards, st)
+		stores = append(stores, st)
 	}
-	return hs, nil
+	return stores, nil
 }
 
-// byName maps the store set by replication store name.
-func (hs *hubStores) byName() map[string]*persist.Store {
-	m := make(map[string]*persist.Store, len(hs.shards))
-	for i, st := range hs.shards {
-		m[persist.ShardStoreName(i)] = st
+// closeAll releases store handles.
+func closeAll(stores []*persist.Store) {
+	for _, st := range stores {
+		st.Close()
 	}
-	return m
 }
 
-// walBytes reports the record bytes appended to the named store since
-// it was opened; 0 while no stores are attached.
-func (h *streamHub) walBytes(name string) int64 {
+// attached returns the hub's shard lineages, nil until stores attach.
+func (h *streamHub) attached() []*persist.Lineage {
 	h.mu.Lock()
-	hs := h.stores
-	h.mu.Unlock()
-	if hs == nil {
-		return 0
-	}
-	if st := hs.byName()[name]; st != nil {
-		return st.AppendedBytes()
+	defer h.mu.Unlock()
+	return h.lineages
+}
+
+// walBytes reports the record bytes appended to shard i's store since
+// it was opened; 0 while no stores are attached.
+func (h *streamHub) walBytes(i int) int64 {
+	if ls := h.attached(); ls != nil {
+		return ls[i].Store.AppendedBytes()
 	}
 	return 0
 }
 
-// lastLSNs reports each store's last appended LSN, keyed by store name —
-// what a follower must acknowledge before shutdown lets go.
-func (hs *hubStores) lastLSNs() map[string]int64 {
-	out := make(map[string]int64, len(hs.shards))
-	for i, st := range hs.shards {
-		out[persist.ShardStoreName(i)] = st.LastLSN()
+// lastLSNs reports each shard store's last appended LSN, keyed by store
+// name — what a follower must acknowledge before shutdown lets go.
+func (h *streamHub) lastLSNs() map[string]int64 {
+	ls := h.attached()
+	out := make(map[string]int64, len(ls))
+	for i, l := range ls {
+		out[persist.ShardStoreName(i)] = l.Store.LastLSN()
 	}
 	return out
 }
 
-// Close releases every store handle.
-func (hs *hubStores) Close() {
-	if hs == nil {
-		return
-	}
-	for _, st := range hs.shards {
-		if st != nil {
-			st.Close()
-		}
-	}
-}
-
-// closeStores releases the hub's store handles (tests simulate crashes
-// with it; main lets process exit do it).
+// closeStores waits out a running checkpoint pass, refuses later ones
+// and releases the hub's store handles (tests simulate crashes with it;
+// main lets process exit do it).
 func (h *streamHub) closeStores() {
-	h.mu.Lock()
-	hs := h.stores
-	h.mu.Unlock()
-	hs.Close()
+	h.stopPasses()
+	for _, l := range h.attached() {
+		l.Store.Close()
+	}
 }
 
 // resolver rebuilds stream dynamics and observers from the model
@@ -287,13 +272,22 @@ func sameState(a, b stochastic.State) (bool, error) {
 	return bytes.Equal(ea.Bytes(), eb.Bytes()), nil
 }
 
-// attachStores recovers every shard lineage (snapshot plus WAL),
-// rebuilds the feeds, attaches the journals so every subsequent mutation
-// is logged, and writes a fresh checkpoint truncating the replayed
-// tails. It reports how many events were replayed across all lineages.
-func (h *streamHub) attachStores(hs *hubStores) (replayed int, err error) {
-	for i, st := range hs.shards {
-		n, err := h.lineage(i, st).Recover()
+// takeOver makes stores the hub's journal, at boot and at promotion.
+// prepare brings each shard lineage to its store's end — at boot
+// Lineage.Recover, which reports the events it replayed — then IDs
+// resume past every shard's, the feeds are rebuilt, the lineages
+// installed, the journals attached and a checkpoint seals the takeover,
+// truncating the replayed tails. On failure the stores are closed.
+func (h *streamHub) takeOver(stores []*persist.Store, prepare func(*persist.Lineage) (int, error)) (replayed int, err error) {
+	defer func() {
+		if err != nil {
+			closeAll(stores)
+		}
+	}()
+	ls := make([]*persist.Lineage, len(stores))
+	for i, st := range stores {
+		ls[i] = h.lineage(i, st)
+		n, err := prepare(ls[i])
 		replayed += n
 		if err != nil {
 			return replayed, fmt.Errorf("recovering %s: %w", persist.ShardStoreName(i), err)
@@ -304,10 +298,15 @@ func (h *streamHub) attachStores(hs *hubStores) (replayed int, err error) {
 		return replayed, err
 	}
 	h.mu.Lock()
-	h.stores = hs
+	h.lineages = ls
 	h.mu.Unlock()
-	h.attachJournals(hs)
-	return replayed, h.checkpoint()
+	for i, l := range ls {
+		h.engine.Shard(i).SetJournal(timedJournal{persist.EngineJournal{Store: l.Store}, h.timing.append[persist.ShardStoreName(i)]})
+	}
+	if err := h.checkpoint(); err != nil {
+		return replayed, fmt.Errorf("sealing checkpoint: %w", err)
+	}
+	return replayed, nil
 }
 
 // journalTiming holds the per-store journal timings on /metrics: wall
@@ -331,51 +330,60 @@ func (j timedJournal) Record(ev stream.JournalEvent) (int64, error) {
 	return lsn, err
 }
 
-// attachJournals makes each shard engine journal to its own store.
-func (h *streamHub) attachJournals(hs *hubStores) {
-	for i, st := range hs.shards {
-		h.engine.Shard(i).SetJournal(timedJournal{persist.EngineJournal{Store: st}, h.timing.append[persist.ShardStoreName(i)]})
-	}
+// checkpoint writes one snapshot generation per shard lineage.
+func (h *streamHub) checkpoint() error {
+	return h.checkpointEach(func(l *persist.Lineage) (bool, error) { return true, l.Checkpoint() })
 }
 
-// checkpoint writes one snapshot generation per shard lineage;
-// concurrent callers serialize.
-func (h *streamHub) checkpoint() error {
-	h.mu.Lock()
-	hs := h.stores
-	h.mu.Unlock()
-	if hs == nil {
-		return nil
-	}
+// checkpointEach runs write over every shard lineage under ckptMu and
+// times each checkpoint it attempted; one lineage's failure does not
+// keep the others from theirs.
+func (h *streamHub) checkpointEach(write func(*persist.Lineage) (bool, error)) error {
+	ls := h.attached()
 	h.ckptMu.Lock()
 	defer h.ckptMu.Unlock()
-	for i, st := range hs.shards {
+	var errs []error
+	for i, l := range ls {
 		name := persist.ShardStoreName(i)
 		began := telemetry.Now()
-		err := h.lineage(i, st).Checkpoint()
-		h.timing.checkpoint[name].ObserveDuration(telemetry.Since(began))
+		tried, err := write(l)
+		if tried {
+			h.timing.checkpoint[name].ObserveDuration(telemetry.Since(began))
+		}
 		if err != nil {
-			return fmt.Errorf("checkpointing %s: %w", name, err)
+			errs = append(errs, fmt.Errorf("checkpointing %s: %w", name, err))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
-// maybeCheckpoint runs a full checkpoint when any lineage's size or age
-// trigger has fired; the main loop polls it.
-func (h *streamHub) maybeCheckpoint() error {
+// startCheckpointPass checkpoints, off the request path, the shard
+// lineages whose triggers have fired (Lineage.CheckpointIfDue). None
+// starts before stores attach (a follower has none until promotion) or
+// after stopPasses.
+func (h *streamHub) startCheckpointPass() {
 	h.mu.Lock()
-	hs := h.stores
+	if h.lineages == nil || h.passesStopped {
+		h.mu.Unlock()
+		return
+	}
+	h.passes.Add(1)
 	h.mu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	for _, st := range hs.shards {
-		if st.NeedCheckpoint() {
-			return h.checkpoint()
+	go func() {
+		defer h.passes.Done()
+		if err := h.checkpointEach((*persist.Lineage).CheckpointIfDue); err != nil {
+			log.Printf("durserve: checkpoint: %v", err)
 		}
-	}
-	return nil
+	}()
+}
+
+// stopPasses refuses further checkpoint passes and waits for the running
+// ones to finish. Idempotent.
+func (h *streamHub) stopPasses() {
+	h.mu.Lock()
+	h.passesStopped = true
+	h.mu.Unlock()
+	h.passes.Wait()
 }
 
 // beginShutdown resolves every in-flight long poll: /updates waits are

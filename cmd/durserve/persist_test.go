@@ -22,13 +22,12 @@ import (
 // real restart would.
 func durableServer(t *testing.T, dir string) (*httptest.Server, *streamHub) {
 	t.Helper()
-	ts, hub, _ := durableServerConfig(t, dir, serve.Config{PoolWorkers: 2, Seed: 1})
+	ts, hub := durableServerConfig(t, dir, serve.Config{PoolWorkers: 2, Seed: 1})
 	return ts, hub
 }
 
-// durableServerConfig is durableServer under cfg; it also hands back the
-// store set.
-func durableServerConfig(t *testing.T, dir string, cfg serve.Config) (*httptest.Server, *streamHub, *hubStores) {
+// durableServerConfig is durableServer under cfg.
+func durableServerConfig(t *testing.T, dir string, cfg serve.Config) (*httptest.Server, *streamHub) {
 	t.Helper()
 	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
@@ -37,24 +36,24 @@ func durableServerConfig(t *testing.T, dir string, cfg serve.Config) (*httptest.
 	t.Cleanup(srv.Close)
 	hub := newStreamHub(srv, registry, nil, tel.engine, 1)
 	tel.bind(srv, hub)
-	hs, err := openHubStores(dir, persist.Options{}, 1)
+	stores, err := openStores(dir, persist.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { hs.Close() })
 	// Mirror main's readiness and recovery-metric sequence, so tests can
 	// assert on the post-recovery /metrics surface.
 	tel.setState(stateReplaying)
 	began := time.Now()
-	replayed, err := hub.attachStores(hs)
+	replayed, err := hub.takeOver(stores, (*persist.Lineage).Recover)
 	if err != nil {
 		t.Fatalf("recovering %s: %v", dir, err)
 	}
+	t.Cleanup(hub.closeStores)
 	tel.observeRecovery(int64(replayed), time.Since(began))
 	tel.setState(stateReady)
 	ts := httptest.NewServer(newMux(srv, hub, tel, &replicaSet{}))
 	t.Cleanup(ts.Close)
-	return ts, hub, hs
+	return ts, hub
 }
 
 // POST /subscribe holds a horizon to -max-horizon as /query does: an
@@ -62,7 +61,7 @@ func durableServerConfig(t *testing.T, dir string, cfg serve.Config) (*httptest.
 // subscription or a WAL record, and one within the cap answers the body
 // an uncapped server answers.
 func TestSubscribeHonoursMaxHorizon(t *testing.T) {
-	ts, hub, hs := durableServerConfig(t, t.TempDir(), serve.Config{PoolWorkers: 2, Seed: 1, MaxHorizon: 200})
+	ts, hub := durableServerConfig(t, t.TempDir(), serve.Config{PoolWorkers: 2, Seed: 1, MaxHorizon: 200})
 	resp, raw := postJSON(t, ts, "/subscribe", `{"model":"walk","beta":15,"horizon":500,"re":0.2}`)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "exceeds the server's cap 200") {
 		t.Fatalf("over-cap subscribe: status %d (%s), want 400 naming the cap", resp.StatusCode, raw)
@@ -70,7 +69,7 @@ func TestSubscribeHonoursMaxHorizon(t *testing.T) {
 	if st := hub.stats(); st.Engine.Streams != 0 || st.Subscriptions != 0 {
 		t.Fatalf("a refused subscribe left %d streams and %d subscriptions", st.Engine.Streams, st.Subscriptions)
 	}
-	if lsns := hs.lastLSNs(); lsns[persist.ShardStoreName(0)] != 0 {
+	if lsns := hub.lastLSNs(); lsns[persist.ShardStoreName(0)] != 0 {
 		t.Fatalf("a refused subscribe journaled records: last LSNs %v", lsns)
 	}
 

@@ -24,9 +24,9 @@ import (
 // complete records into warm engines as they arrive, and answers /readyz
 // with "following" until it is promoted — by POST /promote, or
 // automatically when the primary's lease (a successful manifest fetch
-// within -lease-ttl) expires. Promotion rebuilds the feeds and reconciles
-// shard tick divergence exactly like crash recovery does, attaches
-// journals over the mirrored stores and seals them with a checkpoint;
+// within -lease-ttl) expires. Promotion hands the mirrored stores to
+// boot's takeover (takeOver), which rebuilds the feeds, reconciles shard
+// tick divergence, attaches journals and seals them with a checkpoint;
 // from that point the promoted follower serves bit-for-bit the answers
 // the dead primary would have, under the same handles.
 
@@ -117,9 +117,13 @@ type replicaSet struct {
 }
 
 // enablePrimary mounts the serving side of replication over the
-// daemon's open stores.
-func (r *replicaSet) enablePrimary(hs *hubStores, at *ackTable) {
-	src := replicate.StoreSource{Stores: hs.byName()}
+// daemon's open shard stores.
+func (r *replicaSet) enablePrimary(stores []*persist.Store, at *ackTable) {
+	byName := make(map[string]*persist.Store, len(stores))
+	for i, st := range stores {
+		byName[persist.ShardStoreName(i)] = st
+	}
+	src := replicate.StoreSource{Stores: byName}
 	h := replicate.NewHandler(src, at.record)
 	r.mu.Lock()
 	r.handler = h
@@ -195,11 +199,12 @@ type followerRun struct {
 	dataDir  string
 	opts     persist.Options
 
-	cancel  context.CancelFunc
-	done    chan struct{} // closes when Run returns
-	runErr  error
-	promo   sync.Once
-	promErr error
+	cancel   context.CancelFunc
+	done     chan struct{} // closes when Run returns
+	runErr   error
+	promo    sync.Once
+	promErr  error
+	promoted []*persist.Store // the attached mirror, once promoted
 }
 
 // discoverShardCount asks the primary's replication manifest how many
@@ -279,55 +284,37 @@ func (fr *followerRun) stop() {
 }
 
 // promote turns the warm standby into the serving primary, once. The
-// replication loop is stopped, the feeds are rebuilt and lineage
-// divergence reconciled exactly like crash recovery (SyncNextSub,
-// rebuildFeeds), and the mirrored stores — valid persist data
-// directories by construction — are opened, repaired of any torn tails
-// the dead primary shipped, attached as journals and sealed with a
-// checkpoint.
-// It returns the attached store set so the caller can serve /replicate
-// onward and gate its own shutdown.
-func (fr *followerRun) promote() (*hubStores, error) {
+// replication loop is stopped and the mirrored stores — valid persist
+// data directories by construction — are opened, repaired of any torn
+// tails the dead primary shipped, and handed to boot's takeover
+// (takeOver), which reconciles lineage divergence, rebuilds the feeds,
+// attaches the journals and seals them with a checkpoint.
+// It returns the attached stores so the caller can serve /replicate
+// onward.
+func (fr *followerRun) promote() ([]*persist.Store, error) {
 	fr.promo.Do(func() { fr.promErr = fr.promoteOnce() })
-	if fr.promErr != nil {
-		return nil, fr.promErr
-	}
-	fr.hub.mu.Lock()
-	hs := fr.hub.stores
-	fr.hub.mu.Unlock()
-	return hs, nil
+	return fr.promoted, fr.promErr
 }
 
 func (fr *followerRun) promoteOnce() error {
 	fr.stop()
-	ctx := context.Background()
-	h := fr.hub
-	h.engine.SyncNextSub()
-	if err := h.rebuildFeeds(ctx); err != nil {
-		return fmt.Errorf("promote: rebuilding feeds: %w", err)
-	}
-	// The engines are already warm — Recover here only repairs torn
-	// tails and positions each store's next LSN; the replayed events are
-	// discarded, not re-applied.
-	hs, err := openHubStores(fr.dataDir, fr.opts, h.engine.Shards())
+	stores, err := openStores(fr.dataDir, fr.opts, fr.hub.engine.Shards())
 	if err != nil {
 		return fmt.Errorf("promote: opening mirror: %w", err)
 	}
-	for i, st := range hs.shards {
-		if _, _, err := st.Recover(&persist.ServingSnapshot{},
+	// The engines are already warm: recovering a store here only repairs
+	// torn tails and positions its next LSN; the replayed events are
+	// discarded, not re-applied.
+	position := func(l *persist.Lineage) (int, error) {
+		_, _, err := l.Store.Recover(&persist.ServingSnapshot{},
 			func(bool) error { return nil },
-			func(int64, any) error { return nil }); err != nil {
-			hs.Close()
-			return fmt.Errorf("promote: positioning %s: %w", persist.ShardStoreName(i), err)
-		}
+			func(int64, any) error { return nil })
+		return 0, err
 	}
-	h.mu.Lock()
-	h.stores = hs
-	h.mu.Unlock()
-	h.attachJournals(hs)
-	if err := h.checkpoint(); err != nil {
-		return fmt.Errorf("promote: sealing checkpoint: %w", err)
+	if _, err := fr.hub.takeOver(stores, position); err != nil {
+		return fmt.Errorf("promote: %w", err)
 	}
+	fr.promoted = stores
 	return nil
 }
 
@@ -367,22 +354,21 @@ func (t *telemetrySet) bindAckMetrics(at *ackTable, names []string) {
 	}
 }
 
-// finalShutdown writes the final checkpoint across every lineage and,
-// when a follower has been acking, waits for it to confirm the final
-// LSNs so the handover strands nothing. Returns an error only for the
+// finalShutdown waits out a running checkpoint pass, refuses later
+// ones, writes the final checkpoint across every lineage and, when a
+// follower has been acking, waits for it to confirm the final LSNs so
+// the handover strands nothing. Returns an error only for the
 // checkpoint; an ack timeout is logged, not fatal — the follower can
 // still recover from the shipped bytes.
 func finalShutdown(h *streamHub, at *ackTable, ackWait time.Duration) error {
+	h.stopPasses()
 	if err := h.checkpoint(); err != nil {
 		return err
 	}
-	h.mu.Lock()
-	hs := h.stores
-	h.mu.Unlock()
-	if hs == nil || at == nil {
+	if at == nil {
 		return nil
 	}
-	final := hs.lastLSNs()
+	final := h.lastLSNs()
 	if !waitForAcks(at, final, ackWait) {
 		log.Printf("durserve: follower did not acknowledge final LSNs within %s (have %s)", ackWait, ackSummary(at, final))
 	}

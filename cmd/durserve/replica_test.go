@@ -26,12 +26,19 @@ type replicaStack struct {
 	hub    *streamHub
 	tel    *telemetrySet
 	rep    *replicaSet
-	hs     *hubStores
+	stores []*persist.Store
 	acks   *ackTable
 	shards int
 }
 
 func durableSharded(t *testing.T, dir string, shards int) *replicaStack {
+	t.Helper()
+	return durableShardedOpts(t, dir, shards, persist.Options{})
+}
+
+// durableShardedOpts is durableSharded with the stores opened under opts
+// (a small MaxWALBytes, say).
+func durableShardedOpts(t *testing.T, dir string, shards int, opts persist.Options) *replicaStack {
 	t.Helper()
 	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
@@ -39,21 +46,21 @@ func durableSharded(t *testing.T, dir string, shards int) *replicaStack {
 	t.Cleanup(srv.Close)
 	hub := newStreamHub(srv, registry, nil, tel.engine, shards)
 	tel.bind(srv, hub)
-	hs, err := openHubStores(dir, persist.Options{}, shards)
+	stores, err := openStores(dir, opts, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { hs.Close() })
-	if _, err := hub.attachStores(hs); err != nil {
+	if _, err := hub.takeOver(stores, (*persist.Lineage).Recover); err != nil {
 		t.Fatalf("recovering %s: %v", dir, err)
 	}
+	t.Cleanup(hub.closeStores)
 	acks := newAckTable(tel.ackRounds)
 	rep := &replicaSet{}
-	rep.enablePrimary(hs, acks)
+	rep.enablePrimary(stores, acks)
 	tel.setState(stateReady)
 	ts := httptest.NewServer(newMux(srv, hub, tel, rep))
 	t.Cleanup(ts.Close)
-	return &replicaStack{ts: ts, hub: hub, tel: tel, rep: rep, hs: hs, acks: acks, shards: shards}
+	return &replicaStack{ts: ts, hub: hub, tel: tel, rep: rep, stores: stores, acks: acks, shards: shards}
 }
 
 // followerStack is the other half: a warm standby mirroring a primary's
@@ -84,7 +91,7 @@ func startTestFollower(t *testing.T, primaryURL, dir string, shards int) *follow
 // primary store's last appended record. The follower's own lag gauges
 // measure against the last manifest it fetched, which can predate the
 // records written just before the call.
-func waitCaughtUp(t *testing.T, fs *followerStack, primary *hubStores) {
+func waitCaughtUp(t *testing.T, fs *followerStack, primary *streamHub) {
 	t.Helper()
 	want := primary.lastLSNs()
 	deadline := time.Now().Add(15 * time.Second)
@@ -98,6 +105,11 @@ func waitCaughtUp(t *testing.T, fs *followerStack, primary *hubStores) {
 		}
 		if caught {
 			return
+		}
+		select {
+		case <-fs.fr.done:
+			t.Fatalf("the follower stopped before applying the primary's last LSNs %v: %v", want, fs.fr.runErr)
+		default:
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("follower never applied the primary's last LSNs %v: lags %+v", want, lags)
@@ -178,7 +190,7 @@ func TestFinalShutdownCoversAllShards(t *testing.T) {
 	if n := restarted.hub.stats().Subscriptions; n != 3 {
 		t.Fatalf("restart recovered %d subscriptions, want 3", n)
 	}
-	// The restart's own attachStores reports the replay count through the
+	// The restart's own takeOver reports the replay count through the
 	// recovery path; re-derive it directly to assert the zero.
 	registry := experiments.Models(experiments.DefaultModelParams())
 	tel := newTelemetry()
@@ -188,12 +200,12 @@ func TestFinalShutdownCoversAllShards(t *testing.T) {
 	restarted.hub.closeStores()
 	hub := newStreamHub(srv, registry, nil, tel.engine, shards)
 	tel.bind(srv, hub)
-	hs, err := openHubStores(dir, persist.Options{}, shards)
+	stores, err := openStores(dir, persist.Options{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hs.Close()
-	replayed, err := hub.attachStores(hs)
+	defer closeAll(stores)
+	replayed, err := hub.takeOver(stores, (*persist.Lineage).Recover)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +284,7 @@ func TestFollowerPromoteServesIdenticalAnswers(t *testing.T) {
 			t.Fatalf("primary tick %d diverged from golden", i+1)
 		}
 	}
-	waitCaughtUp(t, fs, primary.hs)
+	waitCaughtUp(t, fs, primary.hub)
 
 	// SIGTERM handover: the final checkpoint covers every lineage and the
 	// follower acknowledges the final LSNs before the primary lets go.
@@ -282,23 +294,23 @@ func TestFollowerPromoteServesIdenticalAnswers(t *testing.T) {
 	if !primary.acks.everAcked() {
 		t.Fatal("follower never acknowledged replication progress")
 	}
-	if !primary.acks.covered(primary.hs.lastLSNs()) {
+	if !primary.acks.covered(primary.hub.lastLSNs()) {
 		t.Fatal("primary exited before the follower acknowledged the final LSNs")
 	}
-	waitCaughtUp(t, fs, primary.hs)
+	waitCaughtUp(t, fs, primary.hub)
 	primary.ts.Close()
 	primary.hub.closeStores()
 
 	// Promote and serve — the same wiring main performs on takeover:
 	// the mirrored stores become the replication source for the next
 	// generation of followers.
-	phs, err := fs.fr.promote()
+	promoted, err := fs.fr.promote()
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
 	fs.tel.setState(stateReady)
 	rep := &replicaSet{}
-	rep.enablePrimary(phs, newAckTable(nil))
+	rep.enablePrimary(promoted, newAckTable(nil))
 	ts := httptest.NewServer(newMux(fs.srv, fs.hub, fs.tel, rep))
 	defer ts.Close()
 
@@ -336,18 +348,19 @@ func TestFollowerPromoteServesIdenticalAnswers(t *testing.T) {
 	}
 }
 
-// TestOpenHubStoresRefusesLayoutDrift: the partitioned layout refuses a
-// pre-sharding data directory and a shard-count change — both would
-// silently re-home state — and a directory holding an older build's hub
-// lineage, whose handles need not equal subscription IDs.
+// TestOpenHubStoresRefusesLayoutDrift: openStores, which opens the hub's
+// partitioned layout, refuses a pre-sharding data directory and a
+// shard-count change — both would silently re-home state — and a
+// directory holding an older build's hub lineage, whose handles need not
+// equal subscription IDs.
 func TestOpenHubStoresRefusesLayoutDrift(t *testing.T) {
 	t.Run("legacy-single-store", func(t *testing.T) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001"), []byte("DURWAL1\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openHubStores(dir, persist.Options{}, 1); err == nil {
-			t.Fatal("openHubStores accepted a pre-sharding layout")
+		if _, err := openStores(dir, persist.Options{}, 1); err == nil {
+			t.Fatal("openStores accepted a pre-sharding layout")
 		}
 	})
 	t.Run("hub-lineage", func(t *testing.T) {
@@ -357,23 +370,23 @@ func TestOpenHubStoresRefusesLayoutDrift(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := openHubStores(dir, persist.Options{}, 1)
+		_, err := openStores(dir, persist.Options{}, 1)
 		if err == nil || !strings.Contains(err.Error(), "hub/") {
-			t.Fatalf("openHubStores on a directory holding hub/: err %v, want a refusal naming hub/", err)
+			t.Fatalf("openStores on a directory holding hub/: err %v, want a refusal naming hub/", err)
 		}
 	})
 	t.Run("shard-count-change", func(t *testing.T) {
 		dir := t.TempDir()
-		hs, err := openHubStores(dir, persist.Options{}, 2)
+		stores, err := openStores(dir, persist.Options{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs.Close()
-		if _, err := openHubStores(dir, persist.Options{}, 3); err == nil {
-			t.Fatal("openHubStores reopened a 2-shard directory as 3 shards")
+		closeAll(stores)
+		if _, err := openStores(dir, persist.Options{}, 3); err == nil {
+			t.Fatal("openStores reopened a 2-shard directory as 3 shards")
 		}
-		if _, err := openHubStores(dir, persist.Options{}, 1); err == nil {
-			t.Fatal("openHubStores reopened a 2-shard directory as 1 shard")
+		if _, err := openStores(dir, persist.Options{}, 1); err == nil {
+			t.Fatal("openStores reopened a 2-shard directory as 1 shard")
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"durability/internal/exec"
+	"durability/internal/persist"
 	"durability/internal/planstats"
 	"durability/internal/rng"
 	"durability/internal/serve"
@@ -35,11 +36,14 @@ type streamHub struct {
 	runner   *serve.Runner
 	registry serve.Registry
 
-	// Durable serving state (-data-dir): one checkpoint+WAL store per
-	// engine shard (see hubStores) and the checkpoint serializer.
-	stores *hubStores
-	ckptMu sync.Mutex
-	timing journalTiming // set once by telemetrySet.bind, before serving
+	// Durable serving state (-data-dir): one lineage per engine shard
+	// (installed under mu by takeOver), the checkpoint serializer and
+	// the running checkpoint passes (see startCheckpointPass).
+	lineages      []*persist.Lineage
+	ckptMu        sync.Mutex
+	passes        sync.WaitGroup
+	passesStopped bool
+	timing        journalTiming // set once by telemetrySet.bind, before serving
 
 	// down closes when the server begins shutting down, resolving every
 	// in-flight long poll with 204 instead of dropping it mid-wait.
@@ -347,13 +351,16 @@ func (h *streamHub) tick(ctx context.Context, req tickRequest) (int64, []stream.
 	defer f.mu.Unlock()
 	var refreshes []stream.Refresh
 	var err error
-	for i := 0; i < steps; i++ {
+	for i := 0; i < steps && err == nil; i++ {
 		f.steps++
 		f.proc.Step(f.state, f.steps, f.src)
 		refreshes, err = h.engine.Update(ctx, req.Stream, f.state)
-		if err != nil {
-			return 0, nil, err
-		}
+	}
+	// The tick's appends are done: the lineages whose logs tripped
+	// checkpoint in the background.
+	h.startCheckpointPass()
+	if err != nil {
+		return 0, nil, err
 	}
 	tick, _ := h.engine.Tick(req.Stream)
 	return tick, refreshes, nil

@@ -107,12 +107,3 @@ func (s *Session) Close() error {
 	}
 	return err
 }
-
-// maybeCheckpoint runs a checkpoint when the store's size or age trigger
-// has fired. Called after mutations, outside every engine lock.
-func (s *Session) maybeCheckpoint() error {
-	if s.lineage == nil || !s.lineage.Store.NeedCheckpoint() {
-		return nil
-	}
-	return s.Checkpoint()
-}

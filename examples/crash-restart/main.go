@@ -20,10 +20,11 @@
 // == on estimate, variance and pool accounting, not "approximately".
 //
 // The closing comparison shows why this matters operationally: the
-// recovered subscription's first tick costs a few thousand simulator
-// steps (a routine top-up over the restored pool), while a cold restart
-// — a fresh server re-subscribing at the same market state — pays the
-// full level search and pool fill again.
+// recovered subscription's first tick costs at most a routine top-up
+// over the restored pool (here nothing: the restored pool already meets
+// the target), while a cold restart — a fresh server re-subscribing at
+// the same market state — pays the full level search and pool fill
+// again.
 //
 //	go run ./examples/crash-restart
 package main
@@ -168,6 +169,10 @@ func main() {
 	coldCost := coldSub.Answer().FreshSteps + coldSub.Answer().SearchSteps
 	fmt.Printf("steps to first answer after restart:\n")
 	fmt.Printf("  recovered (checkpoint + WAL): %8d steps\n", recoveredFirstCost)
-	fmt.Printf("  cold restart (search + fill): %8d steps  (%.1fx more)\n",
-		coldCost, float64(coldCost)/float64(recoveredFirstCost))
+	if recoveredFirstCost == 0 {
+		fmt.Printf("  cold restart (search + fill): %8d steps  (the recovered session paid none)\n", coldCost)
+	} else {
+		fmt.Printf("  cold restart (search + fill): %8d steps  (%.1fx more)\n",
+			coldCost, float64(coldCost)/float64(recoveredFirstCost))
+	}
 }

@@ -445,8 +445,9 @@ func (s *Store) AppendedBytes() int64 {
 }
 
 // NeedCheckpoint reports whether the live segment has outgrown the size
-// trigger or outlived the age trigger. The serving layer polls it after
-// mutations and checkpoints outside its own locks.
+// trigger or outlived the age trigger. Lineage.CheckpointIfDue checks it
+// once a tick's appends are done, so an idle store's age trigger fires
+// at its next tick.
 func (s *Store) NeedCheckpoint() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

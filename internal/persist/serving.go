@@ -115,3 +115,14 @@ func (l *Lineage) Checkpoint() error {
 		return snap, nil
 	})
 }
+
+// CheckpointIfDue checkpoints when the store's size or age trigger has
+// fired (Store.NeedCheckpoint) and reports whether it tried. It is the
+// one checkpoint rule: callers check it once a tick's appends are done,
+// outside every engine lock.
+func (l *Lineage) CheckpointIfDue() (bool, error) {
+	if !l.Store.NeedCheckpoint() {
+		return false, nil
+	}
+	return true, l.Checkpoint()
+}

@@ -578,32 +578,32 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 		}
 		for {
 			lsn, ev, ok, err := fs.tailer.Next()
+			if !fs.startChecked {
+				// The header's LSN, once parsed, is checked before any
+				// record, as recovery checks it; an empty segment's too.
+				first := fs.tailer.NextLSN()
+				if ok {
+					first = lsn
+				}
+				if first > 0 {
+					if fs.expectNext > 0 && first != fs.expectNext {
+						return progressed, fmt.Errorf("replicate: %s/%s starts at lsn %d, expected %d — fell behind the primary's compaction; restart the follower with a fresh mirror",
+							fs.name, fs.tailName(), first, fs.expectNext)
+					}
+					fs.startChecked = true
+				}
+			}
 			if err != nil {
 				return progressed, err
 			}
 			if !ok {
 				break
 			}
-			if !fs.startChecked {
-				if fs.expectNext > 0 && lsn != fs.expectNext {
-					return progressed, fmt.Errorf("replicate: %s/%s starts at lsn %d, expected %d — fell behind the primary's compaction; restart the follower with a fresh mirror",
-						fs.name, fs.tailName(), lsn, fs.expectNext)
-				}
-				fs.startChecked = true
-			}
 			if err := fs.hooks.Apply(lsn, ev); err != nil {
 				return progressed, fmt.Errorf("replicate: applying %s lsn %d: %w", fs.name, lsn, err)
 			}
 			fs.applied = lsn
 			progressed = true
-		}
-		// An empty sealed segment still pins the chain via its header.
-		if !fs.startChecked && fs.tailer.NextLSN() > 0 {
-			if fs.expectNext > 0 && fs.tailer.NextLSN() != fs.expectNext {
-				return progressed, fmt.Errorf("replicate: %s/%s starts at lsn %d, expected %d — fell behind the primary's compaction; restart the follower with a fresh mirror",
-					fs.name, fs.tailName(), fs.tailer.NextLSN(), fs.expectNext)
-			}
-			fs.startChecked = true
 		}
 		if fs.tailer.NextLSN() > fs.applied+1 {
 			// Records before the segment's first LSN are covered by the

@@ -2,12 +2,14 @@ package replicate
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -731,5 +733,120 @@ func TestRecoveryAndDirSourceListTheSameFiles(t *testing.T) {
 	}
 	if len(l.Files) < 2 {
 		t.Fatalf("listing %+v lacks the snapshot and segment", l.Files)
+	}
+}
+
+// Recovery and a follower over DirSource agree on store directories that
+// hold several segments: on a history with a segment dropped from the
+// middle or the end, or a segment whose header's LSN skips, both apply
+// the same records, and where one refuses the directory, both do, each
+// naming the segment and where it starts.
+func TestRecoveryAndFollowerAgreeOnSegmentChains(t *testing.T) {
+	seg := func(seq uint64) string { return persist.FileName(persist.WALFile, seq) }
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		want   []int  // records both apply
+		refuse string // the segment both name in refusing, or "" for none
+	}{
+		{
+			name: "dropped-middle-segment",
+			damage: func(t *testing.T, dir string) {
+				if err := os.Remove(filepath.Join(dir, seg(2))); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want:   []int{1, 2},
+			refuse: seg(3),
+		},
+		{
+			// Nothing after wal-2 names wal-3, so the shorter history
+			// is indistinguishable from one that was never longer.
+			name: "dropped-last-segment",
+			damage: func(t *testing.T, dir string) {
+				if err := os.Remove(filepath.Join(dir, seg(3))); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: []int{1, 2, 3, 4},
+		},
+		{
+			name: "header-lsn-skips",
+			damage: func(t *testing.T, dir string) {
+				f, err := os.OpenFile(filepath.Join(dir, seg(2)), os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				var lsn [8]byte
+				binary.LittleEndian.PutUint64(lsn[:], 5) // the segment holds lsn 3 and 4
+				if _, err := f.WriteAt(lsn[:], 8); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want:   []int{1, 2},
+			refuse: seg(2),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "main")
+			// Three segments, lsn 1–2, 3–4 and 5–6: each failed checkpoint
+			// rotates without a snapshot, so every segment stays on disk.
+			p := openPrimary(t, root, "main")
+			for n := 1; n <= 6; n++ {
+				p.append(t, n)
+				if n%2 == 0 && n < 6 {
+					if err := p.st.Checkpoint(func() (any, error) { return nil, errors.New("no snapshot") }); err == nil {
+						t.Fatal("Checkpoint swallowed the assembly failure")
+					}
+				}
+			}
+			p.st.Close()
+			tc.damage(t, dir)
+
+			// Recovery reads a copy, since it truncates torn tails in place.
+			copyDir := filepath.Join(t.TempDir(), "main")
+			if err := os.CopyFS(copyDir, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			st, err := persist.Open(copyDir, persist.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			var recovered []int
+			_, _, recErr := st.Recover(&repSnap{}, nil, func(lsn int64, ev any) error {
+				recovered = append(recovered, ev.(repEv).N)
+				return nil
+			})
+
+			log := &intLog{}
+			f := NewFollower(Config{
+				Source: DirSource{Root: root, Stores: []string{"main"}},
+				Dir:    t.TempDir(),
+				Hooks:  hooksFor(map[string]*intLog{"main": log}),
+			})
+			defer f.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			folErr := f.Drain(ctx)
+			_, followed := log.state()
+
+			if !equalInts(recovered, tc.want) || !equalInts(followed, tc.want) {
+				t.Fatalf("recovery applied %v and the follower %v, want %v for both", recovered, followed, tc.want)
+			}
+			for _, r := range []struct {
+				who string
+				err error
+			}{{"recovery", recErr}, {"follower", folErr}} {
+				switch {
+				case tc.refuse == "" && r.err != nil:
+					t.Errorf("%s refused an intact chain: %v", r.who, r.err)
+				case tc.refuse != "" && (r.err == nil || !strings.Contains(r.err.Error(), tc.refuse) || !strings.Contains(r.err.Error(), "starts at lsn 5")):
+					t.Errorf("%s: err %v, want a refusal naming %s and its first lsn 5", r.who, r.err, tc.refuse)
+				}
+			}
+		})
 	}
 }

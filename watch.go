@@ -56,8 +56,10 @@ func (s *Session) Publish(ctx context.Context, name string, st State) ([]Refresh
 	}
 	// Durable sessions checkpoint when the log's size or age trigger has
 	// fired; the tick's answers stand either way.
-	if cerr := s.maybeCheckpoint(); cerr != nil {
-		return refreshes, fmt.Errorf("durability: tick applied but checkpoint failed: %w", cerr)
+	if s.lineage != nil {
+		if _, cerr := s.lineage.CheckpointIfDue(); cerr != nil {
+			return refreshes, fmt.Errorf("durability: tick applied but checkpoint failed: %w", cerr)
+		}
 	}
 	return refreshes, nil
 }
