@@ -45,7 +45,7 @@ import (
 // horizons, 16 distinct plan shapes) so the scenario stresses the
 // partitioning, journaling and replication machinery — fan-out, merge,
 // per-lineage WAL traffic, snapshot shipping — rather than raw sampling
-// throughput, which the kernel benchmark already covers.
+// throughput, which BenchmarkGMLSSCold times.
 func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (benchReport, error) {
 	primaryDir, err := os.MkdirTemp("", "durbench-failover-primary-*")
 	if err != nil {
@@ -110,8 +110,7 @@ func runFailover(ctx context.Context, shards, subs, ticks int, seed uint64) (ben
 	// shard pays a given plan search — or whether two racing shards both
 	// pay it — is timing-dependent. The plan that wins is identical
 	// either way, so the top-up work it drives is deterministic; only
-	// the deterministic quantity is guarded (the kernel bench draws the
-	// same line with allocs/root).
+	// the deterministic quantity is guarded.
 	statsSum := func(e *stream.ShardedEngine) int64 {
 		return e.Stats().FreshSteps
 	}

@@ -29,7 +29,6 @@ import (
 	"durability/internal/exec"
 	"durability/internal/mc"
 	"durability/internal/rng"
-	"durability/internal/serve"
 	"durability/internal/stochastic"
 	"durability/internal/stream"
 	"durability/internal/telemetry"
@@ -169,11 +168,6 @@ func main() {
 		failoverSubs   = flag.Int("failover-subs", 100_000, "failover scenario: standing subscriptions on the sharded engine (0 = skip the scenario)")
 		failoverShards = flag.Int("failover-shards", 4, "failover scenario: engine shards")
 		failoverTicks  = flag.Int("failover-ticks", 4, "failover scenario: ticks under load before the crash")
-
-		kernelOut      = flag.String("kernel-out", "", "write the kernel benchmark (native bulk vs Lanes adapter per model) to this path (empty = skip)")
-		kernelBaseline = flag.String("kernel-baseline", "", "committed BENCH_kernel.json to guard against: fail if native allocs/root or a top-up round's allocs or bytes regress >10%")
-		kernelBudget   = flag.Int64("kernel-budget", 1_000_000, "step budget per kernel scenario run")
-		kernelReps     = flag.Int("kernel-reps", 2, "timed repetitions per kernel scenario (fastest wins)")
 	)
 	flag.Parse()
 
@@ -318,50 +312,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-
-	if *kernelOut != "" {
-		var kernelBase []kernelReport
-		if *kernelBaseline != "" {
-			if kernelBase, err = loadKernelBaseline(*kernelBaseline); err != nil {
-				log.Fatal(err)
-			}
-		}
-		kernel, err := runKernelBench(ctx, *kernelBudget, *kernelReps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := checkKernelRegression(kernelBase, kernel); err != nil {
-			log.Fatal(err)
-		}
-		blob, err := json.MarshalIndent(kernel, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*kernelOut, blob, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range kernel {
-			fmt.Printf("durbench[kernel/%s]: bulk %.1f ns/step (%.2fx vs adapter %.1f), allocs/root %.2f vs adapter %.1f, top-up round %.1f allocs %.0f B\n",
-				r.Model, r.BulkNsPerStep, r.Speedup, r.AdapterNsPerStep, r.BulkAllocsPerRoot, r.AdapterAllocsPerRoot, r.TopUpAllocsPerRound, r.TopUpBytesPerRound)
-		}
-		fmt.Printf("durbench: wrote %d kernel scenarios -> %s\n", len(kernel), *kernelOut)
-	}
-
-	// Totals sit under the >10% baseline guards above; span attribution
-	// is held to a stricter standard — exact equality at the fixed seed.
-	if err := checkAttribution(ctx, *re, *seed); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("durbench: span step attribution exact (plan-search == searchSteps, exec == sampleSteps)")
-
-	// Same standard for the crossing-statistics ledger: what GET /plans
-	// would report must equal the runs' own counters exactly, and the
-	// cluster backend must book bit-for-bit what the local backend books.
-	if err := checkPlanObservation(ctx, *re, *seed); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("durbench: plan-ledger observation exact (booked roots/steps == run counters, local ledger == cluster ledger)")
 
 	blob, err := json.MarshalIndent(reports, "", "  ")
 	if err != nil {
@@ -616,47 +566,4 @@ func runSharded(ctx context.Context, n, ticks int, re float64, seed uint64) (ben
 		Replans:                 eng.Stats().Replans,
 		StepsHistogram:          histJSON(tickHist),
 	}, nil
-}
-
-// gbmModels registers the scenarios' market model as "gbm".
-func gbmModels() cluster.Registry {
-	return cluster.Registry{
-		"gbm": func() (stochastic.Process, map[string]stochastic.Observer, error) {
-			return &stochastic.GBM{S0: s0, Mu: mu, Sigma: sigma}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
-		},
-	}
-}
-
-// checkAttribution is the step-attribution exactness drill: a traced
-// serve.Server answers a handful of one-shot queries and one batch
-// ladder, then the steps booked on the tracer's plan-search and exec
-// spans are required to equal the server's searchSteps and sampleSteps
-// counters exactly — not within a tolerance. The totals above get a 10%
-// regression allowance because plans legitimately shift; attribution
-// has no such excuse, since both sides count the same events.
-func checkAttribution(ctx context.Context, re float64, seed uint64) error {
-	tracer := telemetry.NewTracer(nil)
-	srv := serve.NewServer(gbmModels(), serve.Config{PoolWorkers: 2, Seed: seed, DefaultRelErr: re, Tracer: tracer})
-	defer srv.Close()
-
-	for _, b := range []float64{120, 126, 130} {
-		if _, err := srv.Do(ctx, serve.Request{Model: "gbm", Beta: b, Horizon: horizon, RelErr: re}); err != nil {
-			return fmt.Errorf("attribution query beta=%.0f: %w", b, err)
-		}
-	}
-	if _, err := srv.DoBatch(ctx, serve.BatchRequest{Model: "gbm", Betas: []float64{112, 118, 124, 130}, Horizon: horizon, RelErr: re}); err != nil {
-		return fmt.Errorf("attribution batch: %w", err)
-	}
-
-	st := srv.Stats()
-	if got, want := tracer.Steps(telemetry.StagePlanSearch), st.SearchSteps; got != want {
-		return fmt.Errorf("durbench: plan-search span steps %d != server searchSteps %d", got, want)
-	}
-	if got, want := tracer.Steps(telemetry.StageExec), st.SampleSteps; got != want {
-		return fmt.Errorf("durbench: exec span steps %d != server sampleSteps %d", got, want)
-	}
-	if tracer.Steps(telemetry.StageExec) == 0 {
-		return fmt.Errorf("durbench: exec spans booked zero steps; attribution is not wired")
-	}
-	return nil
 }

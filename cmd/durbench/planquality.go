@@ -3,13 +3,9 @@ package main
 import (
 	"context"
 	"fmt"
-	"reflect"
 
-	"durability/internal/cluster"
 	"durability/internal/core"
-	"durability/internal/exec"
 	"durability/internal/mc"
-	"durability/internal/planstats"
 	"durability/internal/serve"
 	"durability/internal/stochastic"
 	"durability/internal/telemetry"
@@ -85,81 +81,4 @@ func runPlanQuality(ctx context.Context, re float64, seed uint64) (benchReport, 
 		Speedup:         float64(mres.Steps) / float64(plannedSteps),
 		StepsHistogram:  histJSON(pairHist),
 	}, nil
-}
-
-// checkPlanObservation is the ledger's exactness drill, the crossing-
-// statistics sibling of checkAttribution: a server with a ledger answers
-// a handful of queries, and the ledger's booked roots and steps must
-// equal the responses' own counters exactly — not within a tolerance —
-// because both sides count the same events. The drill runs on the local
-// backend and on an in-process cluster backend; each backend's ledger
-// must match that backend's own responses, and the two ledgers must be
-// equal: one-shot queries run the same estimator loop on every backend,
-// and the coordinator folds shard replies in root-range order before
-// booking.
-func checkPlanObservation(ctx context.Context, re float64, seed uint64) error {
-	betas := []float64{120, 126, 130}
-	reg := gbmModels()
-
-	run := func(backend exec.Executor) ([]planstats.Snapshot, int64, int64, error) {
-		ledger := planstats.NewLedger()
-		srv := serve.NewServer(reg, serve.Config{PoolWorkers: 2, Seed: seed, DefaultRelErr: re, Executor: backend, Ledger: ledger})
-		defer srv.Close()
-		var roots, steps int64
-		for _, b := range betas {
-			resp, err := srv.Do(ctx, serve.Request{Model: "gbm", Beta: b, Horizon: horizon, RelErr: re})
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("observation query beta=%.0f: %w", b, err)
-			}
-			roots += resp.Paths
-			steps += resp.Steps - resp.SearchSteps // the ledger books sampling cost only
-		}
-		return ledger.Snapshots(), roots, steps, nil
-	}
-
-	exact := func(name string, backend exec.Executor) ([]planstats.Snapshot, error) {
-		snaps, roots, steps, err := run(backend)
-		if err != nil {
-			return nil, err
-		}
-		if len(snaps) == 0 {
-			return nil, fmt.Errorf("durbench: %s plan ledger booked nothing; observation is not wired", name)
-		}
-		var bookedRoots, bookedSteps int64
-		for _, snap := range snaps {
-			bookedRoots += snap.Roots
-			bookedSteps += snap.Steps
-		}
-		if bookedRoots != roots {
-			return nil, fmt.Errorf("durbench: %s ledger booked %d roots != responses' %d paths", name, bookedRoots, roots)
-		}
-		if bookedSteps != steps {
-			return nil, fmt.Errorf("durbench: %s ledger booked %d steps != responses' %d sampling steps", name, bookedSteps, steps)
-		}
-		return snaps, nil
-	}
-
-	local, err := exact("local", nil)
-	if err != nil {
-		return err
-	}
-
-	// The cluster side: the coordinator books the deltas it folded out of
-	// shard replies, so the same `==` must hold behind the rpc seam.
-	addrs, stop, err := cluster.ServeLocal(reg, 2, 2)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	backend := exec.NewCluster(addrs...)
-	defer backend.Close()
-
-	clustered, err := exact("cluster", backend)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(local, clustered) {
-		return fmt.Errorf("durbench: cluster plan ledger %+v != local %+v", clustered, local)
-	}
-	return nil
 }

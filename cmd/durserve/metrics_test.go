@@ -109,11 +109,19 @@ func metricValue(t *testing.T, body, name string) int64 {
 // TestMetricsStepAttributionMatchesStats asserts the exactness contract
 // end to end over HTTP: the steps attributed to the plan-search stage
 // spans equal the server's searchSteps counter, and the exec stage's
-// equal its sampleSteps — both visible in the same scrape.
+// equal its sampleSteps — both visible in the same scrape. The traffic
+// covers both sampling surfaces, one-shot queries and a /batch ladder,
+// and the ladder's exec spans book exactly its shared run's steps.
 func TestMetricsStepAttributionMatchesStats(t *testing.T) {
 	ts := testServer(t)
 	driveFixedSequence(t, ts)
 	postQuery(t, ts, `{"model":"queue","beta":26,"horizon":500,"re":0.2}`)
+
+	execBefore := metricValue(t, string(getBytes(t, ts, "/metrics")), `durserve_stage_steps_total{stage="exec"}`)
+	resp, batch := postBatch(t, ts, `{"model":"walk","betas":[6,8,10,12],"horizon":100,"re":0.2,"seed":7}`)
+	if resp.StatusCode != http.StatusOK || batch.SharedSteps == 0 {
+		t.Fatalf("batch ladder: status %d, shared steps %d", resp.StatusCode, batch.SharedSteps)
+	}
 
 	body := string(getBytes(t, ts, "/metrics"))
 	searchSpanSteps := metricValue(t, body, `durserve_stage_steps_total{stage="plan-search"}`)
@@ -133,6 +141,9 @@ func TestMetricsStepAttributionMatchesStats(t *testing.T) {
 	}
 	if execSpanSteps != sampleSteps {
 		t.Errorf("exec span steps %d != sampleSteps %d", execSpanSteps, sampleSteps)
+	}
+	if got := execSpanSteps - execBefore; got != batch.SharedSteps {
+		t.Errorf("the batch ladder's exec spans booked %d steps, want its shared run's %d", got, batch.SharedSteps)
 	}
 	if searchSpanSteps == 0 || execSpanSteps == 0 {
 		t.Errorf("span steps are zero (search %d, exec %d); attribution is not wired", searchSpanSteps, execSpanSteps)

@@ -13,8 +13,9 @@ import (
 // Cold-run benchmarks for the simulation kernel: one full GMLSS run per
 // iteration, each model's native bulk form vs the same model behind the
 // stochastic.Lanes adapter (the path black-box models take).
-// scripts/profile drives these under -cpuprofile/-memprofile; durbench's
-// BENCH_kernel.json covers the cross-model ns/step numbers.
+// They are the home of the kernel's ns/step: scripts/abbench compares
+// two builds of them side by side, and scripts/profile drives them under
+// -cpuprofile/-memprofile. Allocations are guarded by TestKernelAllocs.
 // BenchmarkBootstrapVariance times §4.2's bootstrap kernel on its own;
 // BenchmarkMomentVariance times the delta-method variance every serving
 // path reports instead, over the same sizes.
@@ -45,7 +46,7 @@ func benchModels(b *testing.B) map[string]*GMLSS {
 			stochastic.ScalarValue, 200, MustPlan(0.6, 0.75, 0.9), 50),
 		"walk": benchGMLSS(&stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2},
 			stochastic.ScalarValue, 20, MustPlan(0.35, 0.5, 0.65, 0.8), 60),
-		// ar and regime at BENCH_kernel.json's shapes (cmd/durbench).
+		// ar and regime at the differential suite's shapes (kernelFixtures).
 		"ar": benchGMLSS(stochastic.NewAR([]float64{0.6, 0.3}, 1.5, 1),
 			stochastic.ARValue, 10, MustPlan(0.3, 0.5, 0.7, 0.9), 50),
 		"regime": benchGMLSS(regime, stochastic.RegimeValue, 15, MustPlan(0.25, 0.5, 0.75), 50),

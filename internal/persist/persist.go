@@ -400,11 +400,8 @@ func (s *Store) rotateLocked() error {
 func (s *Store) Append(ev any) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.recovered {
-		return 0, errors.New("persist: Append before Recover")
-	}
-	if s.sticky != nil {
-		return 0, s.sticky
+	if err := s.usableLocked("Append"); err != nil {
+		return 0, err
 	}
 	if s.enc == nil {
 		// The live segment's stream is not this encoder's to continue
@@ -457,6 +454,20 @@ func (s *Store) NeedCheckpoint() bool {
 	return s.walBytes >= s.opts.MaxWALBytes || time.Since(s.walSince) >= s.opts.MaxWALAge
 }
 
+// usableLocked reports why op cannot write to the store: it is not
+// recovered yet, it is closed, or an earlier failure stuck.
+func (s *Store) usableLocked(op string) error {
+	switch {
+	case !s.recovered:
+		return fmt.Errorf("persist: %s before Recover", op)
+	case s.wal == nil:
+		return fmt.Errorf("persist: %s on store %s: %w", op, s.dir, errClosed)
+	}
+	return s.sticky
+}
+
+var errClosed = errors.New("store is closed")
+
 // Err returns the store's sticky I/O failure, if any — the trace of an
 // append that could not be written (Subscription.Close, for one, cannot
 // surface errors itself).
@@ -483,12 +494,7 @@ func (s *Store) Err() error {
 // through Append while the snapshot is taken.
 func (s *Store) Checkpoint(assemble func() (any, error)) error {
 	s.mu.Lock()
-	if !s.recovered {
-		s.mu.Unlock()
-		return errors.New("persist: Checkpoint before Recover")
-	}
-	if s.sticky != nil {
-		err := s.sticky
+	if err := s.usableLocked("Checkpoint"); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -549,7 +555,8 @@ func (s *Store) removeBelow(list []storeFile, floor uint64, path func(uint64) st
 	return kept
 }
 
-// Close syncs and closes the live segment. The store is not usable after.
+// Close syncs and closes the live segment. Append and Checkpoint after it
+// return an error naming the store; a second Close returns nil.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,9 +2,11 @@ package persist
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -372,5 +374,55 @@ func TestAppendBeforeRecoverRejected(t *testing.T) {
 	}
 	if err := st.Checkpoint(func() (any, error) { return &testSnap{}, nil }); err == nil {
 		t.Fatal("Checkpoint before Recover accepted")
+	}
+}
+
+// TestClosedStoreRefusesWrites: after Close, Append and Checkpoint return
+// an error naming the store and leave its files as they were, and a
+// second Close is a no-op.
+func TestClosedStoreRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{})
+	var snap testSnap
+	if _, _, err := st.Recover(&snap, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(testEvent{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(blob)
+		}
+		return out
+	}
+	before := files()
+
+	closed := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, errClosed) || !strings.Contains(err.Error(), dir) {
+			t.Errorf("%s after Close: %v, want the closed-store error naming %s", op, err, dir)
+		}
+	}
+	_, err := st.Append(testEvent{N: 2})
+	closed("Append", err)
+	closed("Checkpoint", st.Checkpoint(func() (any, error) { return &testSnap{}, nil }))
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Errorf("writes after Close changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }

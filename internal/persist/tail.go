@@ -60,6 +60,11 @@ func ReadSnapshotFile(fsys FS, path string, snap any) (ok bool, err error) {
 	return readSnapshot(fsys, path, snap)
 }
 
+// ErrBadFrame is the error Tailer.Next wraps for a complete frame that
+// fails its length cap or checksum. Recovery reads such a frame in a
+// store's final segment as a crash footprint and truncates it there.
+var ErrBadFrame = errors.New("fails its length cap or checksum")
+
 // Tailer incrementally parses records out of one WAL segment file that
 // another process (a shipper) is appending to, from the segment's first
 // record, as a DURWAL2 segment's gob stream requires. Next returns
@@ -120,7 +125,7 @@ func (t *Tailer) Next() (lsn int64, ev any, ok bool, err error) {
 	case status == frameShort:
 		return 0, nil, false, nil
 	case status == frameBad:
-		return 0, nil, false, fmt.Errorf("persist: %s: the complete record at %d fails its length cap or checksum", t.path, t.off)
+		return 0, nil, false, fmt.Errorf("persist: %s: the complete record at %d %w", t.path, t.off, ErrBadFrame)
 	}
 	lsn = t.next
 	t.off += n

@@ -74,6 +74,7 @@ type followerStore struct {
 
 	inited   bool
 	restored bool
+	unlisted bool             // the last manifest listed no file of the store
 	copied   map[string]int64 // local bytes per file
 
 	tailSeq      uint64 // segment currently tailed
@@ -162,7 +163,8 @@ func (f *Follower) Run(ctx context.Context) error {
 // Drain syncs until everything the source has is applied: apply lag
 // zero, or — when the source's final segment ends in a torn frame that
 // can never complete (the primary died mid-write) — until every
-// manifest byte is shipped and a full round applies nothing new. After
+// manifest byte is shipped and a full round applies nothing new. A store
+// the source lists no file of has nothing to apply. After
 // Drain, promotion via persist.Open on the mirror loses nothing.
 func (f *Follower) Drain(ctx context.Context) error {
 	for {
@@ -175,9 +177,9 @@ func (f *Follower) Drain(ctx context.Context) error {
 			applyLag, copyLag := int64(0), int64(0)
 			allRestored := true
 			//durlint:ignore maporder aggregate only
-			for _, l := range f.lags {
+			for name, l := range f.lags {
 				applyLag += l.Bytes
-				if !l.Restored {
+				if !l.Restored && !f.stores[name].unlisted {
 					allRestored = false
 				}
 			}
@@ -333,6 +335,7 @@ func (f *Follower) syncStore(ctx context.Context, fs *followerStore, sm StoreMan
 			return false, Lag{}, err
 		}
 	}
+	fs.unlisted = len(sm.Files) == 0
 	shipped, err := f.ship(ctx, fs, sm)
 	if err != nil {
 		return shipped, Lag{}, err
@@ -444,7 +447,9 @@ func (f *Follower) ship(ctx context.Context, fs *followerStore, sm StoreManifest
 			local = cut
 			fs.copied[file.Name] = local
 		}
-		if file.Size > local {
+		if _, mirrored := fs.copied[file.Name]; file.Size > local || !mirrored {
+			// An empty file is mirrored too: a sealed empty segment is
+			// history that pump must refuse, not wait for.
 			n, err := f.shipFile(ctx, fs, sm.Name, file, local)
 			fs.copied[file.Name] = local + n
 			copyLag += file.Size - (local + n)
@@ -578,6 +583,12 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 		}
 		for {
 			lsn, ev, ok, err := fs.tailer.Next()
+			if errors.Is(err, persist.ErrBadFrame) {
+				// Recovery ends the final segment at a bad frame as at a
+				// torn one, and refuses one in an earlier segment: wait
+				// here likewise, and the sealed-segment check refuses.
+				err = nil
+			}
 			if !fs.startChecked {
 				// The header's LSN, once parsed, is checked before any
 				// record, as recovery checks it; an empty segment's too.
@@ -615,8 +626,15 @@ func (f *Follower) pump(fs *followerStore, sm StoreManifest) (progressed bool, e
 			return progressed, nil // still on the live segment
 		}
 		msize, known := sizeOf(fs.tailName())
-		if known && (fs.tailer.Offset() < msize || fs.copied[fs.tailName()] < msize) {
-			return progressed, nil // current segment not fully shipped/parsed yet
+		if known && fs.copied[fs.tailName()] < msize {
+			return progressed, nil // current segment not fully shipped yet
+		}
+		if known && (fs.tailer.NextLSN() == 0 || fs.tailer.Offset() < msize) {
+			// Every byte is here and parsed up to a header or frame that
+			// cannot complete: a newer segment exists, so no write will
+			// finish it. Recovery refuses the same directory.
+			return progressed, fmt.Errorf("replicate: %s/%s: torn at offset %d of a sealed %d-byte segment — history is incomplete",
+				fs.name, fs.tailName(), fs.tailer.Offset(), msize)
 		}
 		if n := fs.tailer.NextLSN(); n > 0 {
 			fs.expectNext = n

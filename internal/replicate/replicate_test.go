@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,7 +102,7 @@ type primaryStore struct {
 	vals []int
 }
 
-func openPrimary(t *testing.T, root, name string) *primaryStore {
+func openPrimary(t testing.TB, root, name string) *primaryStore {
 	t.Helper()
 	st, err := persist.Open(filepath.Join(root, name), persist.Options{})
 	if err != nil {
@@ -115,7 +116,7 @@ func openPrimary(t *testing.T, root, name string) *primaryStore {
 	return p
 }
 
-func (p *primaryStore) append(t *testing.T, vals ...int) {
+func (p *primaryStore) append(t testing.TB, vals ...int) {
 	t.Helper()
 	for _, v := range vals {
 		lsn, err := p.st.Append(repEv{N: v})
@@ -790,48 +791,9 @@ func TestRecoveryAndFollowerAgreeOnSegmentChains(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
-			dir := filepath.Join(root, "main")
-			// Three segments, lsn 1–2, 3–4 and 5–6: each failed checkpoint
-			// rotates without a snapshot, so every segment stays on disk.
-			p := openPrimary(t, root, "main")
-			for n := 1; n <= 6; n++ {
-				p.append(t, n)
-				if n%2 == 0 && n < 6 {
-					if err := p.st.Checkpoint(func() (any, error) { return nil, errors.New("no snapshot") }); err == nil {
-						t.Fatal("Checkpoint swallowed the assembly failure")
-					}
-				}
-			}
-			p.st.Close()
-			tc.damage(t, dir)
-
-			// Recovery reads a copy, since it truncates torn tails in place.
-			copyDir := filepath.Join(t.TempDir(), "main")
-			if err := os.CopyFS(copyDir, os.DirFS(dir)); err != nil {
-				t.Fatal(err)
-			}
-			st, err := persist.Open(copyDir, persist.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			var recovered []int
-			_, _, recErr := st.Recover(&repSnap{}, nil, func(lsn int64, ev any) error {
-				recovered = append(recovered, ev.(repEv).N)
-				return nil
-			})
-
-			log := &intLog{}
-			f := NewFollower(Config{
-				Source: DirSource{Root: root, Stores: []string{"main"}},
-				Dir:    t.TempDir(),
-				Hooks:  hooksFor(map[string]*intLog{"main": log}),
-			})
-			defer f.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			folErr := f.Drain(ctx)
-			_, followed := log.state()
+			writeSegmentChain(t, root)
+			tc.damage(t, filepath.Join(root, "main"))
+			recovered, followed, recErr, folErr := recoverAndFollow(t, root)
 
 			if !equalInts(recovered, tc.want) || !equalInts(followed, tc.want) {
 				t.Fatalf("recovery applied %v and the follower %v, want %v for both", recovered, followed, tc.want)
@@ -849,4 +811,112 @@ func TestRecoveryAndFollowerAgreeOnSegmentChains(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeSegmentChain writes store "main" under root as three segments,
+// lsn 1–2, 3–4 and 5–6: each failed checkpoint rotates without a
+// snapshot, so every segment stays on disk.
+func writeSegmentChain(t testing.TB, root string) {
+	t.Helper()
+	p := openPrimary(t, root, "main")
+	for n := 1; n <= 6; n++ {
+		p.append(t, n)
+		if n%2 == 0 && n < 6 {
+			if err := p.st.Checkpoint(func() (any, error) { return nil, errors.New("no snapshot") }); err == nil {
+				t.Fatal("Checkpoint swallowed the assembly failure")
+			}
+		}
+	}
+	p.st.Close()
+}
+
+// recoverAndFollow reads store "main" under root twice: by recovery (on a
+// copy, since recovery truncates torn tails in place) and by a follower
+// over DirSource. It returns the records each applied and its error.
+func recoverAndFollow(t *testing.T, root string) (recovered, followed []int, recErr, folErr error) {
+	t.Helper()
+	copyDir := filepath.Join(t.TempDir(), "main")
+	if err := os.CopyFS(copyDir, os.DirFS(filepath.Join(root, "main"))); err != nil {
+		t.Fatal(err)
+	}
+	st, err := persist.Open(copyDir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, _, recErr = st.Recover(&repSnap{}, nil, func(lsn int64, ev any) error {
+		recovered = append(recovered, ev.(repEv).N)
+		return nil
+	})
+
+	log := &intLog{}
+	f := NewFollower(Config{
+		Source: DirSource{Root: root, Stores: []string{"main"}},
+		Dir:    t.TempDir(),
+		Hooks:  hooksFor(map[string]*intLog{"main": log}),
+	})
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	folErr = f.Drain(ctx)
+	_, followed = log.state()
+	return recovered, followed, recErr, folErr
+}
+
+// segmentName matches the store file an error names.
+var segmentName = regexp.MustCompile(`(wal|snap)-[0-9]{16}`)
+
+// FuzzSegmentChains damages writeSegmentChain's three segments — each
+// kept, dropped, truncated or with one byte rewritten — and requires
+// recovery and a follower over DirSource to agree: they apply the same
+// records, and where one refuses the directory, both do, naming the same
+// file. damage holds four bytes per segment, wal-1 first: the operation
+// (mod 4: keep, drop, truncate, rewrite), a little-endian offset into the
+// segment (mod its size) and the rewritten byte. The seeds are
+// TestRecoveryAndFollowerAgreeOnSegmentChains's three cases.
+func FuzzSegmentChains(f *testing.F) {
+	const keep, drop, truncate, rewrite = 0, 1, 2, 3
+	f.Add([]byte{keep, 0, 0, 0, drop, 0, 0, 0})                // dropped-middle-segment
+	f.Add([]byte{keep, 0, 0, 0, keep, 0, 0, 0, drop, 0, 0, 0}) // dropped-last-segment
+	f.Add([]byte{keep, 0, 0, 0, rewrite, 8, 0, 5})             // header-lsn-skips: wal-2's first lsn 3 becomes 5
+	pristine := f.TempDir()
+	writeSegmentChain(f, pristine)
+	f.Fuzz(func(t *testing.T, damage []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "main")
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join(pristine, "main"))); err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 3 && len(damage) >= 4; seq++ {
+			op, at, val := damage[0]%4, int64(binary.LittleEndian.Uint16(damage[1:3])), damage[3]
+			damage = damage[4:]
+			path := filepath.Join(dir, persist.FileName(persist.WALFile, seq))
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch op {
+			case drop:
+				err = os.Remove(path)
+			case truncate:
+				err = os.Truncate(path, at%int64(len(blob)))
+			case rewrite:
+				blob[at%int64(len(blob))] = val
+				err = os.WriteFile(path, blob, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		recovered, followed, recErr, folErr := recoverAndFollow(t, root)
+		if !equalInts(recovered, followed) {
+			t.Fatalf("recovery applied %v (err %v), the follower %v (err %v)", recovered, recErr, followed, folErr)
+		}
+		if (recErr == nil) != (folErr == nil) {
+			t.Fatalf("recovery err %v, follower err %v: one refused, the other did not", recErr, folErr)
+		}
+		if recErr != nil && segmentName.FindString(recErr.Error()) != segmentName.FindString(folErr.Error()) {
+			t.Fatalf("recovery refused %q, the follower %q: they name different files", recErr, folErr)
+		}
+	})
 }

@@ -17,7 +17,8 @@ import (
 
 // A one-shot g-MLSS answer does not depend on where its roots are
 // simulated: the runner without an executor, with exec.Local and with a
-// two-worker cluster returns == results and books == ledger snapshots.
+// two-worker cluster returns == results and books == ledger snapshots,
+// each booking exactly the run's roots and sampling steps.
 // The two plans cover a single interior boundary and several; both
 // report the delta-method moment variance.
 func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
@@ -71,11 +72,16 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 					t.Fatalf("%s: the moment variance's time went unbooked", b.name)
 				}
 				res.Elapsed, res.VarTime = 0, 0
+				// The ledger books what the run sampled, search excluded.
 				snaps := r.Ledger.Snapshots()
+				if len(snaps) != 1 || snaps[0].Roots != res.Paths || snaps[0].Steps != res.Steps-meta.SearchSteps {
+					t.Fatalf("%s: ledger %+v, want one plan booking the run's %d roots and %d sampling steps",
+						b.name, snaps, res.Paths, res.Steps-meta.SearchSteps)
+				}
 				if i == 0 {
 					// Several rounds, so the cluster cuts more than one range.
-					if res.Paths <= 128 || res.Hits == 0 || len(snaps) != 1 || snaps[0].Roots != res.Paths {
-						t.Fatalf("degenerate baseline: %+v, ledger %+v", res, snaps)
+					if res.Paths <= 128 || res.Hits == 0 {
+						t.Fatalf("degenerate baseline: %+v", res)
 					}
 					wantRes, wantSnaps = res, snaps
 					continue
