@@ -223,25 +223,29 @@ func runLaneChunks(ctx context.Context, ceiling int, n int64, chunk func(w int, 
 }
 
 // laneSet is the per-worker lane plumbing shared by both kernels: the
-// model's state vector with its per-lane views (the slice is stable;
-// its elements may be replaced by Load/Restore, so the kernels index
-// views at the point of use and never hold an element), one pooled
-// Source per lane (re-seeded per root, so the per-root substream
+// model's state vector, the query's reading resolved against it, one
+// pooled Source per lane (re-seeded per root, so the per-root substream
 // contract holds without a per-root allocation), the per-lane time
-// cursors and frame stacks, and the root currently simulated by each
-// lane.
+// cursors and frame stacks, the root currently simulated by each lane,
+// and the readings of the last step.
 type laneSet struct {
 	bulk   stochastic.BulkProcess // the model the lane state was built for
 	vec    stochastic.StateVec
-	views  []stochastic.State
+	read   stochastic.Reading // the bound query's reading of vec
 	srcs   []rng.Source
 	srcPtr []*rng.Source
 	t      []int // time of the step each lane is about to take
 	frames [][]kframe
-	root   []int   // chunk-local index of the root each lane simulates
-	lsteps []int64 // steps taken for the lane's current root, flushed on completion
+	root   []int // chunk-local index of the root each lane simulates
+
+	// calls counts step calls; a lane steps on every call from its
+	// root's start to its end, so a root's steps are calls minus the
+	// count its lane recorded in start when it took the root.
+	calls int64
+	start []int64
 
 	active []int
+	z      []float64 // z[p] is the reading of lane active[p] after a step
 
 	// chunk-run cursor state
 	base      int64 // global index of the chunk's first root
@@ -253,7 +257,6 @@ type laneSet struct {
 func (ls *laneSet) init(bulk stochastic.BulkProcess) {
 	ls.bulk = bulk
 	ls.vec = bulk.NewStateVec(defaultLanes)
-	ls.views = ls.vec.Views()
 	ls.srcs = make([]rng.Source, defaultLanes)
 	ls.srcPtr = make([]*rng.Source, defaultLanes)
 	for i := range ls.srcs {
@@ -262,9 +265,29 @@ func (ls *laneSet) init(bulk stochastic.BulkProcess) {
 	ls.t = make([]int, defaultLanes)
 	ls.frames = make([][]kframe, defaultLanes)
 	ls.root = make([]int, defaultLanes)
-	ls.lsteps = make([]int64, defaultLanes)
+	ls.start = make([]int64, defaultLanes)
 	ls.active = make([]int, 0, defaultLanes)
+	ls.z = make([]float64, defaultLanes)
 }
+
+// step advances every active lane by one step and reads each one: the
+// reading of lane active[p] lands in z[p]. It returns the readings.
+func (ls *laneSet) step() []float64 {
+	ls.bulk.StepVec(ls.vec, ls.active, ls.t, ls.srcPtr)
+	ls.calls++
+	ls.vec.Read(ls.read, ls.active, ls.z)
+	return ls.z[:len(ls.active)]
+}
+
+// startLane marks lane i as starting a root on the next step call.
+func (ls *laneSet) startLane(i int) {
+	ls.t[i] = 1
+	ls.start[i] = ls.calls
+	ls.frames[i] = ls.frames[i][:0]
+}
+
+// rootSteps returns the steps lane i has taken for its current root.
+func (ls *laneSet) rootSteps(i int) int64 { return ls.calls - ls.start[i] }
 
 // dropFrames empties every lane's frame stack, returning the spill slots
 // a cancelled chunk left behind to the vec's free list, so a kernel
@@ -312,8 +335,10 @@ func (ls *laneSet) completedPrefix() int64 {
 //
 // Both kernels test boundaries in observation space: the query's reading
 // z of each stepped lane against the cut of the boundary it watches
-// (observation.cut), so the hot loop pays one observer call and one
-// compare. Only a crossing or the horizon maps z to f.
+// (observation.cut). One Read call per step fills the frontier's
+// readings (stochastic.Reading: a typed loop for a built-in observer,
+// the observer per lane otherwise), so the hot loop pays a load and a
+// compare per lane. Only a crossing or the horizon maps z to f.
 type gmlssKernel struct {
 	laneSet
 	g         *GMLSS
@@ -365,6 +390,7 @@ func (k *gmlssKernel) bind(g *GMLSS, proto stochastic.State, initLevel int) {
 	k.initLevel = initLevel
 	k.m = g.Plan.M()
 	k.obs = g.Query.observation()
+	k.read = stochastic.ResolveReading(k.vec, k.obs.z)
 	k.cuts = bindCuts(k.cuts, k.obs, g.Plan)
 	k.horizon = g.Query.Horizon
 }
@@ -372,7 +398,7 @@ func (k *gmlssKernel) bind(g *GMLSS, proto stochastic.State, initLevel int) {
 // unbind lets go of the call's start state and observer, so an idle
 // kernel pins nothing of the subscription that last ran on it.
 func (k *gmlssKernel) unbind() {
-	k.g, k.proto, k.obs, k.out = nil, nil, observation{}, nil
+	k.g, k.proto, k.obs, k.read, k.out = nil, nil, observation{}, stochastic.Reading{}, nil
 }
 
 // runChunk simulates roots [base, base+len(out)) into out and returns
@@ -386,27 +412,26 @@ func (k *gmlssKernel) runChunk(ctx context.Context, base int64, out []gmlssRoot)
 	}
 	done := ctx.Done()
 	for len(k.active) > 0 && !cancelled(done) {
-		k.bulk.StepVec(k.vec, k.active, k.t, k.srcPtr)
+		z := k.step()
+		active := k.active
 		w := 0
-		for _, i := range k.active {
-			// The no-crossing, sub-horizon regime is inlined here: one
-			// observer call, two compares, a time bump. Everything rarer
-			// goes through advance.
-			k.lsteps[i]++
+		for p, i := range active {
+			// The no-crossing, sub-horizon regime is inlined here: two
+			// compares and a time bump. Everything rarer goes through
+			// advance.
 			t := k.t[i]
-			z := k.obs.z(k.views[i])
-			if z < k.nextCut[i] && t < k.horizon {
+			if z[p] < k.nextCut[i] && t < k.horizon {
 				k.t[i] = t + 1
-				k.active[w] = i
+				active[w] = i
 				w++
 				continue
 			}
-			if k.advance(i, t, z) {
-				k.active[w] = i
+			if k.advance(i, t, z[p]) {
+				active[w] = i
 				w++
 			}
 		}
-		k.active = k.active[:w]
+		k.active = active[:w]
 	}
 	return k.completedPrefix()
 }
@@ -420,9 +445,7 @@ func (k *gmlssKernel) startRoot(i int) {
 	k.vec.Load(i, k.proto)
 	k.curr[i] = k.initLevel
 	k.nextCut[i] = k.cuts[k.initLevel+1]
-	k.t[i] = 1
-	k.lsteps[i] = 0
-	k.frames[i] = k.frames[i][:0]
+	k.startLane(i)
 }
 
 // advance books the cold outcomes of the step lane i just took at time
@@ -471,8 +494,7 @@ func (k *gmlssKernel) finishSegment(i int, crossed bool) bool {
 	for {
 		stack := k.frames[i]
 		if len(stack) == 0 {
-			out.steps += k.lsteps[i]
-			k.lsteps[i] = 0
+			out.steps += k.rootSteps(i)
 			k.completed[k.root[i]] = true
 			if k.next < k.total {
 				k.startRoot(i)
@@ -531,6 +553,7 @@ func newSMLSSKernel(s *SMLSS, bulk stochastic.BulkProcess, proto stochastic.Stat
 		horizon:   s.Query.Horizon,
 	}
 	k.laneSet.init(bulk)
+	k.read = stochastic.ResolveReading(k.vec, k.obs.z)
 	k.watch = make([]int, defaultLanes)
 	buf := make([]float64, 2*defaultLanes+k.m+1)
 	k.loCut, k.hiCut = buf[:defaultLanes:defaultLanes], buf[defaultLanes:2*defaultLanes:2*defaultLanes]
@@ -547,34 +570,34 @@ func (k *smlssKernel) runChunk(ctx context.Context, base int64, out []smlssRoot)
 	}
 	done := ctx.Done()
 	for len(k.active) > 0 && !cancelled(done) {
-		k.bulk.StepVec(k.vec, k.active, k.t, k.srcPtr)
+		zs := k.step()
+		active := k.active
 		w := 0
-		for _, i := range k.active {
+		for p, i := range active {
 			// Inline hot path: the step neither landed in the watched
 			// interval (nor hit the target) nor reached the horizon.
-			k.lsteps[i]++
 			t := k.t[i]
-			z := k.obs.z(k.views[i])
+			z := zs[p]
 			wl := k.watch[i]
 			if wl == k.m {
 				if z < k.cuts[wl] && t < k.horizon {
 					k.t[i] = t + 1
-					k.active[w] = i
+					active[w] = i
 					w++
 					continue
 				}
 			} else if (z < k.loCut[i] || z >= k.hiCut[i]) && t < k.horizon {
 				k.t[i] = t + 1
-				k.active[w] = i
+				active[w] = i
 				w++
 				continue
 			}
 			if k.advance(i, t, z) {
-				k.active[w] = i
+				active[w] = i
 				w++
 			}
 		}
-		k.active = k.active[:w]
+		k.active = active[:w]
 	}
 	return k.completedPrefix()
 }
@@ -586,9 +609,7 @@ func (k *smlssKernel) startRoot(i int) {
 	k.srcs[i].SeedStream(k.s.Seed, uint64(k.base+int64(local)))
 	k.vec.Load(i, k.proto)
 	k.setWatch(i, k.initWatch)
-	k.t[i] = 1
-	k.lsteps[i] = 0
-	k.frames[i] = k.frames[i][:0]
+	k.startLane(i)
 }
 
 // setWatch points lane i at watch level w and caches its interval's
@@ -638,8 +659,7 @@ func (k *smlssKernel) finishSegment(i int) bool {
 	for {
 		stack := k.frames[i]
 		if len(stack) == 0 {
-			k.out[k.root[i]].steps += k.lsteps[i]
-			k.lsteps[i] = 0
+			k.out[k.root[i]].steps += k.rootSteps(i)
 			k.completed[k.root[i]] = true
 			if k.next < k.total {
 				k.startRoot(i)

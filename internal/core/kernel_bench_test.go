@@ -44,6 +44,11 @@ func benchModels(b *testing.B) map[string]*GMLSS {
 	return map[string]*GMLSS{
 		"gbm": benchGMLSS(&stochastic.GBM{S0: 100, Mu: 0.002, Sigma: 0.08},
 			stochastic.ScalarValue, 200, MustPlan(0.6, 0.75, 0.9), 50),
+		// gbm under an observer of the caller's own: the kernel reads it
+		// through the lane views, once per lane, as it reads every
+		// observer that is not a built-in one (stochastic.Reading).
+		"gbm-closure": benchGMLSS(&stochastic.GBM{S0: 100, Mu: 0.002, Sigma: 0.08},
+			func(s stochastic.State) float64 { return stochastic.ScalarValue(s) }, 200, MustPlan(0.6, 0.75, 0.9), 50),
 		"walk": benchGMLSS(&stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2},
 			stochastic.ScalarValue, 20, MustPlan(0.35, 0.5, 0.65, 0.8), 60),
 		// ar and regime at the differential suite's shapes (kernelFixtures).

@@ -53,6 +53,15 @@ type StateVec interface {
 	Restore(i, h int)
 	// Drop returns spill slot h to the free list.
 	Drop(h int)
+	// Read fills z[p] with r's reading of lane lanes[p], for every
+	// position p in lanes; len(z) >= len(lanes). r must have been
+	// resolved against this vec (ResolveReading). Each reading must equal,
+	// bit for bit, r's observer applied to Views()[lanes[p]] — NaN
+	// payloads and signed zeros included — so a sampler that tests
+	// readings decides exactly as one calling the observer per lane. A
+	// typed loop is the observer's own arithmetic on the lane's storage;
+	// every other observer is called on the view.
+	Read(r Reading, lanes []int, z []float64)
 }
 
 // BulkProcess is the optional fast-path extension of Process: a model
@@ -114,6 +123,10 @@ func (v *boxedVec) Lanes() int          { return len(v.lane) }
 func (v *boxedVec) Views() []State      { return v.lane }
 func (v *boxedVec) Load(i int, s State) { v.lane[i] = s.Clone() }
 func (v *boxedVec) Restore(i, h int)    { v.lane[i] = v.spill[h].Clone() }
+
+// Read implements StateVec: a boxed lane is read through its view, so a
+// model behind the adapter always takes its observer's own call.
+func (v *boxedVec) Read(r Reading, lanes []int, z []float64) { r.readViews(v.lane, lanes, z) }
 
 func (v *boxedVec) Save(i int) int {
 	if n := len(v.free); n > 0 {

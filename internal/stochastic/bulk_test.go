@@ -1,6 +1,7 @@
 package stochastic
 
 import (
+	"fmt"
 	"testing"
 
 	"durability/internal/rng"
@@ -271,6 +272,67 @@ func TestCPPStepVecHoistsPoisson(t *testing.T) {
 					t.Fatalf("rate %v, step %d, lane %d: StepVec %v, Step %v", rate, step, i, vec.lane[i], scalar[i])
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkStepVecWidth times one StepVec call of the queue, walk and
+// gbm at 1, 4, 16 and 64 active lanes of a 64-lane vec, the widths a
+// kernel's frontier passes through as its last roots drain, and the
+// scalar Step beside them. Every lane restarts from the model's initial
+// state every 500 calls (the query-mix queue's horizon). ns/call is per
+// StepVec call, ns/step per lane-step.
+func BenchmarkStepVecWidth(b *testing.B) {
+	const lanes, horizon = 64, 500
+	models := []struct {
+		name string
+		proc BulkProcess
+	}{
+		{"queue", NewTandemQueue(0.5, 2, 2)},
+		{"walk", &RandomWalk{Start: 5, Drift: 0.2, Sigma: 2}},
+		{"gbm", &GBM{S0: 100, Mu: 0.002, Sigma: 0.08}},
+	}
+	for _, m := range models {
+		b.Run(m.name+"/scalar", func(b *testing.B) {
+			src := rng.New(1)
+			s := m.proc.Initial()
+			for i := 0; b.Loop(); i++ {
+				t := i%horizon + 1
+				if t == 1 {
+					s = m.proc.Initial()
+				}
+				m.proc.Step(s, t, src)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
+		})
+		for _, width := range []int{1, 4, 16, 64} {
+			b.Run(fmt.Sprintf("%s/lanes=%d", m.name, width), func(b *testing.B) {
+				vec := m.proc.NewStateVec(lanes)
+				srcs := make([]rng.Source, lanes)
+				srcPtr := make([]*rng.Source, lanes)
+				ts := make([]int, lanes)
+				active := make([]int, width)
+				for i := range srcs {
+					srcs[i].SeedStream(1, uint64(i))
+					srcPtr[i] = &srcs[i]
+				}
+				for i := range active {
+					active[i] = i
+				}
+				for i := 0; b.Loop(); i++ {
+					t := i%horizon + 1
+					for _, l := range active {
+						if t == 1 {
+							vec.Load(l, m.proc.Initial())
+						}
+						ts[l] = t
+					}
+					m.proc.StepVec(vec, active, ts, srcPtr)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(ns, "ns/call")
+				b.ReportMetric(ns/float64(width), "ns/step")
+			})
 		}
 	}
 }

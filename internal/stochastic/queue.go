@@ -96,14 +96,32 @@ func (q *TandemQueue) NewStateVec(lanes int) StateVec { return newQueueVec(lanes
 
 // StepVec implements BulkProcess: Step per lane, each lane drawing its
 // event clocks from its own source, with the clock's thresholds shared
-// across the call's lanes.
+// across the call's lanes and kept in the vec across calls.
 func (q *TandemQueue) StepVec(v StateVec, lanes []int, t []int, src []*rng.Source) {
 	qv := v.(*queueVec)
-	var c queueClock
-	c.init(q)
+	c := q.clock(qv)
 	for _, i := range lanes {
-		q.step(&qv.lane[i], t[i], src[i], &c)
+		q.step(&qv.lane[i], t[i], src[i], c)
 	}
+}
+
+// clock returns v's event clock for q's rates. The clock's rem = 1
+// thresholds depend on the three rates alone, so it is rebuilt only
+// when their bits differ from the ones it was built from: a model
+// mutated between calls never steps on stale thresholds, and a kept
+// clock gives the thresholds a fresh one would, bit for bit.
+func (q *TandemQueue) clock(v *queueVec) *queueClock {
+	rates := [3]uint64{
+		math.Float64bits(q.ArrivalRate),
+		math.Float64bits(q.ServiceRate1),
+		math.Float64bits(q.ServiceRate2),
+	}
+	if rates != v.rates {
+		v.clock = queueClock{}
+		v.clock.init(q)
+		v.rates = rates
+	}
+	return &v.clock
 }
 
 // step is Step and StepVec's one lane step: the product clock, or the
@@ -174,7 +192,7 @@ func b2i(b bool) int {
 // and P is folded into rem by one log and the next T costs one exp, when
 // an event changes the total rate, after clockRunEvents events, or when
 // P nears underflow. The thresholds at rem = 1 are shared by every lane
-// of a StepVec call.
+// of a lane vector, across its StepVec calls.
 //
 // The log clock's rounding and the product clock's differ, so a decision
 // is taken only when P·U clears T by more than a guard band that bounds
@@ -207,8 +225,9 @@ type clockRun struct {
 	capped bool
 }
 
-// queueClock holds a call's four total rates, indexed by rateIndex, and
-// their thresholds at rem = 1, computed on first use.
+// queueClock holds a model's four total rates, indexed by rateIndex, and
+// their thresholds at rem = 1, computed on first use. Step builds one per
+// call; a lane vector keeps one across its StepVec calls.
 type queueClock struct {
 	rate  [4]float64
 	start [4]clockRun

@@ -62,6 +62,31 @@ func (v *plainVec[S, PS]) Restore(i, h int) { v.lane[i] = v.spill[h] }
 
 func (v *plainVec[S, PS]) Drop(h int) { v.free = append(v.free, h) }
 
+// Read implements StateVec. ResolveReading gives a typed kind only to
+// the vec type it reads, so each case's assertion holds.
+func (v *plainVec[S, PS]) Read(r Reading, lanes []int, z []float64) {
+	z = z[:len(lanes)]
+	switch r.kind {
+	case readScalar:
+		lane := any(v).(*scalarVec).lane
+		for p, i := range lanes {
+			z[p] = lane[i].V
+		}
+	case readChain:
+		lane := any(v).(*chainVec).lane
+		for p, i := range lanes {
+			z[p] = float64(lane[i].I)
+		}
+	case readRegime:
+		lane := any(v).(*regimeVec).lane
+		for p, i := range lanes {
+			z[p] = lane[i].V
+		}
+	default:
+		r.readViews(v.views, lanes, z)
+	}
+}
+
 func (v *plainVec[S, PS]) alloc() int {
 	if n := len(v.free); n > 0 {
 		h := v.free[n-1]
@@ -78,13 +103,42 @@ type (
 	scalarVec = plainVec[Scalar, *Scalar]
 	chainVec  = plainVec[ChainState, *ChainState]
 	regimeVec = plainVec[RegimeState, *RegimeState]
-	queueVec  = plainVec[QueueState, *QueueState]
 )
 
 func newScalarVec(lanes int) *scalarVec { return newPlainVec[Scalar, *Scalar](lanes) }
 func newChainVec(lanes int) *chainVec   { return newPlainVec[ChainState, *ChainState](lanes) }
 func newRegimeVec(lanes int) *regimeVec { return newPlainVec[RegimeState, *RegimeState](lanes) }
-func newQueueVec(lanes int) *queueVec   { return newPlainVec[QueueState, *QueueState](lanes) }
+
+// queueVec is the tandem queue's plain vec plus the event clock its
+// StepVec calls share (TandemQueue.clock), kept with the bits of the
+// three rates it was built from. The zero clock is the one built from
+// three +0 rates, so a new vec needs no flag to say it has none.
+type queueVec struct {
+	plainVec[QueueState, *QueueState]
+	clock queueClock
+	rates [3]uint64
+}
+
+func newQueueVec(lanes int) *queueVec {
+	return &queueVec{plainVec: *newPlainVec[QueueState, *QueueState](lanes)}
+}
+
+// Read implements StateVec.
+func (v *queueVec) Read(r Reading, lanes []int, z []float64) {
+	z = z[:len(lanes)]
+	switch r.kind {
+	case readQueue1:
+		for p, i := range lanes {
+			z[p] = float64(v.lane[i].Q1)
+		}
+	case readQueue2:
+		for p, i := range lanes {
+			z[p] = float64(v.lane[i].Q2)
+		}
+	default:
+		r.readViews(v.views, lanes, z)
+	}
+}
 
 // arVec is the StateVec for AR(m): every lane's ring buffer is a
 // window of one flat lanes*m backing array, so lane state is
@@ -135,6 +189,18 @@ func (v *arVec) Restore(i, h int) {
 }
 
 func (v *arVec) Drop(h int) { v.free = append(v.free, h) }
+
+// Read implements StateVec.
+func (v *arVec) Read(r Reading, lanes []int, z []float64) {
+	if r.kind != readAR {
+		r.readViews(v.views, lanes, z)
+		return
+	}
+	z = z[:len(lanes)]
+	for p, i := range lanes {
+		z[p] = v.lane[i].Current()
+	}
+}
 
 func (v *arVec) alloc() int {
 	if n := len(v.free); n > 0 {
