@@ -147,9 +147,11 @@ func BenchmarkAblationRegimeSwitching(b *testing.B) {
 	}
 	b.Run("srs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := &mc.SRS{
+			s := &core.GMLSS{ // SRS: g-MLSS on the empty plan
 				Proc:    r,
-				Query:   mc.Query{Cond: mc.Threshold(stochastic.RegimeValue, 110), Horizon: 300},
+				Query:   query,
+				Plan:    core.Plan{},
+				Ratio:   1,
 				Stop:    stop(),
 				Seed:    uint64(i) + 1,
 				Workers: 8,
@@ -201,9 +203,11 @@ func BenchmarkAblationSRSvsISvsMLSS(b *testing.B) {
 
 	b.Run("srs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := &mc.SRS{
+			s := &core.GMLSS{ // SRS: g-MLSS on the empty plan
 				Proc:    walk,
-				Query:   mc.Query{Cond: mc.Threshold(stochastic.ScalarValue, beta), Horizon: horizon},
+				Query:   core.Query{Z: stochastic.ScalarValue, Beta: beta, Horizon: horizon},
+				Plan:    core.Plan{},
+				Ratio:   1,
 				Stop:    target(),
 				Seed:    uint64(i) + 1,
 				Workers: 8,

@@ -48,7 +48,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		workers = flag.Int("workers", 1, "ceiling on the kernels one sampling round steps at once (only idle CPUs join)")
 		weights = flag.String("weights", "", "rnn: weights file from cmd/trainrnn (the price starts at -s0)")
-		peers   = flag.String("peers", "", "comma-separated shard-worker addresses (durserve -worker, same model flags); g-MLSS simulation is distributed across them, s-mlss and srs stay in-process")
+		peers   = flag.String("peers", "", "comma-separated shard-worker addresses (durserve -worker, same model flags); g-mlss and srs simulation is distributed across them, s-mlss stays in-process")
 		params  = experiments.ModelFlags(flag.CommandLine)
 	)
 	flag.Parse()

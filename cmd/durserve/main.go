@@ -129,7 +129,7 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "follower: promote automatically when no manifest fetch succeeds for this long (0 = promote only via POST /promote)")
 		ackWait    = flag.Duration("ack-wait", 5*time.Second, "primary: on SIGTERM, how long to wait for a follower to acknowledge the final checkpoint's LSNs")
 		coalesce   = flag.Duration("coalesce", 2*time.Millisecond, "how long a /batch request waits for compatible batches to share its run (0 = never coalesce)")
-		workers    = flag.String("workers", "", "comma-separated shard-worker addresses; g-MLSS simulation is distributed across them")
+		workers    = flag.String("workers", "", "comma-separated shard-worker addresses; g-MLSS and SRS simulation is distributed across them")
 		worker     = flag.String("worker", "", "run as a shard worker on this address instead of serving HTTP")
 		localSim   = flag.Int("worker-sim", 0, "worker mode: ceiling on the kernels one shard steps at once; a shard borrows only idle CPUs, up to it (0 = GOMAXPROCS)")
 		params     = experiments.ModelFlags(flag.CommandLine)

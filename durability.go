@@ -77,7 +77,9 @@ const (
 	// bookkeeping, but unbiased only when the process cannot jump across
 	// a level boundary in a single step.
 	SMLSS = serve.SMLSS
-	// SRS is simple random sampling, the standard Monte-Carlo baseline.
+	// SRS is simple random sampling, the standard Monte-Carlo baseline
+	// (§2.2): g-MLSS with no intermediate levels, whose estimate is the
+	// hit fraction with its sample variance.
 	SRS = serve.SRS
 )
 

@@ -65,7 +65,8 @@ func calibrate(t *testing.T, p, target float64, answer func(seed uint64) (mc.Res
 // probability internal/exact computes, with a three-boundary plan, and
 // the one-shot loop again with a single interior boundary: the two-level
 // plan that §4.2's Eq. 11 covers in closed form and the loop answers
-// with the moment variance like every other.
+// with the moment variance like every other. The srs case runs the
+// one-shot loop on the empty plan, the SRS baseline.
 func TestGMLSSCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs 400 seeded queries per path")
@@ -80,14 +81,17 @@ func TestGMLSSCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundaries := []float64{4.0 / 9, 6.0 / 9, 8.0 / 9}
-	stop := mc.Any{mc.RETarget{Target: re}, mc.Budget{Steps: 10_000_000}}
-	oneShot := func(plan core.Plan) func(seed uint64) (mc.Result, error) {
+	stopAt := func(re float64) mc.StopRule {
+		return mc.Any{mc.RETarget{Target: re}, mc.Budget{Steps: 10_000_000}}
+	}
+	stop := stopAt(re)
+	oneShot := func(plan core.Plan, ratio int, stop mc.StopRule) func(seed uint64) (mc.Result, error) {
 		return func(seed uint64) (mc.Result, error) {
 			g := &core.GMLSS{
 				Proc:  stochastic.BirthDeathChain(12, 0.45, 2),
 				Query: core.Query{Z: stochastic.ChainIndex, Beta: beta, Horizon: horizon},
 				Plan:  plan,
-				Ratio: 3,
+				Ratio: ratio,
 				Stop:  stop,
 				Seed:  seed,
 			}
@@ -95,10 +99,16 @@ func TestGMLSSCalibration(t *testing.T) {
 		}
 	}
 	t.Run("one-shot", func(t *testing.T) {
-		calibrate(t, p, re, oneShot(core.MustPlan(boundaries...)))
+		calibrate(t, p, re, oneShot(core.MustPlan(boundaries...), 3, stop))
 	})
 	t.Run("two-level", func(t *testing.T) {
-		calibrate(t, p, re, oneShot(core.MustPlan(5.0/9)))
+		calibrate(t, p, re, oneShot(core.MustPlan(5.0/9), 3, stop))
+	})
+	t.Run("srs", func(t *testing.T) {
+		// The empty plan is SRS (§2.2). p is common here, so a tighter
+		// target makes every answer run several rounds.
+		const srsRE = 0.05
+		calibrate(t, p, srsRE, oneShot(core.Plan{}, 1, stopAt(srsRE)))
 	})
 	t.Run("batch", func(t *testing.T) {
 		top := core.MustPlan(boundaries...).M()

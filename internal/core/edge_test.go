@@ -56,13 +56,7 @@ func TestMLSSInitialStateAboveFirstBoundary(t *testing.T) {
 	q := Query{Z: stochastic.ScalarValue, Beta: 10, Horizon: 200}
 	plan := MustPlan(0.3, 0.8)
 
-	ref := &mc.SRS{
-		Proc:    w,
-		Query:   mc.Query{Cond: mc.Threshold(stochastic.ScalarValue, 10), Horizon: 200},
-		Stop:    mc.Budget{Steps: 3_000_000},
-		Seed:    3,
-		Workers: 8,
-	}
+	ref := &GMLSS{Proc: w, Query: q, Plan: Plan{}, Ratio: 1, Stop: mc.Budget{Steps: 3_000_000}, Seed: 3} // SRS
 	want, err := ref.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -278,6 +278,60 @@ func TestKernelMatchesScalarShards(t *testing.T) {
 	}
 }
 
+// TestKernelMatchesSRSOracle holds SRS — g-MLSS on the empty plan — to
+// the scalar per-path loop (srsPath) it replaced, testing the condition
+// as that loop did: z >= beta in the threshold form, f >= 1 in the custom
+// one. Over fixed root ranges, every path at every worker count must give
+// == hits, steps, paths and estimate, and the variance must be the sample
+// variance of the 0/1 labels' mean, p(1-p)/(n-1).
+func TestKernelMatchesSRSOracle(t *testing.T) {
+	ctx := context.Background()
+	for _, fx := range kernelFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			seed := fx.gmlss(fx.proc, 1).Seed
+			hit := func(s stochastic.State) bool { return fx.obs(s) >= fx.beta }
+			if fx.value != nil {
+				hit = func(s stochastic.State) bool { return fx.value(s) >= 1 }
+			}
+			for _, r := range []struct{ lo, hi int64 }{{0, 2000}, {137, 1402}} {
+				var want mc.Result
+				for i := r.lo; i < r.hi; i++ {
+					steps, label := srsPath(fx.proc, seed, fx.horizon, hit, i)
+					want.Steps += steps
+					if label {
+						want.Hits++
+					}
+				}
+				want.Paths = r.hi - r.lo
+				want.P = float64(want.Hits) / float64(want.Paths)
+				if want.Hits == 0 || want.Hits == want.Paths {
+					t.Fatalf("range [%d,%d): %d hits in %d paths, want a mix", r.lo, r.hi, want.Hits, want.Paths)
+				}
+				sampleVar := want.P * (1 - want.P) / float64(want.Paths-1)
+				for _, workers := range suiteWorkers {
+					for path, proc := range fx.paths() {
+						g := fx.gmlss(proc, workers)
+						g.Plan, g.Ratio, g.Ratios = Plan{}, 1, nil
+						pool := NewPool(1, 0)
+						if err := g.FoldRoots(ctx, r.lo, r.hi, &pool); err != nil {
+							t.Fatal(err)
+						}
+						got := pool.Result(1)
+						if rel := math.Abs(got.Variance-sampleVar) / sampleVar; rel > 1e-12 {
+							t.Errorf("range [%d,%d) workers=%d %s: variance %v, sample variance %v (rel %.2g)",
+								r.lo, r.hi, workers, path, got.Variance, sampleVar, rel)
+						}
+						got.Variance = 0
+						if got != want {
+							t.Errorf("range [%d,%d) workers=%d %s: %+v != oracle %+v", r.lo, r.hi, workers, path, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestKernelCancelBetweenBatches cancels synchronously from the Trace
 // callback, so every path observes the cancellation at the same batch
 // boundary: the partial results must still be bit-for-bit equal.

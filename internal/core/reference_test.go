@@ -120,6 +120,24 @@ func smlssSegment(s *SMLSS, st stochastic.State, t0, watch int, src *rng.Source,
 	}
 }
 
+// srsPath is the Simple Random Sampling baseline of §2.2 one path at a
+// time, the scalar loop the empty-plan kernel replaced: root path idx
+// draws from substream idx of the seed, starts from a fresh initial
+// state, and steps until hit reports the condition or the horizon
+// passes. It returns the path's steps and label.
+func srsPath(proc stochastic.Process, seed uint64, horizon int, hit func(stochastic.State) bool, idx int64) (steps int64, label bool) {
+	src := rng.NewStream(seed, uint64(idx))
+	st := proc.Initial()
+	for t := 1; t <= horizon; t++ {
+		proc.Step(st, t, src)
+		steps++
+		if hit(st) {
+			return steps, true
+		}
+	}
+	return steps, false
+}
+
 // forEachRoot runs roots [lo, hi) one at a time on runLaneChunks' worker
 // layout, so it shares the kernel's cancellation contract: the result is
 // the longest contiguous prefix of completed roots.

@@ -30,31 +30,14 @@ func coreQuery(spec *Spec, st Setting) core.Query {
 }
 
 // RunSRS answers the class's query with simple random sampling at the
-// class's quality target.
+// class's quality target: g-MLSS on the empty plan (§2.2).
 func RunSRS(ctx context.Context, spec *Spec, class Class, o RunOpts) (mc.Result, error) {
-	st := spec.Setting(class)
-	s := &mc.SRS{
-		Proc:    spec.Proc,
-		Query:   mc.Query{Cond: mc.Threshold(spec.Obs, st.Beta), Horizon: st.Horizon},
-		Stop:    QualityStop(class, o.Scale, o.cap()),
-		Seed:    o.Seed,
-		Workers: o.Workers,
-		Trace:   o.Trace,
-	}
-	return s.Run(ctx)
+	return RunGMLSS(ctx, spec, class, core.Plan{}, 1, o)
 }
 
 // RunSRSBudget answers with SRS under a fixed step budget (Table 6).
 func RunSRSBudget(ctx context.Context, spec *Spec, class Class, budget int64, o RunOpts) (mc.Result, error) {
-	st := spec.Setting(class)
-	s := &mc.SRS{
-		Proc:    spec.Proc,
-		Query:   mc.Query{Cond: mc.Threshold(spec.Obs, st.Beta), Horizon: st.Horizon},
-		Stop:    mc.Budget{Steps: budget},
-		Seed:    o.Seed,
-		Workers: o.Workers,
-	}
-	return s.Run(ctx)
+	return RunGMLSSBudget(ctx, spec, class, core.Plan{}, 1, budget, o)
 }
 
 // RunSMLSS answers with simple MLSS on the given plan at the class's

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"durability/internal/core"
 	"durability/internal/mc"
 	"durability/internal/stochastic"
 )
@@ -15,18 +16,23 @@ func rareWalk() (*stochastic.RandomWalk, float64, int) {
 	return &stochastic.RandomWalk{Start: 0, Drift: 0, Sigma: 1}, 38.0, 100
 }
 
+// srs is plain Monte Carlo on the walk: g-MLSS on the empty plan.
+func srs(walk *stochastic.RandomWalk, beta float64, horizon int, stop mc.StopRule, seed uint64) *core.GMLSS {
+	return &core.GMLSS{
+		Proc:  walk,
+		Query: core.Query{Z: stochastic.ScalarValue, Beta: beta, Horizon: horizon},
+		Plan:  core.Plan{},
+		Ratio: 1,
+		Stop:  stop,
+		Seed:  seed,
+	}
+}
+
 // srsReference estimates the same probability with plain Monte Carlo.
 func srsReference(t *testing.T, budget int64) float64 {
 	t.Helper()
 	walk, beta, horizon := rareWalk()
-	s := &mc.SRS{
-		Proc:    walk,
-		Query:   mc.Query{Cond: mc.Threshold(stochastic.ScalarValue, beta), Horizon: horizon},
-		Stop:    mc.Budget{Steps: budget},
-		Seed:    99,
-		Workers: 8,
-	}
-	res, err := s.Run(context.Background())
+	res, err := srs(walk, beta, horizon, mc.Budget{Steps: budget}, 99).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +106,7 @@ func TestISBeatsSRSOnRareEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &mc.SRS{
-		Proc:    walk,
-		Query:   mc.Query{Cond: mc.Threshold(stochastic.ScalarValue, beta), Horizon: horizon},
-		Stop:    target,
-		Seed:    4,
-		Workers: 8,
-	}
-	sres, err := s.Run(context.Background())
+	sres, err := srs(walk, beta, horizon, target, 4).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,47 +1,18 @@
 // Package mc provides the Monte-Carlo foundation shared by every sampler:
-// the durability query definition, cost accounting (the paper measures
-// cost in invocations of the step simulator 𝔤), estimator quality targets,
-// stopping rules, and the Simple Random Sampling (SRS) baseline of §2.2.
+// the result type, cost accounting (the paper measures cost in
+// invocations of the step simulator 𝔤), estimator quality targets and
+// stopping rules. The samplers live in internal/core; the Simple Random
+// Sampling baseline of §2.2 is core.GMLSS on the empty plan (core.Plan{}),
+// whose estimator is hits/n with the sample variance.
 package mc
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
-	"durability/internal/rng"
 	"durability/internal/stats"
-	"durability/internal/stochastic"
 )
-
-// Condition is the Boolean query function q : X -> {0,1} of §2.1.
-type Condition func(stochastic.State) bool
-
-// Query is a durability prediction query Q(q, s): the probability that the
-// process satisfies Cond at any time 1 <= t <= Horizon.
-type Query struct {
-	Cond    Condition
-	Horizon int
-}
-
-// Threshold builds the standard condition z(x) >= beta from an observer.
-func Threshold(z stochastic.Observer, beta float64) Condition {
-	return func(s stochastic.State) bool { return z(s) >= beta }
-}
-
-// Validate reports configuration errors in the query.
-func (q Query) Validate() error {
-	if q.Cond == nil {
-		return errors.New("mc: query has no condition")
-	}
-	if q.Horizon <= 0 {
-		return fmt.Errorf("mc: query horizon %d must be positive", q.Horizon)
-	}
-	return nil
-}
 
 // Result is a sampler's answer to a durability query together with its
 // quality and cost accounting.
@@ -198,113 +169,4 @@ func (a All) String() string {
 		s += rule.String()
 	}
 	return s + ")"
-}
-
-// SRS is the Simple Random Sampling baseline (§2.2): simulate independent
-// root paths, label each 1 if it satisfies the query condition before the
-// horizon, and average the labels.
-type SRS struct {
-	Proc  stochastic.Process
-	Query Query
-	Stop  StopRule // when to stop; required
-	Seed  uint64   // base seed; path i uses substream i, so results are scheduling-independent
-
-	Workers int          // parallel workers (default 1)
-	Batch   int          // root paths between stop-rule checks (default 256)
-	Trace   func(Result) // optional per-batch progress callback (convergence plots)
-}
-
-// pathOutcome is the per-path accounting a worker reports.
-type pathOutcome struct {
-	steps int64
-	hit   bool
-}
-
-// runPath simulates one root path and reports its label and cost.
-func (s *SRS) runPath(idx int64) pathOutcome {
-	src := rng.NewStream(s.Seed, uint64(idx))
-	st := s.Proc.Initial()
-	var out pathOutcome
-	for t := 1; t <= s.Query.Horizon; t++ {
-		s.Proc.Step(st, t, src)
-		out.steps++
-		if s.Query.Cond(st) {
-			out.hit = true
-			return out
-		}
-	}
-	return out
-}
-
-// Run executes the sampler until the stop rule fires or the context is
-// cancelled, returning the current unbiased estimate either way.
-func (s *SRS) Run(ctx context.Context) (Result, error) {
-	if err := s.Query.Validate(); err != nil {
-		return Result{}, err
-	}
-	if s.Stop == nil {
-		return Result{}, errors.New("mc: SRS requires a stop rule")
-	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	batch := s.Batch
-	if batch <= 0 {
-		batch = 256
-	}
-
-	start := time.Now()
-	var res Result
-	next := int64(0)
-	for {
-		if err := ctx.Err(); err != nil {
-			res.Elapsed = time.Since(start)
-			return res, err
-		}
-		lo, hi := next, next+int64(batch)
-		next = hi
-
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		per := (hi - lo + int64(workers) - 1) / int64(workers)
-		for w := 0; w < workers; w++ {
-			wlo := lo + int64(w)*per
-			whi := wlo + per
-			if whi > hi {
-				whi = hi
-			}
-			if wlo >= whi {
-				continue
-			}
-			wg.Add(1)
-			go func(wlo, whi int64) {
-				defer wg.Done()
-				var steps, hits int64
-				for i := wlo; i < whi; i++ {
-					out := s.runPath(i)
-					steps += out.steps
-					if out.hit {
-						hits++
-					}
-				}
-				mu.Lock()
-				res.Steps += steps
-				res.Hits += hits
-				mu.Unlock()
-			}(wlo, whi)
-		}
-		wg.Wait()
-
-		res.Paths = hi
-		res.P = float64(res.Hits) / float64(res.Paths)
-		res.Variance = stats.BinomialVariance(res.P, res.Paths)
-		res.Elapsed = time.Since(start)
-		if s.Trace != nil {
-			s.Trace(res)
-		}
-		if s.Stop.Done(res) {
-			return res, nil
-		}
-	}
 }

@@ -1,174 +1,10 @@
 package mc
 
 import (
-	"context"
 	"math"
 	"testing"
 	"time"
-
-	"durability/internal/stochastic"
 )
-
-// testChain returns a birth-death chain and a query whose exact answer is
-// computable by dynamic programming.
-func testChain() (*stochastic.MarkovChain, Query, float64) {
-	mc := stochastic.BirthDeathChain(10, 0.45, 0)
-	const horizon = 50
-	const beta = 7
-	q := Query{Cond: Threshold(stochastic.ChainIndex, beta), Horizon: horizon}
-	target := map[int]bool{}
-	for i := beta; i < 10; i++ {
-		target[i] = true
-	}
-	return mc, q, mc.HitProbability(target, horizon)
-}
-
-func TestQueryValidate(t *testing.T) {
-	if err := (Query{}).Validate(); err == nil {
-		t.Fatal("empty query passed validation")
-	}
-	if err := (Query{Cond: func(stochastic.State) bool { return false }}).Validate(); err == nil {
-		t.Fatal("zero horizon passed validation")
-	}
-	if err := (Query{Cond: func(stochastic.State) bool { return false }, Horizon: 5}).Validate(); err != nil {
-		t.Fatalf("valid query rejected: %v", err)
-	}
-}
-
-func TestThreshold(t *testing.T) {
-	cond := Threshold(stochastic.ScalarValue, 10)
-	if cond(&stochastic.Scalar{V: 9.99}) {
-		t.Fatal("9.99 >= 10?")
-	}
-	if !cond(&stochastic.Scalar{V: 10}) {
-		t.Fatal("10 >= 10 should hold")
-	}
-}
-
-func TestSRSMatchesExactAnswer(t *testing.T) {
-	chain, query, want := testChain()
-	s := &SRS{
-		Proc:  chain,
-		Query: query,
-		Stop:  Budget{Steps: 2_000_000},
-		Seed:  1,
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 5 * math.Sqrt(res.Variance)
-	if math.Abs(res.P-want) > tol {
-		t.Fatalf("SRS estimate %v, exact %v (tol %v)", res.P, want, tol)
-	}
-	if res.Steps < 2_000_000 {
-		t.Fatalf("stopped before budget: %d steps", res.Steps)
-	}
-	if res.Paths == 0 || res.Hits == 0 {
-		t.Fatalf("degenerate result: %+v", res)
-	}
-}
-
-func TestSRSParallelDeterministic(t *testing.T) {
-	chain, query, _ := testChain()
-	run := func(workers int) Result {
-		s := &SRS{Proc: chain, Query: query, Stop: Budget{Steps: 300_000}, Seed: 7, Workers: workers}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	par := run(8)
-	if seq.P != par.P || seq.Hits != par.Hits || seq.Steps != par.Steps {
-		t.Fatalf("parallel run diverged: seq=%+v par=%+v", seq, par)
-	}
-}
-
-func TestSRSRelativeErrorStop(t *testing.T) {
-	chain, query, want := testChain()
-	s := &SRS{
-		Proc:  chain,
-		Query: query,
-		Stop:  Any{RETarget{Target: 0.10}, Budget{Steps: 50_000_000}},
-		Seed:  3,
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re := res.RelErr(); re > 0.11 {
-		t.Fatalf("stopped with RE %v, want <= 0.10", re)
-	}
-	if math.Abs(res.P-want) > 0.3*want {
-		t.Fatalf("estimate %v too far from exact %v", res.P, want)
-	}
-}
-
-func TestSRSCITargetStop(t *testing.T) {
-	chain, query, _ := testChain()
-	s := &SRS{
-		Proc:  chain,
-		Query: query,
-		Stop:  Any{CITarget{Half: 0.05, Confidence: 0.95, Relative: true}, Budget{Steps: 100_000_000}},
-		Seed:  4,
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := res.CI(0.95).Width() / 2
-	if half > 0.055*res.P {
-		t.Fatalf("stopped with CI half-width %v (rel %v)", half, half/res.P)
-	}
-}
-
-func TestSRSContextCancel(t *testing.T) {
-	chain, query, _ := testChain()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s := &SRS{Proc: chain, Query: query, Stop: Budget{Steps: 1 << 60}, Seed: 5}
-	if _, err := s.Run(ctx); err == nil {
-		t.Fatal("cancelled run returned nil error")
-	}
-}
-
-func TestSRSTrace(t *testing.T) {
-	chain, query, _ := testChain()
-	calls := 0
-	var lastSteps int64
-	s := &SRS{
-		Proc:  chain,
-		Query: query,
-		Stop:  Budget{Steps: 100_000},
-		Seed:  6,
-		Batch: 128,
-		Trace: func(r Result) {
-			calls++
-			if r.Steps < lastSteps {
-				t.Fatalf("trace steps went backwards: %d -> %d", lastSteps, r.Steps)
-			}
-			lastSteps = r.Steps
-		},
-	}
-	if _, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("trace never called")
-	}
-}
-
-func TestSRSConfigErrors(t *testing.T) {
-	chain, query, _ := testChain()
-	if _, err := (&SRS{Proc: chain, Query: query}).Run(context.Background()); err == nil {
-		t.Fatal("missing stop rule not rejected")
-	}
-	if _, err := (&SRS{Proc: chain, Query: Query{}, Stop: Budget{1}}).Run(context.Background()); err == nil {
-		t.Fatal("invalid query not rejected")
-	}
-}
 
 func TestStopRules(t *testing.T) {
 	r := Result{P: 0.1, Variance: 1e-6, Steps: 1000, Hits: 100}
@@ -241,25 +77,5 @@ func TestResultAccessors(t *testing.T) {
 	}
 	if r.String() == "" {
 		t.Error("empty result string")
-	}
-}
-
-// SRS estimator is unbiased: across many independent short runs, the mean
-// estimate matches the exact answer well within the standard error.
-func TestSRSUnbiasedAcrossRuns(t *testing.T) {
-	chain, query, want := testChain()
-	const runs = 40
-	sum := 0.0
-	for i := 0; i < runs; i++ {
-		s := &SRS{Proc: chain, Query: query, Stop: Budget{Steps: 60_000}, Seed: uint64(1000 + i)}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += res.P
-	}
-	mean := sum / runs
-	if math.Abs(mean-want) > 0.15*want {
-		t.Fatalf("mean of %d SRS runs = %v, exact %v", runs, mean, want)
 	}
 }

@@ -124,9 +124,10 @@ type Runner struct {
 	// in-process for exec.Local (what a nil Exec means), a worker fleet
 	// for exec.Cluster. One-shot queries run core's estimator loop over
 	// it (exec.Sample), so a query's answer is bit-for-bit the same on
-	// every backend. Plan searches always run locally, and s-MLSS and
-	// SRS queries — whose estimators are not expressed as mergeable root
-	// counters — stay on the in-process samplers regardless.
+	// every backend; SRS runs there too, as g-MLSS on the empty plan.
+	// Plan searches always run locally, and s-MLSS queries — whose
+	// estimator is not expressed as mergeable root counters — stay on the
+	// in-process sampler regardless.
 	Exec exec.Executor
 
 	// Trace, when non-nil, receives lifecycle spans: plan-cache /
@@ -137,9 +138,10 @@ type Runner struct {
 
 	// Ledger, when non-nil, receives every finished g-MLSS run's crossing
 	// counters under the run's plan-cache key — the plan-quality
-	// observability feed. Runs without a key (no Cache, or PlanFixed) and
-	// the non-counter samplers (s-MLSS, SRS) book nothing. Observability
-	// only — the ledger never alters execution.
+	// observability feed. Runs without a key (no Cache, PlanFixed, or
+	// SRS, which has no plan) and s-MLSS, which keeps no such counters,
+	// book nothing. Observability only — the ledger never alters
+	// execution.
 	Ledger *planstats.Ledger
 }
 
@@ -297,25 +299,19 @@ func (r *Runner) Run(ctx context.Context, s Spec) (mc.Result, Meta, error) {
 	if err := s.validate(); err != nil {
 		return mc.Result{}, Meta{}, err
 	}
-	if s.Method == SRS {
-		srs := &mc.SRS{
-			Proc:    s.Proc,
-			Query:   mc.Query{Cond: mc.Threshold(s.Obs, s.Beta), Horizon: s.Horizon},
-			Stop:    s.Stop,
-			Seed:    s.Seed,
-			Workers: s.SimWorkers,
-			Trace:   s.Trace,
+	// SRS is g-MLSS on the empty plan (§2.2): no level search, no cache
+	// key, and one splitting ratio that no root ever applies.
+	var (
+		plan  core.Plan
+		meta  Meta
+		err   error
+		ratio = 1
+	)
+	if s.Method != SRS {
+		if plan, meta, err = r.ResolvePlan(ctx, &s); err != nil {
+			return mc.Result{Steps: meta.SearchSteps}, meta, err
 		}
-		sp := r.Trace.Start(telemetry.StageExec)
-		res, err := srs.Run(ctx)
-		sp.AddSteps(res.Steps)
-		sp.End()
-		return res, Meta{}, err
-	}
-
-	plan, meta, err := r.ResolvePlan(ctx, &s)
-	if err != nil {
-		return mc.Result{Steps: meta.SearchSteps}, meta, err
+		ratio = s.Ratio
 	}
 
 	// The exec span carries the sampler's own steps — res.Steps before the
@@ -333,10 +329,10 @@ func (r *Runner) Run(ctx context.Context, s Spec) (mc.Result, Meta, error) {
 	} else {
 		// The ledger hook (nil without a ledger) fires once at a successful
 		// return; s-MLSS keeps different sufficient statistics and is not
-		// booked. Fixed plans have no cache key, so their runs are not
-		// attributable to a cached plan and book nothing.
+		// booked. Fixed plans and SRS have no cache key, so their runs are
+		// not attributable to a cached plan and book nothing.
 		var book func(agg core.Counters, roots, steps int64)
-		if r.Cache != nil && s.PlanMode != PlanFixed {
+		if s.Method == GMLSS && r.Cache != nil && s.PlanMode != PlanFixed {
 			book = r.bookRun(s.planKey(r.Cache), plan, s.Ratio)
 		}
 		res, err = exec.Sample(ctx, r.Exec, exec.Task{
@@ -347,7 +343,7 @@ func (r *Runner) Run(ctx context.Context, s Spec) (mc.Result, Meta, error) {
 			Beta:       s.Beta,
 			Horizon:    s.Horizon,
 			Boundaries: plan.Boundaries,
-			Ratio:      s.Ratio,
+			Ratio:      ratio,
 			Seed:       s.Seed,
 			SimWorkers: s.SimWorkers,
 		}, exec.SampleOptions{Stop: s.Stop, Trace: s.Trace, Counters: book})

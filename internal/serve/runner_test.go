@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"durability/internal/cluster"
 	"durability/internal/core"
@@ -15,12 +18,13 @@ import (
 	"durability/internal/stochastic"
 )
 
-// A one-shot g-MLSS answer does not depend on where its roots are
-// simulated: the runner without an executor, with exec.Local and with a
-// two-worker cluster returns == results and books == ledger snapshots,
-// each booking exactly the run's roots and sampling steps.
-// The two plans cover a single interior boundary and several; both
-// report the delta-method moment variance.
+// A one-shot answer does not depend on where its roots are simulated:
+// the runner without an executor, with exec.Local and with a two-worker
+// cluster returns == results and books == ledger snapshots, each booking
+// exactly the run's roots and sampling steps. The two g-MLSS plans cover
+// a single interior boundary and several; both report the delta-method
+// moment variance. SRS runs on the empty plan, searches nothing and books
+// nothing.
 func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 	newWalk := func() (stochastic.Process, map[string]stochastic.Observer, error) {
 		return &stochastic.RandomWalk{Start: 5, Drift: 0.2, Sigma: 2}, map[string]stochastic.Observer{"value": stochastic.ScalarValue}, nil
@@ -37,14 +41,16 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 		name string
 		ex   exec.Executor
 	}{{"none", nil}, {"local", exec.Local{}}, {"cluster", clus}}
-	plans := []struct {
-		name string
-		plan core.Plan
+	cases := []struct {
+		name   string
+		method Method
+		plan   core.Plan
 	}{
-		{"two-level", core.MustPlan(0.6)},
-		{"three-boundary", core.MustPlan(0.4, 0.6, 0.8)},
+		{"two-level", GMLSS, core.MustPlan(0.6)},
+		{"three-boundary", GMLSS, core.MustPlan(0.4, 0.6, 0.8)},
+		{"srs", SRS, core.Plan{}},
 	}
-	for _, pc := range plans {
+	for _, pc := range cases {
 		t.Run(pc.name, func(t *testing.T) {
 			var wantRes mc.Result
 			var wantSnaps []planstats.Snapshot
@@ -56,27 +62,33 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 				r := &Runner{Cache: NewPlanCache(0), Exec: b.ex, Ledger: planstats.NewLedger()}
 				spec := Spec{
 					Proc: proc, Obs: obs["value"], ModelID: "walk", ObserverID: "value",
-					Beta: 30, Horizon: 60, Ratio: 3, Seed: 7, SimWorkers: 2,
+					Beta: 30, Horizon: 60, Method: pc.method, Ratio: 3, Seed: 7, SimWorkers: 2,
 					Stop: mc.Any{mc.RETarget{Target: 0.05}, mc.Budget{Steps: 5_000_000}},
 				}
-				key, _ := r.PlanKeyFor(spec)
-				r.Cache.Warm(key, pc.plan)
+				if pc.method == GMLSS {
+					key, _ := r.PlanKeyFor(spec)
+					r.Cache.Warm(key, pc.plan)
+				}
 				res, meta, err := r.Run(context.Background(), spec)
 				if err != nil {
 					t.Fatalf("%s: %v", b.name, err)
 				}
-				if !meta.CacheHit || !meta.Plan.Equal(pc.plan) {
-					t.Fatalf("%s: ran plan %v (cache hit %v), want the warmed %v", b.name, meta.Plan, meta.CacheHit, pc.plan)
+				if meta.CacheHit != (pc.method == GMLSS) || !meta.Plan.Equal(pc.plan) || meta.SearchSteps != 0 {
+					t.Fatalf("%s: ran plan %v (cache hit %v, %d search steps), want %v", b.name, meta.Plan, meta.CacheHit, meta.SearchSteps, pc.plan)
 				}
 				if res.VarTime <= 0 {
 					t.Fatalf("%s: the moment variance's time went unbooked", b.name)
 				}
 				res.Elapsed, res.VarTime = 0, 0
-				// The ledger books what the run sampled, search excluded.
+				// The ledger books what a g-MLSS run sampled, and SRS nothing.
 				snaps := r.Ledger.Snapshots()
-				if len(snaps) != 1 || snaps[0].Roots != res.Paths || snaps[0].Steps != res.Steps-meta.SearchSteps {
+				if pc.method == SRS {
+					if len(snaps) != 0 {
+						t.Fatalf("%s: SRS booked %+v", b.name, snaps)
+					}
+				} else if len(snaps) != 1 || snaps[0].Roots != res.Paths || snaps[0].Steps != res.Steps {
 					t.Fatalf("%s: ledger %+v, want one plan booking the run's %d roots and %d sampling steps",
-						b.name, snaps, res.Paths, res.Steps-meta.SearchSteps)
+						b.name, snaps, res.Paths, res.Steps)
 				}
 				if i == 0 {
 					// Several rounds, so the cluster cuts more than one range.
@@ -94,6 +106,26 @@ func TestRunnerOneShotSameOnEveryBackend(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// SRS checks its context inside a round, as g-MLSS does: a query whose
+// single root path would take 10^6 steps with no hit in sight ends at its
+// deadline rather than after a round of such paths.
+func TestRunnerSRSHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	began := time.Now()
+	_, _, err := (&Runner{}).Run(ctx, Spec{
+		Proc: &stochastic.RandomWalk{Drift: 0, Sigma: 1}, Obs: stochastic.ScalarValue,
+		Beta: 1e9, Horizon: 1_000_000, Method: SRS, Ratio: 3, Seed: 1, SimWorkers: 1,
+		Stop: mc.Any{mc.Budget{Steps: math.MaxInt64}},
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("a 100ms deadline returned after %v", took)
 	}
 }
 

@@ -56,15 +56,6 @@ func (db *DB) RunQuery(ctx context.Context, spec QuerySpec) (mc.Result, error) {
 		ratio = 3
 	}
 	switch spec.Method {
-	case MethodSRS:
-		s := &mc.SRS{
-			Proc:    proc,
-			Query:   mc.Query{Cond: mc.Threshold(obs, spec.Beta), Horizon: spec.Horizon},
-			Stop:    spec.Stop,
-			Seed:    spec.Seed,
-			Workers: spec.Workers,
-		}
-		return s.Run(ctx)
 	case MethodSMLSS:
 		s := &core.SMLSS{
 			Proc:    proc,
@@ -76,11 +67,16 @@ func (db *DB) RunQuery(ctx context.Context, spec QuerySpec) (mc.Result, error) {
 			Workers: spec.Workers,
 		}
 		return s.Run(ctx)
-	case MethodGMLSS:
+	case MethodSRS, MethodGMLSS:
+		plan := spec.Plan
+		if spec.Method == MethodSRS {
+			// SRS is g-MLSS on the empty plan (§2.2).
+			plan, ratio = core.Plan{}, 1
+		}
 		g := &core.GMLSS{
 			Proc:    proc,
 			Query:   core.Query{Z: obs, Beta: spec.Beta, Horizon: spec.Horizon},
-			Plan:    spec.Plan,
+			Plan:    plan,
 			Ratio:   ratio,
 			Stop:    spec.Stop,
 			Seed:    spec.Seed,

@@ -183,15 +183,6 @@ func RelativeError(estimate, variance float64) float64 {
 	return math.Sqrt(math.Max(variance, 0)) / estimate
 }
 
-// BinomialVariance returns the variance p(1-p)/n of a binomial proportion
-// estimate — the SRS estimator variance (§2.2).
-func BinomialVariance(p float64, n int64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return p * (1 - p) / float64(n)
-}
-
 // Quantile returns the q-quantile of the data using linear interpolation
 // between order statistics. The slice is sorted in place.
 func Quantile(data []float64, q float64) float64 {

@@ -192,15 +192,6 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestBinomialVariance(t *testing.T) {
-	if v := BinomialVariance(0.5, 100); math.Abs(v-0.0025) > 1e-12 {
-		t.Fatalf("BinomialVariance = %v", v)
-	}
-	if v := BinomialVariance(0.5, 0); v != 0 {
-		t.Fatalf("BinomialVariance with n=0 = %v, want 0", v)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	data := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
 	if q := Quantile(data, 0.5); math.Abs(q-5) > 1e-12 {
